@@ -190,8 +190,9 @@ func NewTCPSink(addr string) (*TCPSink, error) { return stream.NewTCPSink(addr) 
 // the default of 1024).
 func NewRingSink(capacity int) *RingSink { return stream.NewRingSink(capacity) }
 
-// NewMultiSink fans every batch out to all the given sinks.
-func NewMultiSink(sinks ...Sink) Sink { return stream.NewMultiSink(sinks...) }
+// NewMultiSink fans every batch out to all the given sinks, encoding
+// each wire-frame variant once for the members that share it.
+func NewMultiSink(sinks ...Sink) Sink { return stream.NewEncodeOnceSink(sinks...) }
 
 // WireVersion selects the payload codec of framed sinks and segment
 // logs: WireV1JSONL keeps the historical JSONL payload, WireV2Binary is

@@ -654,17 +654,6 @@ func (f *Fleet) RunBatch(ticks [][][]float64, inputs []InputEvent) ([]OfficeActi
 	return out, err
 }
 
-// Tick delivers one tick to every member office (rssi[i] is the sample
-// vector of the i-th office in ascending-ID order) and returns the merged
-// actions of that tick.
-func (f *Fleet) Tick(rssi [][]float64) ([]OfficeAction, error) {
-	batch := make([][][]float64, len(rssi))
-	for i := range rssi {
-		batch[i] = [][]float64{rssi[i]}
-	}
-	return f.RunBatch(batch, nil)
-}
-
 // mergeRuns k-way-merges action runs into one fresh slice. Every input
 // run must already be internally ordered by (time, office ID, emission
 // order) — which holds both for a single office's buffer (System clocks

@@ -244,7 +244,7 @@ func TestFleetTickSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Tick([][]float64{{-60, -60}, {-61, -59}}); err != nil {
+	if _, err := f.RunBatch([][][]float64{{{-60, -60}}, {{-61, -59}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.System(0).Now(); got != 0.2 {

@@ -7,9 +7,9 @@ import "testing"
 // golden_test.go. Version 2 is its own determinism contract: the
 // kernels behind it (vmath, rng.FillNormals) are platform-independent
 // by construction, so these hashes must reproduce bit for bit on every
-// platform and implementation (FADEWICH_NOVEC included). Update them
-// only for a deliberate, documented version-2 model change;
-// performance work must not move them.
+// platform and under every FADEWICH_VMATH path. Update them only for
+// a deliberate, documented version-2 model change; performance work
+// must not move them.
 //
 // Under the default 1 dB quantisation the three v1 scenarios come out
 // byte-identical under version 2 — the raw-path divergence (~1e-13 dB)

@@ -121,16 +121,20 @@ type encodeOnceSink struct {
 	eb EncodedBatch
 }
 
-// NewEncodeOnceSink returns a fan-out sink like NewMultiSink, with
-// shared encoding: members implementing FrameSink receive the cycle's
-// EncodedBatch and pull their (codec, compressed) variant from it, so
-// any variant is encoded once per dispatch no matter how many members
-// (or broadcaster subscribers) consume it. Epoch-stamped flushes keep
-// the epoch protocol: EpochSink members get WriteEpoch (empty batches
-// included) — a tagged TCP forward's frames carry a tag and remapped
-// IDs, different bytes by design, so the epoch face wins over the
-// frame face. Remaining members get plain non-empty Writes. One member
-// failing does not stop delivery to the others; the errors join.
+// NewEncodeOnceSink returns a sink fanning every Write, WriteEpoch and
+// Close out to all the given sinks, with shared encoding: members
+// implementing FrameSink receive the cycle's EncodedBatch and pull
+// their (codec, compressed) variant from it, so any variant is encoded
+// once per dispatch no matter how many members (or broadcaster
+// subscribers) consume it. Epoch-stamped flushes keep the epoch
+// protocol: EpochSink members get WriteEpoch (empty batches included)
+// — a tagged TCP forward's frames carry a tag and remapped IDs,
+// different bytes by design, so the epoch face wins over the frame
+// face. Remaining members get plain Writes (non-empty ones only for
+// epoch flushes). This is how a worker daemon feeds its tagged TCP
+// forward and its untagged broadcaster and segment log from the same
+// dispatch. One member failing does not stop delivery to the others;
+// the errors join.
 func NewEncodeOnceSink(sinks ...Sink) Sink {
 	return &encodeOnceSink{sinks: append([]Sink(nil), sinks...)}
 }

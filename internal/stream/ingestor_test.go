@@ -68,11 +68,16 @@ func window(batch [][][]float64, inputs []engine.InputEvent, start, end int) ([]
 	return sub, evs
 }
 
-// pushWindow feeds one window through the ingestor via PushBatch — the
-// same bridge fadewich-sim uses to port synchronous RunBatch call sites.
+// pushWindow feeds one window through the ingestor via PushOffices.
+// sub[i] holds office i's ticks: the test fleets see no churn, so
+// office IDs equal positions.
 func pushWindow(t *testing.T, in *Ingestor, sub [][][]float64, evs []engine.InputEvent) {
 	t.Helper()
-	if err := in.PushBatch(sub, evs); err != nil {
+	batches := make([]engine.OfficeBatch, len(sub))
+	for i := range sub {
+		batches[i] = engine.OfficeBatch{Office: i, Ticks: sub[i]}
+	}
+	if err := in.PushOffices(batches, evs); err != nil {
 		t.Fatal(err)
 	}
 }

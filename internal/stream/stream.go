@@ -752,26 +752,6 @@ func (in *Ingestor) PushOffices(batches []engine.OfficeBatch, evs []engine.Input
 	return nil
 }
 
-// PushBatch feeds one dense fleet batch: sub[i] holds the ticks of the
-// i-th member office in ascending-ID order (for a fleet that has seen no
-// churn, office IDs equal positions 0..N-1), and len(sub) must equal the
-// current fleet size. It is the bridge for callers porting synchronous
-// dense RunBatch call sites; elastic callers should prefer PushOffices.
-func (in *Ingestor) PushBatch(sub [][][]float64, evs []engine.InputEvent) error {
-	if in.closedFlag.Load() {
-		return ErrClosed
-	}
-	ids := in.members.Load().ids // immutable snapshot
-	if len(sub) != len(ids) {
-		return fmt.Errorf("stream: batch has %d offices, fleet has %d", len(sub), len(ids))
-	}
-	batches := make([]engine.OfficeBatch, len(sub))
-	for i := range sub {
-		batches[i] = engine.OfficeBatch{Office: ids[i], Ticks: sub[i]}
-	}
-	return in.PushOffices(batches, evs)
-}
-
 // Flush dispatches everything queued at the time of the call as one
 // fleet batch and blocks until that dispatch — including the OnBatch tap
 // — has completed and the batch has been handed to the sink pump. It

@@ -1,7 +1,7 @@
 // Go halves of the AVX2 assembly kernels (avx2_amd64.s): scalar
 // fallback for bailed groups and ragged tails, plus the avx2Funcs
 // implementation set. Kernels outside the assembly hot set (the simple
-// fused column ops) reuse the unrolled implementations, which the
+// fused column ops) reuse the portable implementations, which the
 // compiler already emits as VEX code under GOAMD64=v3.
 
 package vmath
@@ -35,8 +35,7 @@ func clampRangeAVX2(dst []float64, lo, hi float64) int
 
 // gatedLoop drives a bailing assembly kernel over dst/x: assembly for
 // runs of fast-path groups, the scalar helper for the group the
-// assembly bailed on (mirroring the unrolled set's special-group
-// handling lane by lane) and for the tail.
+// assembly bailed on and for the tail.
 func gatedLoop(dst, x []float64, asm func(dst, x []float64) int, scalar func(float64) float64) {
 	n := len(dst)
 	x = x[:n]
@@ -156,13 +155,13 @@ var avx2Funcs = funcs{
 			out[k] = base[k] - att + a + sd*z[2*k+1]
 		}
 	},
-	scaleSlice:    unrolledFuncs.scaleSlice,
-	axpySlice:     unrolledFuncs.axpySlice,
-	axpyClamp:     unrolledFuncs.axpyClamp,
-	sqrtSlice:     unrolledFuncs.sqrtSlice,
-	clampMax:      unrolledFuncs.clampMax,
+	scaleSlice:    portableFuncs.scaleSlice,
+	axpySlice:     portableFuncs.axpySlice,
+	axpyClamp:     portableFuncs.axpyClamp,
+	sqrtSlice:     portableFuncs.sqrtSlice,
+	clampMax:      portableFuncs.clampMax,
 	roundQuant:    roundQuantAVX2,
-	excessPath:    unrolledFuncs.excessPath,
-	distToSeg:     unrolledFuncs.distToSeg,
-	accumSqScaled: unrolledFuncs.accumSqScaled,
+	excessPath:    portableFuncs.excessPath,
+	distToSeg:     portableFuncs.distToSeg,
+	accumSqScaled: portableFuncs.accumSqScaled,
 }

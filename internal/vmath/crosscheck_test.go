@@ -105,9 +105,8 @@ func runKernels(fs *funcs, in *kernelInputs) map[string][]float64 {
 
 // awkwardLengths are the slice lengths every cross-check sweeps: empty,
 // single element, one below/at/above the 4-float64 SIMD group width of
-// the unrolled and AVX2 paths, and a multi-group length with a ragged
-// 3-element tail (4·lane+3) — pinning the assembly kernels' bail and
-// tail handling.
+// the AVX2 path, and a multi-group length with a ragged 3-element tail
+// (4·lane+3) — pinning the assembly kernels' bail and tail handling.
 var awkwardLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 19}
 
 // checkImplsAgree runs all kernels under the portable set and every
@@ -117,7 +116,7 @@ func checkImplsAgree(t *testing.T, vals []float64, n int) {
 	t.Helper()
 	sets := altImplSets()
 	if len(sets) == 0 {
-		t.Skip("single-implementation platform")
+		t.Skip("no alternative implementation on this machine")
 	}
 	in := deriveInputs(vals, n)
 	a := runKernels(&portableFuncs, in)

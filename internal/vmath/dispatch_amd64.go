@@ -1,14 +1,10 @@
 // Implementation selection on amd64. By default the AVX2 assembly
 // kernel set engages when the CPU supports AVX2+FMA and the OS saves
-// the YMM state. Two environment overrides exist:
-//
-//   - FADEWICH_VMATH=portable|unroll|avx2 forces a specific path.
-//     Forcing avx2 on hardware without AVX2 support fails loudly
-//     (panics at init) rather than silently falling back, so CI legs
-//     that pin a path can trust what they measured.
-//   - FADEWICH_NOVEC (legacy, any non-empty value other than "0")
-//     forces portable. FADEWICH_VMATH, being the explicit override,
-//     wins when both are set.
+// the YMM state, and portable otherwise. FADEWICH_VMATH=portable|avx2
+// forces a specific path. Forcing avx2 on hardware without AVX2
+// support, or naming any other value, fails loudly (panics at init)
+// rather than silently falling back, so CI legs that pin a path can
+// trust what they measured.
 
 package vmath
 
@@ -22,34 +18,32 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 func init() {
-	impl, err := pickImpl(os.Getenv("FADEWICH_VMATH"), os.Getenv("FADEWICH_NOVEC"), haveAVX2())
+	impl, err := pickImpl(os.Getenv("FADEWICH_VMATH"), haveAVX2())
 	if err != nil {
 		panic(err)
 	}
 	active = impl
 }
 
-// pickImpl resolves the implementation selection from the two
-// environment overrides and the hardware capability. It is pure so the
-// forcing matrix is unit-testable without re-running init.
-func pickImpl(force, novec string, avx2 bool) (*funcs, error) {
+// pickImpl resolves the implementation selection from the environment
+// override and the hardware capability. It is pure so the forcing
+// matrix is unit-testable without re-running init.
+func pickImpl(force string, avx2 bool) (*funcs, error) {
 	switch force {
 	case "portable":
 		return &portableFuncs, nil
-	case "unroll":
-		return &unrolledFuncs, nil
 	case "avx2":
 		if !avx2 {
 			return nil, fmt.Errorf("vmath: FADEWICH_VMATH=avx2 forced but this CPU/OS lacks AVX2+FMA+OSXSAVE (refusing to fall back)")
 		}
 		return &avx2Funcs, nil
 	case "":
-		if novecEnv(novec) || !avx2 {
-			return &portableFuncs, nil
+		if avx2 {
+			return &avx2Funcs, nil
 		}
-		return &avx2Funcs, nil
+		return &portableFuncs, nil
 	}
-	return nil, fmt.Errorf("vmath: unknown FADEWICH_VMATH value %q (want portable, unroll or avx2)", force)
+	return nil, fmt.Errorf("vmath: unknown FADEWICH_VMATH value %q (want portable or avx2)", force)
 }
 
 // haveFMA reports FMA+AVX CPU support with OS-enabled YMM state — the

@@ -8,7 +8,7 @@ import (
 )
 
 // Non-amd64 targets only have the portable kernel set. FADEWICH_VMATH
-// may still name it explicitly; forcing an amd64-only path fails loudly
+// may still name it explicitly; forcing the amd64-only path fails loudly
 // (panics at init) rather than silently falling back, matching the
 // amd64 dispatch contract.
 func init() {
@@ -25,8 +25,8 @@ func pickImplPortableOnly(force string) (*funcs, error) {
 	switch force {
 	case "", "portable":
 		return &portableFuncs, nil
-	case "unroll", "avx2":
+	case "avx2":
 		return nil, fmt.Errorf("vmath: FADEWICH_VMATH=%s forced but this platform has no amd64 kernels (refusing to fall back)", force)
 	}
-	return nil, fmt.Errorf("vmath: unknown FADEWICH_VMATH value %q (want portable, unroll or avx2)", force)
+	return nil, fmt.Errorf("vmath: unknown FADEWICH_VMATH value %q (want portable or avx2)", force)
 }

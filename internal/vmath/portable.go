@@ -1,7 +1,7 @@
 // Portable kernel implementations: per-element loops over the shared
-// scalar helpers. These are the reference semantics — the unrolled
-// amd64 set must match them bit for bit, which the package tests and
-// fuzz target enforce.
+// scalar helpers. These are the reference semantics — the AVX2 amd64
+// set must match them bit for bit, which the package tests and fuzz
+// target enforce.
 
 package vmath
 
@@ -201,45 +201,6 @@ func normFactorFast1(q float64) float64 {
 		return normFactor1(q) // non-normal, out of domain, or q → 1
 	}
 	return normFactorFastCore(q)
-}
-
-// normFactorFast4 evaluates four in-range elements with the lanes
-// interleaved in one body: normFactorFastCore is too large for the
-// inliner, and four sequential calls would serialise each lane's
-// ~90-cycle load→poly→div→sqrt dependency chain. Requires
-// inNormFactorFast for all four inputs. Each lane performs exactly
-// normFactorFastCore's operations in order, so results are
-// bit-identical to the scalar element.
-func normFactorFast4(q0, q1, q2, q3 float64) (f0, f1, f2, f3 float64) {
-	b0, b1, b2, b3 := math.Float64bits(q0), math.Float64bits(q1), math.Float64bits(q2), math.Float64bits(q3)
-	e0 := float64(int(b0>>52) - 1023)
-	e1 := float64(int(b1>>52) - 1023)
-	e2 := float64(int(b2>>52) - 1023)
-	e3 := float64(int(b3>>52) - 1023)
-	const fracMask = 1<<52 - 1
-	const oneBits = uint64(1023) << 52
-	m0 := math.Float64frombits(b0&fracMask | oneBits)
-	m1 := math.Float64frombits(b1&fracMask | oneBits)
-	m2 := math.Float64frombits(b2&fracMask | oneBits)
-	m3 := math.Float64frombits(b3&fracMask | oneBits)
-	i0, i1, i2, i3 := (b0>>45)&127, (b1>>45)&127, (b2>>45)&127, (b3>>45)&127
-	r0 := m0*logRcpTab[i0] - 1
-	r1 := m1*logRcpTab[i1] - 1
-	r2 := m2*logRcpTab[i2] - 1
-	r3 := m3*logRcpTab[i3] - 1
-	p0 := log1pC2 + r0*(log1pC3+r0*(log1pC4+r0*(log1pC5+r0*(log1pC6+r0*log1pC7))))
-	p1 := log1pC2 + r1*(log1pC3+r1*(log1pC4+r1*(log1pC5+r1*(log1pC6+r1*log1pC7))))
-	p2 := log1pC2 + r2*(log1pC3+r2*(log1pC4+r2*(log1pC5+r2*(log1pC6+r2*log1pC7))))
-	p3 := log1pC2 + r3*(log1pC3+r3*(log1pC4+r3*(log1pC5+r3*(log1pC6+r3*log1pC7))))
-	l0 := e0*math.Ln2 + logLnTab[i0] + r0*(1+r0*p0)
-	l1 := e1*math.Ln2 + logLnTab[i1] + r1*(1+r1*p1)
-	l2 := e2*math.Ln2 + logLnTab[i2] + r2*(1+r2*p2)
-	l3 := e3*math.Ln2 + logLnTab[i3] + r3*(1+r3*p3)
-	f0 = math.Sqrt(-2 * l0 / q0)
-	f1 = math.Sqrt(-2 * l1 / q1)
-	f2 = math.Sqrt(-2 * l2 / q2)
-	f3 = math.Sqrt(-2 * l3 / q3)
-	return
 }
 
 // uniformSym1 maps the top 53 bits of a raw draw onto (-1, 1).

@@ -3,25 +3,20 @@
 // fused column operations the RF model's vectorised path (ModelVersion 2,
 // see internal/rf) is built from.
 //
-// Three implementations exist behind one API:
+// Two implementations exist behind one API:
 //
 //   - portable: straightforward per-element loops, compiled everywhere.
-//   - unrolled (amd64): the same per-element arithmetic unrolled four
-//     lanes wide with independent dependency chains, so a superscalar
-//     core pipelines the long-latency operations (exp's polynomial,
-//     log's division, sqrt) across lanes. Built with GOAMD64=v3 the
-//     compiler emits VEX/AVX forms of these loops, but the instructions
-//     are still scalar (one lane per op).
+//     It is the reference semantics and the only set off amd64.
 //   - avx2 (amd64): hand-written AVX2+FMA assembly for the hot set
 //     (ExpSlice, LogSlice, HypotSlice, NormFactorSlice,
 //     NormFactorFastSlice, StarUniformSlice, the Box–Muller trio
 //     PairNormSqSlice / BoxMullerScaleSlice / CompactAcceptSlice, the
 //     AR-noise recurrences and the RoundQuantSlice path), four true
 //     SIMD lanes per instruction; the remaining kernels reuse the
-//     unrolled set. Requires AVX2+FMA CPU support with OS-enabled YMM
+//     portable set. Requires AVX2+FMA CPU support with OS-enabled YMM
 //     state.
 //
-// All implementations are bit-identical per element by construction
+// Both implementations are bit-identical per element by construction
 // (same operations, in the same order, on every lane — the assembly
 // uses fused multiply-adds exactly where the portable code calls
 // math.FMA and plain operations everywhere else), which the package
@@ -40,12 +35,11 @@
 // feeds them, one ulp off in general.
 //
 // Selection happens once at init: the avx2 implementation is used on
-// amd64 with AVX2+FMA+OSXSAVE. Two environment overrides exist:
-// FADEWICH_VMATH=portable|unroll|avx2 forces a specific path (loudly
-// failing, not falling back, when the forced path is unsupported), and
-// the legacy FADEWICH_NOVEC (non-empty, non-"0") forces portable;
-// FADEWICH_VMATH wins when both are set. Impl and ActivePath report
-// the decision.
+// amd64 with AVX2+FMA+OSXSAVE, portable everywhere else. The
+// environment override FADEWICH_VMATH=portable|avx2 forces a specific
+// path, loudly failing, not falling back, when the forced path is
+// unsupported or the value is unknown. Impl and ActivePath report the
+// decision.
 //
 // All kernels tolerate dst aliasing their input slice exactly (in-place
 // use); partial overlap is undefined. Input slices must be at least
@@ -82,16 +76,12 @@ type funcs struct {
 // active is the implementation in use; dispatch_*.go selects it at init.
 var active = &portableFuncs
 
-// novecEnv reports whether the FADEWICH_NOVEC value disables the
-// unrolled path: any non-empty value other than "0" does.
-func novecEnv(v string) bool { return v != "" && v != "0" }
-
-// Impl reports which implementation is active: "portable",
-// "unrolled-amd64" or "avx2-amd64".
+// Impl reports which implementation is active: "portable" or
+// "avx2-amd64".
 func Impl() string { return active.name }
 
 // ActivePath reports the active implementation in FADEWICH_VMATH
-// vocabulary: "portable", "unroll" or "avx2". Callers log it at startup
+// vocabulary: "portable" or "avx2". Callers log it at startup
 // and attach it to metrics so benchmark artifacts are attributable to
 // the kernel path that produced them.
 func ActivePath() string { return active.path }
