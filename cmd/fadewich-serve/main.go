@@ -2,9 +2,9 @@
 // hosts a live fleet behind an HTTP API and drives fleet membership
 // declaratively from a JSON fleet-spec file.
 //
-// The spec file (-spec) lists the desired offices — the same
-// layout/sensors/MD schema as fadewich-sim -office-config, plus a
-// required stable "name" per office. A reconcile loop diffs that
+// The spec file (-spec) lists the desired offices — each a required
+// stable "name" plus its floor plan, sensor count and MD thresholds
+// (see internal/serve.OfficeSpec). A reconcile loop diffs that
 // desired state against live membership and applies adds, removes and
 // config rollouts at batch boundaries. The spec is re-read on SIGHUP,
 // on POST /v1/reload, and (with -watch) whenever the file changes.

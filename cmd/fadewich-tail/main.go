@@ -7,7 +7,7 @@
 // Three sources, one decoder:
 //
 //   - fadewich-tail -listen :9000
-//     accepts connections from fadewich-sim -sink tcp:HOST:9000 (the
+//     accepts connections from fadewich-serve -forward HOST:9000 (the
 //     TCPSink dials out) and decodes frames as they arrive, both codec
 //     versions, across reconnects. Listen mode always follows.
 //
@@ -32,7 +32,7 @@
 //     (-segments DIR) under -codec.
 //
 //   - fadewich-tail DIR
-//     replays the segment directory a fadewich-sim -sink seg:DIR run
+//     replays the segment directory a fadewich-serve -segments DIR run
 //     left behind, across segment files, stopping cleanly before a
 //     torn final frame (the tail a crash leaves). -follow keeps
 //     polling for frames a live writer appends; -repair truncates a

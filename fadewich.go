@@ -259,8 +259,8 @@ type Server = serve.Server
 // reconciles against: desired offices with a shared defaults block.
 type FleetSpec = serve.Spec
 
-// FleetOfficeSpec describes one desired office in a FleetSpec (the
-// -office-config schema plus a stable name).
+// FleetOfficeSpec describes one desired office in a FleetSpec: a stable
+// name plus its layout, sensors and MD thresholds.
 type FleetOfficeSpec = serve.OfficeSpec
 
 // ResolvedOffice is one desired office after defaulting and

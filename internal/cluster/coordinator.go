@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"fadewich/internal/core"
+	"fadewich/internal/promtext"
 	"fadewich/internal/serve"
 )
 
@@ -329,17 +330,18 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	gen, workers, offices, gids, reloads := c.gen, len(c.workers), len(c.assign), c.nextGID, c.reloads
 	c.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "# HELP fadewich_coord_generation Assignment generation (bumped on reload and worker set changes).\n")
-	fmt.Fprintf(w, "# TYPE fadewich_coord_generation counter\nfadewich_coord_generation %d\n", gen)
-	fmt.Fprintf(w, "# HELP fadewich_coord_workers Current worker count.\n")
-	fmt.Fprintf(w, "# TYPE fadewich_coord_workers gauge\nfadewich_coord_workers %d\n", workers)
-	fmt.Fprintf(w, "# HELP fadewich_coord_offices Offices in the current spec.\n")
-	fmt.Fprintf(w, "# TYPE fadewich_coord_offices gauge\nfadewich_coord_offices %d\n", offices)
-	fmt.Fprintf(w, "# HELP fadewich_coord_gids_issued Global office IDs ever issued.\n")
-	fmt.Fprintf(w, "# TYPE fadewich_coord_gids_issued counter\nfadewich_coord_gids_issued %d\n", gids)
-	fmt.Fprintf(w, "# HELP fadewich_coord_reloads_total Successful spec reloads.\n")
-	fmt.Fprintf(w, "# TYPE fadewich_coord_reloads_total counter\nfadewich_coord_reloads_total %d\n", reloads)
+	var p promtext.Writer
+	p.Metric("fadewich_coord_generation", "counter", "Assignment generation (bumped on reload and worker set changes).")
+	p.Sample("fadewich_coord_generation", float64(gen))
+	p.Metric("fadewich_coord_workers", "gauge", "Current worker count.")
+	p.Sample("fadewich_coord_workers", float64(workers))
+	p.Metric("fadewich_coord_offices", "gauge", "Offices in the current spec.")
+	p.Sample("fadewich_coord_offices", float64(offices))
+	p.Metric("fadewich_coord_gids_issued", "counter", "Global office IDs ever issued.")
+	p.Sample("fadewich_coord_gids_issued", float64(gids))
+	p.Metric("fadewich_coord_reloads_total", "counter", "Successful spec reloads.")
+	p.Sample("fadewich_coord_reloads_total", float64(reloads))
+	p.Serve(w)
 }
 
 // writeJSON writes v as a JSON response.

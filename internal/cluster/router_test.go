@@ -38,9 +38,9 @@ func (e *emitted) snapshot() ([]uint64, [][]engine.OfficeAction) {
 	return append([]uint64(nil), e.epochs...), append([][]engine.OfficeAction(nil), e.batches...)
 }
 
-// startRouter serves a router on an ephemeral port and returns its
-// address plus a channel delivering Serve's result.
-func startRouter(t *testing.T, expect int, sink *emitted) (string, chan error) {
+// startRouter serves a router on an ephemeral port and returns it, its
+// address and a channel delivering Serve's result.
+func startRouter(t *testing.T, expect int, sink *emitted) (*Router, string, chan error) {
 	t.Helper()
 	r, err := NewRouter(RouterConfig{Expect: expect, OnBatch: sink.onBatch})
 	if err != nil {
@@ -53,7 +53,35 @@ func startRouter(t *testing.T, expect int, sink *emitted) (string, chan error) {
 	done := make(chan error, 1)
 	go func() { done <- r.Serve(ln) }()
 	t.Cleanup(func() { r.Close() })
-	return ln.Addr().String(), done
+	return r, ln.Addr().String(), done
+}
+
+// dial connects to the router and waits until Serve has accepted the
+// connection. Only an accepted connection holds the watermark, so
+// without the wait a frame sent on an earlier connection could be
+// merged before this one is counted, and the order the test scripts
+// would be a race against the accept loop.
+func dial(t *testing.T, r *Router, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := conn.LocalAddr().String()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		r.mu.Lock()
+		accepted := false
+		for c := range r.conns {
+			accepted = accepted || c.RemoteAddr().String() == local
+		}
+		r.mu.Unlock()
+		if accepted {
+			return conn
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("router never accepted the connection")
+		}
+	}
 }
 
 // send writes one tagged frame on the connection.
@@ -92,15 +120,9 @@ func waitServe(t *testing.T, done chan error) {
 // (time, office) order, epochs ascending.
 func TestRouterMergesEpochs(t *testing.T) {
 	var sink emitted
-	addr, done := startRouter(t, 2, &sink)
-	c1, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, addr, done := startRouter(t, 2, &sink)
+	c1 := dial(t, r, addr)
+	c2 := dial(t, r, addr)
 	send(t, c1, wire.Tag{Source: 1, Epoch: 1}, []engine.OfficeAction{act(0, 1.0), act(0, 3.0)})
 	send(t, c2, wire.Tag{Source: 2, Epoch: 1}, []engine.OfficeAction{act(1, 2.0)})
 	send(t, c1, wire.Tag{Source: 1, Epoch: 2}, nil) // empty epoch still aligns
@@ -132,18 +154,12 @@ func TestRouterMergesEpochs(t *testing.T) {
 // copy.
 func TestRouterDedupesResends(t *testing.T) {
 	var sink emitted
-	addr, done := startRouter(t, 1, &sink)
-	c1, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, addr, done := startRouter(t, 1, &sink)
+	c1 := dial(t, r, addr)
 	send(t, c1, wire.Tag{Source: 1, Epoch: 1}, []engine.OfficeAction{act(0, 1.0)})
 	c1.Close() // sink dies and redials
 
-	c2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := dial(t, r, addr)
 	send(t, c2, wire.Tag{Source: 1, Epoch: 1}, []engine.OfficeAction{act(0, 1.0)}) // the resend
 	send(t, c2, wire.Tag{Source: 1, Epoch: 2}, []engine.OfficeAction{act(0, 2.0)})
 	finish(t, c2, 1, 3)
@@ -161,15 +177,9 @@ func TestRouterDedupesResends(t *testing.T) {
 // no epoch it participates in can be emitted without it.
 func TestRouterHoldsForUnidentifiedConn(t *testing.T) {
 	var sink emitted
-	addr, done := startRouter(t, 3, &sink)
-	c1, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, addr, done := startRouter(t, 3, &sink)
+	c1 := dial(t, r, addr)
+	c2 := dial(t, r, addr)
 	send(t, c1, wire.Tag{Source: 1, Epoch: 1}, []engine.OfficeAction{act(0, 1.0)})
 	send(t, c2, wire.Tag{Source: 2, Epoch: 1}, []engine.OfficeAction{act(1, 1.5)})
 	// Wait until epoch 1 is out, so the join below is the only hold.
@@ -184,13 +194,9 @@ func TestRouterHoldsForUnidentifiedConn(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	c3, err := net.Dial("tcp", addr) // the joiner: connected, not yet identified
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Give the accept loop time to register the connection; from then on
-	// emission must stall even when sources 1 and 2 complete epoch 2.
-	time.Sleep(50 * time.Millisecond)
+	c3 := dial(t, r, addr) // the joiner: connected, not yet identified
+	// From here on emission must stall even when sources 1 and 2
+	// complete epoch 2.
 	send(t, c1, wire.Tag{Source: 1, Epoch: 2}, []engine.OfficeAction{act(0, 2.0)})
 	send(t, c2, wire.Tag{Source: 2, Epoch: 2}, []engine.OfficeAction{act(1, 2.5)})
 	time.Sleep(100 * time.Millisecond)
@@ -225,15 +231,9 @@ func TestRouterHoldsForUnidentifiedConn(t *testing.T) {
 // without it.
 func TestRouterFinalReleasesWatermark(t *testing.T) {
 	var sink emitted
-	addr, done := startRouter(t, 2, &sink)
-	c1, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, addr, done := startRouter(t, 2, &sink)
+	c1 := dial(t, r, addr)
+	c2 := dial(t, r, addr)
 	send(t, c1, wire.Tag{Source: 1, Epoch: 1}, []engine.OfficeAction{act(0, 1.0)})
 	send(t, c2, wire.Tag{Source: 2, Epoch: 1}, []engine.OfficeAction{act(1, 1.1)})
 	finish(t, c2, 2, 2) // source 2 drains early

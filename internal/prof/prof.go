@@ -1,8 +1,8 @@
 // Package prof wires Go's runtime profilers into the CLI binaries: the
-// -cpuprofile, -memprofile and -mutexprofile flags of fadewich-sim and
-// fadewich-eval funnel through Start, which arms the requested
-// profilers and returns one stop function that flushes every profile
-// file. The outputs are standard pprof format, ready for
+// -cpuprofile, -memprofile and -mutexprofile flags of fadewich-sim,
+// fadewich-eval and fadewich-serve funnel through Start, which arms the
+// requested profilers and returns one stop function that flushes every
+// profile file. The outputs are standard pprof format, ready for
 // `go tool pprof`; docs/PERFORMANCE.md shows the invocations.
 package prof
 

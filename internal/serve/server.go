@@ -421,7 +421,9 @@ type ingestResult struct {
 	Error          string `json:"error,omitempty"`
 }
 
-// ingestStatus maps a push error to its HTTP status.
+// ingestStatus maps a push error to its HTTP status. Anything but a
+// closed ingestor or a full queue is the request's fault, a wrong-width
+// tick (stream.ErrTickWidth) included: 400.
 func ingestStatus(err error) int {
 	switch {
 	case err == nil:

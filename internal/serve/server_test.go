@@ -201,6 +201,31 @@ func TestTicksErrors(t *testing.T) {
 		t.Fatalf("partial accept %+v", res)
 	}
 
+	// A wrong-width tick is refused before it is queued, on the JSONL and
+	// the framed path alike; lines before it stay accepted and the daemon
+	// keeps dispatching.
+	body = `{"office":"a","rssi":[1,2]}` + "\n" + `{"office":"a","rssi":[1,2,3]}` + "\n"
+	rr = post(srv, "/v1/ticks?flush=1", "", body)
+	res = decodeBody[ingestResult](t, rr)
+	if rr.Code != http.StatusBadRequest || res.AcceptedTicks != 1 ||
+		!strings.Contains(res.Error, "line 2") || !strings.Contains(res.Error, "got 3 samples, want 2") {
+		t.Fatalf("wrong-width JSONL: status %d result %+v", rr.Code, res)
+	}
+	frame, err := wire.AppendRawFrame(nil, wire.V1JSONL, []byte(`{"office":"a","rssi":[1]}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr = post(srv, "/v1/ticks?flush=1", ContentTypeFrames, string(frame))
+	res = decodeBody[ingestResult](t, rr)
+	if rr.Code != http.StatusBadRequest || res.AcceptedTicks != 0 ||
+		!strings.Contains(res.Error, "frame 1: line 1") || !strings.Contains(res.Error, "got 1 samples, want 2") {
+		t.Fatalf("wrong-width frame: status %d result %+v", rr.Code, res)
+	}
+	rr = post(srv, "/v1/ticks?flush=1", "", `{"office":"a","rssi":[1,2]}`+"\n")
+	if res := decodeBody[ingestResult](t, rr); rr.Code != http.StatusOK || !res.Flushed {
+		t.Fatalf("flush after wrong-width rejections: status %d result %+v", rr.Code, res)
+	}
+
 	srv.Close()
 	rr = post(srv, "/v1/ticks", "", `{"office":"a","rssi":[1,2]}`+"\n")
 	if rr.Code != http.StatusServiceUnavailable {

@@ -25,11 +25,10 @@ import (
 	"fadewich/internal/office"
 )
 
-// OfficeSpec describes one desired office in a fleet spec. The
-// field names are the -office-config schema of fadewich-sim, plus the
-// identity and training knobs a long-running service needs. Zero
-// fields inherit the spec's defaults block; zero again after that
-// means "library default".
+// OfficeSpec describes one desired office in a fleet spec: its stable
+// name, floor plan, sensor deployment, sampling period, movement-
+// detector thresholds and training knobs. Zero fields inherit the
+// spec's defaults block; zero again after that means "library default".
 type OfficeSpec struct {
 	// Name is the office's stable identity across spec revisions: the
 	// reconciler matches desired to live offices by name. Required,
@@ -40,9 +39,10 @@ type OfficeSpec struct {
 	// Sensors is the number of sensors deployed (0 selects the layout's
 	// full set). The office monitors sensors·(sensors−1) RSSI streams.
 	Sensors int `json:"sensors"`
-	// Seed is accepted for -office-config compatibility (simulators use
-	// it to derive datasets); the serve daemon itself has no use for it
-	// — ticks arrive over HTTP, already generated.
+	// Seed is accepted so that specs which carry a dataset seed for the
+	// simulator that feeds them still parse under strict decoding; the
+	// serve daemon itself has no use for it — ticks arrive over HTTP,
+	// already generated.
 	Seed uint64 `json:"seed"`
 	// DT is the RSSI sampling period in seconds (0 selects the paper's
 	// 0.2 s).

@@ -3,7 +3,9 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -452,6 +454,45 @@ func TestIngestorRemoveOfficeDrainsQueuedTicks(t *testing.T) {
 	}
 	if f.Offices() != 1 {
 		t.Fatalf("fleet still has %d offices", f.Offices())
+	}
+}
+
+// TestPushRejectsWrongWidth checks that a tick whose sample count is not
+// the office's stream count is refused with ErrTickWidth before it is
+// queued (a queued one would panic the dispatcher inside core.System.Tick),
+// for a founding office and a joiner alike, and that the ingestor keeps
+// dispatching afterwards.
+func TestPushRejectsWrongWidth(t *testing.T) {
+	in, err := NewIngestor(testFleet(t, 1, 1), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	joiner, err := in.AddOffice(core.Config{}) // inherits the 2-stream default
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, office := range []int{0, joiner} {
+		for _, rssi := range [][]float64{{-60, -61, -62}, {-60}, nil} {
+			err := in.Push(office, rssi)
+			if !errors.Is(err, ErrTickWidth) {
+				t.Fatalf("office %d, %d samples: Push returned %v, want ErrTickWidth", office, len(rssi), err)
+			}
+			if want := fmt.Sprintf("got %d samples, want 2", len(rssi)); !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not carry %q", err, want)
+			}
+		}
+		if err := in.Push(office, []float64{-60, -61}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := in.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := in.Stats()
+	tot := st.Totals()
+	if tot.Pushed != 2 || tot.Dispatched != 2 || tot.Dropped != 0 || st.Batches != 1 {
+		t.Fatalf("after rejections: %+v, %d batches; want 2 pushed and dispatched, 0 dropped, 1 batch", tot, st.Batches)
 	}
 }
 

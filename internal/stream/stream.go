@@ -138,6 +138,9 @@ var (
 	// ErrUnknownOffice is returned when an office ID does not name a
 	// member of the fleet (never registered, or already removed).
 	ErrUnknownOffice = errors.New("stream: office is not a member of the fleet")
+	// ErrTickWidth is returned by Push when a tick's sample count differs
+	// from the office's configured stream count.
+	ErrTickWidth = errors.New("stream: tick width does not match the office's stream count")
 )
 
 // Config parameterises an Ingestor.
@@ -191,6 +194,9 @@ type Config struct {
 // the dispatcher's wake-up predicates can scan the fleet without taking
 // any queue lock.
 type officeQueue struct {
+	// width is the office's configured stream count, the sample count
+	// every pushed tick must have. Immutable after creation.
+	width int
 	mu    sync.Mutex
 	space sync.Cond // Block-policy pushers wait for queue space
 	ticks [][]float64
@@ -231,9 +237,10 @@ type officeQueue struct {
 	spare [][]float64
 }
 
-// newOfficeQueue returns an empty queue with its condition wired up.
-func newOfficeQueue() *officeQueue {
-	q := &officeQueue{}
+// newOfficeQueue returns an empty queue for an office with width
+// streams, its condition wired up.
+func newOfficeQueue(width int) *officeQueue {
+	q := &officeQueue{width: width}
 	q.space.L = &q.mu
 	return q
 }
@@ -375,7 +382,8 @@ func NewIngestor(fleet *engine.Fleet, cfg Config) (*Ingestor, error) {
 	in.effBatch.Store(int64(cfg.BatchTicks))
 	m := &membership{q: make(map[int]*officeQueue)}
 	for _, id := range fleet.IDs() {
-		m.q[id] = newOfficeQueue()
+		oc, _ := fleet.Config(id)
+		m.q[id] = newOfficeQueue(oc.Streams)
 		m.ids = append(m.ids, id)
 	}
 	in.members.Store(m)
@@ -442,7 +450,8 @@ func (in *Ingestor) AddOffice(cfg core.Config) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	in.addMember(id, newOfficeQueue())
+	resolved, _ := in.fleet.Config(id) // a zero cfg resolved to the default
+	in.addMember(id, newOfficeQueue(resolved.Streams))
 	return id, nil
 }
 
@@ -541,7 +550,9 @@ func (in *Ingestor) wakeDispatcher() {
 // its buffer. When the office's queue is full the configured Policy
 // decides: Block waits for the dispatcher, DropOldest evicts, ErrorOnFull
 // returns ErrQueueFull. A Block-policy Push whose office is removed while
-// it waits returns ErrUnknownOffice. Pushes to different offices take
+// it waits returns ErrUnknownOffice. A tick whose sample count is not the
+// office's stream count is rejected with ErrTickWidth before it is
+// queued, so it never reaches the fleet. Pushes to different offices take
 // only their own office's lock, so producers do not contend with each
 // other.
 func (in *Ingestor) Push(office int, rssi []float64) error {
@@ -551,6 +562,9 @@ func (in *Ingestor) Push(office int, rssi []float64) error {
 			return ErrClosed
 		}
 		return fmt.Errorf("%w (office %d)", ErrUnknownOffice, office)
+	}
+	if len(rssi) != q.width {
+		return fmt.Errorf("%w (office %d: got %d samples, want %d)", ErrTickWidth, office, len(rssi), q.width)
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
