@@ -41,7 +41,7 @@ func specJSON(names ...string) string {
 // configuration is flush-driven dispatch (BatchTicks and
 // MaxBatchLatency zero), the deterministic mode the handler tests
 // rely on.
-func newTestServer(t *testing.T, spec string, mut ...func(*Config)) (*Server, string) {
+func newTestServer(t testing.TB, spec string, mut ...func(*Config)) (*Server, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "fleet.json")
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
@@ -230,6 +230,69 @@ func TestTicksErrors(t *testing.T) {
 	rr = post(srv, "/v1/ticks", "", `{"office":"a","rssi":[1,2]}`+"\n")
 	if rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("post-close status %d", rr.Code)
+	}
+}
+
+// tickParseCases pins the POST /v1/ticks line contract: for each
+// single-line body, the response status, the ticks and inputs accepted
+// and the exact error string. Office "a" has 2 streams.
+var tickParseCases = []struct {
+	name          string
+	line          string
+	status        int
+	ticks, inputs int
+	err           string
+}{
+	{"canonical rssi", `{"office":"a","rssi":[-60.52000045776367,-61]}`, 200, 1, 0, ""},
+	{"canonical input", `{"office":"a","input":1}`, 200, 0, 1, ""},
+	{"whitespace", " { \"office\" :\t\"a\" , \"rssi\" : [ -6.05E+1 , -0 ] } ", 200, 1, 0, ""},
+	{"exponents", `{"office":"a","rssi":[1e-3,-2.5e+2]}`, 200, 1, 0, ""},
+	{"reordered keys", `{"rssi":[1,2],"office":"a"}`, 200, 1, 0, ""},
+	{"case-variant key", `{"Office":"a","rssi":[1,2]}`, 200, 1, 0, ""},
+	{"unknown field", `{"office":"a","rssi":[1,2],"extra":{"x":[true]}}`, 200, 1, 0, ""},
+	{"escaped name", `{"office":"\u0061","rssi":[1,2]}`, 200, 1, 0, ""},
+	{"null sample", `{"office":"a","rssi":[1,null]}`, 200, 1, 0, ""},
+	{"rssi and input", `{"office":"a","rssi":[1,2],"input":0}`, 200, 0, 1, ""},
+	{"duplicate office", `{"office":"zzz","office":"a","rssi":[1,2]}`, 200, 1, 0, ""},
+	{"duplicate office, unknown last", `{"office":"a","office":"zzz","rssi":[1,2]}`, 400, 0, 0,
+		`line 1: unknown office "zzz"`},
+	{"unknown office", `{"office":"zzz","rssi":[1,2]}`, 400, 0, 0, `line 1: unknown office "zzz"`},
+	{"non-ASCII name", `{"office":"é","rssi":[1,2]}`, 400, 0, 0, `line 1: unknown office "é"`},
+	{"control byte in name", "{\"office\":\"a\x01\",\"rssi\":[1,2]}", 400, 0, 0,
+		`line 1: invalid character '\x01' in string literal`},
+	{"empty rssi", `{"office":"a","rssi":[]}`, 400, 0, 0,
+		"line 1: stream: tick width does not match the office's stream count (office 0: got 0 samples, want 2)"},
+	{"null rssi", `{"office":"a","rssi":null}`, 400, 0, 0, "line 1: neither rssi nor input"},
+	{"missing rssi", `{"office":"a"}`, 400, 0, 0, "line 1: neither rssi nor input"},
+	{"fractional input", `{"office":"a","input":1.5}`, 400, 0, 0,
+		"line 1: json: cannot unmarshal number 1.5 into Go struct field tickLine.input of type int"},
+	{"input overflow", `{"office":"a","input":99999999999999999999}`, 400, 0, 0,
+		"line 1: json: cannot unmarshal number 99999999999999999999 into Go struct field tickLine.input of type int"},
+	{"sample out of range", `{"office":"a","rssi":[1e400,2]}`, 400, 0, 0,
+		"line 1: json: cannot unmarshal number 1e400 into Go struct field tickLine.rssi of type float64"},
+	{"leading zero", `{"office":"a","rssi":[01,2]}`, 400, 0, 0,
+		"line 1: invalid character '1' after array element"},
+	{"bare minus", `{"office":"a","rssi":[-,2]}`, 400, 0, 0,
+		"line 1: invalid character ',' in numeric literal"},
+	{"trailing comma", `{"office":"a","rssi":[1,2],}`, 400, 0, 0,
+		"line 1: invalid character '}' looking for beginning of object key string"},
+	{"trailing data", `{"office":"a","rssi":[1,2]} x`, 400, 0, 0,
+		"line 1: invalid character 'x' after top-level value"},
+}
+
+func TestTicksParseContract(t *testing.T) {
+	srv, _ := newTestServer(t, specJSON("a"))
+	for _, tc := range tickParseCases {
+		t.Run(tc.name, func(t *testing.T) {
+			rr := post(srv, "/v1/ticks", "", tc.line+"\n")
+			res := decodeBody[ingestResult](t, rr)
+			if rr.Code != tc.status || res.AcceptedTicks != tc.ticks ||
+				res.AcceptedInputs != tc.inputs || res.Error != tc.err {
+				t.Fatalf("%s\ngot  status %d ticks %d inputs %d error %q\nwant status %d ticks %d inputs %d error %q",
+					tc.line, rr.Code, res.AcceptedTicks, res.AcceptedInputs, res.Error,
+					tc.status, tc.ticks, tc.inputs, tc.err)
+			}
+		})
 	}
 }
 
