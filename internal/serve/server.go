@@ -489,6 +489,8 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 func (s *Server) ingestJSONL(body io.Reader, res *ingestResult) error {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
+	var dec tickDecoder
+	var rec tickLine
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -496,8 +498,7 @@ func (s *Server) ingestJSONL(body io.Reader, res *ingestResult) error {
 		if len(line) == 0 {
 			continue
 		}
-		var rec tickLine
-		if err := json.Unmarshal(line, &rec); err != nil {
+		if err := dec.decode(line, &rec); err != nil {
 			return fmt.Errorf("line %d: %w", lineNo, err)
 		}
 		id, ok := s.rec.IDOf(rec.Office)

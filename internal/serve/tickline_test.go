@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -42,6 +44,39 @@ func ingestBody(names []string, steps, streams int, src *rng.Source) (body []byt
 		}
 	}
 	return body, lines
+}
+
+// FuzzTickJSONL checks the direct scanner against encoding/json: any
+// line, canonical or not, must decode to the same error, and without
+// an error to a deep-equal record (nil RSSI and Input included). Each
+// line is decoded after a canonical one, so a record that keeps stale
+// scratch storage shows up too.
+func FuzzTickJSONL(f *testing.F) {
+	for _, tc := range tickParseCases {
+		f.Add([]byte(tc.line))
+	}
+	body, _ := ingestBody([]string{"office-000"}, 1, 12, rng.New(7))
+	f.Add(bytes.TrimSpace(body))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var d tickDecoder
+		var got tickLine
+		if err := d.decode([]byte(`{"office":"warm-up","rssi":[-1.5,2,3]}`), &got); err != nil {
+			t.Fatal(err)
+		}
+		canonical := d.scan(line, &got)
+		err := d.decode(line, &got)
+		var want tickLine
+		wantErr := json.Unmarshal(line, &want)
+		if canonical && wantErr != nil {
+			t.Fatalf("scanner accepted %q, encoding/json rejects it: %v", line, wantErr)
+		}
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%q: error %v, encoding/json %v", line, err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: decoded %#v, encoding/json %#v", line, got, want)
+		}
+	})
 }
 
 // BenchmarkIngestJSONL measures the daemon's tick-JSONL ingest: line
