@@ -229,6 +229,17 @@ func baseConfig(opt options) (serve.Config, error) {
 	}, nil
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that never finishes them cannot hold
+// the connection forever. Bodies stay unbounded in time and size: a
+// training POST carries a whole training day of ticks.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer is the HTTP server of every mode.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // runServe is the classic single-process mode.
 func runServe(opt options) error {
 	if opt.specPath == "" {
@@ -304,7 +315,7 @@ func serveFleet(opt options, cfg serve.Config, specIsFile bool) error {
 	// humans with -listen :0), so its shape is load-bearing.
 	fmt.Fprintf(os.Stderr, "fadewich-serve: listening on %s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := newHTTPServer(srv)
 
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
@@ -408,7 +419,7 @@ func runCoordinator(opt options) error {
 	}
 	fmt.Fprintf(os.Stderr, "fadewich-serve: listening on %s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: c}
+	httpSrv := newHTTPServer(c)
 
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
