@@ -53,6 +53,8 @@ func (d *tickDecoder) scan(line []byte, rec *tickLine) bool {
 			return false
 		}
 		if d.rssi == nil {
+			// Non-nil, so "rssi":[] decodes to an empty slice, as in
+			// encoding/json.
 			d.rssi = make([]float64, 0, 16)
 		}
 		rssi := d.rssi[:0]
@@ -125,8 +127,8 @@ func (s *tickScanner) key(k string) bool {
 	return s.consume(':')
 }
 
-// name consumes a string made of printable ASCII other than the
-// backslash: the only strings whose bytes are their decoded value.
+// name consumes a string of printable ASCII other than the backslash,
+// whose bytes are its value with no unescaping or UTF-8 check.
 func (s *tickScanner) name() (string, bool) {
 	if !s.consume('"') {
 		return "", false

@@ -56,7 +56,9 @@ func FuzzTickJSONL(f *testing.F) {
 		f.Add([]byte(tc.line))
 	}
 	body, _ := ingestBody([]string{"office-000"}, 1, 12, rng.New(7))
-	f.Add(bytes.TrimSpace(body))
+	for _, line := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
+		f.Add(line)
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var d tickDecoder
 		var got tickLine
