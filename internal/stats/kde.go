@@ -113,17 +113,25 @@ func stdNormalCDF(z float64) float64 {
 // sample range. This is how MD derives the (100−α)-th percentile anomaly
 // threshold from the normal profile.
 func (k *KDE) Percentile(p float64) float64 {
+	x, _ := k.percentile(p)
+	return x
+}
+
+// percentile is Percentile that also returns the number of CDF
+// evaluations it made.
+func (k *KDE) percentile(p float64) (x float64, evals int) {
 	target := p / 100
 	if target <= 0 {
-		return k.samples[0] - 10*k.h
+		return k.samples[0] - 10*k.h, 0
 	}
 	if target >= 1 {
-		return k.samples[len(k.samples)-1] + 10*k.h
+		return k.samples[len(k.samples)-1] + 10*k.h, 0
 	}
 	lo := k.samples[0] - 10*k.h
 	hi := k.samples[len(k.samples)-1] + 10*k.h
 	for i := 0; i < 100; i++ {
 		mid := (lo + hi) / 2
+		evals++
 		if k.CDF(mid) < target {
 			lo = mid
 		} else {
@@ -133,7 +141,7 @@ func (k *KDE) Percentile(p float64) float64 {
 			break
 		}
 	}
-	return (lo + hi) / 2
+	return (lo + hi) / 2, evals
 }
 
 // Samples returns a copy of the (sorted) underlying observations.

@@ -150,3 +150,156 @@ func TestKDESamplesCopied(t *testing.T) {
 		t.Fatalf("samples %v, want sorted copy of original", got)
 	}
 }
+
+// bisectPercentile is the plain bisection KDE.Percentile has always
+// computed: the same start, midpoint, stop and iteration cap. Percentile
+// must return its result bit for bit.
+func bisectPercentile(k *KDE, p float64) float64 {
+	target := p / 100
+	if target <= 0 {
+		return k.samples[0] - 10*k.h
+	}
+	if target >= 1 {
+		return k.samples[len(k.samples)-1] + 10*k.h
+	}
+	lo := k.samples[0] - 10*k.h
+	hi := k.samples[len(k.samples)-1] + 10*k.h
+	for i := 0; i < 100; i++ {
+		mid := (lo + hi) / 2
+		if k.CDF(mid) < target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+		if hi-lo < 1e-10 {
+			break
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// percentileKinds are the sample shapes the percentile inversion is
+// checked on, each drawn from one rng source.
+var percentileKinds = []struct {
+	name string
+	draw func(src *rng.Source, i, n int) float64
+}{
+	{"gaussian", func(src *rng.Source, i, n int) float64 { return src.Normal(0, 1) }},
+	{"far-bimodal", func(src *rng.Source, i, n int) float64 {
+		return src.Normal(float64(i%2)*1000, 1)
+	}},
+	{"quantised", func(src *rng.Source, i, n int) float64 { return math.Round(src.Normal(-60, 3)) }},
+	{"constant", func(src *rng.Source, i, n int) float64 { return 7 }},
+	{"log-normal", func(src *rng.Source, i, n int) float64 { return math.Exp(src.Normal(0, 1.5)) }},
+	{"offset-1e6", func(src *rng.Source, i, n int) float64 { return 1e6 + src.Normal(0, 1) }},
+	{"three-cluster", func(src *rng.Source, i, n int) float64 {
+		return [3]float64{0, 5, 40}[i%3] + src.Normal(0, [3]float64{0.2, 1, 0.05}[i%3])
+	}},
+	{"md-shaped", func(src *rng.Source, i, n int) float64 { return mdShapedValue(src) }},
+}
+
+// mdShapedValue draws one value shaped like an MD normal profile entry:
+// a sum of per-stream standard deviations, mildly right-skewed around 46
+// with a standard deviation near 1.8 and a rare movement spike in the
+// tail.
+func mdShapedValue(src *rng.Source) float64 {
+	v := 38.0
+	for j := 0; j < 40; j++ {
+		z := src.NormFloat64()
+		v += 0.2 * z * z
+	}
+	if src.Bool(0.01) {
+		v += 2 + 10*src.Float64()
+	}
+	return v
+}
+
+// percentileSample draws n values of the given kind from seed.
+func percentileSample(seed uint64, n, kind int) []float64 {
+	src := rng.New(seed)
+	draw := percentileKinds[kind].draw
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = draw(src, i, n)
+	}
+	return xs
+}
+
+// mdShapedProfile is a 600-sample md-shaped profile, the size of a full
+// MD normal profile.
+func mdShapedProfile(seed uint64) []float64 {
+	return percentileSample(seed, 600, len(percentileKinds)-1)
+}
+
+var (
+	percentileSizes      = []int{1, 2, 3, 7, 40, 150, 600, 1500}
+	percentileBandwidths = []float64{0, 1e-3, 0.3, 5}
+	percentilePs         = []float64{-5, 0, 0.001, 0.5, 1, 5, 25, 50, 75, 95, 99, 99.9, 99.999, 100 - 1e-9, 100, 150}
+)
+
+// TestKDEPercentileMatchesBisection pins Percentile to the plain
+// bisection bit for bit over every sample kind, size, bandwidth (0 is
+// Silverman's rule) and percentile in the grid, out-of-range p included.
+func TestKDEPercentileMatchesBisection(t *testing.T) {
+	for kind, pk := range percentileKinds {
+		for _, n := range percentileSizes {
+			for _, bw := range percentileBandwidths {
+				kde, err := NewKDE(percentileSample(uint64(1000*kind+n), n, kind), bw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range percentilePs {
+					got, want := kde.Percentile(p), bisectPercentile(kde, p)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s n=%d bw=%v p=%v: Percentile %v (%#x), bisection %v (%#x)",
+							pk.name, n, bw, p, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKDEPercentileMDShapedPins hard-codes Percentile's bits on md-shaped
+// 600-sample profiles with Silverman's bandwidth, so neither Percentile
+// nor the bisectPercentile reference can drift unnoticed.
+func TestKDEPercentileMDShapedPins(t *testing.T) {
+	for _, tc := range []struct {
+		seed uint64
+		p    float64
+		want uint64
+	}{
+		{1, 99, 0x4049b26c74d8f54a},
+		{2, 99, 0x404986d1be7fedeb},
+		{3, 99, 0x4049c4f3e331ca2f},
+		{4, 95, 0x4048b0c6d673973e},
+		{5, 99.9, 0x404e1e1241554fe0},
+	} {
+		kde, err := NewKDE(mdShapedProfile(tc.seed), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ref := kde.Percentile(tc.p), bisectPercentile(kde, tc.p)
+		if math.Float64bits(got) != tc.want || math.Float64bits(ref) != tc.want {
+			t.Errorf("seed %d p=%v: Percentile %#x, bisection %#x, want %#x",
+				tc.seed, tc.p, math.Float64bits(got), math.Float64bits(ref), tc.want)
+		}
+	}
+}
+
+// BenchmarkKDEPercentile inverts a fixed md-shaped 600-sample profile at
+// p = 99, the MD threshold of the default α = 1, and reports the CDF
+// evaluations each inversion makes.
+func BenchmarkKDEPercentile(b *testing.B) {
+	kde, err := NewKDE(mdShapedProfile(1), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	evals := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, e := kde.percentile(99)
+		evals += e
+	}
+	b.ReportMetric(float64(evals)/float64(b.N), "cdf-evals/op")
+}
