@@ -112,13 +112,41 @@ func stdNormalCDF(z float64) float64 {
 // found by bisection over an interval padded by 10 bandwidths beyond the
 // sample range. This is how MD derives the (100−α)-th percentile anomaly
 // threshold from the normal profile.
+//
+// The bisection starts at [min−10h, max+10h], halves until hi−lo < 1e-10
+// or 100 steps, and returns the final midpoint. It needs about 37 CDF
+// evaluations, but only the few near the root have an uncertain outcome,
+// so Percentile skips the others and still returns the bisection's
+// result bit for bit:
+//
+//   - Let R(x) be the CDF's windowed sum evaluated in exact arithmetic at
+//     the rounded kernel arguments the code computes. R is
+//     non-decreasing in x: the window bounds x±8h, each z = (x−s)/h and
+//     the Erfc argument −z/√2 are monotone in x after rounding; a move
+//     of the window either swaps a term in (0, 1) for an exact 1 or
+//     adds a term ≥ 0.
+//   - The computed CDF c(x) differs from R(x) by less than
+//     E = 4·(n+32)·2⁻⁵²: Erfc's error is under 1 ulp, and the windowed
+//     sum and final division add at most (n+2)·2⁻⁵³. The factor of 8 to
+//     spare covers the rounding of target±2E.
+//   - So if c(a) < target−2E, every x ≤ a has
+//     c(x) ≤ R(x)+E ≤ R(a)+E ≤ c(a)+2E < target; and if c(b) ≥
+//     target+2E, every x ≥ b has c(x) ≥ target.
+//
+// Newton's method from the empirical quantile finds a point near the
+// root, and a and b are certified around it. The bisection is then
+// replayed exactly, evaluating the CDF only at midpoints strictly inside
+// (a, b) that are not a bound it has already classified. When a side
+// cannot be certified (zero density, no convergence, a target within 2E
+// of 0 or 1) that side is simply evaluated, so the worst case is the
+// plain bisection.
 func (k *KDE) Percentile(p float64) float64 {
 	x, _ := k.percentile(p)
 	return x
 }
 
 // percentile is Percentile that also returns the number of CDF
-// evaluations it made.
+// evaluations it made, Newton steps included.
 func (k *KDE) percentile(p float64) (x float64, evals int) {
 	target := p / 100
 	if target <= 0 {
@@ -129,19 +157,106 @@ func (k *KDE) percentile(p float64) (x float64, evals int) {
 	}
 	lo := k.samples[0] - 10*k.h
 	hi := k.samples[len(k.samples)-1] + 10*k.h
+	a, b, aOK, bOK, evals := k.bracket(p, lo, hi)
+	// loSeen and hiSeen record that lo and hi are past midpoints, whose
+	// side of the target is known.
+	loSeen, hiSeen := false, false
 	for i := 0; i < 100; i++ {
 		mid := (lo + hi) / 2
-		evals++
-		if k.CDF(mid) < target {
-			lo = mid
+		var below bool
+		switch {
+		case aOK && mid <= a, loSeen && mid == lo:
+			below = true
+		case bOK && mid >= b, hiSeen && mid == hi:
+			below = false
+		default:
+			evals++
+			below = k.CDF(mid) < target
+		}
+		if below {
+			lo, loSeen = mid, true
 		} else {
-			hi = mid
+			hi, hiSeen = mid, true
 		}
 		if hi-lo < 1e-10 {
 			break
 		}
 	}
 	return (lo + hi) / 2, evals
+}
+
+// Newton and certification limits for bracket. A Newton step below
+// newtonTol bandwidths leaves an error orders of magnitude under the
+// certification margin.
+const (
+	newtonSteps   = 8
+	newtonTol     = 1e-6
+	bracketWidens = 4
+)
+
+// bracket returns points a < b around the p-th percentile, each with a
+// flag saying whether it is certified (see Percentile): CDF(x) < p/100
+// for every x ≤ a when aOK, and CDF(x) ≥ p/100 for every x ≥ b when bOK.
+// lo and hi clamp the Newton iterates to the bisection's start interval.
+// It also returns the CDF evaluations it made.
+func (k *KDE) bracket(p, lo, hi float64) (a, b float64, aOK, bOK bool, evals int) {
+	target := p / 100
+	if !(target > 0 && target < 1) || !(k.h > 0) || math.IsInf(k.h, 0) {
+		return 0, 0, false, false, 0
+	}
+	x := percentileSorted(k.samples, p)
+	var step, density float64
+	for i := 0; i < newtonSteps; i++ {
+		var c float64
+		c, density = k.cdfDensity(x)
+		evals++
+		if !(density > 0) {
+			return 0, 0, false, false, evals
+		}
+		step = (c - target) / density
+		x = math.Min(math.Max(x-step, lo), hi)
+		if math.Abs(step) <= newtonTol*k.h {
+			break
+		}
+	}
+	e := 4 * float64(len(k.samples)+32) * 0x1p-52
+	below, above := target-2*e, target+2*e
+	d := 4 * e / density
+	if math.Abs(step) > newtonTol*k.h {
+		// Newton did not converge: its last step sizes the error.
+		d += math.Abs(step)
+	}
+	for i := 0; i < bracketWidens && !(aOK && bOK); i++ {
+		if !aOK {
+			a = x - d
+			evals++
+			aOK = k.CDF(a) < below
+		}
+		if !bOK {
+			b = x + d
+			evals++
+			bOK = k.CDF(b) >= above
+		}
+		d *= 16
+	}
+	return a, b, aOK, bOK, evals
+}
+
+// cdfDensity returns the CDF and the density at x, both summed over the
+// kernels within cdfCutoff bandwidths of x, as CDF does.
+func (k *KDE) cdfDensity(x float64) (cdf, density float64) {
+	const invSqrt2Pi = 0.3989422804014327
+	lo := sort.SearchFloat64s(k.samples, x-cdfCutoff*k.h)
+	hi := sort.SearchFloat64s(k.samples, x+cdfCutoff*k.h)
+	sum := float64(lo)
+	var dsum float64
+	for _, s := range k.samples[lo:hi] {
+		z := (x - s) / k.h
+		sum += stdNormalCDF(z)
+		dsum += invSqrt2Pi * math.Exp(-0.5*z*z)
+	}
+	n := float64(len(k.samples))
+	return sum / n, dsum / (n * k.h)
 }
 
 // Samples returns a copy of the (sorted) underlying observations.
