@@ -36,7 +36,7 @@ func NewKDE(samples []float64, bandwidth float64) (*KDE, error) {
 	copy(sorted, samples)
 	sort.Float64s(sorted)
 	if bandwidth <= 0 {
-		bandwidth = SilvermanBandwidth(sorted)
+		bandwidth = silvermanSorted(sorted)
 	}
 	return &KDE{samples: sorted, h: bandwidth}, nil
 }
@@ -45,14 +45,19 @@ func NewKDE(samples []float64, bandwidth float64) (*KDE, error) {
 // 0.9 · min(σ̂, IQR/1.34) · n^(−1/5), with a small positive floor so a
 // constant sample still yields a usable (spiky) estimate.
 func SilvermanBandwidth(samples []float64) float64 {
-	n := len(samples)
+	sorted := make([]float64, len(samples))
+	copy(sorted, samples)
+	sort.Float64s(sorted)
+	return silvermanSorted(sorted)
+}
+
+// silvermanSorted is SilvermanBandwidth on an already-sorted sample.
+func silvermanSorted(sorted []float64) float64 {
+	n := len(sorted)
 	if n == 0 {
 		return 1
 	}
-	sigma := math.Sqrt(SampleVariance(samples))
-	sorted := make([]float64, n)
-	copy(sorted, samples)
-	sort.Float64s(sorted)
+	sigma := math.Sqrt(SampleVariance(sorted))
 	iqr := percentileSorted(sorted, 75) - percentileSorted(sorted, 25)
 	spread := sigma
 	if iqr > 0 && iqr/1.34 < spread {
