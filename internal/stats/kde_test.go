@@ -260,21 +260,24 @@ func TestKDEPercentileMatchesBisection(t *testing.T) {
 	}
 }
 
+// mdShapedPins are Percentile's bits on md-shaped profiles.
+var mdShapedPins = []struct {
+	seed uint64
+	p    float64
+	want uint64
+}{
+	{1, 99, 0x4049b26c74d8f54a},
+	{2, 99, 0x404986d1be7fedeb},
+	{3, 99, 0x4049c4f3e331ca2f},
+	{4, 95, 0x4048b0c6d673973e},
+	{5, 99.9, 0x404e1e1241554fe0},
+}
+
 // TestKDEPercentileMDShapedPins hard-codes Percentile's bits on md-shaped
 // 600-sample profiles with Silverman's bandwidth, so neither Percentile
 // nor the bisectPercentile reference can drift unnoticed.
 func TestKDEPercentileMDShapedPins(t *testing.T) {
-	for _, tc := range []struct {
-		seed uint64
-		p    float64
-		want uint64
-	}{
-		{1, 99, 0x4049b26c74d8f54a},
-		{2, 99, 0x404986d1be7fedeb},
-		{3, 99, 0x4049c4f3e331ca2f},
-		{4, 95, 0x4048b0c6d673973e},
-		{5, 99.9, 0x404e1e1241554fe0},
-	} {
+	for _, tc := range mdShapedPins {
 		kde, err := NewKDE(mdShapedProfile(tc.seed), 0)
 		if err != nil {
 			t.Fatal(err)
@@ -285,6 +288,36 @@ func TestKDEPercentileMDShapedPins(t *testing.T) {
 				tc.seed, tc.p, math.Float64bits(got), math.Float64bits(ref), tc.want)
 		}
 	}
+}
+
+// FuzzKDEPercentile checks Percentile against the plain bisection bit
+// for bit on generated samples: any seed, size (1 to 3000), sample kind,
+// bandwidth and p, non-finite ones included. It is seeded with the pin
+// table and a slice of the bisection grid.
+func FuzzKDEPercentile(f *testing.F) {
+	for _, tc := range mdShapedPins {
+		f.Add(tc.seed, uint16(599), uint8(len(percentileKinds)-1), 0.0, tc.p)
+	}
+	for kind := range percentileKinds {
+		for i, n := range percentileSizes {
+			bw := percentileBandwidths[(kind+i)%len(percentileBandwidths)]
+			p := percentilePs[(3*kind+i)%len(percentilePs)]
+			f.Add(uint64(1000*kind+n), uint16(n-1), uint8(kind), bw, p)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, kind uint8, bw, p float64) {
+		size := int(n)%3000 + 1
+		k := int(kind) % len(percentileKinds)
+		kde, err := NewKDE(percentileSample(seed, size, k), bw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := kde.Percentile(p), bisectPercentile(kde, p)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s n=%d h=%v p=%v: Percentile %v (%#x), bisection %v (%#x)",
+				percentileKinds[k].name, size, kde.Bandwidth(), p, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
 }
 
 // BenchmarkKDEPercentile inverts a fixed md-shaped 600-sample profile at
