@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -303,12 +304,21 @@ type workersRequest struct {
 	Workers []string `json:"workers"`
 }
 
+// maxWorkersBody bounds the PUT /v1/workers body. A worker list is a
+// few names, so anything near this size is a client bug or an attack.
+const maxWorkersBody = 1 << 20
+
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	var req workersRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWorkersBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad workers body: %v", err), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad workers body: %v", err), status)
 		return
 	}
 	if err := c.SetWorkers(req.Workers); err != nil {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fadewich/internal/serve"
@@ -254,5 +255,47 @@ func TestCoordinatorHTTP(t *testing.T) {
 		if !bytes.Contains(body, []byte(family)) {
 			t.Errorf("/metrics missing %s", family)
 		}
+	}
+}
+
+// TestCoordinatorWorkersBodyLimit checks that PUT /v1/workers reads at
+// most maxWorkersBody bytes: a normal body updates the worker set, an
+// oversized one is refused with 413 and changes nothing.
+func TestCoordinatorWorkersBodyLimit(t *testing.T) {
+	dir := t.TempDir()
+	path := writeSpec(t, dir, 4, nil)
+	c, err := NewCoordinator(CoordinatorConfig{SpecPath: path, Workers: []string{"w1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c)
+	defer srv.Close()
+
+	put := func(body string) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/workers", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	huge := `{"workers":["` + strings.Repeat("w", maxWorkersBody) + `"]}`
+	if got := put(huge); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want %d", got, http.StatusRequestEntityTooLarge)
+	}
+	if as := c.Assignments(); as.Generation != 1 || len(as.Workers) != 1 {
+		t.Fatalf("oversized body changed the assignments: %+v", as)
+	}
+	if got := put(`{"workers":["w1","w2"]}`); got != http.StatusOK {
+		t.Fatalf("normal body: status %d, want %d", got, http.StatusOK)
+	}
+	if as := c.Assignments(); as.Generation != 2 || len(as.Workers) != 2 {
+		t.Fatalf("normal body: assignments %+v", as)
 	}
 }
