@@ -98,14 +98,20 @@ const cdfCutoff = 8
 // O(log n + w) where w is the number of samples within the cutoff — this
 // keeps the MD module's frequent profile refits cheap.
 func (k *KDE) CDF(x float64) float64 {
-	n := len(k.samples)
-	lo := sort.SearchFloat64s(k.samples, x-cdfCutoff*k.h)
-	hi := sort.SearchFloat64s(k.samples, x+cdfCutoff*k.h)
+	lo, hi := k.window(x)
 	sum := float64(lo) // all samples below the window contribute Φ≈1
 	for _, s := range k.samples[lo:hi] {
 		sum += stdNormalCDF((x - s) / k.h)
 	}
-	return sum / float64(n)
+	return sum / float64(len(k.samples))
+}
+
+// window returns the index range of the samples within cdfCutoff
+// bandwidths of x.
+func (k *KDE) window(x float64) (lo, hi int) {
+	lo = sort.SearchFloat64s(k.samples, x-cdfCutoff*k.h)
+	hi = sort.SearchFloat64s(k.samples, x+cdfCutoff*k.h)
+	return lo, hi
 }
 
 // stdNormalCDF is Φ(z) for the standard normal distribution.
@@ -141,10 +147,9 @@ func stdNormalCDF(z float64) float64 {
 // Newton's method from the empirical quantile finds a point near the
 // root, and a and b are certified around it. The bisection is then
 // replayed exactly, evaluating the CDF only at midpoints strictly inside
-// (a, b) that are not a bound it has already classified. When a side
-// cannot be certified (zero density, no convergence, a target within 2E
-// of 0 or 1) that side is simply evaluated, so the worst case is the
-// plain bisection.
+// (a, b). When a side cannot be certified (zero density, no convergence,
+// a target within 2E of 0 or 1) that side is simply evaluated, so the
+// worst case is the plain bisection.
 func (k *KDE) Percentile(p float64) float64 {
 	x, _ := k.percentile(p)
 	return x
@@ -162,26 +167,18 @@ func (k *KDE) percentile(p float64) (x float64, evals int) {
 	}
 	lo := k.samples[0] - 10*k.h
 	hi := k.samples[len(k.samples)-1] + 10*k.h
-	a, b, aOK, bOK, evals := k.bracket(p, lo, hi)
-	// loSeen and hiSeen record that lo and hi are past midpoints, whose
-	// side of the target is known.
-	loSeen, hiSeen := false, false
+	a, b, evals := k.bracket(p, lo, hi)
 	for i := 0; i < 100; i++ {
 		mid := (lo + hi) / 2
-		var below bool
-		switch {
-		case aOK && mid <= a, loSeen && mid == lo:
-			below = true
-		case bOK && mid >= b, hiSeen && mid == hi:
-			below = false
-		default:
+		below := mid <= a
+		if !below && !(mid >= b) {
 			evals++
 			below = k.CDF(mid) < target
 		}
 		if below {
-			lo, loSeen = mid, true
+			lo = mid
 		} else {
-			hi, hiSeen = mid, true
+			hi = mid
 		}
 		if hi-lo < 1e-10 {
 			break
@@ -199,15 +196,17 @@ const (
 	bracketWidens = 4
 )
 
-// bracket returns points a < b around the p-th percentile, each with a
-// flag saying whether it is certified (see Percentile): CDF(x) < p/100
-// for every x ≤ a when aOK, and CDF(x) ≥ p/100 for every x ≥ b when bOK.
-// lo and hi clamp the Newton iterates to the bisection's start interval.
-// It also returns the CDF evaluations it made.
-func (k *KDE) bracket(p, lo, hi float64) (a, b float64, aOK, bOK bool, evals int) {
+// bracket returns points a < b around the p-th percentile, certified
+// (see Percentile) so that CDF(x) < p/100 for every x ≤ a and
+// CDF(x) ≥ p/100 for every x ≥ b. A side it cannot certify is NaN, which
+// every comparison treats as false, so the caller evaluates there. lo
+// and hi clamp the Newton iterates to the bisection's start interval. It
+// also returns the CDF evaluations it made.
+func (k *KDE) bracket(p, lo, hi float64) (a, b float64, evals int) {
+	a, b = math.NaN(), math.NaN()
 	target := p / 100
-	if !(target > 0 && target < 1) || !(k.h > 0) || math.IsInf(k.h, 0) {
-		return 0, 0, false, false, 0
+	if math.IsNaN(target) || !(k.h > 0) || math.IsInf(k.h, 0) {
+		return a, b, 0
 	}
 	x := percentileSorted(k.samples, p)
 	var step, density float64
@@ -216,7 +215,7 @@ func (k *KDE) bracket(p, lo, hi float64) (a, b float64, aOK, bOK bool, evals int
 		c, density = k.cdfDensity(x)
 		evals++
 		if !(density > 0) {
-			return 0, 0, false, false, evals
+			return a, b, evals
 		}
 		step = (c - target) / density
 		x = math.Min(math.Max(x-step, lo), hi)
@@ -231,28 +230,29 @@ func (k *KDE) bracket(p, lo, hi float64) (a, b float64, aOK, bOK bool, evals int
 		// Newton did not converge: its last step sizes the error.
 		d += math.Abs(step)
 	}
-	for i := 0; i < bracketWidens && !(aOK && bOK); i++ {
-		if !aOK {
-			a = x - d
+	for i := 0; i < bracketWidens && (math.IsNaN(a) || math.IsNaN(b)); i++ {
+		if math.IsNaN(a) {
 			evals++
-			aOK = k.CDF(a) < below
+			if k.CDF(x-d) < below {
+				a = x - d
+			}
 		}
-		if !bOK {
-			b = x + d
+		if math.IsNaN(b) {
 			evals++
-			bOK = k.CDF(b) >= above
+			if k.CDF(x+d) >= above {
+				b = x + d
+			}
 		}
 		d *= 16
 	}
-	return a, b, aOK, bOK, evals
+	return a, b, evals
 }
 
 // cdfDensity returns the CDF and the density at x, both summed over the
 // kernels within cdfCutoff bandwidths of x, as CDF does.
 func (k *KDE) cdfDensity(x float64) (cdf, density float64) {
 	const invSqrt2Pi = 0.3989422804014327
-	lo := sort.SearchFloat64s(k.samples, x-cdfCutoff*k.h)
-	hi := sort.SearchFloat64s(k.samples, x+cdfCutoff*k.h)
+	lo, hi := k.window(x)
 	sum := float64(lo)
 	var dsum float64
 	for _, s := range k.samples[lo:hi] {
