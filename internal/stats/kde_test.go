@@ -182,20 +182,20 @@ func bisectPercentile(k *KDE, p float64) float64 {
 // checked on, each drawn from one rng source.
 var percentileKinds = []struct {
 	name string
-	draw func(src *rng.Source, i, n int) float64
+	draw func(src *rng.Source, i int) float64
 }{
-	{"gaussian", func(src *rng.Source, i, n int) float64 { return src.Normal(0, 1) }},
-	{"far-bimodal", func(src *rng.Source, i, n int) float64 {
+	{"gaussian", func(src *rng.Source, i int) float64 { return src.Normal(0, 1) }},
+	{"far-bimodal", func(src *rng.Source, i int) float64 {
 		return src.Normal(float64(i%2)*1000, 1)
 	}},
-	{"quantised", func(src *rng.Source, i, n int) float64 { return math.Round(src.Normal(-60, 3)) }},
-	{"constant", func(src *rng.Source, i, n int) float64 { return 7 }},
-	{"log-normal", func(src *rng.Source, i, n int) float64 { return math.Exp(src.Normal(0, 1.5)) }},
-	{"offset-1e6", func(src *rng.Source, i, n int) float64 { return 1e6 + src.Normal(0, 1) }},
-	{"three-cluster", func(src *rng.Source, i, n int) float64 {
+	{"quantised", func(src *rng.Source, i int) float64 { return math.Round(src.Normal(-60, 3)) }},
+	{"constant", func(src *rng.Source, i int) float64 { return 7 }},
+	{"log-normal", func(src *rng.Source, i int) float64 { return math.Exp(src.Normal(0, 1.5)) }},
+	{"offset-1e6", func(src *rng.Source, i int) float64 { return 1e6 + src.Normal(0, 1) }},
+	{"three-cluster", func(src *rng.Source, i int) float64 {
 		return [3]float64{0, 5, 40}[i%3] + src.Normal(0, [3]float64{0.2, 1, 0.05}[i%3])
 	}},
-	{"md-shaped", func(src *rng.Source, i, n int) float64 { return mdShapedValue(src) }},
+	{"md-shaped", func(src *rng.Source, i int) float64 { return mdShapedValue(src) }},
 }
 
 // mdShapedValue draws one value shaped like an MD normal profile entry:
@@ -220,7 +220,7 @@ func percentileSample(seed uint64, n, kind int) []float64 {
 	draw := percentileKinds[kind].draw
 	xs := make([]float64, n)
 	for i := range xs {
-		xs[i] = draw(src, i, n)
+		xs[i] = draw(src, i)
 	}
 	return xs
 }
