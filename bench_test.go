@@ -418,34 +418,26 @@ func BenchmarkSampleBlock(b *testing.B) {
 		{Pos: geom.Point{X: 1, Y: 1}, Speed: 0.02},
 	}
 	const ticks = 64
-	for _, variant := range []struct {
-		suffix  string
-		version int
-	}{
-		{"", 1},    // pinned baseline names: ModelVersion 1, the exact path
-		{"-v2", 2}, // vectorised path (vmath column kernels)
-	} {
-		for _, subc := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("subc-%d%s", subc, variant.suffix), func(b *testing.B) {
-				n, err := rf.NewNetwork(rf.Config{Subcarriers: subc, ModelVersion: variant.version}, sensors, 0.2, rng.New(1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				tickBodies := make([][]rf.Body, ticks)
-				for t := range tickBodies {
-					tickBodies[t] = bodies
-				}
-				var blk rf.Block
-				n.SampleBlock(tickBodies, &blk) // warm the buffer
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					n.SampleBlock(tickBodies, &blk)
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/ticks, "ns/tick")
-			})
-		}
+	for _, subc := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("subc-%d", subc), func(b *testing.B) {
+			n, err := rf.NewNetwork(rf.Config{Subcarriers: subc}, sensors, 0.2, rng.New(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			tickBodies := make([][]rf.Body, ticks)
+			for t := range tickBodies {
+				tickBodies[t] = bodies
+			}
+			var blk rf.Block
+			n.SampleBlock(tickBodies, &blk) // warm the buffer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.SampleBlock(tickBodies, &blk)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/ticks, "ns/tick")
+		})
 	}
 }
 

@@ -75,7 +75,6 @@ import (
 	"fadewich/internal/segment"
 	"fadewich/internal/serve"
 	"fadewich/internal/stream"
-	"fadewich/internal/vmath"
 	"fadewich/internal/wire"
 )
 
@@ -109,11 +108,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex contention profile to this file at exit")
 	flag.Parse()
-
-	// Name the active vmath kernel path once at startup: when a perf
-	// report or a golden mismatch comes in, the first question is which
-	// dispatch table the process was running.
-	fmt.Fprintf(os.Stderr, "fadewich-serve: vmath kernels: %s\n", vmath.ActivePath())
 
 	stopProf, err := prof.Start(prof.Flags{CPU: *cpuProfile, Mem: *memProfile, Mutex: *mutexProfile})
 	if err == nil {

@@ -22,7 +22,6 @@ import (
 	"fadewich/internal/prof"
 	"fadewich/internal/rng"
 	"fadewich/internal/sim"
-	"fadewich/internal/vmath"
 )
 
 func main() {
@@ -35,11 +34,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex contention profile to this file at exit")
 	flag.Parse()
-	// Name the active vmath kernel path once at startup (stderr, so it
-	// never mixes into the action stream on stdout): perf numbers and
-	// golden comparisons are only meaningful alongside the dispatch
-	// table that produced them.
-	fmt.Fprintf(os.Stderr, "fadewich-sim: vmath kernels: %s\n", vmath.ActivePath())
 	stopProf, err := prof.Start(prof.Flags{CPU: *cpuProfile, Mem: *memProfile, Mutex: *mutexProfile})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fadewich-sim: %v\n", err)

@@ -14,7 +14,7 @@ import (
 // goldenStdoutSHA256 pins the full stdout of `fadewich-sim -days 2 -seed 99`:
 // the training-day lines, every online deauthentication and its score. The
 // run is seeded end to end, so the bytes are the same at every -parallel
-// width and on every vmath kernel path.
+// width.
 const goldenStdoutSHA256 = "863f4b74b28ff61babbcd20dffda9ba6477f1997b3651246f775bf253e49bdc0"
 
 // buildSim compiles this command into dir and returns the binary path.

@@ -38,11 +38,11 @@ func (p *Writer) Sample(name string, v float64) {
 // values.
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
-// Labelled emits one sample with a single label. The value is escaped
-// and then Go-quoted, so a reserved character comes out escaped twice;
-// label values made of plain printable characters are unaffected.
+// Labelled emits one sample with a single label. The value is written
+// verbatim between double quotes, with only the three reserved
+// characters escaped, so any UTF-8 text (tabs included) round-trips.
 func (p *Writer) Labelled(name, label, value string, v float64) {
-	fmt.Fprintf(&p.b, "%s{%s=%q} %s\n", name, label, labelEscaper.Replace(value), formatValue(v))
+	fmt.Fprintf(&p.b, "%s{%s=\"%s\"} %s\n", name, label, labelEscaper.Replace(value), formatValue(v))
 }
 
 // Serve writes the page as a 200 response.

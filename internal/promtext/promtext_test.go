@@ -21,7 +21,7 @@ func TestWriterLineShapes(t *testing.T) {
 		"x_ratio 0.25\n" +
 		"x_big 1.2345678e+07\n" +
 		"x_by{office=\"a\"} 3\n" +
-		"x_by{office=\"q\\\\\\\"b\\\\\\\\s\"} 1\n"
+		`x_by{office="q\"b\\s"} 1` + "\n"
 	rr := httptest.NewRecorder()
 	p.Serve(rr)
 	if rr.Code != 200 || rr.Header().Get("Content-Type") != ContentType {

@@ -47,7 +47,6 @@ import (
 
 	"fadewich/internal/geom"
 	"fadewich/internal/rng"
-	"fadewich/internal/vmath"
 )
 
 // Disable is the sentinel for Config fields whose zero value would
@@ -116,17 +115,6 @@ type Config struct {
 	// shadowing. 0 or 1 yields plain RSSI. This implements the paper's
 	// future-work item on channel state information.
 	Subcarriers int
-	// ModelVersion selects the sampling implementation. Version 1 (the
-	// default) is the exact historical scalar path whose byte stream the
-	// golden hashes pin. Version 2 restructures the hot loops into
-	// vmath column passes: the RNG draw sequence is preserved bit for
-	// bit, but the body-effect geometry uses raw sqrt(x²+y²) distances
-	// and shares the motion-noise column across the two directions of a
-	// sensor pair, so outputs may differ from version 1 at the last few
-	// ulps (bounded well below the 1e-9 dB the equivalence test
-	// enforces, and almost always rounded away by quantisation).
-	// Version 2 has its own golden hashes.
-	ModelVersion int
 }
 
 // DefaultConfig returns the calibrated parameter set used throughout the
@@ -208,9 +196,6 @@ func (c Config) withDefaults() Config {
 	if c.Subcarriers < 1 {
 		c.Subcarriers = 1
 	}
-	if c.ModelVersion == 0 {
-		c.ModelVersion = 1
-	}
 	return c
 }
 
@@ -267,27 +252,6 @@ type Network struct {
 	attenScratch  []float64
 	motionScratch []float64
 
-	// Pair-canonical geometry columns for the ModelVersion 2 path: one
-	// entry per undirected sensor pair (the direction with the lower
-	// link index is canonical). Both body effects are symmetric in the
-	// link direction, so version 2 computes each once per pair and
-	// expands through pairSlot, which maps every directed link to its
-	// pair's column index.
-	pairAX, pairAY []float64
-	pairBX, pairBY []float64
-	pairDX, pairDY []float64
-	pairL2         []float64
-	pairLen        []float64
-	pairSlot       []int
-
-	// Version 2 per-tick scratch: excess-path/distance column, per-pair
-	// attenuation and motion-variance accumulators, and the tick's
-	// batched Gaussian draws.
-	pairCol   []float64
-	pairAtten []float64
-	pairVar   []float64
-	zScratch  []float64
-
 	// invQuant is 1/QuantStepDB when quantisation is enabled, so the
 	// per-sample quantisation divides once per network, not per sample.
 	invQuant float64
@@ -317,9 +281,6 @@ func NewNetwork(cfg Config, sensors []geom.Point, dt float64, src *rng.Source) (
 		return nil, fmt.Errorf("rf: tick duration must be positive, got %v", dt)
 	}
 	cfg = cfg.withDefaults()
-	if cfg.ModelVersion != 1 && cfg.ModelVersion != 2 {
-		return nil, fmt.Errorf("rf: unknown ModelVersion %d (supported: 1, 2)", cfg.ModelVersion)
-	}
 	m := len(sensors)
 	pts := make([]geom.Point, m)
 	copy(pts, sensors)
@@ -389,37 +350,6 @@ func NewNetwork(cfg Config, sensors []geom.Point, dt float64, src *rng.Source) (
 	}
 	if cfg.QuantStepDB > 0 {
 		n.invQuant = 1 / cfg.QuantStepDB
-	}
-	if cfg.ModelVersion >= 2 {
-		np := nl / 2
-		n.pairAX = make([]float64, 0, np)
-		n.pairAY = make([]float64, 0, np)
-		n.pairBX = make([]float64, 0, np)
-		n.pairBY = make([]float64, 0, np)
-		n.pairDX = make([]float64, 0, np)
-		n.pairDY = make([]float64, 0, np)
-		n.pairL2 = make([]float64, 0, np)
-		n.pairLen = make([]float64, 0, np)
-		n.pairSlot = make([]int, nl)
-		for li := range links {
-			if rev := n.pairRev[li]; li < rev {
-				slot := len(n.pairLen)
-				n.pairSlot[li], n.pairSlot[rev] = slot, slot
-				n.pairAX = append(n.pairAX, n.linkAX[li])
-				n.pairAY = append(n.pairAY, n.linkAY[li])
-				n.pairBX = append(n.pairBX, n.linkBX[li])
-				n.pairBY = append(n.pairBY, n.linkBY[li])
-				n.pairDX = append(n.pairDX, n.linkDX[li])
-				n.pairDY = append(n.pairDY, n.linkDY[li])
-				n.pairL2 = append(n.pairL2, n.linkL2[li])
-				n.pairLen = append(n.pairLen, n.linkLen[li])
-			}
-		}
-		n.pairCol = make([]float64, np)
-		n.pairAtten = make([]float64, np)
-		n.pairVar = make([]float64, np)
-		n.zScratch = make([]float64, 3*streams)
-		src.ReserveNormals(3 * streams)
 	}
 	return n, nil
 }
@@ -581,13 +511,8 @@ func (n *Network) tickEffects(bodies []Body) {
 // stream into out (length NumStreams). The RNG draw order is identical
 // to the historical per-stream scalar loop: the burst process first,
 // then per stream the AR innovation, the conditional motion draw, and
-// the conditional burst draw. ModelVersion 2 routes to the vectorised
-// implementation, which preserves that draw order exactly.
+// the conditional burst draw.
 func (n *Network) sampleTick(bodies []Body, out []float64) {
-	if n.cfg.ModelVersion >= 2 {
-		n.sampleTickVec(bodies, out)
-		return
-	}
 	burst := n.stepBursts()
 	n.tickEffects(bodies)
 
@@ -635,129 +560,6 @@ func (n *Network) sampleTick(bodies []Body, out []float64) {
 		}
 		out[k] = rssi
 	}
-}
-
-// tickEffectsVec is the ModelVersion 2 body-effect pass: instead of
-// walking links scalar-wise with an inner body loop, it walks bodies
-// and evaluates each effect as vmath column passes over the
-// pair-canonical geometry, then expands per-pair results to the
-// directed-link scratch through pairSlot. Accumulation order matches
-// tickEffects (body order, cap after the sum), but distances use raw
-// sqrt(x²+y²) and the motion column is shared across the two directions
-// of a pair, so values may differ from version 1 in the last ulps.
-func (n *Network) tickEffectsVec(bodies []Body) {
-	attenC, varC := n.pairAtten, n.pairVar
-	for i := range attenC {
-		attenC[i] = 0
-		varC[i] = 0
-	}
-	if len(bodies) > 0 {
-		attenDB, ellipse := n.cfg.BodyAttenDB, n.cfg.BodyEllipseM
-		motionStd, motionRange := n.cfg.MotionNoiseStdDB, n.cfg.MotionRangeM
-		col := n.pairCol
-		for i := range bodies {
-			p := bodies[i].Pos
-			vmath.ExcessPathSlice(col, n.pairAX, n.pairAY, n.pairBX, n.pairBY, n.pairLen, p.X, p.Y)
-			vmath.ScaleSlice(col, -1/ellipse)
-			vmath.ExpSlice(col, col)
-			vmath.AxpySlice(attenC, col, attenDB)
-			if bodies[i].Speed > 0 {
-				vmath.DistToSegSlice(col, n.pairAX, n.pairAY, n.pairDX, n.pairDY, n.pairL2, p.X, p.Y)
-				vmath.ScaleSlice(col, -1/motionRange)
-				vmath.ExpSlice(col, col)
-				vmath.AccumSqScaledSlice(varC, col, motionStd*bodies[i].Speed)
-			}
-		}
-		vmath.ClampMaxSlice(attenC, 1.5*attenDB)
-		vmath.SqrtSlice(varC)
-	}
-	atten, motion := n.attenScratch, n.motionScratch
-	for li, slot := range n.pairSlot {
-		atten[li] = attenC[slot]
-		motion[li] = varC[slot]
-	}
-}
-
-// sampleTickVec is the ModelVersion 2 tick: the burst process and the
-// per-stream draw *sequence* are identical to the scalar path (one
-// FillNormals batch replaces the per-stream Normal calls bit for bit),
-// the noise composition runs as one fused pass over the stream columns,
-// and quantisation + clamping run as a single column pass over the
-// output row.
-func (n *Network) sampleTickVec(bodies []Body, out []float64) {
-	burst := n.stepBursts()
-	n.tickEffectsVec(bodies)
-
-	arCoef := n.cfg.NoiseAR
-	innovation := n.cfg.NoiseStdDB * math.Sqrt(1-arCoef*arCoef)
-	istd := n.cfg.InterferenceStdDB
-	atten, motion := n.attenScratch, n.motionScratch
-	ar, base := n.ar, n.base
-	burstMask := n.burstMask
-
-	// Count this tick's Gaussian draws, then fill them in one batch with
-	// the exact uniform consumption of per-stream NormFloat64 calls. The
-	// motion condition is per link (each link's subcarrier streams share
-	// the motion column entry), so the count walks links, not streams.
-	subc := n.cfg.Subcarriers
-	need := len(base)
-	for li := range motion {
-		if motion[li] > 0 {
-			need += subc
-		}
-	}
-	if burst {
-		for k := range burstMask {
-			if burstMask[k] {
-				need++
-			}
-		}
-	}
-	if cap(n.zScratch) < need {
-		n.zScratch = make([]float64, need)
-	}
-	z := n.zScratch[:need]
-	n.src.FillNormals(z)
-
-	// Fused noise pass, link-outer so the per-link attenuation and
-	// motion std load once per subcarrier group, with the moving/static
-	// cases split into branch-free inner loops on non-burst ticks (the
-	// overwhelmingly common case). Stream order (and so z consumption
-	// order) is unchanged: streams are link-major contiguous.
-	pos, k := 0, 0
-	for li := range motion {
-		att, sd := atten[li], motion[li]
-		switch {
-		case burst:
-			for c := 0; c < subc; c++ {
-				a := arCoef*ar[k] + innovation*z[pos]
-				pos++
-				ar[k] = a
-				rssi := base[k] - att + a
-				if sd > 0 {
-					rssi += sd * z[pos]
-					pos++
-				}
-				if burstMask[k] {
-					rssi += istd * z[pos]
-					pos++
-				}
-				out[k] = rssi
-				k++
-			}
-		case sd > 0:
-			vmath.ARMotionNoiseSlice(out[k:k+subc], ar[k:k+subc], base[k:k+subc], z[pos:pos+2*subc],
-				att, arCoef, innovation, sd)
-			pos += 2 * subc
-			k += subc
-		default:
-			vmath.ARNoiseSlice(out[k:k+subc], ar[k:k+subc], base[k:k+subc], z[pos:pos+subc],
-				att, arCoef, innovation)
-			pos += subc
-			k += subc
-		}
-	}
-	vmath.RoundQuantSlice(out, n.cfg.QuantStepDB, n.invQuant, n.cfg.MinRSSIDBm, n.cfg.MaxRSSIDBm)
 }
 
 // Sample advances the model one tick and writes the RSSI of every stream

@@ -10,11 +10,7 @@
 // the streams seen by existing ones.
 package rng
 
-import (
-	"math"
-
-	"fadewich/internal/vmath"
-)
+import "math"
 
 // Source is a deterministic xoshiro256** generator. The zero value is not
 // usable; construct one with New or Split.
@@ -24,14 +20,6 @@ type Source struct {
 	// transform; spareOK reports whether it is valid.
 	spare   float64
 	spareOK bool
-	// batchU/batchV/batchQ hold the accepted polar pairs of a FillNormals
-	// call so the radius factors can be computed in one vmath column pass;
-	// batchR/batchD/batchP stage one rejection round's raw s1 words, their
-	// uniform conversions and the pair norms. Lazily grown; nil until
-	// FillNormals is first used.
-	batchU, batchV, batchQ []float64
-	batchD, batchP         []float64
-	batchR                 []uint64
 }
 
 // New returns a Source seeded from the given seed using SplitMix64 so that
@@ -141,127 +129,6 @@ func (s *Source) NormFloat64() float64 {
 // deviation.
 func (s *Source) Normal(mean, stddev float64) float64 {
 	return mean + stddev*s.NormFloat64()
-}
-
-// normBatch caps the internal FillNormals chunk (in polar pairs) so the
-// u/v/q staging arrays stay small enough to live in L1 regardless of
-// the request size. Chunking does not change the variate stream.
-const normBatch = 256
-
-// ReserveNormals pre-sizes the FillNormals scratch for batches of up to
-// n variates, so steady-state FillNormals calls never allocate. It does
-// not consume any randomness.
-func (s *Source) ReserveNormals(n int) {
-	pairs := (n + 1) / 2
-	if pairs > normBatch {
-		pairs = normBatch
-	}
-	s.growBatch(pairs)
-}
-
-// growBatch sizes the FillNormals scratch for chunks of up to pairs
-// polar pairs (2·pairs raw draws per rejection round).
-func (s *Source) growBatch(pairs int) {
-	if cap(s.batchQ) < pairs || cap(s.batchR) < 2*pairs {
-		s.batchU = make([]float64, pairs)
-		s.batchV = make([]float64, pairs)
-		s.batchQ = make([]float64, pairs)
-		s.batchD = make([]float64, 2*pairs)
-		s.batchP = make([]float64, pairs)
-		s.batchR = make([]uint64, 2*pairs)
-	}
-}
-
-// FillNormals fills out with standard Gaussian variates, equivalent to
-// len(out) consecutive NormFloat64 calls: the uniform stream is
-// consumed in the same order, the polar rejection decisions are the
-// same, and a trailing half-pair is cached in spare exactly as the
-// scalar path would. The generator state after the call is therefore
-// bit-identical to the scalar sequence. The variate values themselves
-// agree with the scalar ones to ~1e-11 relative (not bitwise): the
-// speedup comes from batching the Box-Muller radius factors
-// sqrt(-2·log(q)/q) into one vmath.NormFactorFastSlice column pass,
-// which trades the fdlibm log for a table-driven one, and the output
-// scramble, uniform conversion, rejection statistic, accepted-pair
-// compaction and output interleave into vmath column passes
-// (StarUniformSlice, PairNormSqSlice, CompactAcceptSlice,
-// BoxMullerScaleSlice). All kernels are
-// platform-independent, so FillNormals output is still deterministic
-// everywhere.
-//
-// The rejection loop works in rounds: with p pairs still needed, one
-// round draws exactly 2p raw words (the serial xoshiro recurrence,
-// integer ops only), converts them in one column pass, and scans them
-// as p polar attempts. This consumes exactly the draws the scalar loop
-// would: a round can only complete the final pair on its last attempt
-// (p acceptances from p attempts means every attempt accepted), so the
-// generator never advances past the scalar stopping point.
-func (s *Source) FillNormals(out []float64) {
-	i := 0
-	if s.spareOK && len(out) > 0 {
-		s.spareOK = false
-		out[i] = s.spare
-		i++
-	}
-	for i < len(out) {
-		pairs := (len(out) - i + 1) / 2
-		if pairs > normBatch {
-			pairs = normBatch
-		}
-		s.growBatch(pairs)
-		us, vs, qs := s.batchU[:pairs], s.batchV[:pairs], s.batchQ[:pairs]
-		// Hoist the xoshiro state into locals for the draw rounds: the
-		// per-call Float64 path re-loads and re-stores all four words
-		// per draw, which dominates this loop's cost. The update below
-		// is Uint64 verbatim, so the consumed stream is unchanged.
-		s0, s1, s2, s3 := s.s0, s.s1, s.s2, s.s3
-		filled := 0
-		for filled < pairs {
-			need := pairs - filled
-			// The serial recurrence only stores the pre-update s1 word per
-			// draw; the xoshiro256** output scramble runs inside the
-			// StarUniformSlice column pass.
-			raw := s.batchR[:2*need]
-			for j := range raw {
-				raw[j] = s1
-				t := s1 << 17
-				s2 ^= s0
-				s3 ^= s1
-				s1 ^= s2
-				s0 ^= s3
-				s2 ^= t
-				s3 = rotl(s3, 45)
-			}
-			ds := s.batchD[:2*need]
-			vmath.StarUniformSlice(ds, raw)
-			ps := s.batchP[:need]
-			vmath.PairNormSqSlice(ps, ds)
-			filled += vmath.CompactAcceptSlice(us[filled:], vs[filled:], qs[filled:], ds, ps)
-		}
-		s.s0, s.s1, s.s2, s.s3 = s0, s1, s2, s3
-		vmath.NormFactorFastSlice(qs, qs)
-		// Full pairs interleave in one column pass; a trailing half-pair
-		// (odd remaining length) is emitted scalar with its twin cached in
-		// spare, exactly as NormFloat64 would.
-		full := pairs
-		if len(out)-i < 2*pairs {
-			full = pairs - 1
-		}
-		vmath.BoxMullerScaleSlice(out[i:], us[:full], vs[:full], qs[:full])
-		i += 2 * full
-		for j := full; j < pairs; j++ {
-			f := qs[j]
-			out[i] = us[j] * f
-			i++
-			if i < len(out) {
-				out[i] = vs[j] * f
-				i++
-			} else {
-				s.spare = vs[j] * f
-				s.spareOK = true
-			}
-		}
-	}
 }
 
 // ExpFloat64 returns an exponential variate with rate 1.

@@ -238,48 +238,3 @@ func TestShuffleKeepsElements(t *testing.T) {
 		t.Fatalf("shuffle lost elements: sum %d", sum)
 	}
 }
-
-// TestFillNormalsMatchesScalar pins the batched-normals contract: for
-// any batch-size schedule, interleaved with other draw kinds, the
-// generator state stays in bitwise lockstep with scalar NormFloat64
-// calls (same uniform consumption, same rejections, same spare
-// caching), and the variate values agree with the scalar ones to a
-// 1e-11 relative tolerance (the fast radius factor is not
-// bit-identical; see vmath.NormFactorFastSlice, whose worst-case
-// relative error ~3e-12 occurs for pairs landing near the unit
-// circle).
-func TestFillNormalsMatchesScalar(t *testing.T) {
-	scalar, batched := New(31), New(31)
-	sizes := []int{1, 2, 3, 7, 0, 64, 5, 1, 1, 128, 9}
-	buf := make([]float64, 128)
-	for round, size := range sizes {
-		want := make([]float64, size)
-		for i := range want {
-			want[i] = scalar.NormFloat64()
-		}
-		got := buf[:size]
-		batched.FillNormals(got)
-		for i := range want {
-			if d := math.Abs(got[i] - want[i]); d > 1e-11*math.Abs(want[i]) {
-				t.Fatalf("round %d (size %d): FillNormals[%d] = %v, scalar = %v (relative error %g)", round, size, i, got[i], want[i], d/math.Abs(want[i]))
-			}
-		}
-		// Interleave non-Gaussian draws; the sources must stay in
-		// lockstep (the spare survives them in both paths).
-		if scalar.Bool(0.5) != batched.Bool(0.5) || scalar.Uint64() != batched.Uint64() {
-			t.Fatalf("round %d: sources diverged after interleaved draws", round)
-		}
-	}
-}
-
-// TestFillNormalsZeroAllocSteadyState verifies ReserveNormals makes
-// FillNormals allocation-free.
-func TestFillNormalsZeroAllocSteadyState(t *testing.T) {
-	s := New(9)
-	s.ReserveNormals(256)
-	out := make([]float64, 255)
-	allocs := testing.AllocsPerRun(50, func() { s.FillNormals(out) })
-	if allocs != 0 {
-		t.Fatalf("FillNormals allocates %.1f times per call after ReserveNormals, want 0", allocs)
-	}
-}

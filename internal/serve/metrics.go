@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"fadewich/internal/promtext"
-	"fadewich/internal/vmath"
 )
 
 // handleMetrics renders the dependency-free GET /metrics endpoint: the
@@ -18,12 +17,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.ing.Stats()
 	tot := st.Totals()
 	rst, reports := s.rec.Status()
-
-	// The standard build-info idiom: a constant-1 gauge whose labels
-	// carry runtime facts — here the vmath dispatch path, so dashboards
-	// can tell AVX2 assembly from the portable fallback per instance.
-	p.Metric("fadewich_build_info", "gauge", "Constant 1; labels describe the running build (vmath = active kernel dispatch path).")
-	p.Labelled("fadewich_build_info", "vmath", vmath.ActivePath(), 1)
 
 	p.Metric("fadewich_ingest_pushed_ticks_total", "counter", "Ticks accepted into office queues, including retired offices.")
 	p.Sample("fadewich_ingest_pushed_ticks_total", float64(tot.Pushed))

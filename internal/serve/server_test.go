@@ -20,7 +20,6 @@ import (
 	"fadewich/internal/rng"
 	"fadewich/internal/stream"
 	"fadewich/internal/svm"
-	"fadewich/internal/vmath"
 	"fadewich/internal/wire"
 )
 
@@ -526,7 +525,7 @@ func TestEmptySpecPolicy(t *testing.T) {
 }
 
 // promLine matches one Prometheus text-exposition sample with at most
-// one label (the office series and the build-info line).
+// one label (the per-office series).
 var promLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"\})? (-?[0-9.e+-]+|NaN)$`)
 
 // TestMetricsEndpoint is the /metrics contract test: the page parses
@@ -669,12 +668,6 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metric %s = %g, want %g", name, got, v)
 		}
 	}
-	// The build-info gauge names the vmath dispatch path the process
-	// actually selected.
-	biKey := fmt.Sprintf(`fadewich_build_info{vmath=%q}`, vmath.ActivePath())
-	if got := labelled[biKey]; got != 1 {
-		t.Errorf("%s = %g, want 1", biKey, got)
-	}
 	// Per-office series carry the spec names as labels.
 	for _, name := range []string{"a", "b"} {
 		id, _ := srv.Reconciler().IDOf(name)
@@ -688,6 +681,32 @@ func TestMetricsEndpoint(t *testing.T) {
 		if got := labelled[key]; got != float64(ost.Pushed) {
 			t.Errorf("%s = %g, want %d", key, got, ost.Pushed)
 		}
+	}
+}
+
+// officePushedLine matches the per-office pushed-ticks sample of a
+// five-tick office and captures its escaped label value.
+var officePushedLine = regexp.MustCompile(`(?m)^fadewich_office_pushed_ticks_total\{office="((?:[^"\\\n]|\\.)*)"\} 5$`)
+
+// TestMetricsOfficeLabelEscaping feeds an office name with every kind
+// of awkward character a fleet spec can carry (a quote, a backslash, a
+// tab, a non-ASCII letter) through the per-office series. The text
+// format escapes only backslash, quote and newline inside a label
+// value, so undoing exactly those three escapes must give the name back.
+func TestMetricsOfficeLabelEscaping(t *testing.T) {
+	const name = "q\"b\\s\té"
+	srv, _ := newTestServer(t, specJSON(name))
+	if rr := post(srv, "/v1/ticks?flush=1", "", rssiLines(name, 5, 0.5, rng.New(3))); rr.Code != http.StatusOK {
+		t.Fatalf("ticks: status %d: %s", rr.Code, rr.Body.String())
+	}
+	page := get(srv, "/metrics").Body.String()
+	m := officePushedLine.FindStringSubmatch(page)
+	if m == nil {
+		t.Fatalf("no fadewich_office_pushed_ticks_total line for the office:\n%s", page)
+	}
+	unescape := strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n")
+	if got := unescape.Replace(m[1]); got != name {
+		t.Fatalf("label value %q unescapes to %q, want %q", m[1], got, name)
 	}
 }
 
