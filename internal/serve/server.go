@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -421,9 +420,10 @@ type ingestResult struct {
 	Error          string `json:"error,omitempty"`
 }
 
-// ingestStatus maps a push error to its HTTP status. Anything but a
-// closed ingestor or a full queue is the request's fault, a wrong-width
-// tick (stream.ErrTickWidth) included: 400.
+// ingestStatus maps a push error to its HTTP status. A body over the
+// limit is 413; anything but that, a closed ingestor or a full queue is
+// the request's fault, a wrong-width tick (stream.ErrTickWidth)
+// included: 400.
 func ingestStatus(err error) int {
 	switch {
 	case err == nil:
@@ -432,6 +432,8 @@ func ingestStatus(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, stream.ErrQueueFull):
 		return http.StatusTooManyRequests
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
 	default:
 		return http.StatusBadRequest
 	}
@@ -444,11 +446,15 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	}
 	var res ingestResult
 	var err error
+	// A training POST carries one window of every office's ticks (about
+	// 17 MB for 128 offices); the framed path's payload limit, 64 MiB,
+	// bounds both transports.
+	body := http.MaxBytesReader(w, r.Body, wire.MaxPayloadBytes)
 	ct := r.Header.Get("Content-Type")
 	if ct == ContentTypeFrames || strings.HasPrefix(ct, ContentTypeFrames+";") {
-		err = s.ingestFrames(r.Body, &res)
+		err = s.ingestFrames(body, &res)
 	} else {
-		err = s.ingestJSONL(r.Body, &res)
+		err = s.ingestJSONL(body, &res)
 	}
 	if err == nil {
 		q := r.URL.Query()
@@ -481,49 +487,6 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		res.Error = err.Error()
 	}
 	writeJSON(w, status, res)
-}
-
-// ingestJSONL pushes a body of tick JSONL. Lines are applied in order;
-// on a failing line everything before it stays accepted and is
-// reported in res.
-func (s *Server) ingestJSONL(body io.Reader, res *ingestResult) error {
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
-	var dec tickDecoder
-	var rec tickLine
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if err := dec.decode(line, &rec); err != nil {
-			return fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		id, ok := s.rec.IDOf(rec.Office)
-		if !ok {
-			return fmt.Errorf("line %d: unknown office %q", lineNo, rec.Office)
-		}
-		switch {
-		case rec.Input != nil:
-			if err := s.ing.PushInput(id, *rec.Input); err != nil {
-				return fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			res.AcceptedInputs++
-		case rec.RSSI != nil:
-			if err := s.ing.Push(id, rec.RSSI); err != nil {
-				return fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			res.AcceptedTicks++
-		default:
-			return fmt.Errorf("line %d: neither rssi nor input", lineNo)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("line %d: %w", lineNo+1, err)
-	}
-	return nil
 }
 
 // ingestFrames pushes a body of wire-framed tick JSONL: each

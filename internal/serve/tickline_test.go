@@ -121,3 +121,41 @@ func BenchmarkIngestJSONL(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/line")
 	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "allocs/line")
 }
+
+// BenchmarkIngestJSONLTraining measures the same ingest on a body
+// shaped like one training POST: 128 offices × 500 steps of 12 RSSI
+// streams (about 17 MB), so the body is decoded in many chunks at once.
+func BenchmarkIngestJSONLTraining(b *testing.B) {
+	names := make([]string, 128)
+	specNames := make([]string, len(names))
+	for i := range names {
+		names[i] = fmt.Sprintf("office-%03d", i)
+		specNames[i] = fmt.Sprintf(`{"name": %q}`, names[i])
+	}
+	spec := `{"defaults": {"sensors": 4}, "offices": [` + strings.Join(specNames, ", ") + `]}`
+	srv, _ := newTestServer(b, spec, func(c *Config) {
+		c.Queue = 64
+		c.OnFull = stream.DropOldest
+	})
+	body, lines := ingestBody(names, 500, 12, rng.New(7))
+
+	var res ingestResult
+	if err := srv.ingestJSONL(bytes.NewReader(body), &res); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := srv.ingestJSONL(bytes.NewReader(body), &res); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	n := float64(b.N) * float64(lines)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/line")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "allocs/line")
+}
