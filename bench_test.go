@@ -661,7 +661,7 @@ func BenchmarkIngestorContended(b *testing.B) {
 	const (
 		streams      = 4
 		ticksPerProd = 128
-		batchTicks   = 64
+		queue        = 64 // half of ticksPerProd: full queues dispatch while producers push
 	)
 	for _, producers := range []int{8, 64} {
 		b.Run(fmt.Sprintf("producers-%d", producers), func(b *testing.B) {
@@ -672,11 +672,7 @@ func BenchmarkIngestorContended(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ing, err := stream.NewIngestor(fleet, stream.Config{
-				Queue:      256,
-				OnFull:     stream.Block,
-				BatchTicks: batchTicks,
-			})
+			ing, err := stream.NewIngestor(fleet, stream.Config{Queue: queue, OnFull: stream.Block})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -17,7 +17,8 @@
 //	                  (Content-Type: application/x-fadewich-frames);
 //	                  ?flush=1 dispatches the queued ticks immediately,
 //	                  ?flush=1&epoch=K stamps the dispatch with a
-//	                  cluster epoch (worker mode)
+//	                  cluster epoch (worker mode, where a flush must
+//	                  carry one)
 //	GET  /v1/actions  chunked wire-frame stream of every dispatched
 //	                  action batch (?codec=1 JSONL, ?codec=2 binary)
 //	GET  /v1/offices  per-office status: phase, training samples,
@@ -25,6 +26,10 @@
 //	POST /v1/train    move every training-phase office online
 //	POST /v1/reload   re-read the spec source and reconcile
 //	GET  /metrics     Prometheus text exposition, dependency-free
+//
+// Actions leave on ?flush=1, when a queue fills under -on-full block,
+// and at drain. Under drop-oldest or error, a producer that never
+// flushes loses ticks to the drop counter.
 //
 // Actions can additionally be persisted to a rotating segment log
 // (-segments, replayable with fadewich-tail) and forwarded over TCP
@@ -41,16 +46,15 @@
 //     changes with PUT /v1/workers, the spec with POST /v1/reload.
 //   - -mode worker fetches its sub-spec from -coordinator, runs an
 //     ordinary fleet over it, and forwards epoch-tagged wire frames to
-//     the stream router at -forward. Worker dispatch must be strictly
-//     flush-driven (?flush=1&epoch=K), so the batching flags are
-//     rejected.
+//     the stream router at -forward. Worker flushes must carry an
+//     epoch (?flush=1&epoch=K).
 //
 // Usage:
 //
 //	fadewich-serve -spec fleet.json [-listen ADDR] [-watch 2s]
 //	               [-segments DIR] [-forward ADDR] [-codec 1|2]
 //	               [-queue N] [-on-full block|drop-oldest|error]
-//	               [-batch-ticks N] [-max-latency D] [-parallel N]
+//	               [-parallel N]
 //	fadewich-serve -mode coordinator -spec fleet.json -workers w1,w2
 //	               [-replicas N] [-listen ADDR]
 //	fadewich-serve -mode worker -coordinator URL -name w1
@@ -85,9 +89,6 @@ func main() {
 	watch := flag.Duration("watch", 0, "poll the spec source at this interval and reconcile when it changes (0 = only SIGHUP and /v1/reload)")
 	queue := flag.Int("queue", 0, "per-office tick queue capacity (0 = default 256)")
 	onFull := flag.String("on-full", "block", "backpressure policy when a queue is full: block, drop-oldest or error")
-	batchTicks := flag.Int("batch-ticks", 0, "dispatch when an office has this many ticks queued (0 = flush/latency-driven only)")
-	adaptive := flag.Bool("adaptive-batch", false, "scale the dispatch threshold with queue pressure (needs -batch-ticks)")
-	maxLatency := flag.Duration("max-latency", 0, "dispatch queued ticks at most this long after they arrive (0 = off)")
 	parallel := flag.Int("parallel", 0, "fleet worker pool width (0 = one per CPU)")
 	segDir := flag.String("segments", "", "persist the action stream to a rotating segment log in this directory")
 	segMaxBytes := flag.Int64("segment-max-bytes", 0, "rotate segments at this size (0 = library default)")
@@ -118,9 +119,6 @@ func main() {
 			watch:         *watch,
 			queue:         *queue,
 			onFull:        *onFull,
-			batchTicks:    *batchTicks,
-			adaptive:      *adaptive,
-			maxLatency:    *maxLatency,
 			parallel:      *parallel,
 			segDir:        *segDir,
 			segMaxBytes:   *segMaxBytes,
@@ -155,9 +153,6 @@ type options struct {
 	watch         time.Duration
 	queue         int
 	onFull        string
-	batchTicks    int
-	adaptive      bool
-	maxLatency    time.Duration
 	parallel      int
 	segDir        string
 	segMaxBytes   int64
@@ -205,9 +200,6 @@ func baseConfig(opt options) (serve.Config, error) {
 	return serve.Config{
 		Queue:           opt.queue,
 		OnFull:          policy,
-		BatchTicks:      opt.batchTicks,
-		AdaptiveBatch:   opt.adaptive,
-		MaxBatchLatency: opt.maxLatency,
 		Workers:         opt.parallel,
 		SegmentDir:      opt.segDir,
 		SegmentMaxBytes: opt.segMaxBytes,
@@ -225,8 +217,9 @@ func baseConfig(opt options) (serve.Config, error) {
 
 // readHeaderTimeout bounds how long a connection may take to send its
 // request headers, so a client that never finishes them cannot hold
-// the connection forever. Bodies stay unbounded in time and size: a
-// training POST carries a whole training day of ticks.
+// the connection forever. Bodies are bounded in size (handleTicks caps
+// them at wire.MaxPayloadBytes, 64 MiB) but not in time: a training
+// POST carries a whole training day of ticks.
 const readHeaderTimeout = 10 * time.Second
 
 // newHTTPServer is the HTTP server of every mode.
@@ -262,9 +255,6 @@ func runWorker(opt options) error {
 	}
 	if opt.forward == "" {
 		return errors.New("worker mode needs -forward (the stream router's listen address)")
-	}
-	if opt.batchTicks != 0 || opt.adaptive || opt.maxLatency != 0 {
-		return errors.New("worker dispatch is driven by ?flush=1&epoch=K; -batch-ticks, -adaptive-batch and -max-latency do not apply")
 	}
 	first, err := cluster.FetchShard(nil, opt.coordinator, opt.name)
 	if err != nil {

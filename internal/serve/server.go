@@ -45,15 +45,11 @@ type Config struct {
 	// spec content for both startup and Reload. Worker mode uses it to
 	// fetch the coordinator-assigned sub-spec over HTTP.
 	SpecSource func() ([]byte, error)
-	// Queue, OnFull, BatchTicks, AdaptiveBatch and MaxBatchLatency pass
-	// through to the ingestor (stream.Config). With both BatchTicks and
-	// MaxBatchLatency zero, dispatch is strictly ?flush=1-driven —
-	// deterministic, and what the e2e byte-identity harness relies on.
-	Queue           int
-	OnFull          stream.Policy
-	BatchTicks      int
-	AdaptiveBatch   bool
-	MaxBatchLatency time.Duration
+	// Queue and OnFull pass through to the ingestor (stream.Config).
+	// Dispatch is driven by ?flush=1, by a Block-policy queue that
+	// fills, and by drain.
+	Queue  int
+	OnFull stream.Policy
 	// Workers sizes the fleet's worker pool (0 selects GOMAXPROCS).
 	Workers int
 	// SegmentDir, when set, persists the action stream to a rotating
@@ -91,10 +87,9 @@ type Config struct {
 	// cluster wire protocol: frames are tagged with this worker source
 	// ID and the producer-driven epoch (?flush=1&epoch=K), actions are
 	// remapped from local fleet IDs to the gids the spec carries, and
-	// shutdown sends a final frame. Requires Forward, a spec whose
-	// offices all carry gids, and strictly flush-driven dispatch
-	// (BatchTicks, AdaptiveBatch and MaxBatchLatency all zero) — the
-	// tagged sink refuses untagged batches.
+	// shutdown sends a final frame. Requires Forward and a spec whose
+	// offices all carry gids. The tagged sink refuses untagged batches,
+	// so POST /v1/ticks rejects ?flush=1 without an epoch.
 	ForwardSource uint8
 	// SubscriberBuffer is each /v1/actions connection's in-flight frame
 	// budget; a consumer further behind is dropped (0 selects
@@ -164,13 +159,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SpecPath == "" && cfg.SpecSource == nil {
 		return nil, errors.New("serve: no fleet-spec path or source")
 	}
-	if cfg.ForwardSource != 0 {
-		if cfg.Forward == "" {
-			return nil, errors.New("serve: forward source set without a forward address")
-		}
-		if cfg.BatchTicks != 0 || cfg.AdaptiveBatch || cfg.MaxBatchLatency != 0 {
-			return nil, errors.New("serve: tagged forwarding needs strictly flush-driven dispatch (no batch-ticks, adaptive-batch or max-latency)")
-		}
+	if cfg.ForwardSource != 0 && cfg.Forward == "" {
+		return nil, errors.New("serve: forward source set without a forward address")
 	}
 	source := cfg.SpecSource
 	if source == nil {
@@ -272,12 +262,9 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s.ing, err = stream.NewIngestor(fleet, stream.Config{
-		Queue:           cfg.Queue,
-		OnFull:          cfg.OnFull,
-		BatchTicks:      cfg.BatchTicks,
-		AdaptiveBatch:   cfg.AdaptiveBatch,
-		MaxBatchLatency: cfg.MaxBatchLatency,
-		Sink:            sink,
+		Queue:  cfg.Queue,
+		OnFull: cfg.OnFull,
+		Sink:   sink,
 	})
 	if err != nil {
 		sink.Close()
@@ -420,6 +407,12 @@ type ingestResult struct {
 	Error          string `json:"error,omitempty"`
 }
 
+// errUntaggedFlush answers POST /v1/ticks?flush=1 without an epoch on
+// a tagged-forwarding worker: the dispatch would hand the tagged sink
+// an untagged batch, which it refuses, and the ingestor would keep that
+// sink error for good. The ticks stay queued for the next epoch flush.
+var errUntaggedFlush = errors.New("tagged forwarding: flush=1 requires epoch=K")
+
 // ingestStatus maps a push error to its HTTP status. A body over the
 // limit is 413; anything but that, a closed ingestor or a full queue is
 // the request's fault, a wrong-width tick (stream.ErrTickWidth)
@@ -464,6 +457,8 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 			if epochStr != "" {
 				err = errors.New("epoch requires flush=1")
 			}
+		case epochStr == "" && s.cfg.ForwardSource != 0:
+			err = errUntaggedFlush
 		case epochStr != "":
 			// Epoch-stamped flush: the cluster wire protocol. The producer
 			// drives every dispatch with ?flush=1&epoch=K so each worker

@@ -36,10 +36,9 @@ func specJSON(names ...string) string {
 		strings.Join(offices, ", "))
 }
 
-// newTestServer stands up a Server over a temp spec file. The default
-// configuration is flush-driven dispatch (BatchTicks and
-// MaxBatchLatency zero), the deterministic mode the handler tests
-// rely on.
+// newTestServer stands up a Server over a temp spec file. Its 4096-tick
+// queues keep dispatch flush-driven, the deterministic mode the handler
+// tests rely on.
 func newTestServer(t testing.TB, spec string, mut ...func(*Config)) (*Server, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "fleet.json")
@@ -528,17 +527,15 @@ func TestEmptySpecPolicy(t *testing.T) {
 // one label (the per-office series).
 var promLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"\})? (-?[0-9.e+-]+|NaN)$`)
 
-// TestMetricsEndpoint is the /metrics contract test: the page parses
-// as Prometheus text exposition, and in a quiesced state (here: after
-// a drained Close) every exported counter equals the corresponding
-// Stats() number from the stream, segment and TCP layers.
-func TestMetricsEndpoint(t *testing.T) {
-	// A TCP drain stands in for the downstream tail/router tier.
+// discardListener is a TCP drain standing in for the downstream
+// tail/router tier; it returns the address to forward to.
+func discardListener(t *testing.T) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -548,11 +545,58 @@ func TestMetricsEndpoint(t *testing.T) {
 			go io.Copy(io.Discard, conn)
 		}
 	}()
+	return ln.Addr().String()
+}
 
+// TestWorkerRejectsUntaggedFlush: on a tagged-forwarding worker a
+// ?flush=1 without an epoch would hand the tagged sink an untagged
+// batch, which it refuses — and the ingestor would keep that sink error
+// for every later epoch flush. The stray flush is a 400 instead, and
+// its ticks stay queued for the next epoch flush.
+func TestWorkerRejectsUntaggedFlush(t *testing.T) {
+	forward := discardListener(t)
+	spec := `{"defaults": {"layout": "small", "sensors": 2}, "offices": [{"name": "a", "gid": 7}]}`
+	srv, _ := newTestServer(t, spec, func(c *Config) {
+		c.Forward = forward
+		c.ForwardSource = 1
+	})
+	goOnline(t, srv, "a")
+
+	src := rng.New(7)
+	body := rssiLines("a", 400, 0.5, src) + `{"office":"a","input":0}` + "\n" +
+		rssiLines("a", 50, 0.5, src) + rssiLines("a", 120, 6, src)
+	rr := post(srv, "/v1/ticks?flush=1", "", body)
+	if rr.Code != http.StatusBadRequest {
+		t.Fatalf("untagged flush: status %d, want 400: %s", rr.Code, rr.Body.String())
+	}
+	if res := decodeBody[ingestResult](t, rr); res.Error != errUntaggedFlush.Error() || res.AcceptedTicks != 570 {
+		t.Fatalf("untagged flush: %+v", res)
+	}
+	if got := srv.Ingestor().Stats().Batches; got != 0 {
+		t.Fatalf("untagged flush dispatched %d batches", got)
+	}
+
+	if rr := post(srv, "/v1/ticks?flush=1&epoch=1", "", ""); rr.Code != http.StatusOK {
+		t.Fatalf("epoch flush: status %d: %s", rr.Code, rr.Body.String())
+	}
+	if srv.Ingestor().Stats().Actions == 0 {
+		t.Fatal("the queued ticks produced no actions; the check is vacuous")
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestMetricsEndpoint is the /metrics contract test: the page parses
+// as Prometheus text exposition, and in a quiesced state (here: after
+// a drained Close) every exported counter equals the corresponding
+// Stats() number from the stream, segment and TCP layers.
+func TestMetricsEndpoint(t *testing.T) {
+	forward := discardListener(t)
 	segDir := t.TempDir()
 	srv, _ := newTestServer(t, specJSON("a", "b"), func(c *Config) {
 		c.SegmentDir = segDir
-		c.Forward = ln.Addr().String()
+		c.Forward = forward
 		c.Codec = wire.V1JSONL
 	})
 	goOnline(t, srv, "a")
@@ -719,8 +763,7 @@ func TestMetricsOfficeLabelEscaping(t *testing.T) {
 // membership churn (Stats.Retired folds removed offices' counters).
 func TestConcurrentTicksAndReload(t *testing.T) {
 	srv, path := newTestServer(t, specJSON("a", "b", "c", "d"), func(c *Config) {
-		c.BatchTicks = 8 // dispatch concurrently with the POSTers
-		c.Queue = 1024
+		c.Queue = 8 // full Block queues dispatch concurrently with the POSTers
 	})
 
 	specA := specJSON("a", "b", "c", "d")

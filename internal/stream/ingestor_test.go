@@ -237,9 +237,6 @@ func TestIngestorValidation(t *testing.T) {
 	if _, err := NewIngestor(testFleet(t, 1, 1), Config{Queue: -1}); err == nil {
 		t.Fatal("negative queue accepted")
 	}
-	if _, err := NewIngestor(testFleet(t, 1, 1), Config{Queue: 4, BatchTicks: 8}); err == nil {
-		t.Fatal("batch ticks above queue capacity accepted")
-	}
 	in, err := NewIngestor(testFleet(t, 1, 1), Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -312,24 +309,73 @@ func TestIngestorOnBatchTapSeesFullStream(t *testing.T) {
 	}
 }
 
-func TestIngestorBatchTicksAutoDispatch(t *testing.T) {
-	in, err := NewIngestor(testFleet(t, 1, 1), Config{Queue: 64, BatchTicks: 8})
+// TestIngestorStaysCallerDriven pins the dispatch contract: without a
+// Flush (and with room left in the queue), queued ticks wait
+// indefinitely.
+func TestIngestorStaysCallerDriven(t *testing.T) {
+	in, err := NewIngestor(testFleet(t, 1, 1), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer in.Close()
-	row := []float64{-60, -58}
-	for i := 0; i < 8; i++ {
-		if err := in.Push(0, row); err != nil {
+	if err := in.Push(0, []float64{-60, -58}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(120 * time.Millisecond)
+	if got := in.Stats().Offices[0].Dispatched; got != 0 {
+		t.Fatalf("tick dispatched without a flush: %d", got)
+	}
+	if err := in.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := in.Stats().Offices[0].Dispatched; got != 1 {
+		t.Fatalf("flush did not dispatch the tick: %d", got)
+	}
+}
+
+// TestIngestorBackpressureContentMatchesSynchronous: Block backpressure
+// puts batch boundaries wherever the scheduler lets the dispatcher in,
+// but never changes content — a single-office stream pushed with no
+// Flush must come out identical to the synchronous fleet run however
+// the batches fell.
+func TestIngestorBackpressureContentMatchesSynchronous(t *testing.T) {
+	const ticks = 400
+	batch, inputs := scenario(1, ticks)
+
+	syncFleet := testFleet(t, 1, 1)
+	want, err := syncFleet.RunBatch(batch, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("scenario produced no actions; the comparison is vacuous")
+	}
+
+	ring := NewRingSink(4096)
+	in, err := NewIngestor(testFleet(t, 1, 1), Config{Queue: 4, OnFull: Block, Sink: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for tIdx := 0; tIdx < ticks; tIdx++ {
+		for next < len(inputs) && inputs[next].Tick <= tIdx {
+			if err := in.PushInput(inputs[next].Office, inputs[next].Workstation); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		if err := in.Push(0, batch[0][tIdx]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for in.Stats().Offices[0].Dispatched < 8 {
-		if time.Now().After(deadline) {
-			t.Fatalf("auto-dispatch never ran: %+v", in.Stats().Offices[0])
-		}
-		time.Sleep(time.Millisecond)
+	if err := in.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := in.Stats().Batches; got < 2 {
+		t.Fatalf("%d batches: backpressure never dispatched before Close", got)
+	}
+	if got := ring.Actions(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("backpressure stream differs from synchronous: %d vs %d actions", len(got), len(want))
 	}
 }
 

@@ -38,14 +38,14 @@
 // officeQueue carries its own mutex (and space condition for Block
 // pushers), so producers feeding different offices never serialise
 // against each other on the hot Push path; membership is a copy-on-write
-// snapshot read via one atomic load, and queue depths, the live
-// auto-batch threshold and the dispatch totals are atomics. The
-// Ingestor-level mutex is reduced to the dispatcher's control state
-// (flush tickets, latency trigger, close, first error). Lock order is
-// officeQueue.mu before Ingestor.mu: Push signals the dispatcher while
-// holding its queue lock, and nothing acquires a queue lock while
-// holding the control lock — the dispatcher inspects queue state through
-// the atomics and takes queue locks only outside its control sections.
+// snapshot read via one atomic load, and queue depths and the dispatch
+// totals are atomics. The Ingestor-level mutex is reduced to the
+// dispatcher's control state (flush tickets, close, first error). Lock
+// order is officeQueue.mu before Ingestor.mu: a blocked Push signals the
+// dispatcher while holding its queue lock, and nothing acquires a queue
+// lock while holding the control lock — the dispatcher inspects queue
+// state through the atomics and takes queue locks only outside its
+// control sections.
 //
 // Elastic membership: offices are addressed by the fleet's stable IDs.
 // AddOffice registers the office with the fleet and creates its queue in
@@ -54,6 +54,12 @@
 // dispatched and their actions emitted through the sink as the office's
 // final flush — then retires the queue and removes the office from the
 // fleet, folding its counters into the retired totals of Stats.
+//
+// Dispatch: the dispatcher runs a cycle for exactly four reasons — a
+// Flush or FlushEpoch request, a Block-policy pusher out of queue space,
+// RemoveOffice's drain, and Close. Nothing else (no tick count, no
+// clock) starts one, so where batches fall is decided by the producer's
+// flushes, plus the Block backpressure points when a queue fills.
 //
 // Ordering and determinism: a dispatch cycle snapshots everything queued
 // and runs it as one fleet batch, so the sink observes the concatenation
@@ -70,7 +76,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fadewich/internal/core"
 	"fadewich/internal/engine"
@@ -151,32 +156,6 @@ type Config struct {
 	// OnFull is the backpressure policy applied by Push when an office's
 	// queue is full. The zero value is Block.
 	OnFull Policy
-	// BatchTicks, when positive, auto-dispatches as soon as any office
-	// has that many ticks queued, without waiting for a Flush. Leave it
-	// zero for strictly Flush-driven (deterministic) cadence.
-	BatchTicks int
-	// AdaptiveBatch, in free-running mode (BatchTicks > 0), scales the
-	// auto-dispatch threshold from the queue depth observed at each
-	// snapshot: a backlog of at least twice the threshold doubles it
-	// (larger batches amortise dispatch overhead when producers are
-	// ahead), a depth at or below half halves it (small batches favour
-	// latency when the stream is sparse), clamped to [BatchTicks,
-	// Queue]. BatchTicks is the floor and the starting point; requires
-	// BatchTicks > 0. Thresholds steer only *when* batches dispatch,
-	// never their content or per-office order. Pair it with
-	// MaxBatchLatency in free-running deployments: the threshold only
-	// decays at a dispatch, so once a burst has raised it, a stream
-	// that turns sparse (and never Flushes) needs the latency trigger
-	// as the backstop that keeps dispatching — and decaying — at all.
-	AdaptiveBatch bool
-	// MaxBatchLatency, when positive, bounds how long queued work may
-	// wait for a dispatch: a wall-clock trigger fires at most that long
-	// after the first tick (or input event) queued since the last
-	// dispatch, so idle or slow offices flush promptly without a
-	// caller-driven Flush or a filled BatchTicks threshold. Leave it zero
-	// for strictly caller-driven cadence. The trigger only affects *when*
-	// batches dispatch, never their content or order.
-	MaxBatchLatency time.Duration
 	// Sink, when non-nil, receives every dispatched batch of the merged
 	// action stream on the pump goroutine. The Ingestor owns the sink
 	// from this point: Close flushes and closes it.
@@ -191,8 +170,7 @@ type Config struct {
 // officeQueue is one office's bounded tick queue plus its counters. Each
 // queue has its own lock, so producers feeding different offices never
 // contend; depth and pendN mirror len(ticks) and len(pend) as atomics so
-// the dispatcher's wake-up predicates can scan the fleet without taking
-// any queue lock.
+// the dispatcher can scan the fleet without taking any queue lock.
 type officeQueue struct {
 	// width is the office's configured stream count, the sample count
 	// every pushed tick must have. Immutable after creation.
@@ -216,16 +194,8 @@ type officeQueue struct {
 	// retired marks a queue whose office has been removed (its counters
 	// folded into the retired totals): pushes fail, snapshots skip it.
 	retired bool
-	// thresholdHit latches the auto-dispatch wake-up: the first Push at
-	// or past the live threshold signals the dispatcher, later ones
-	// stay quiet until the next snapshot resets the latch — one control-
-	// mutex acquisition per office per dispatch cycle instead of one per
-	// queued tick. The dispatcher independently re-checks thresholdDue
-	// at the end of every cycle, so a threshold lowered mid-climb is
-	// still noticed.
-	thresholdHit bool
 	// depth and pendN mirror len(ticks) and len(pend) for the
-	// dispatcher's lock-free threshold/drain scans.
+	// dispatcher's lock-free drain scan.
 	depth atomic.Int64
 	pendN atomic.Int64
 	// free recycles dispatched (or evicted) sample slices back to Push,
@@ -280,14 +250,11 @@ type membership struct {
 // must only be changed through the Ingestor while it is open, and the
 // Fleet must not be driven directly.
 type Ingestor struct {
-	fleet      *engine.Fleet
-	queue      int
-	onFull     Policy
-	batchTicks int
-	adaptive   bool
-	maxLatency time.Duration
-	sink       Sink
-	onBatch    func([]engine.OfficeAction)
+	fleet   *engine.Fleet
+	queue   int
+	onFull  Policy
+	sink    Sink
+	onBatch func([]engine.OfficeAction)
 
 	// members is the copy-on-write membership snapshot; see membership.
 	members atomic.Pointer[membership]
@@ -295,17 +262,9 @@ type Ingestor struct {
 	closedFlag atomic.Bool
 	// needSpace counts Block-policy pushers waiting for a dispatch.
 	needSpace atomic.Int64
-	// effBatch is the live auto-dispatch threshold: fixed at batchTicks
-	// normally, scaled within [batchTicks, queue] under AdaptiveBatch.
-	effBatch atomic.Int64
 	// nBatches/nActions are the dispatch totals.
 	nBatches atomic.Uint64
 	nActions atomic.Uint64
-	// pendingNanos is the MaxBatchLatency clock: the UnixNano of the
-	// first tick or input event queued since the last dispatch, 0 when
-	// nothing is pending. Armed by a Push/PushInput CAS, cleared by the
-	// dispatcher just before it snapshots.
-	pendingNanos atomic.Int64
 
 	// mu is the control mutex: dispatcher wake-up and completion state
 	// only. Never acquire an officeQueue.mu while holding it (Push takes
@@ -327,10 +286,6 @@ type Ingestor struct {
 	// under the lock and stamps its pump hand-off with the epoch.
 	epochVal uint64
 	epochSet bool
-	// latencyDue is set by the latency goroutine when the oldest queued
-	// work has waited past MaxBatchLatency; the dispatcher treats it
-	// like a flush trigger.
-	latencyDue bool
 
 	// batchBuf/evsBuf are the dispatcher's reusable snapshot buffers;
 	// only the dispatcher goroutine touches them.
@@ -340,9 +295,6 @@ type Ingestor struct {
 	pumpCh         chan pumpItem
 	pumpDone       chan struct{}
 	dispatcherDone chan struct{}
-	latencyKick    chan struct{}
-	latencyStop    chan struct{}
-	latencyDone    chan struct{}
 }
 
 // NewIngestor wraps the fleet in an asynchronous ingestion layer and
@@ -359,27 +311,14 @@ func NewIngestor(fleet *engine.Fleet, cfg Config) (*Ingestor, error) {
 	if queue == 0 {
 		queue = DefaultQueue
 	}
-	if cfg.BatchTicks > queue {
-		return nil, fmt.Errorf("stream: batch ticks %d exceed queue capacity %d", cfg.BatchTicks, queue)
-	}
-	if cfg.AdaptiveBatch && cfg.BatchTicks <= 0 {
-		return nil, errors.New("stream: AdaptiveBatch needs BatchTicks > 0 as its floor")
-	}
-	if cfg.MaxBatchLatency < 0 {
-		return nil, fmt.Errorf("stream: negative max batch latency %v", cfg.MaxBatchLatency)
-	}
 	in := &Ingestor{
 		fleet:          fleet,
 		queue:          queue,
 		onFull:         cfg.OnFull,
-		batchTicks:     cfg.BatchTicks,
-		adaptive:       cfg.AdaptiveBatch,
-		maxLatency:     cfg.MaxBatchLatency,
 		sink:           cfg.Sink,
 		onBatch:        cfg.OnBatch,
 		dispatcherDone: make(chan struct{}),
 	}
-	in.effBatch.Store(int64(cfg.BatchTicks))
 	m := &membership{q: make(map[int]*officeQueue)}
 	for _, id := range fleet.IDs() {
 		oc, _ := fleet.Config(id)
@@ -393,12 +332,6 @@ func NewIngestor(fleet *engine.Fleet, cfg Config) (*Ingestor, error) {
 		in.pumpCh = make(chan pumpItem, 8)
 		in.pumpDone = make(chan struct{})
 		go in.pump()
-	}
-	if in.maxLatency > 0 {
-		in.latencyKick = make(chan struct{}, 1)
-		in.latencyStop = make(chan struct{})
-		in.latencyDone = make(chan struct{})
-		go in.latencyLoop()
 	}
 	go in.dispatch()
 	return in, nil
@@ -606,67 +539,7 @@ func (in *Ingestor) Push(office int, rssi []float64) error {
 	q.ticks = append(q.ticks, tick)
 	q.pushed++
 	q.depth.Add(1)
-	if in.batchTicks > 0 && !q.thresholdHit && int64(len(q.ticks)) >= in.effBatch.Load() {
-		q.thresholdHit = true
-		in.wakeDispatcher()
-	}
-	in.markPending()
 	return nil
-}
-
-// markPending starts the MaxBatchLatency clock on the first piece of
-// work queued since the last dispatch and wakes the latency goroutine to
-// re-arm its timer.
-func (in *Ingestor) markPending() {
-	if in.maxLatency <= 0 {
-		return
-	}
-	if in.pendingNanos.CompareAndSwap(0, time.Now().UnixNano()) {
-		select {
-		case in.latencyKick <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// latencyLoop is the MaxBatchLatency goroutine: it sleeps until the
-// oldest queued work crosses the latency bound, then flags the
-// dispatcher (latencyDue) exactly like a flush trigger. It holds no
-// state of its own beyond the timer; the pendingNanos clock is
-// authoritative.
-func (in *Ingestor) latencyLoop() {
-	defer close(in.latencyDone)
-	timer := time.NewTimer(in.maxLatency)
-	defer timer.Stop()
-	for {
-		select {
-		case <-in.latencyStop:
-			return
-		case <-in.latencyKick:
-		case <-timer.C:
-		}
-		if in.closedFlag.Load() {
-			return
-		}
-		wait := in.maxLatency
-		if ns := in.pendingNanos.Load(); ns != 0 {
-			wait = time.Until(time.Unix(0, ns).Add(in.maxLatency))
-			if wait <= 0 {
-				in.mu.Lock()
-				in.latencyDue = true
-				in.work.Signal()
-				in.mu.Unlock()
-				wait = in.maxLatency
-			}
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
-	}
 }
 
 // PushInput queues a keyboard/mouse notification for one office (by
@@ -693,7 +566,6 @@ func (in *Ingestor) PushInput(office, workstation int) error {
 	q.pend = append(q.pend, pendingInput{ws: workstation, seq: q.base + uint64(len(q.ticks))})
 	q.pendN.Add(1)
 	q.mu.Unlock()
-	in.markPending()
 	return nil
 }
 
@@ -853,10 +725,6 @@ func (in *Ingestor) Close() error {
 	}
 
 	<-in.dispatcherDone
-	if in.latencyStop != nil {
-		close(in.latencyStop)
-		<-in.latencyDone
-	}
 	if in.pumpCh != nil {
 		close(in.pumpCh)
 		<-in.pumpDone
@@ -898,10 +766,6 @@ type Stats struct {
 	// Batches counts dispatch cycles that delivered at least one tick or
 	// input event; Actions counts the merged actions they produced.
 	Batches, Actions uint64
-	// AutoBatchTicks is the live auto-dispatch threshold: Config.
-	// BatchTicks normally, its current adaptive scaling under
-	// AdaptiveBatch, 0 when auto-dispatch is off.
-	AutoBatchTicks int
 	// Dropped is the fleet-wide total of dropped/rejected ticks,
 	// including those of retired offices.
 	Dropped uint64
@@ -933,11 +797,10 @@ func (s Stats) Totals() OfficeStats {
 func (in *Ingestor) Stats() Stats {
 	in.mu.Lock()
 	st := Stats{
-		Retired:        in.retired,
-		Batches:        in.nBatches.Load(),
-		Actions:        in.nActions.Load(),
-		AutoBatchTicks: int(in.effBatch.Load()),
-		Dropped:        in.retired.Dropped,
+		Retired: in.retired,
+		Batches: in.nBatches.Load(),
+		Actions: in.nActions.Load(),
+		Dropped: in.retired.Dropped,
 	}
 	in.mu.Unlock()
 	st.Retired.Office = -1
@@ -960,17 +823,17 @@ func (in *Ingestor) Stats() Stats {
 }
 
 // dispatch is the dispatcher goroutine: it waits for work (a flush
-// request, a Block-policy pusher out of space, a BatchTicks threshold, a
-// MaxBatchLatency expiry, or Close), snapshots the queues into one fleet
+// request — Flush, FlushEpoch or RemoveOffice's drain — a Block-policy
+// pusher out of space, or Close), snapshots the queues into one fleet
 // batch, runs it, and hands the merged actions to the OnBatch tap and
-// the sink pump. Its wake-up predicates read only atomics (queue depths,
+// the sink pump. Its drain check reads only atomics (queue depths,
 // pending-input counts), so it takes no queue locks while holding the
 // control mutex.
 func (in *Ingestor) dispatch() {
 	defer close(in.dispatcherDone)
 	for {
 		in.mu.Lock()
-		for !in.closed && in.flushSeq == in.doneSeq && in.needSpace.Load() == 0 && !in.latencyDue && !in.thresholdDue() {
+		for !in.closed && in.flushSeq == in.doneSeq && in.needSpace.Load() == 0 {
 			in.work.Wait()
 		}
 		if in.closed && in.flushSeq == in.doneSeq && !in.anyQueued() {
@@ -980,11 +843,10 @@ func (in *Ingestor) dispatch() {
 		ticket := in.flushSeq
 		epoch, hasEpoch := in.epochVal, in.epochSet
 		in.epochSet = false
-		in.latencyDue = false
 		in.mu.Unlock()
 
 		m := in.members.Load()
-		batch, evs, n, maxDepth := in.takeSnapshot(m)
+		batch, evs, n := in.takeSnapshot(m)
 
 		var acts []engine.OfficeAction
 		var err error
@@ -1006,9 +868,6 @@ func (in *Ingestor) dispatch() {
 			in.nBatches.Add(1)
 			in.nActions.Add(uint64(len(acts)))
 		}
-		if in.adaptive && n > 0 {
-			in.effBatch.Store(int64(nextAutoBatch(int(in.effBatch.Load()), in.batchTicks, in.queue, maxDepth)))
-		}
 
 		in.mu.Lock()
 		if err != nil && in.err == nil {
@@ -1020,43 +879,6 @@ func (in *Ingestor) dispatch() {
 		in.done.Broadcast()
 		in.mu.Unlock()
 	}
-}
-
-// thresholdDue reports whether auto-dispatch is due: some office has
-// reached the live threshold (BatchTicks, or its adaptive scaling).
-// Reads only atomics; safe under the control mutex.
-func (in *Ingestor) thresholdDue() bool {
-	if in.batchTicks <= 0 {
-		return false
-	}
-	eff := in.effBatch.Load()
-	for _, q := range in.members.Load().q {
-		if q.depth.Load() >= eff {
-			return true
-		}
-	}
-	return false
-}
-
-// nextAutoBatch scales the auto-dispatch threshold from the queue depth
-// observed when a batch was snapshotted: a backlog of at least twice
-// the threshold means dispatches are falling behind arrivals (double
-// it), a depth at or below half means the stream is sparse (halve it,
-// favouring latency), anything between holds. Clamped to [floor, ceil].
-func nextAutoBatch(cur, floor, ceil, depth int) int {
-	switch {
-	case depth >= 2*cur:
-		cur *= 2
-	case depth <= cur/2:
-		cur /= 2
-	}
-	if cur < floor {
-		cur = floor
-	}
-	if cur > ceil {
-		cur = ceil
-	}
-	return cur
 }
 
 // anyQueued reports whether any ticks or input events are pending.
@@ -1078,11 +900,7 @@ func (in *Ingestor) anyQueued() bool {
 // surviving tick). Emptied queues wake their Block-policy pushers.
 // Retired queues are skipped. Only the dispatcher calls this (batchBuf/
 // evsBuf are its private scratch).
-func (in *Ingestor) takeSnapshot(m *membership) (batch []engine.OfficeBatch, evs []engine.InputEvent, n, maxDepth int) {
-	// Restart the latency clock before touching the queues: work pushed
-	// while the snapshot sweeps may or may not make this batch, so it
-	// must be allowed to re-arm the trigger.
-	in.pendingNanos.Store(0)
+func (in *Ingestor) takeSnapshot(m *membership) (batch []engine.OfficeBatch, evs []engine.InputEvent, n int) {
 	evs = in.evsBuf[:0]
 	batch = in.batchBuf[:0]
 	for _, id := range m.ids {
@@ -1091,10 +909,6 @@ func (in *Ingestor) takeSnapshot(m *membership) (batch []engine.OfficeBatch, evs
 		if q.retired {
 			q.mu.Unlock()
 			continue
-		}
-		q.thresholdHit = false
-		if len(q.ticks) > maxDepth {
-			maxDepth = len(q.ticks)
 		}
 		for _, pi := range q.pend {
 			tick := 0
@@ -1124,7 +938,7 @@ func (in *Ingestor) takeSnapshot(m *membership) (batch []engine.OfficeBatch, evs
 	}
 	in.evsBuf = evs
 	in.batchBuf = batch
-	return batch, evs, n, maxDepth
+	return batch, evs, n
 }
 
 // recycleBatch returns a dispatched snapshot's buffers to their office
