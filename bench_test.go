@@ -559,7 +559,7 @@ func BenchmarkFleetThroughput(b *testing.B) {
 			}
 			// One pre-generated quiet batch per office, reused every
 			// iteration: the benchmark measures delivery, not rng.
-			batch := make([][][]float64, offices)
+			batch := make([]engine.OfficeBatch, offices)
 			for o := range batch {
 				src := rng.New(uint64(o) + 1)
 				ticks := make([][]float64, batchTicks)
@@ -570,11 +570,11 @@ func BenchmarkFleetThroughput(b *testing.B) {
 					}
 					ticks[t] = row
 				}
-				batch[o] = ticks
+				batch[o] = engine.OfficeBatch{Office: o, Ticks: ticks}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := fleet.RunBatch(batch, nil); err != nil {
+				if _, err := fleet.Run(batch, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,11 +12,9 @@
 // The HTTP surface:
 //
 //	POST /v1/ticks    ingest tick JSONL ({"office":NAME,"rssi":[...]}
-//	                  or {"office":NAME,"input":WS}), bare or wrapped
-//	                  in CRC-checked wire frames
-//	                  (Content-Type: application/x-fadewich-frames);
-//	                  ?flush=1 dispatches the queued ticks immediately,
-//	                  ?flush=1&epoch=K stamps the dispatch with a
+//	                  or {"office":NAME,"input":WS}), at most 64 MiB
+//	                  per body; ?flush=1 dispatches the queued ticks
+//	                  immediately, ?flush=1&epoch=K stamps the dispatch with a
 //	                  cluster epoch (worker mode, where a flush must
 //	                  carry one)
 //	GET  /v1/actions  chunked wire-frame stream of every dispatched

@@ -115,7 +115,7 @@ type FleetConfig = engine.FleetConfig
 type OfficeAction = engine.OfficeAction
 
 // OfficeBatch is one office's tick payload for Fleet.Run, addressed by
-// stable office ID — the elastic alternative to the dense RunBatch.
+// stable office ID.
 type OfficeBatch = engine.OfficeBatch
 
 // InputEvent routes a keyboard/mouse notification to one office within a
@@ -315,13 +315,6 @@ type RFConfig = rf.Config
 // where a literal 0 means "use the default". See rf.Disable for the full
 // field list.
 const RFDisable = rf.Disable
-
-// Block is the columnar RSSI buffer of the block-based hot path: one
-// contiguous [ticks×streams] tick-major float64 buffer.
-// rf.Network.SampleBlock fills one, System.TickBlock ingests one, and
-// OfficeBatch.Block carries one through a Fleet — byte-identical to the
-// per-tick APIs, without the per-tick slice traffic.
-type Block = rf.Block
 
 // AgentConfig parameterises simulated user behaviour.
 type AgentConfig = agent.Config

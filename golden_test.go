@@ -73,10 +73,10 @@ func TestFleetActionStreamGolden(t *testing.T) {
 		if end > ticks {
 			end = ticks
 		}
-		batch := make([][][]float64, offices)
+		batch := make([]fadewich.OfficeBatch, offices)
 		var evs []fadewich.InputEvent
 		for o := range batch {
-			batch[o] = data[o][start:end]
+			batch[o] = fadewich.OfficeBatch{Office: o, Ticks: data[o][start:end]}
 			// Authenticate every workstation up front, then keep w0 alive
 			// with sparse office-staggered input so some sessions idle into
 			// the alert cascade and others cancel it.
@@ -89,7 +89,7 @@ func TestFleetActionStreamGolden(t *testing.T) {
 				evs = append(evs, fadewich.InputEvent{Office: o, Workstation: 0, Tick: 10 + o%20})
 			}
 		}
-		acts, err := fleet.RunBatch(batch, evs)
+		acts, err := fleet.Run(batch, evs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 
-	"fadewich/internal/block"
 	"fadewich/internal/control"
 	"fadewich/internal/kma"
 	"fadewich/internal/md"
@@ -163,8 +162,6 @@ type System struct {
 	// notifications cancelling alerts); they are delivered with the next
 	// Tick's result instead of being lost when the buffer resets.
 	interTick []Action
-	// blockActions accumulates the actions of one TickBlock call.
-	blockActions []Action
 }
 
 // pendingSample is a training window awaiting label resolution.
@@ -356,24 +353,6 @@ func (s *System) Tick(rssi []float64) []Action {
 		}
 	}
 	return s.actions
-}
-
-// TickBlock consumes every row of the block as consecutive ticks —
-// bit-identical to calling Tick once per row — and returns all actions
-// emitted across them in emission order. The block is the columnar
-// buffer filled by rf.Network.SampleBlock; each row is ingested straight
-// from the contiguous backing array, with no per-tick slice allocation
-// on either side. The returned slice is reused by the next TickBlock
-// call — copy it to retain. Input notifications follow the same rule as
-// with Tick: NotifyInput between TickBlock calls is delivered before the
-// next block's first row.
-func (s *System) TickBlock(b *block.Block) []Action {
-	out := s.blockActions[:0]
-	for t := 0; t < b.Ticks(); t++ {
-		out = append(out, s.Tick(b.Row(t))...)
-	}
-	s.blockActions = out
-	return out
 }
 
 // endWindow closes the current variation window: dismiss alerts that never

@@ -52,8 +52,9 @@ func TestFleetRunSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch, inputs := fleetScenario(offices, 8)
+	obs := officeBatches(batch)
 	run := func() {
-		if _, err := f.RunBatch(batch, inputs); err != nil {
+		if _, err := f.Run(obs, inputs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,6 +70,6 @@ func TestFleetRunSteadyStateAllocs(t *testing.T) {
 	// struct per office plus map, worklist, shard runs and merge
 	// temporaries — so the bound cleanly catches a regression to that.
 	if allocs > 48 {
-		t.Fatalf("Fleet.RunBatch allocates %.1f times per batch at %d offices, want <= 48", allocs, offices)
+		t.Fatalf("Fleet.Run allocates %.1f times per batch at %d offices, want <= 48", allocs, offices)
 	}
 }

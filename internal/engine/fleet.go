@@ -25,7 +25,6 @@ import (
 	"slices"
 	"sync"
 
-	"fadewich/internal/block"
 	"fadewich/internal/core"
 )
 
@@ -68,36 +67,12 @@ type InputEvent struct {
 
 // OfficeBatch is one office's tick payload for a Run call, addressed by
 // stable office ID. Each tick is one sample per stream of that office's
-// configuration (offices may have different stream counts).
-//
-// The payload comes in one of two forms: Ticks (one float64 slice per
-// tick) or Block (the contiguous columnar buffer filled by
-// rf.Network.SampleBlock, which takes precedence when both are set).
-// The two are interchangeable — a Block with the same values produces a
-// byte-identical action stream — but the Block form avoids the per-tick
-// slice headers and keeps delivery cache-friendly. The fleet only reads
-// the payload during the Run call; the caller may reuse the Block
+// configuration (offices may have different stream counts). The fleet
+// only reads the ticks during the Run call; the caller may reuse them
 // afterwards.
 type OfficeBatch struct {
 	Office int
 	Ticks  [][]float64
-	Block  *block.Block
-}
-
-// NumTicks returns the number of ticks the batch carries.
-func (ob *OfficeBatch) NumTicks() int {
-	if ob.Block != nil {
-		return ob.Block.Ticks()
-	}
-	return len(ob.Ticks)
-}
-
-// Row returns tick t's samples (one value per stream).
-func (ob *OfficeBatch) Row(t int) []float64 {
-	if ob.Block != nil {
-		return ob.Block.Row(t)
-	}
-	return ob.Ticks[t]
 }
 
 // officeState is one tenant: its stable ID, resolved configuration, the
@@ -112,10 +87,9 @@ type officeState struct {
 }
 
 // Fleet shards its member office Systems across a worker pool. All
-// methods are safe for concurrent use: batch delivery (Run, RunBatch,
-// Tick) serialises on an internal lock held for the whole batch, so
-// AddOffice/RemoveOffice calls from other goroutines always land at a
-// batch boundary.
+// methods are safe for concurrent use: batch delivery (Run) serialises
+// on an internal lock held for the whole batch, so AddOffice/RemoveOffice
+// calls from other goroutines always land at a batch boundary.
 type Fleet struct {
 	pool *Pool
 	def  core.Config // shared default office configuration
@@ -138,7 +112,6 @@ type Fleet struct {
 	shardRuns [][]OfficeAction
 	shardSc   []*mergeScratch
 	finalSc   mergeScratch
-	denseB    []OfficeBatch // RunBatch's dense-payload staging
 }
 
 // NewFleet builds the fleet with every initial office System in the
@@ -232,8 +205,7 @@ func (f *Fleet) Offices() int {
 	return len(f.active)
 }
 
-// IDs returns the stable IDs of the member offices in ascending order —
-// the order dense RunBatch/Tick payloads are interpreted in.
+// IDs returns the stable IDs of the member offices in ascending order.
 func (f *Fleet) IDs() []int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -271,15 +243,13 @@ func (f *Fleet) Config(id int) (core.Config, bool) {
 // DefaultConfig returns the fleet's shared default office configuration.
 func (f *Fleet) DefaultConfig() core.Config { return f.def }
 
-// NotifyInput routes a single input notification to one office (by ID)
-// between batches. Unknown offices are ignored. For inputs interleaved
-// with a batch's ticks, pass InputEvents to Run/RunBatch instead.
-func (f *Fleet) NotifyInput(office, workstation int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if st := f.byID[office]; st != nil {
-		st.sys.NotifyInput(workstation)
-	}
+// work is one office's share of a batch: its ticks plus its input
+// events.
+type work struct {
+	st    *officeState
+	ticks [][]float64
+	evs   []InputEvent
+	seen  bool // an OfficeBatch entry named this office
 }
 
 // Run delivers one batch to the named offices and returns the merged
@@ -305,19 +275,6 @@ func (f *Fleet) NotifyInput(office, workstation int) {
 func (f *Fleet) Run(batches []OfficeBatch, inputs []InputEvent) ([]OfficeAction, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.runLocked(batches, inputs)
-}
-
-// work is one office's share of a batch: its payload plus its input
-// events.
-type work struct {
-	st    *officeState
-	batch OfficeBatch
-	evs   []InputEvent
-	seen  bool // an OfficeBatch entry named this office
-}
-
-func (f *Fleet) runLocked(batches []OfficeBatch, inputs []InputEvent) ([]OfficeAction, error) {
 	// A batch routes through fleet-owned scratch: the work array is
 	// pre-sized to the worst case (one office per entry) so taking
 	// pointers into it is safe, the routing map is cleared in place, and
@@ -358,7 +315,7 @@ func (f *Fleet) runLocked(batches []OfficeBatch, inputs []InputEvent) ([]OfficeA
 			return nil, fmt.Errorf("engine: duplicate batch entry for office %d", ob.Office)
 		}
 		w.seen = true
-		w.batch = ob
+		w.ticks = ob.Ticks
 	}
 	for _, ev := range inputs {
 		w, err := lookup(ev.Office)
@@ -402,27 +359,17 @@ func (f *Fleet) runLocked(batches []OfficeBatch, inputs []InputEvent) ([]OfficeA
 		for _, w := range shard {
 			sys := w.st.sys
 			out := w.st.buf[:0]
-			if w.batch.Block != nil && len(w.evs) == 0 {
-				// Columnar fast path: no events to interleave, so the
-				// whole block ingests in one TickBlock call
-				// (bit-identical to the per-tick loop below).
-				for _, a := range sys.TickBlock(w.batch.Block) {
-					out = append(out, OfficeAction{Office: w.st.id, Action: a})
-				}
-				w.st.buf = out
-				continue
-			}
 			// evs is ordered by slice position; deliver all events with
 			// Tick <= t before tick t. Sort stably by tick so out-of-order
 			// caller input still lands deterministically.
 			slices.SortStableFunc(w.evs, func(a, b InputEvent) int { return a.Tick - b.Tick })
 			next := 0
-			for t, n := 0, w.batch.NumTicks(); t < n; t++ {
+			for t, row := range w.ticks {
 				for next < len(w.evs) && w.evs[next].Tick <= t {
 					sys.NotifyInput(w.evs[next].Workstation)
 					next++
 				}
-				for _, a := range sys.Tick(w.batch.Row(t)) {
+				for _, a := range sys.Tick(row) {
 					out = append(out, OfficeAction{Office: w.st.id, Action: a})
 				}
 			}
@@ -450,11 +397,10 @@ func (f *Fleet) runLocked(batches []OfficeBatch, inputs []InputEvent) ([]OfficeA
 	if err != nil {
 		return nil, err
 	}
-	// Drop payload references now that delivery is done, so the pooled
-	// work structs never pin a caller's Block or tick slices past the
-	// Run call.
+	// Drop tick references now that delivery is done, so the pooled
+	// work structs never pin a caller's tick slices past the Run call.
 	for i := range cache[:nw] {
-		cache[i].batch = OfficeBatch{}
+		cache[i].ticks = nil
 	}
 	if numShards == 1 {
 		return runs[0], nil // merged fresh by the shard task above
@@ -625,33 +571,6 @@ func shardSize(offices, workers int) int {
 		size = 1
 	}
 	return size
-}
-
-// RunBatch delivers a dense batch: ticks[i] holds the RSSI ticks of the
-// i-th member office in ascending-ID order (for a fleet that has seen no
-// churn, office IDs equal positions 0..N-1), and len(ticks) must equal
-// the current fleet size. Offices may supply different tick counts — each
-// System advances its own clock by its own count. See Run for the input
-// delivery and ordering contract; elastic callers that add and remove
-// offices mid-run should prefer the ID-addressed Run.
-func (f *Fleet) RunBatch(ticks [][][]float64, inputs []InputEvent) ([]OfficeAction, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(ticks) != len(f.active) {
-		return nil, fmt.Errorf("engine: batch has %d offices, fleet has %d", len(ticks), len(f.active))
-	}
-	if cap(f.denseB) < len(ticks) {
-		f.denseB = make([]OfficeBatch, len(ticks))
-	}
-	batches := f.denseB[:len(ticks)]
-	for i, st := range f.active {
-		batches[i] = OfficeBatch{Office: st.id, Ticks: ticks[i]}
-	}
-	out, err := f.runLocked(batches, inputs)
-	for i := range batches {
-		batches[i] = OfficeBatch{} // don't pin the caller's tick slices
-	}
-	return out, err
 }
 
 // mergeRuns k-way-merges action runs into one fresh slice. Every input

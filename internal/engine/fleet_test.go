@@ -41,6 +41,16 @@ func fleetScenario(offices, ticks int) (batch [][][]float64, inputs []InputEvent
 	return batch, inputs
 }
 
+// officeBatches addresses ticks[i] to office ID i: the batch layout of a
+// fleet that has seen no churn.
+func officeBatches(ticks [][][]float64) []OfficeBatch {
+	obs := make([]OfficeBatch, len(ticks))
+	for i, t := range ticks {
+		obs[i] = OfficeBatch{Office: i, Ticks: t}
+	}
+	return obs
+}
+
 // runFleet drives one scenario through a fleet with the given worker
 // count and returns the merged action stream.
 func runFleet(t *testing.T, offices, workers, ticks int) []OfficeAction {
@@ -70,7 +80,7 @@ func runFleet(t *testing.T, offices, workers, ticks int) []OfficeAction {
 				evs = append(evs, ev)
 			}
 		}
-		acts, err := f.RunBatch(sub, evs)
+		acts, err := f.Run(officeBatches(sub), evs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +200,7 @@ func TestFleetRetainedBatchNeverMutated(t *testing.T) {
 				evs = append(evs, ev)
 			}
 		}
-		acts, err := f.RunBatch(sub, evs)
+		acts, err := f.Run(officeBatches(sub), evs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,24 +227,21 @@ func TestFleetInputRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.NotifyInput(1, 0)
-	f.NotifyInput(-1, 0) // ignored, must not panic
-	f.NotifyInput(99, 0)
+	if _, err := f.Run(nil, []InputEvent{{Office: 1, Workstation: 0}}); err != nil {
+		t.Fatal(err)
+	}
 	if f.System(0).Authenticated(0) || !f.System(1).Authenticated(0) || f.System(2).Authenticated(0) {
-		t.Fatal("NotifyInput routed to the wrong office")
+		t.Fatal("input event routed to the wrong office")
 	}
 }
 
-func TestFleetRunBatchValidation(t *testing.T) {
+func TestFleetRunInputValidation(t *testing.T) {
 	f, err := NewFleet(fleetCfg(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.RunBatch(make([][][]float64, 3), nil); err == nil {
-		t.Fatal("office-count mismatch accepted")
-	}
 	batch := [][][]float64{{{-60, -60}}, {{-60, -60}}}
-	if _, err := f.RunBatch(batch, []InputEvent{{Office: 5}}); err == nil {
+	if _, err := f.Run(officeBatches(batch), []InputEvent{{Office: 5}}); err == nil {
 		t.Fatal("out-of-range input office accepted")
 	}
 }
@@ -244,7 +251,7 @@ func TestFleetTickSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.RunBatch([][][]float64{{{-60, -60}}, {{-61, -59}}}, nil); err != nil {
+	if _, err := f.Run(officeBatches([][][]float64{{{-60, -60}}, {{-61, -59}}}), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.System(0).Now(); got != 0.2 {
@@ -418,12 +425,15 @@ func TestFleetMembershipLifecycle(t *testing.T) {
 		t.Fatal("removed office still reachable")
 	}
 
-	// Dense delivery maps positions onto the surviving ascending IDs.
-	if _, err := f.RunBatch([][][]float64{{row}, {row}}, nil); err != nil {
+	// Delivery addresses the surviving, non-contiguous IDs.
+	if _, err := f.Run([]OfficeBatch{
+		{Office: 0, Ticks: [][]float64{row}},
+		{Office: 2, Ticks: [][]float64{row}},
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.System(2).Now(); got != 0.2 {
-		t.Fatalf("joiner clock %.1f after one dense batch, want 0.2", got)
+		t.Fatalf("joiner clock %.1f after one batch, want 0.2", got)
 	}
 
 	// A later join must not reuse the retired ID.

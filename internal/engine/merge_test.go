@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 
 	"fadewich/internal/core"
-	"fadewich/internal/rf"
 	"fadewich/internal/rng"
 )
 
@@ -62,7 +60,7 @@ func runFleetOnce(t *testing.T, offices, workers int) []OfficeAction {
 					InputEvent{Office: o, Workstation: 1, Tick: 0})
 			}
 		}
-		acts, err := f.RunBatch(batch, evs)
+		acts, err := f.Run(officeBatches(batch), evs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,66 +226,6 @@ func TestShardSizeHeuristic(t *testing.T) {
 	for _, c := range cases {
 		if got := shardSize(c.offices, c.workers); got != c.want {
 			t.Fatalf("shardSize(%d, %d) = %d, want %d", c.offices, c.workers, got, c.want)
-		}
-	}
-}
-
-// TestBlockBatchMatchesTicks checks an OfficeBatch carrying a columnar
-// Block produces a byte-identical stream to the same payload as per-tick
-// slices.
-func TestBlockBatchMatchesTicks(t *testing.T) {
-	const (
-		offices = 4
-		streams = 6
-		ticks   = 400
-	)
-	run := func(useBlock, withEvents bool) []OfficeAction {
-		f, err := NewFleet(FleetConfig{
-			Offices: offices,
-			System:  core.Config{Streams: streams, Workstations: 2},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var evs []InputEvent
-		batches := make([]OfficeBatch, offices)
-		for o := 0; o < offices; o++ {
-			rows := noisyBatch(o, ticks, streams)
-			if useBlock {
-				blk := new(rf.Block)
-				blk.Reset(len(rows), streams)
-				for t2, row := range rows {
-					copy(blk.Row(t2), row)
-				}
-				batches[o] = OfficeBatch{Office: o, Block: blk}
-			} else {
-				batches[o] = OfficeBatch{Office: o, Ticks: rows}
-			}
-			if withEvents {
-				evs = append(evs, InputEvent{Office: o, Workstation: 0, Tick: 0})
-			} else {
-				// Authenticate between batches instead, so the Run call
-				// itself carries no events and blocks take the TickBlock
-				// fast path.
-				f.NotifyInput(o, 0)
-			}
-		}
-		acts, err := f.Run(batches, evs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return acts
-	}
-	// With input events a block batch walks the per-tick loop; without
-	// them it takes the TickBlock fast path. Both must match the
-	// per-tick-slices stream byte for byte.
-	for _, withEvents := range []bool{true, false} {
-		ref, got := run(false, withEvents), run(true, withEvents)
-		if len(ref) == 0 {
-			t.Fatal("no actions emitted; the equivalence test is vacuous")
-		}
-		if fmt.Sprint(ref) != fmt.Sprint(got) {
-			t.Fatalf("withEvents=%v: block batch diverged from per-tick batch:\n%v\nvs\n%v", withEvents, got, ref)
 		}
 	}
 }

@@ -1,16 +1,13 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,16 +18,6 @@ import (
 	"fadewich/internal/stream"
 	"fadewich/internal/wire"
 )
-
-// ContentTypeFrames is the POST /v1/ticks content type selecting the
-// wire-framed transport: the body is a sequence of CRC-checked raw
-// frames (wire.AppendRawFrame, codec byte V1JSONL) whose payloads are
-// tick JSONL. Any other content type is read as bare tick JSONL.
-const ContentTypeFrames = "application/x-fadewich-frames"
-
-// DefaultSubscriberBuffer is the per-/v1/actions-connection frame
-// buffer when Config.SubscriberBuffer is zero.
-const DefaultSubscriberBuffer = 256
 
 // DefaultMaintainEvery is the segment-maintenance pass interval when
 // Config.MaintainEvery is zero.
@@ -91,10 +78,6 @@ type Config struct {
 	// offices all carry gids. The tagged sink refuses untagged batches,
 	// so POST /v1/ticks rejects ?flush=1 without an epoch.
 	ForwardSource uint8
-	// SubscriberBuffer is each /v1/actions connection's in-flight frame
-	// budget; a consumer further behind is dropped (0 selects
-	// DefaultSubscriberBuffer).
-	SubscriberBuffer int
 	// AllowEmpty accepts a spec with zero offices, at startup and on
 	// reload. Worker mode sets it: a coordinator-assigned shard may
 	// legitimately be empty (the hash owes this worker nothing right
@@ -438,17 +421,11 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var res ingestResult
-	var err error
 	// A training POST carries one window of every office's ticks (about
-	// 17 MB for 128 offices); the framed path's payload limit, 64 MiB,
-	// bounds both transports.
+	// 17 MB for 128 offices); the body is bounded at the wire layer's
+	// 64 MiB payload limit.
 	body := http.MaxBytesReader(w, r.Body, wire.MaxPayloadBytes)
-	ct := r.Header.Get("Content-Type")
-	if ct == ContentTypeFrames || strings.HasPrefix(ct, ContentTypeFrames+";") {
-		err = s.ingestFrames(body, &res)
-	} else {
-		err = s.ingestJSONL(body, &res)
-	}
+	err := s.ingestJSONL(body, &res)
 	if err == nil {
 		q := r.URL.Query()
 		epochStr := q.Get("epoch")
@@ -484,29 +461,6 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, res)
 }
 
-// ingestFrames pushes a body of wire-framed tick JSONL: each
-// CRC-checked frame's payload is one JSONL chunk. A torn or corrupt
-// frame rejects the remainder; everything pushed from earlier frames
-// stays accepted.
-func (s *Server) ingestFrames(body io.Reader, res *ingestResult) error {
-	dec := wire.NewDecoder(body)
-	for frameNo := 1; ; frameNo++ {
-		v, payload, err := dec.DecodeRaw()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("frame %d: %w", frameNo, err)
-		}
-		if v != wire.V1JSONL {
-			return fmt.Errorf("frame %d: unsupported tick codec %v (ticks are JSONL, codec v1)", frameNo, v)
-		}
-		if err := s.ingestJSONL(bytes.NewReader(payload), res); err != nil {
-			return fmt.Errorf("frame %d: %w", frameNo, err)
-		}
-	}
-}
-
 func (s *Server) handleActions(w http.ResponseWriter, r *http.Request) {
 	codec := wire.V1JSONL
 	if q := r.URL.Query().Get("codec"); q != "" && q != "1" {
@@ -530,11 +484,10 @@ func (s *Server) handleActions(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
-	buffer := s.cfg.SubscriberBuffer
-	if buffer == 0 {
-		buffer = DefaultSubscriberBuffer
-	}
-	sub, err := s.bcast.Subscribe(codec, compress, buffer)
+	// subscriberBuffer is each connection's in-flight frame budget; a
+	// consumer further behind is dropped.
+	const subscriberBuffer = 256
+	sub, err := s.bcast.Subscribe(codec, compress, subscriberBuffer)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return

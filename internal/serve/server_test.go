@@ -58,13 +58,9 @@ func newTestServer(t testing.TB, spec string, mut ...func(*Config)) (*Server, st
 }
 
 // post runs one request through the server's mux.
-func post(srv *Server, target, contentType, body string) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, target, strings.NewReader(body))
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
+func post(srv *Server, target, body string) *httptest.ResponseRecorder {
 	rr := httptest.NewRecorder()
-	srv.ServeHTTP(rr, req)
+	srv.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, target, strings.NewReader(body)))
 	return rr
 }
 
@@ -148,7 +144,7 @@ func TestTicksJSONL(t *testing.T) {
 	srv, _ := newTestServer(t, specJSON("a", "b"))
 	src := rng.New(1)
 	body := rssiLines("a", 3, 0.5, src) + `{"office":"b","input":1}` + "\n"
-	rr := post(srv, "/v1/ticks?flush=1", "", body)
+	rr := post(srv, "/v1/ticks?flush=1", body)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
 	}
@@ -179,7 +175,7 @@ func TestTicksJSONL(t *testing.T) {
 func TestTicksErrors(t *testing.T) {
 	srv, _ := newTestServer(t, specJSON("a"))
 
-	rr := post(srv, "/v1/ticks", "", `{"office":"zzz","rssi":[1,2]}`+"\n")
+	rr := post(srv, "/v1/ticks", `{"office":"zzz","rssi":[1,2]}`+"\n")
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("unknown office: status %d", rr.Code)
 	}
@@ -190,7 +186,7 @@ func TestTicksErrors(t *testing.T) {
 
 	// A failing line keeps everything before it accepted.
 	body := `{"office":"a","rssi":[1,2]}` + "\n" + `{"office":"a"}` + "\n"
-	rr = post(srv, "/v1/ticks", "", body)
+	rr = post(srv, "/v1/ticks", body)
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("empty record: status %d", rr.Code)
 	}
@@ -199,33 +195,22 @@ func TestTicksErrors(t *testing.T) {
 		t.Fatalf("partial accept %+v", res)
 	}
 
-	// A wrong-width tick is refused before it is queued, on the JSONL and
-	// the framed path alike; lines before it stay accepted and the daemon
-	// keeps dispatching.
+	// A wrong-width tick is refused before it is queued; lines before it
+	// stay accepted and the daemon keeps dispatching.
 	body = `{"office":"a","rssi":[1,2]}` + "\n" + `{"office":"a","rssi":[1,2,3]}` + "\n"
-	rr = post(srv, "/v1/ticks?flush=1", "", body)
+	rr = post(srv, "/v1/ticks?flush=1", body)
 	res = decodeBody[ingestResult](t, rr)
 	if rr.Code != http.StatusBadRequest || res.AcceptedTicks != 1 ||
 		!strings.Contains(res.Error, "line 2") || !strings.Contains(res.Error, "got 3 samples, want 2") {
 		t.Fatalf("wrong-width JSONL: status %d result %+v", rr.Code, res)
 	}
-	frame, err := wire.AppendRawFrame(nil, wire.V1JSONL, []byte(`{"office":"a","rssi":[1]}`+"\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr = post(srv, "/v1/ticks?flush=1", ContentTypeFrames, string(frame))
-	res = decodeBody[ingestResult](t, rr)
-	if rr.Code != http.StatusBadRequest || res.AcceptedTicks != 0 ||
-		!strings.Contains(res.Error, "frame 1: line 1") || !strings.Contains(res.Error, "got 1 samples, want 2") {
-		t.Fatalf("wrong-width frame: status %d result %+v", rr.Code, res)
-	}
-	rr = post(srv, "/v1/ticks?flush=1", "", `{"office":"a","rssi":[1,2]}`+"\n")
+	rr = post(srv, "/v1/ticks?flush=1", `{"office":"a","rssi":[1,2]}`+"\n")
 	if res := decodeBody[ingestResult](t, rr); rr.Code != http.StatusOK || !res.Flushed {
 		t.Fatalf("flush after wrong-width rejections: status %d result %+v", rr.Code, res)
 	}
 
 	srv.Close()
-	rr = post(srv, "/v1/ticks", "", `{"office":"a","rssi":[1,2]}`+"\n")
+	rr = post(srv, "/v1/ticks", `{"office":"a","rssi":[1,2]}`+"\n")
 	if rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("post-close status %d", rr.Code)
 	}
@@ -282,7 +267,7 @@ func TestTicksParseContract(t *testing.T) {
 	srv, _ := newTestServer(t, specJSON("a"))
 	for _, tc := range tickParseCases {
 		t.Run(tc.name, func(t *testing.T) {
-			rr := post(srv, "/v1/ticks", "", tc.line+"\n")
+			rr := post(srv, "/v1/ticks", tc.line+"\n")
 			res := decodeBody[ingestResult](t, rr)
 			if rr.Code != tc.status || res.AcceptedTicks != tc.ticks ||
 				res.AcceptedInputs != tc.inputs || res.Error != tc.err {
@@ -291,51 +276,6 @@ func TestTicksParseContract(t *testing.T) {
 					tc.status, tc.ticks, tc.inputs, tc.err)
 			}
 		})
-	}
-}
-
-func TestTicksFrames(t *testing.T) {
-	srv, _ := newTestServer(t, specJSON("a"))
-	line := `{"office":"a","rssi":[-60,-61]}` + "\n"
-
-	frames, err := wire.AppendRawFrame(nil, wire.V1JSONL, []byte(line+line))
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames, err = wire.AppendRawFrame(frames, wire.V1JSONL, []byte(line))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr := post(srv, "/v1/ticks?flush=1", ContentTypeFrames, string(frames))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
-	}
-	if res := decodeBody[ingestResult](t, rr); res.AcceptedTicks != 3 {
-		t.Fatalf("result %+v", res)
-	}
-
-	// A corrupt second frame rejects the remainder but keeps frame 1.
-	bad := append([]byte(nil), frames...)
-	bad[len(bad)-3] ^= 0x40 // inside the second frame's CRC
-	rr = post(srv, "/v1/ticks", ContentTypeFrames, string(bad))
-	if rr.Code != http.StatusBadRequest {
-		t.Fatalf("corrupt frame: status %d", rr.Code)
-	}
-	res := decodeBody[ingestResult](t, rr)
-	if res.AcceptedTicks != 2 || !strings.Contains(res.Error, "frame 2") {
-		t.Fatalf("corrupt-frame result %+v", res)
-	}
-
-	// Tick frames must be JSONL-coded; the binary action codec is not a
-	// tick transport.
-	v2, err := wire.AppendRawFrame(nil, wire.V2Binary, []byte(line))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr = post(srv, "/v1/ticks", ContentTypeFrames, string(v2))
-	res = decodeBody[ingestResult](t, rr)
-	if rr.Code != http.StatusBadRequest || !strings.Contains(res.Error, "codec") {
-		t.Fatalf("v2 tick frame: status %d result %+v", rr.Code, res)
 	}
 }
 
@@ -390,7 +330,7 @@ func TestActionsStream(t *testing.T) {
 		rssiLines("a", 120, 6, src),       // sustained movement → alert path
 	}
 	for i, body := range steps {
-		if rr := post(srv, "/v1/ticks?flush=1", "", body); rr.Code != http.StatusOK {
+		if rr := post(srv, "/v1/ticks?flush=1", body); rr.Code != http.StatusOK {
 			t.Fatalf("step %d: status %d: %s", i, rr.Code, rr.Body.String())
 		}
 	}
@@ -425,7 +365,7 @@ func TestTrainEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t, specJSON("a", "b"))
 	goOnline(t, srv, "a")
 
-	rr := post(srv, "/v1/train", "", "")
+	rr := post(srv, "/v1/train", "")
 	if rr.Code != http.StatusConflict {
 		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
 	}
@@ -438,7 +378,7 @@ func TestTrainEndpoint(t *testing.T) {
 	}
 
 	srv.Close()
-	if rr := post(srv, "/v1/train", "", ""); rr.Code != http.StatusServiceUnavailable {
+	if rr := post(srv, "/v1/train", ""); rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("post-close status %d", rr.Code)
 	}
 }
@@ -447,7 +387,7 @@ func TestReloadEndpoint(t *testing.T) {
 	srv, path := newTestServer(t, specJSON("a", "b"))
 
 	os.WriteFile(path, []byte(specJSON("a", "b", "c")), 0o644)
-	rr := post(srv, "/v1/reload", "", "")
+	rr := post(srv, "/v1/reload", "")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
 	}
@@ -458,7 +398,7 @@ func TestReloadEndpoint(t *testing.T) {
 
 	// An invalid revision reports the failure and keeps the fleet.
 	os.WriteFile(path, []byte(`{broken`), 0o644)
-	rr = post(srv, "/v1/reload", "", "")
+	rr = post(srv, "/v1/reload", "")
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("invalid spec: status %d", rr.Code)
 	}
@@ -469,7 +409,7 @@ func TestReloadEndpoint(t *testing.T) {
 
 	// So does an unreadable spec file.
 	os.Remove(path)
-	rr = post(srv, "/v1/reload", "", "")
+	rr = post(srv, "/v1/reload", "")
 	res = decodeBody[reloadResult](t, rr)
 	if rr.Code != http.StatusBadRequest || !strings.Contains(res.Error, "read spec") {
 		t.Fatalf("missing file: status %d result %+v", rr.Code, res)
@@ -499,7 +439,7 @@ func TestEmptySpecPolicy(t *testing.T) {
 
 	// Offices hash in: the reload populates the empty fleet.
 	os.WriteFile(specPath, []byte(specJSON("a", "b")), 0o644)
-	rr := post(srv, "/v1/reload", "", "")
+	rr := post(srv, "/v1/reload", "")
 	res := decodeBody[reloadResult](t, rr)
 	if rr.Code != http.StatusOK || res.LiveOffices != 2 || res.Error != "" {
 		t.Fatalf("reload into empty fleet: status %d result %+v", rr.Code, res)
@@ -507,7 +447,7 @@ func TestEmptySpecPolicy(t *testing.T) {
 
 	// ...and out again: the shard may legitimately empty.
 	os.WriteFile(specPath, []byte(empty), 0o644)
-	rr = post(srv, "/v1/reload", "", "")
+	rr = post(srv, "/v1/reload", "")
 	res = decodeBody[reloadResult](t, rr)
 	if rr.Code != http.StatusOK || res.LiveOffices != 0 || res.Error != "" {
 		t.Fatalf("reload to empty shard: status %d result %+v", rr.Code, res)
@@ -516,7 +456,7 @@ func TestEmptySpecPolicy(t *testing.T) {
 	// A single-process daemon reloading to empty keeps its fleet.
 	single, singlePath := newTestServer(t, specJSON("a", "b"))
 	os.WriteFile(singlePath, []byte(empty), 0o644)
-	rr = post(single, "/v1/reload", "", "")
+	rr = post(single, "/v1/reload", "")
 	res = decodeBody[reloadResult](t, rr)
 	if rr.Code != http.StatusBadRequest || res.LiveOffices != 2 || !strings.Contains(res.Error, "no offices") {
 		t.Fatalf("reload to empty without AllowEmpty: status %d result %+v", rr.Code, res)
@@ -565,7 +505,7 @@ func TestWorkerRejectsUntaggedFlush(t *testing.T) {
 	src := rng.New(7)
 	body := rssiLines("a", 400, 0.5, src) + `{"office":"a","input":0}` + "\n" +
 		rssiLines("a", 50, 0.5, src) + rssiLines("a", 120, 6, src)
-	rr := post(srv, "/v1/ticks?flush=1", "", body)
+	rr := post(srv, "/v1/ticks?flush=1", body)
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("untagged flush: status %d, want 400: %s", rr.Code, rr.Body.String())
 	}
@@ -576,7 +516,7 @@ func TestWorkerRejectsUntaggedFlush(t *testing.T) {
 		t.Fatalf("untagged flush dispatched %d batches", got)
 	}
 
-	if rr := post(srv, "/v1/ticks?flush=1&epoch=1", "", ""); rr.Code != http.StatusOK {
+	if rr := post(srv, "/v1/ticks?flush=1&epoch=1", ""); rr.Code != http.StatusOK {
 		t.Fatalf("epoch flush: status %d: %s", rr.Code, rr.Body.String())
 	}
 	if srv.Ingestor().Stats().Actions == 0 {
@@ -609,7 +549,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		rssiLines("a", 120, 6, src),
 		rssiLines("b", 10, 0.5, src), // a training-phase tenant rides along
 	} {
-		if rr := post(srv, "/v1/ticks?flush=1", "", body); rr.Code != http.StatusOK {
+		if rr := post(srv, "/v1/ticks?flush=1", body); rr.Code != http.StatusOK {
 			t.Fatalf("step %d: status %d: %s", i, rr.Code, rr.Body.String())
 		}
 	}
@@ -740,7 +680,7 @@ var officePushedLine = regexp.MustCompile(`(?m)^fadewich_office_pushed_ticks_tot
 func TestMetricsOfficeLabelEscaping(t *testing.T) {
 	const name = "q\"b\\s\té"
 	srv, _ := newTestServer(t, specJSON(name))
-	if rr := post(srv, "/v1/ticks?flush=1", "", rssiLines(name, 5, 0.5, rng.New(3))); rr.Code != http.StatusOK {
+	if rr := post(srv, "/v1/ticks?flush=1", rssiLines(name, 5, 0.5, rng.New(3))); rr.Code != http.StatusOK {
 		t.Fatalf("ticks: status %d: %s", rr.Code, rr.Body.String())
 	}
 	page := get(srv, "/metrics").Body.String()
@@ -784,7 +724,7 @@ func TestConcurrentTicksAndReload(t *testing.T) {
 			<-start
 			for i := 0; i < 40; i++ {
 				office := union[(p+i)%len(union)]
-				rr := post(srv, "/v1/ticks", "", rssiLines(office, 4, 0.5, src))
+				rr := post(srv, "/v1/ticks", rssiLines(office, 4, 0.5, src))
 				var res ingestResult
 				if err := json.Unmarshal(rr.Body.Bytes(), &res); err != nil {
 					t.Errorf("producer %d: response %q: %v", p, rr.Body.String(), err)
@@ -804,7 +744,7 @@ func TestConcurrentTicksAndReload(t *testing.T) {
 		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if rr := post(srv, "/v1/reload", "", ""); rr.Code != http.StatusOK {
+		if rr := post(srv, "/v1/reload", ""); rr.Code != http.StatusOK {
 			t.Fatalf("reload %d: status %d: %s", i, rr.Code, rr.Body.String())
 		}
 	}
@@ -814,7 +754,7 @@ func TestConcurrentTicksAndReload(t *testing.T) {
 	if err := os.WriteFile(path, []byte(specA), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if rr := post(srv, "/v1/reload", "", ""); rr.Code != http.StatusOK {
+	if rr := post(srv, "/v1/reload", ""); rr.Code != http.StatusOK {
 		t.Fatalf("final reload: status %d: %s", rr.Code, rr.Body.String())
 	}
 	if err := srv.Ingestor().Flush(); err != nil {

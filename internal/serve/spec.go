@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"fadewich/internal/core"
@@ -92,9 +93,10 @@ type ResolvedOffice struct {
 	GID int
 }
 
-// ParseSpec decodes a fleet spec from JSON. Unknown fields are
-// rejected — a typo in an operator-maintained file must fail loudly,
-// not silently configure nothing.
+// ParseSpec decodes a fleet spec from JSON. Unknown fields and anything
+// but whitespace after the spec object are rejected — a typo in an
+// operator-maintained file must fail loudly, not silently configure
+// nothing.
 func ParseSpec(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -102,8 +104,7 @@ func ParseSpec(data []byte) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("serve: fleet spec: %w", err)
 	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err == nil || len(trailing) > 0 {
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("serve: fleet spec: trailing data after the spec object")
 	}
 	return &s, nil

@@ -39,6 +39,23 @@ func TestParseSpecRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsTrailingGarbage covers tails that are not a
+// JSON value of their own: a stray token, a closing delimiter, a comma,
+// an unterminated value. Only whitespace may follow the spec object.
+func TestParseSpecRejectsTrailingGarbage(t *testing.T) {
+	const spec = `{"offices": [{"name": "hq"}]}`
+	for _, tail := range []string{" xyz", " }", ",", " [", "\n{}"} {
+		if _, err := ParseSpec([]byte(spec + tail)); err == nil {
+			t.Errorf("spec with tail %q accepted", tail)
+		}
+	}
+	for _, tail := range []string{"", "\n", " \t\r\n "} {
+		if _, err := ParseSpec([]byte(spec + tail)); err != nil {
+			t.Errorf("spec with whitespace tail %q rejected: %v", tail, err)
+		}
+	}
+}
+
 func TestParseSpecRejectsGarbage(t *testing.T) {
 	if _, err := ParseSpec([]byte(`not json`)); err == nil {
 		t.Fatal("garbage parsed")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -70,24 +71,53 @@ func window(batch [][][]float64, inputs []engine.InputEvent, start, end int) ([]
 	return sub, evs
 }
 
-// pushWindow feeds one window through the ingestor via PushOffices.
-// sub[i] holds office i's ticks: the test fleets see no churn, so
-// office IDs equal positions.
+// officeBatches addresses sub[i] to office ID i: the test fleets see no
+// churn, so office IDs equal positions.
+func officeBatches(sub [][][]float64) []engine.OfficeBatch {
+	obs := make([]engine.OfficeBatch, len(sub))
+	for i := range sub {
+		obs[i] = engine.OfficeBatch{Office: i, Ticks: sub[i]}
+	}
+	return obs
+}
+
+// pushWindow feeds one window through the ingestor's Push and PushInput
+// in the order Fleet.Run delivers the same batch: per office, its events
+// stable-sorted by Tick, each before the tick it names, and the rest
+// after the office's last tick.
 func pushWindow(t *testing.T, in *Ingestor, sub [][][]float64, evs []engine.InputEvent) {
 	t.Helper()
-	batches := make([]engine.OfficeBatch, len(sub))
-	for i := range sub {
-		batches[i] = engine.OfficeBatch{Office: i, Ticks: sub[i]}
-	}
-	if err := in.PushOffices(batches, evs); err != nil {
-		t.Fatal(err)
+	for o, ticks := range sub {
+		var own []engine.InputEvent
+		for _, ev := range evs {
+			if ev.Office == o {
+				own = append(own, ev)
+			}
+		}
+		slices.SortStableFunc(own, func(a, b engine.InputEvent) int { return a.Tick - b.Tick })
+		for tk, row := range ticks {
+			for len(own) > 0 && own[0].Tick <= tk {
+				if err := in.PushInput(o, own[0].Workstation); err != nil {
+					t.Fatal(err)
+				}
+				own = own[1:]
+			}
+			if err := in.Push(o, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, ev := range own {
+			if err := in.PushInput(o, ev.Workstation); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
 // TestIngestorMatchesSynchronousFleet is the acceptance check: with a
 // RingSink attached, a 64-office fleet driven through the Ingestor
 // (Flush at the same boundaries) produces a sink stream byte-identical
-// to the synchronous RunBatch action stream for the same seed.
+// to the synchronous Fleet.Run action stream for the same seed.
 func TestIngestorMatchesSynchronousFleet(t *testing.T) {
 	const offices, ticks, windowTicks = 64, 260, 77
 	batch, inputs := scenario(offices, ticks)
@@ -98,7 +128,7 @@ func TestIngestorMatchesSynchronousFleet(t *testing.T) {
 	for start := 0; start < ticks; start += windowTicks {
 		end := min(start+windowTicks, ticks)
 		sub, evs := window(batch, inputs, start, end)
-		acts, err := syncFleet.RunBatch(sub, evs)
+		acts, err := syncFleet.Run(officeBatches(sub), evs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +373,7 @@ func TestIngestorBackpressureContentMatchesSynchronous(t *testing.T) {
 	batch, inputs := scenario(1, ticks)
 
 	syncFleet := testFleet(t, 1, 1)
-	want, err := syncFleet.RunBatch(batch, inputs)
+	want, err := syncFleet.Run(officeBatches(batch), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

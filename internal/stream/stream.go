@@ -22,7 +22,7 @@
 //	      ├──► Config.OnBatch (synchronous tap)
 //	      ▼
 //	pump goroutine ──► Sink.Write (LogSink / TCPSink / SegmentSink /
-//	                               RingSink / Multi)
+//	                               RingSink / NewEncodeOnceSink fan-out)
 //
 // Backpressure: every office has its own queue, so one slow or bursty
 // office fills only its own queue and cannot stall ingestion for the
@@ -566,75 +566,6 @@ func (in *Ingestor) PushInput(office, workstation int) error {
 	q.pend = append(q.pend, pendingInput{ws: workstation, seq: q.base + uint64(len(q.ticks))})
 	q.pendN.Add(1)
 	q.mu.Unlock()
-	return nil
-}
-
-// PushOffices feeds one pre-assembled, ID-addressed fleet batch through
-// the queues exactly as Fleet.Run would consume it: per office, every
-// input event with Tick <= t is delivered before tick t (ties in slice
-// order), trailing events after the office's last tick; events whose
-// office has no batch entry are delivered after that office's queued
-// ticks. The per-office backpressure policy applies to every tick
-// pushed. Pushing the same batches and calling Flush at the same
-// boundaries as synchronous Run calls yields a byte-identical action
-// stream.
-func (in *Ingestor) PushOffices(batches []engine.OfficeBatch, evs []engine.InputEvent) error {
-	// Validate membership upfront so a bad batch or event office rejects
-	// the call before any tick is queued, rather than failing mid-push
-	// with half the batch already ingested.
-	if in.closedFlag.Load() {
-		return ErrClosed
-	}
-	m := in.members.Load()
-	seen := make(map[int]bool, len(batches))
-	for _, ob := range batches {
-		if m.q[ob.Office] == nil {
-			return fmt.Errorf("%w (office %d)", ErrUnknownOffice, ob.Office)
-		}
-		if seen[ob.Office] {
-			return fmt.Errorf("stream: duplicate batch entry for office %d", ob.Office)
-		}
-		seen[ob.Office] = true
-	}
-	for _, ev := range evs {
-		if m.q[ev.Office] == nil {
-			return fmt.Errorf("stream: input event: %w (office %d)", ErrUnknownOffice, ev.Office)
-		}
-	}
-
-	for _, ob := range batches {
-		var evsO []engine.InputEvent
-		for _, ev := range evs {
-			if ev.Office == ob.Office {
-				evsO = append(evsO, ev)
-			}
-		}
-		sort.SliceStable(evsO, func(a, b int) bool { return evsO[a].Tick < evsO[b].Tick })
-		next := 0
-		for t, n := 0, ob.NumTicks(); t < n; t++ {
-			for next < len(evsO) && evsO[next].Tick <= t {
-				if err := in.PushInput(ob.Office, evsO[next].Workstation); err != nil {
-					return err
-				}
-				next++
-			}
-			if err := in.Push(ob.Office, ob.Row(t)); err != nil {
-				return err
-			}
-		}
-		for ; next < len(evsO); next++ {
-			if err := in.PushInput(ob.Office, evsO[next].Workstation); err != nil {
-				return err
-			}
-		}
-	}
-	for _, ev := range evs {
-		if !seen[ev.Office] {
-			if err := in.PushInput(ev.Office, ev.Workstation); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 

@@ -310,11 +310,11 @@ func AppendTaggedFrame(dst []byte, v Version, tag Tag, batch []engine.OfficeActi
 // AppendRawFrame appends one complete frame carrying an opaque payload
 // under the given version byte. The framing (magic, version, flags,
 // length, CRC32C trailer) is identical to AppendFrame's, but the
-// payload bytes are the caller's: this is how transports reuse the
-// torn/corrupt taxonomy for content that is not an action batch — the
-// serve daemon's tick-ingest POST bodies carry tick JSONL this way.
-// The version byte still has to name a known codec; it describes the
-// payload's text-vs-binary convention to whoever decodes it.
+// payload bytes are the caller's. It is the uncompressed form of
+// AppendRawFrameCompressed, the segment compactor's rewrite primitive;
+// DecodeRaw reads either back. The version byte still has to name a
+// known codec; it describes the payload's text-vs-binary convention to
+// whoever decodes it.
 func AppendRawFrame(dst []byte, v Version, payload []byte) ([]byte, error) {
 	if !v.valid() {
 		return dst, fmt.Errorf("%w %d", ErrVersion, uint8(v))

@@ -277,7 +277,7 @@ func TestJSONLTimePrecision(t *testing.T) {
 }
 
 // TestRawFrameRoundTrip covers the payload-agnostic framing that the
-// serve daemon's tick-ingest transport uses: AppendRawFrame must emit
+// segment compactor rewrites through: AppendRawFrame must emit
 // the exact frame geometry of AppendFrame, DecodeRaw must hand back
 // the payload bytes untouched, and the two decode entry points must
 // interoperate (a raw frame whose payload happens to be action JSONL
