@@ -8,7 +8,10 @@
 package md
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"fadewich/internal/stats"
 )
@@ -105,18 +108,21 @@ const (
 // Detector is the online movement detector. Feed it one tick of stream
 // samples at a time with Push. Not safe for concurrent use.
 type Detector struct {
-	cfg        Config
-	dt         float64
-	rolling    []*stats.RollingStd
-	profile    []float64 // FIFO of s_t values forming the normal profile
-	kde        *stats.KDE
-	threshold  float64
-	queue      []float64 // batch queue Q of Algorithm 1
-	queueAnom  int       // anomalous values in the queue
-	warmup     []float64 // s_t values collected during initialisation
-	warmTicks  int
-	ticks      int
-	thresholds int // number of threshold recomputations (diagnostics)
+	cfg     Config
+	dt      float64
+	rolling []*stats.RollingStd
+	profile []float64 // FIFO of s_t values forming the normal profile; nil during warm-up
+	// sorted holds the profile's values in profileCmp order, kept in
+	// step with the FIFO so a refit need not sort. spare is the buffer
+	// the next merge writes into, and evicted holds the values one
+	// accepted batch pushes out of the FIFO.
+	sorted, spare, evicted []float64
+	threshold              float64
+	queue                  []float64 // batch queue Q of Algorithm 1
+	queueAnom              int       // anomalous values in the queue
+	warmup                 []float64 // s_t values collected during initialisation
+	warmTicks              int
+	ticks                  int
 	// accepted counts batches merged since the last refit, implementing
 	// RefitEvery.
 	accepted int
@@ -173,23 +179,28 @@ func (d *Detector) Push(samples []float64) (State, float64) {
 	for i, x := range samples {
 		d.rolling[i].Push(x)
 	}
-	d.ticks++
 	st := d.SumStd()
+	return d.observe(st), st
+}
 
-	if d.kde == nil {
+// observe runs one tick's statistic s_t through warm-up or the batched
+// profile update and returns the tick's state.
+func (d *Detector) observe(st float64) State {
+	d.ticks++
+	if d.profile == nil {
 		d.warmup = append(d.warmup, st)
 		if d.ticks >= d.warmTicks {
 			d.initProfile()
 		}
-		return StateWarmup, st
+		return StateWarmup
 	}
 
 	anomalous := st >= d.threshold
 	d.enqueue(st, anomalous)
 	if anomalous {
-		return StateAnomalous, st
+		return StateAnomalous
 	}
-	return StateNormal, st
+	return StateNormal
 }
 
 // PushInt8 is Push for quantised traces, avoiding a caller-side conversion
@@ -211,6 +222,8 @@ func (d *Detector) initProfile() {
 		skip = len(d.warmup) / 2
 	}
 	d.profile = append(d.profile, d.warmup[skip:]...)
+	d.sorted = append(d.sorted, d.profile...)
+	sortProfile(d.sorted)
 	d.warmup = nil
 	d.refit()
 }
@@ -227,9 +240,18 @@ func (d *Detector) enqueue(st float64, anomalous bool) {
 	frac := float64(d.queueAnom) / float64(len(d.queue))
 	if frac < d.cfg.Tau {
 		d.profile = append(d.profile, d.queue...)
+		d.evicted = d.evicted[:0]
 		if over := len(d.profile) - d.cfg.MaxProfile; over > 0 {
+			// The evicted values may include some of this batch's
+			// (MaxProfile < BatchSize), and more than a batch's worth
+			// when the initial profile exceeds MaxProfile.
+			d.evicted = append(d.evicted, d.profile[:over]...)
 			d.profile = d.profile[over:]
 		}
+		// The queue is reset below, so it is sorted in place.
+		sortProfile(d.queue)
+		sortProfile(d.evicted)
+		d.sorted, d.spare = mergeProfile(d.spare[:0], d.sorted, d.queue, d.evicted), d.sorted
 		d.accepted++
 		if d.accepted >= d.cfg.RefitEvery {
 			d.accepted = 0
@@ -242,21 +264,69 @@ func (d *Detector) enqueue(st float64, anomalous bool) {
 
 // refit re-estimates the profile KDE and the anomaly threshold.
 func (d *Detector) refit() {
-	kde, err := stats.NewKDE(d.profile, d.cfg.KDEBandwidth)
+	kde, err := stats.NewKDESorted(d.sorted, d.cfg.KDEBandwidth)
 	if err != nil {
-		// Profile can only be empty before initProfile; keep the previous
-		// threshold in that impossible case.
-		return
+		// initProfile leaves at least one value, and every update keeps
+		// d.sorted in order: only a bug gets here.
+		panic("md: refit: " + err.Error())
 	}
-	d.kde = kde
 	d.threshold = kde.Percentile(100 - d.cfg.Alpha)
-	d.thresholds++
 }
 
-// KDE returns the current profile density estimate (nil during warm-up).
-// The caller must not retain it across Push calls if it needs a stable
-// snapshot — refits replace it.
-func (d *Detector) KDE() *stats.KDE { return d.kde }
+// profileCmp orders s_t values as sort.Float64s does (NaNs first, then
+// ascending) and breaks that order's ties, ±0 and NaNs, by bit pattern.
+// Every order it gives is one sort.Float64s may give, and two values
+// compare equal only when they are identical, so a merge can drop an
+// evicted value by comparison alone.
+func profileCmp(a, b float64) int {
+	if c := cmp.Compare(a, b); c != 0 {
+		return c
+	}
+	return cmp.Compare(math.Float64bits(a), math.Float64bits(b))
+}
+
+// sortProfile sorts xs in profileCmp order.
+func sortProfile(xs []float64) {
+	slices.Sort(xs) // sort.Float64s order
+	// Only ±0 and NaNs tie there without being identical.
+	if _, zero := slices.BinarySearch(xs, 0); zero || len(xs) > 0 && math.IsNaN(xs[0]) {
+		slices.SortFunc(xs, profileCmp)
+	}
+}
+
+// mergeProfile appends to dst, in profileCmp order, the values of the
+// sorted profile old and the sorted batch add less the sorted values
+// evict, which must all occur in old or add. It is one linear pass.
+func mergeProfile(dst, old, add, evict []float64) []float64 {
+	i, j := 0, 0
+	for i < len(old) || j < len(add) {
+		var v float64
+		if j == len(add) || i < len(old) && profileLessEq(old[i], add[j]) {
+			v, i = old[i], i+1
+		} else {
+			v, j = add[j], j+1
+		}
+		// Equal under profileCmp means identical bits.
+		if len(evict) > 0 && math.Float64bits(v) == math.Float64bits(evict[0]) {
+			evict = evict[1:]
+			continue
+		}
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// profileLessEq is profileCmp(a, b) <= 0, without the call for two
+// distinct numbers.
+func profileLessEq(a, b float64) bool {
+	switch {
+	case a < b:
+		return true
+	case b < a:
+		return false
+	}
+	return profileCmp(a, b) <= 0
+}
 
 // Window is a variation window: a maximal anomalous interval, in ticks.
 type Window struct {

@@ -1,9 +1,14 @@
 package md
 
 import (
+	"bytes"
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"fadewich/internal/rng"
+	"fadewich/internal/stats"
 )
 
 // synthStreams builds numStreams quiet Gaussian streams of n ticks, then
@@ -227,7 +232,7 @@ func TestDetectorWarmup(t *testing.T) {
 		}
 	}
 	det.Push(buf)
-	if det.KDE() == nil {
+	if det.ProfileSize() == 0 {
 		t.Fatal("profile not initialised after warm-up")
 	}
 	if det.Threshold() == 0 {
@@ -298,4 +303,123 @@ func TestSubsetRestrictsAnalysis(t *testing.T) {
 	if n := len(FilterWindows(resAll.Windows, 0.2, 4.0)); n == 0 {
 		t.Fatal("full set missed the burst")
 	}
+}
+
+// FuzzDetectorProfile feeds s_t streams straight into the batched
+// profile update, under the default config, a small dt (the initial
+// profile exceeds MaxProfile) and MaxProfile < BatchSize. Each input
+// byte picks one value: small steps with many duplicates, large values
+// whose runs get batches rejected, ±Inf, NaNs of either sign and −0.
+// After every tick the sorted profile must hold the FIFO's values in
+// sort.Float64s order, and the threshold must be, bit for bit, what
+// stats.NewKDE over the FIFO gave at the last refit.
+func FuzzDetectorProfile(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 5, 8, 13, 21, 34, 55})
+	f.Add([]byte{7, 7, 7, 9, 9, 0, 0, 252, 7, 7, 7, 7})
+	f.Add(append(bytes.Repeat([]byte{10, 20, 30, 40}, 30), bytes.Repeat([]byte{220}, 60)...))
+	f.Add([]byte{4, 240, 8, 244, 12, 248, 16, 252, 0, 230, 231, 232})
+	f.Add([]byte{248, 250})
+	configs := []struct {
+		cfg Config
+		dt  float64
+	}{
+		{Config{}, 0.2},
+		{Config{}, 0.04},
+		{Config{MaxProfile: 25}, 0.2},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		for _, c := range configs {
+			d, err := NewDetector(c.cfg, 1, c.dt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.cfg.RefitEvery < 2 {
+				t.Fatal("refits are told apart by accepted falling; need RefitEvery >= 2")
+			}
+			var fifo []float64 // sort.Float64s of the FIFO
+			var want float64
+			for i := 0; i < d.warmTicks+1000; i++ {
+				warm, accepted := d.profile == nil, d.accepted
+				d.observe(profileValue(data[i%len(data)], i/len(data)))
+				if d.profile == nil {
+					continue
+				}
+				// The FIFO changes only when warm-up ends or a batch
+				// completes; sorting it only then keeps the fuzzer fast.
+				if warm || len(d.queue) == 0 {
+					fifo = append(fifo[:0], d.profile...)
+					sort.Float64s(fifo)
+					if !sameBits(d.sorted, fifo) {
+						t.Fatalf("dt %v MaxProfile %d tick %d: sorted profile holds other bit patterns than the FIFO",
+							c.dt, d.cfg.MaxProfile, i)
+					}
+				}
+				if !sameOrder(d.sorted, fifo) {
+					t.Fatalf("dt %v MaxProfile %d tick %d: sorted profile %v, want %v",
+						c.dt, d.cfg.MaxProfile, i, d.sorted, fifo)
+				}
+				if warm || d.accepted < accepted {
+					kde, err := stats.NewKDE(d.profile, d.cfg.KDEBandwidth)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = kde.Percentile(100 - d.cfg.Alpha)
+				}
+				// Which NaN a NaN threshold carries depends on the
+				// order sort.Float64s leaves NaNs in, which it does not
+				// define.
+				if got := d.Threshold(); math.Float64bits(got) != math.Float64bits(want) &&
+					!(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("dt %v MaxProfile %d tick %d: threshold %v, stats.NewKDE gives %v",
+						c.dt, d.cfg.MaxProfile, i, got, want)
+				}
+			}
+		}
+	})
+}
+
+// profileValue maps a fuzz byte, on the given pass over the input, to
+// an s_t value.
+func profileValue(b byte, pass int) float64 {
+	switch {
+	case b < 200:
+		return float64(b%64)/4 + float64(pass%3)
+	case b < 240:
+		return 100 + float64(b)
+	case b < 244:
+		return math.Inf(1)
+	case b < 248:
+		return math.Inf(-1)
+	case b < 250:
+		return math.NaN()
+	case b < 252:
+		return math.Copysign(math.NaN(), -1)
+	}
+	return math.Copysign(0, -1)
+}
+
+// sameOrder reports whether got equals want, a sort.Float64s result,
+// up to the order of values sort.Float64s treats as equal: ±0, and
+// NaNs.
+func sameOrder(got, want []float64) bool {
+	return slices.EqualFunc(got, want, func(a, b float64) bool {
+		return a == b || math.IsNaN(a) && math.IsNaN(b)
+	})
+}
+
+// sameBits reports whether a and b hold the same multiset of bit
+// patterns.
+func sameBits(a, b []float64) bool {
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		slices.Sort(out)
+		return out
+	}
+	return slices.Equal(bits(a), bits(b))
 }

@@ -230,6 +230,11 @@ var tickParseCases = []struct {
 	{"canonical input", `{"office":"a","input":1}`, 200, 0, 1, ""},
 	{"whitespace", " { \"office\" :\t\"a\" , \"rssi\" : [ -6.05E+1 , -0 ] } ", 200, 1, 0, ""},
 	{"exponents", `{"office":"a","rssi":[1e-3,-2.5e+2]}`, 200, 1, 0, ""},
+	{"integer zeros", `{"office":"a","rssi":[-0,0]}`, 200, 1, 0, ""},
+	{"integer dBm", `{"office":"a","rssi":[-128,-67.0]}`, 200, 1, 0, ""},
+	{"15-digit integers", `{"office":"a","rssi":[999999999999999,-123456789012345]}`, 200, 1, 0, ""},
+	{"16-digit integers", `{"office":"a","rssi":[9007199254740993,1E2]}`, 200, 1, 0, ""},
+	{"20-digit integer", `{"office":"a","rssi":[-99999999999999999999,1]}`, 200, 1, 0, ""},
 	{"reordered keys", `{"rssi":[1,2],"office":"a"}`, 200, 1, 0, ""},
 	{"case-variant key", `{"Office":"a","rssi":[1,2]}`, 200, 1, 0, ""},
 	{"unknown field", `{"office":"a","rssi":[1,2],"extra":{"x":[true]}}`, 200, 1, 0, ""},

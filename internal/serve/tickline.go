@@ -13,8 +13,8 @@ import (
 //
 // with any JSON whitespace, are scanned directly; every other line goes
 // through encoding/json, which also produces every parse error. Numbers
-// go through the same strconv calls encoding/json makes, so both paths
-// yield identical records.
+// go through the same strconv calls encoding/json makes, except short
+// integer samples (see sample), so both paths yield identical records.
 //
 // A decoded record borrows the decoder's storage: RSSI and Input are
 // valid until the next decode. Ingestor.Push copies the samples, so a
@@ -60,7 +60,7 @@ func (d *tickDecoder) scan(line []byte, rec *tickLine) bool {
 		rssi := d.rssi[:0]
 		if !s.consume(']') {
 			for {
-				v, err := strconv.ParseFloat(string(s.number()), 64)
+				v, err := sample(s.number())
 				if err != nil {
 					return false
 				}
@@ -86,6 +86,31 @@ func (d *tickDecoder) scan(line []byte, rec *tickLine) bool {
 		return false
 	}
 	return s.consume('}') && s.end()
+}
+
+// sample converts a literal that number returned to float64. Producers
+// send integer dBm, so an integer of at most 15 digits, which float64
+// holds exactly, is converted directly; "-0" gives −0, as from
+// strconv.ParseFloat. Every other literal goes through
+// strconv.ParseFloat.
+func sample(num []byte) (float64, error) {
+	neg := len(num) > 0 && num[0] == '-'
+	ds := num
+	if neg {
+		ds = num[1:]
+	}
+	if len(ds) == 0 || len(ds) > 15 || digits(ds, 0) < len(ds) {
+		return strconv.ParseFloat(string(num), 64)
+	}
+	var n int64
+	for _, c := range ds {
+		n = n*10 + int64(c-'0')
+	}
+	v := float64(n)
+	if neg {
+		v = -v
+	}
+	return v, nil
 }
 
 // tickScanner walks a line byte by byte. Every method skips the JSON

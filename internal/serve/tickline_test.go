@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,10 +17,11 @@ import (
 )
 
 // ingestBody renders a POST /v1/ticks body shaped like a producer's:
-// per step, one tick line for each office, samples written as the
-// shortest text of float32-valued float64s (17 significant digits for
-// most), and an input line ahead of every 16th tick.
-func ingestBody(names []string, steps, streams int, src *rng.Source) (body []byte, lines int) {
+// per step, one tick line for each office and an input line ahead of
+// every 16th tick. Samples are integer dBm when intDBm is set, as every
+// producer in the repository sends them, and otherwise the shortest
+// text of float32-valued float64s (17 significant digits for most).
+func ingestBody(names []string, steps, streams int, src *rng.Source, intDBm bool) (body []byte, lines int) {
 	for step := 0; step < steps; step++ {
 		for i, name := range names {
 			if (step*len(names)+i)%16 == 0 {
@@ -36,8 +39,12 @@ func ingestBody(names []string, steps, streams int, src *rng.Source) (body []byt
 				if k > 0 {
 					body = append(body, ',')
 				}
-				v := float64(float32(-60 + src.Normal(0, 3)))
-				body = strconv.AppendFloat(body, v, 'g', -1, 64)
+				v := -60 + src.Normal(0, 3)
+				if intDBm {
+					body = strconv.AppendInt(body, int64(math.Round(v)), 10)
+				} else {
+					body = strconv.AppendFloat(body, float64(float32(v)), 'g', -1, 64)
+				}
 			}
 			body = append(body, "]}\n"...)
 			lines++
@@ -48,16 +55,18 @@ func ingestBody(names []string, steps, streams int, src *rng.Source) (body []byt
 
 // FuzzTickJSONL checks the direct scanner against encoding/json: any
 // line, canonical or not, must decode to the same error, and without
-// an error to a deep-equal record (nil RSSI and Input included). Each
-// line is decoded after a canonical one, so a record that keeps stale
-// scratch storage shows up too.
+// an error to an equal record (see sameRecord). Each line is decoded
+// after a canonical one, so a record that keeps stale scratch storage
+// shows up too.
 func FuzzTickJSONL(f *testing.F) {
 	for _, tc := range tickParseCases {
 		f.Add([]byte(tc.line))
 	}
-	body, _ := ingestBody([]string{"office-000"}, 1, 12, rng.New(7))
-	for _, line := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
-		f.Add(line)
+	for _, intDBm := range []bool{false, true} {
+		body, _ := ingestBody([]string{"office-000"}, 1, 12, rng.New(7), intDBm)
+		for _, line := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
+			f.Add(line)
+		}
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var d tickDecoder
@@ -75,10 +84,23 @@ func FuzzTickJSONL(f *testing.F) {
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("%q: error %v, encoding/json %v", line, err, wantErr)
 		}
-		if err == nil && !reflect.DeepEqual(got, want) {
+		if err == nil && !sameRecord(got, want) {
 			t.Fatalf("%q: decoded %#v, encoding/json %#v", line, got, want)
 		}
 	})
+}
+
+// sameRecord reports whether a and b are deep-equal, nil RSSI and Input
+// included, with the RSSI samples compared by bit pattern, so that −0
+// and +0 differ.
+func sameRecord(a, b tickLine) bool {
+	if (a.RSSI == nil) != (b.RSSI == nil) || !slices.EqualFunc(a.RSSI, b.RSSI, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	}) {
+		return false
+	}
+	a.RSSI, b.RSSI = nil, nil
+	return reflect.DeepEqual(a, b)
 }
 
 // BenchmarkIngestJSONL measures the daemon's tick-JSONL ingest: line
@@ -99,7 +121,7 @@ func BenchmarkIngestJSONL(b *testing.B) {
 		c.Queue = 64
 		c.OnFull = stream.DropOldest
 	})
-	body, lines := ingestBody(names, 32, 12, rng.New(7))
+	body, lines := ingestBody(names, 32, 12, rng.New(7), false)
 
 	var res ingestResult
 	if err := srv.ingestJSONL(bytes.NewReader(body), &res); err != nil {
@@ -124,8 +146,19 @@ func BenchmarkIngestJSONL(b *testing.B) {
 
 // BenchmarkIngestJSONLTraining measures the same ingest on a body
 // shaped like one training POST: 128 offices × 500 steps of 12 RSSI
-// streams (about 17 MB), so the body is decoded in many chunks at once.
+// streams, so the body is decoded in many chunks at once. Sub-benchmark
+// float32 writes float32-valued samples (about 17 MB); int-dbm writes
+// the integer dBm producers send (about 4 MB).
 func BenchmarkIngestJSONLTraining(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		intDBm bool
+	}{{"float32", false}, {"int-dbm", true}} {
+		b.Run(bc.name, func(b *testing.B) { benchmarkIngestJSONLTraining(b, bc.intDBm) })
+	}
+}
+
+func benchmarkIngestJSONLTraining(b *testing.B, intDBm bool) {
 	names := make([]string, 128)
 	specNames := make([]string, len(names))
 	for i := range names {
@@ -137,7 +170,7 @@ func BenchmarkIngestJSONLTraining(b *testing.B) {
 		c.Queue = 64
 		c.OnFull = stream.DropOldest
 	})
-	body, lines := ingestBody(names, 500, 12, rng.New(7))
+	body, lines := ingestBody(names, 500, 12, rng.New(7), intDBm)
 
 	var res ingestResult
 	if err := srv.ingestJSONL(bytes.NewReader(body), &res); err != nil {

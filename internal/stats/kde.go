@@ -6,9 +6,13 @@ import (
 	"sort"
 )
 
-// ErrEmptyDistribution is returned when a KDE or ECDF is requested over no
+// ErrEmptyDistribution is returned when a KDE is requested over no
 // observations.
 var ErrEmptyDistribution = errors.New("stats: empty distribution")
+
+// ErrUnsorted is returned by NewKDESorted for samples not in
+// sort.Float64s order.
+var ErrUnsorted = errors.New("stats: samples not sorted")
 
 // KDE is a Gaussian kernel density estimate over a one-dimensional sample,
 // exactly the construction Section IV-C1 of the paper uses for the MD
@@ -35,6 +39,20 @@ func NewKDE(samples []float64, bandwidth float64) (*KDE, error) {
 	sorted := make([]float64, len(samples))
 	copy(sorted, samples)
 	sort.Float64s(sorted)
+	return NewKDESorted(sorted, bandwidth)
+}
+
+// NewKDESorted is NewKDE over samples already in sort.Float64s order
+// (ascending, NaNs first). The KDE uses samples in place: the caller
+// must not change them while it uses the KDE. It returns ErrUnsorted,
+// after an O(n) check, for samples out of order.
+func NewKDESorted(sorted []float64, bandwidth float64) (*KDE, error) {
+	if len(sorted) == 0 {
+		return nil, ErrEmptyDistribution
+	}
+	if !sort.Float64sAreSorted(sorted) {
+		return nil, ErrUnsorted
+	}
 	if bandwidth <= 0 {
 		bandwidth = silvermanSorted(sorted)
 	}
@@ -270,34 +288,3 @@ func (k *KDE) Samples() []float64 {
 	copy(out, k.samples)
 	return out
 }
-
-// ECDF is an empirical cumulative distribution function.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF over samples. It returns ErrEmptyDistribution when
-// samples is empty.
-func NewECDF(samples []float64) (*ECDF, error) {
-	if len(samples) == 0 {
-		return nil, ErrEmptyDistribution
-	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	return &ECDF{sorted: sorted}, nil
-}
-
-// At returns the fraction of observations <= x.
-func (e *ECDF) At(x float64) float64 {
-	idx := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(e.sorted))
-}
-
-// Percentile returns the p-th percentile (0..100) of the sample.
-func (e *ECDF) Percentile(p float64) float64 {
-	return percentileSorted(e.sorted, p)
-}
-
-// N returns the number of observations.
-func (e *ECDF) N() int { return len(e.sorted) }

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"fadewich/internal/rng"
@@ -119,25 +121,36 @@ func TestSilvermanBandwidthScales(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	e, err := NewECDF([]float64{1, 2, 3, 4, 5})
+// TestNewKDESorted checks that NewKDESorted over a sort.Float64s
+// result gives NewKDE's bandwidth and percentile bit for bit, uses the
+// slice in place, and rejects empty and unsorted samples.
+func TestNewKDESorted(t *testing.T) {
+	xs := append(mdShapedProfile(1), math.NaN(), 0, math.Copysign(0, -1))
+	want, err := NewKDE(xs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := e.At(3); v != 0.6 {
-		t.Fatalf("At(3) = %v", v)
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	got, err := NewKDESorted(sorted, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v := e.At(0); v != 0 {
-		t.Fatalf("At(0) = %v", v)
+	if math.Float64bits(got.Bandwidth()) != math.Float64bits(want.Bandwidth()) ||
+		math.Float64bits(got.Percentile(99)) != math.Float64bits(want.Percentile(99)) {
+		t.Fatalf("NewKDESorted: bandwidth %v P99 %v, NewKDE %v and %v",
+			got.Bandwidth(), got.Percentile(99), want.Bandwidth(), want.Percentile(99))
 	}
-	if v := e.At(5); v != 1 {
-		t.Fatalf("At(5) = %v", v)
+	if &got.samples[0] != &sorted[0] {
+		t.Fatal("NewKDESorted copied its samples")
 	}
-	if p := e.Percentile(50); p != 3 {
-		t.Fatalf("P50 = %v", p)
+	if _, err := NewKDESorted(nil, 0); !errors.Is(err, ErrEmptyDistribution) {
+		t.Fatalf("empty samples: error %v", err)
 	}
-	if _, err := NewECDF(nil); err == nil {
-		t.Fatal("expected error for empty ECDF")
+	for _, bad := range [][]float64{{2, 1}, {1, math.NaN()}, {math.Inf(1), 0}} {
+		if _, err := NewKDESorted(bad, 0); !errors.Is(err, ErrUnsorted) {
+			t.Fatalf("%v: error %v, want ErrUnsorted", bad, err)
+		}
 	}
 }
 
