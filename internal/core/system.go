@@ -180,7 +180,8 @@ type wsState struct {
 	alert         bool
 	ssOn          bool
 	// inputLog keeps this workstation's input times for training-phase
-	// auto-labelling.
+	// auto-labelling. Only training appends to it, and going online
+	// releases it.
 	inputLog []float64
 }
 
@@ -244,7 +245,9 @@ func (s *System) NotifyInput(ws int) {
 	st := &s.ws[ws]
 	st.hasInput = true
 	st.lastInput = s.now
-	st.inputLog = append(st.inputLog, s.now)
+	if s.phase == PhaseTraining {
+		st.inputLog = append(st.inputLog, s.now)
+	}
 	if !st.authenticated {
 		st.authenticated = true
 	}
@@ -514,16 +517,19 @@ func (s *System) FinishTraining() error {
 	if err != nil {
 		return fmt.Errorf("core: training classifier: %w", err)
 	}
-	s.clf = clf
-	s.phase = PhaseOnline
+	s.AdoptClassifier(clf)
 	return nil
 }
 
 // AdoptClassifier installs an externally trained classifier (e.g. from
-// supervisor-labelled data) and switches to the online phase.
+// supervisor-labelled data) and switches to the online phase. The input
+// logs only training reads are released.
 func (s *System) AdoptClassifier(clf *re.Classifier) {
 	s.clf = clf
 	s.phase = PhaseOnline
+	for i := range s.ws {
+		s.ws[i].inputLog = nil
+	}
 }
 
 // Samples returns the collected training samples (for inspection or

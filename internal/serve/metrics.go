@@ -26,6 +26,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Sample("fadewich_ingest_dropped_ticks_total", float64(tot.Dropped))
 	p.Metric("fadewich_ingest_queue_depth", "gauge", "Ticks currently queued across live offices.")
 	p.Sample("fadewich_ingest_queue_depth", float64(tot.Depth))
+	p.Metric("fadewich_ingest_buffer_bytes", "gauge", "Capacity of the office queues' tick arenas and row headers, in bytes.")
+	p.Sample("fadewich_ingest_buffer_bytes", float64(st.BufferBytes))
 	p.Metric("fadewich_ingest_batches_total", "counter", "Dispatch cycles that delivered work to the fleet.")
 	p.Sample("fadewich_ingest_batches_total", float64(st.Batches))
 	p.Metric("fadewich_ingest_actions_total", "counter", "Merged actions produced by dispatched batches.")

@@ -601,7 +601,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	st := srv.Ingestor().Stats()
 	tot := st.Totals()
-	if tot.Pushed == 0 || st.Actions == 0 {
+	if tot.Pushed == 0 || st.Actions == 0 || st.BufferBytes == 0 {
 		t.Fatalf("test produced no traffic: %+v", tot)
 	}
 	want := map[string]float64{
@@ -609,6 +609,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"fadewich_ingest_dispatched_ticks_total": float64(tot.Dispatched),
 		"fadewich_ingest_dropped_ticks_total":    float64(tot.Dropped),
 		"fadewich_ingest_queue_depth":            float64(tot.Depth),
+		"fadewich_ingest_buffer_bytes":           float64(st.BufferBytes),
 		"fadewich_ingest_batches_total":          float64(st.Batches),
 		"fadewich_ingest_actions_total":          float64(st.Actions),
 		"fadewich_offices_desired":               2,

@@ -76,6 +76,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"fadewich/internal/core"
 	"fadewich/internal/engine"
@@ -169,17 +170,31 @@ type Config struct {
 
 // officeQueue is one office's bounded tick queue plus its counters. Each
 // queue has its own lock, so producers feeding different offices never
-// contend; depth and pendN mirror len(ticks) and len(pend) as atomics so
-// the dispatcher can scan the fleet without taking any queue lock.
+// contend; depth and pendN mirror the queued tick count and len(pend) as
+// atomics so the dispatcher can scan the fleet without taking any queue
+// lock.
+//
+// Queued ticks live back to back in one flat arena, width samples each,
+// so a queued tick costs its samples and nothing else. An office holds
+// at most two arenas: the active one Push appends to, and either the one
+// lent to the running fleet batch or, once that batch is back, a spare
+// (only when pushes arrived while the batch ran). Push grows an arena to
+// at most twice its live ticks plus one, so every arena holds fewer than
+// 2 × Queue × width samples; reclaim lets an idle arena or the row-header
+// array go once its capacity exceeds 4× what the last batch used, so
+// capacity follows current traffic rather than the largest burst seen.
 type officeQueue struct {
 	// width is the office's configured stream count, the sample count
 	// every pushed tick must have. Immutable after creation.
 	width int
 	mu    sync.Mutex
 	space sync.Cond // Block-policy pushers wait for queue space
-	ticks [][]float64
+	// samples is the active arena. Its first head ticks were evicted by
+	// DropOldest; the rest are queued, oldest first.
+	samples []float64
+	head    int
 	// base is the number of ticks ever removed from the front of the
-	// queue (dispatched or dropped); base+len(ticks) is the sequence
+	// queue (dispatched or dropped); base+queued() is the sequence
 	// number the next pushed tick will get. Input events record the
 	// sequence number they were pushed at, so the dispatcher can place
 	// them at the right tick of the batch even after drops.
@@ -194,17 +209,16 @@ type officeQueue struct {
 	// retired marks a queue whose office has been removed (its counters
 	// folded into the retired totals): pushes fail, snapshots skip it.
 	retired bool
-	// depth and pendN mirror len(ticks) and len(pend) for the
-	// dispatcher's lock-free drain scan.
+	// depth and pendN mirror queued() and len(pend) for the dispatcher's
+	// lock-free drain scan.
 	depth atomic.Int64
 	pendN atomic.Int64
-	// free recycles dispatched (or evicted) sample slices back to Push,
-	// and spare recycles the previous snapshot's tick-header array, so a
-	// steady-state Push/dispatch cycle allocates nothing: each office
-	// ping-pongs between two header arrays and at most queue-capacity
-	// sample slices.
-	free  [][]float64
-	spare [][]float64
+	// lent is the arena handed to the running fleet batch, rows the
+	// batch's row headers (subslices of lent), spare an idle arena for
+	// the next snapshot. Only the dispatcher changes lent and rows.
+	lent  []float64
+	rows  [][]float64
+	spare []float64
 }
 
 // newOfficeQueue returns an empty queue for an office with width
@@ -215,12 +229,61 @@ func newOfficeQueue(width int) *officeQueue {
 	return q
 }
 
-// recycleTick returns one sample slice to the office's freelist, capped
-// at the queue capacity (more can never be in flight for one office).
-func (q *officeQueue) recycleTick(tick []float64, queue int) {
-	if len(q.free) < queue {
-		q.free = append(q.free, tick)
+// queued returns the number of ticks in the queue. Caller holds q.mu.
+func (q *officeQueue) queued() int { return len(q.samples)/q.width - q.head }
+
+// appendTick copies one tick into the active arena. When the arena is
+// full it first reclaims evicted ticks in place if they fill at least
+// half of it, and otherwise moves the queued ticks into a new arena of
+// twice their size plus one tick. Caller holds q.mu.
+func (q *officeQueue) appendTick(rssi []float64) {
+	w := q.width
+	if len(q.samples)+w > cap(q.samples) {
+		live := q.samples[q.head*w:]
+		if 2*q.head*w >= len(q.samples) {
+			q.samples = q.samples[:copy(q.samples, live)]
+		} else {
+			grown := make([]float64, len(live), 2*len(live)+w)
+			copy(grown, live)
+			q.samples = grown
+		}
+		q.head = 0
 	}
+	q.samples = append(q.samples, rssi...)
+}
+
+// reclaim takes back the arena and row headers lent to a fleet batch of
+// n ticks once the fleet is done with them. An arena or header array
+// more than 4× larger than the batch needed goes to the GC. When pushes
+// arrived while the batch ran, the returned arena becomes the spare;
+// otherwise the office keeps the larger of its two arenas and no spare.
+// Caller holds q.mu.
+func (q *officeQueue) reclaim(n int) {
+	limit := 4 * n * q.width
+	arena := q.lent
+	q.lent = nil
+	if cap(arena) > limit {
+		arena = nil
+	}
+	clear(q.rows[:n]) // don't pin a dropped arena through stale headers
+	if cap(q.rows) > 4*n {
+		q.rows = nil
+	}
+	if len(q.samples) > 0 {
+		q.spare = arena
+		return
+	}
+	if cap(q.samples) > limit || cap(arena) > cap(q.samples) {
+		q.samples = arena[:0]
+	}
+}
+
+// bufferBytes is the capacity in bytes of the office's arenas and row
+// headers. Caller holds q.mu.
+func (q *officeQueue) bufferBytes() uint64 {
+	samples := cap(q.samples) + cap(q.spare) + cap(q.lent)
+	return uint64(samples)*uint64(unsafe.Sizeof(float64(0))) +
+		uint64(cap(q.rows))*uint64(unsafe.Sizeof([]float64(nil)))
 }
 
 // pendingInput is a queued input notification: deliver to workstation ws
@@ -435,7 +498,7 @@ func (in *Ingestor) RemoveOffice(id int) (*core.System, error) {
 		Pushed:     q.pushed,
 		Dispatched: q.dispatched,
 		// Anything still queued arrived during the drain; it is lost.
-		Dropped: q.dropped + uint64(len(q.ticks)),
+		Dropped: q.dropped + uint64(q.queued()),
 	}
 	q.depth.Store(0)
 	q.pendN.Store(0)
@@ -501,11 +564,10 @@ func (in *Ingestor) Push(office int, rssi []float64) error {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for !q.retired && !in.closedFlag.Load() && len(q.ticks) >= in.queue {
+	for !q.retired && !in.closedFlag.Load() && q.queued() >= in.queue {
 		switch in.onFull {
 		case DropOldest:
-			q.recycleTick(q.ticks[0], in.queue)
-			q.ticks = q.ticks[1:]
+			q.head++
 			q.base++
 			q.dropped++
 			q.depth.Add(-1)
@@ -525,18 +587,7 @@ func (in *Ingestor) Push(office int, rssi []float64) error {
 	if q.retired {
 		return fmt.Errorf("%w (office %d removed while push blocked)", ErrUnknownOffice, office)
 	}
-	// Copy the caller's samples into a recycled slice when one fits
-	// (stream counts are per-office constants, so after the first
-	// dispatch cycle this never allocates).
-	var tick []float64
-	if n := len(q.free); n > 0 && cap(q.free[n-1]) >= len(rssi) {
-		tick = q.free[n-1][:len(rssi)]
-		q.free = q.free[:n-1]
-	} else {
-		tick = make([]float64, len(rssi))
-	}
-	copy(tick, rssi)
-	q.ticks = append(q.ticks, tick)
+	q.appendTick(rssi)
 	q.pushed++
 	q.depth.Add(1)
 	return nil
@@ -563,7 +614,7 @@ func (in *Ingestor) PushInput(office, workstation int) error {
 		q.mu.Unlock()
 		return fmt.Errorf("%w (office %d)", ErrUnknownOffice, office)
 	}
-	q.pend = append(q.pend, pendingInput{ws: workstation, seq: q.base + uint64(len(q.ticks))})
+	q.pend = append(q.pend, pendingInput{ws: workstation, seq: q.base + uint64(q.queued())})
 	q.pendN.Add(1)
 	q.mu.Unlock()
 	return nil
@@ -700,6 +751,10 @@ type Stats struct {
 	// Dropped is the fleet-wide total of dropped/rejected ticks,
 	// including those of retired offices.
 	Dropped uint64
+	// BufferBytes is the capacity in bytes of the member offices' tick
+	// arenas and row-header arrays: the memory the queues hold, queued
+	// or idle.
+	BufferBytes uint64
 }
 
 // Totals folds the member offices' counters and the Retired aggregate
@@ -742,12 +797,13 @@ func (in *Ingestor) Stats() Stats {
 		q.mu.Lock()
 		st.Offices = append(st.Offices, OfficeStats{
 			Office:     id,
-			Depth:      len(q.ticks),
+			Depth:      q.queued(),
 			Pushed:     q.pushed,
 			Dispatched: q.dispatched,
 			Dropped:    q.dropped,
 		})
 		st.Dropped += q.dropped
+		st.BufferBytes += q.bufferBytes()
 		q.mu.Unlock()
 	}
 	return st
@@ -852,16 +908,21 @@ func (in *Ingestor) takeSnapshot(m *membership) (batch []engine.OfficeBatch, evs
 			q.pend = q.pend[:0]
 			q.pendN.Store(0)
 		}
-		if len(q.ticks) > 0 {
-			batch = append(batch, engine.OfficeBatch{Office: id, Ticks: q.ticks})
-			n += len(q.ticks)
-			q.base += uint64(len(q.ticks))
-			q.dispatched += uint64(len(q.ticks))
-			// Hand the snapshot out and refill from the office's spare
-			// header array (ping-pong: the dispatcher returns this snapshot
-			// as the new spare once the fleet is done with it).
-			q.ticks = q.spare[:0]
-			q.spare = nil
+		if k := q.queued(); k > 0 {
+			// Lend the arena to the batch, one row header per tick, and
+			// let pushes continue into the spare (or a new arena).
+			w := q.width
+			live := q.samples[q.head*w:]
+			rows := q.rows[:0]
+			for i := 0; i < k; i++ {
+				rows = append(rows, live[i*w:(i+1)*w:(i+1)*w])
+			}
+			batch = append(batch, engine.OfficeBatch{Office: id, Ticks: rows})
+			n += k
+			q.base += uint64(k)
+			q.dispatched += uint64(k)
+			q.rows, q.lent = rows, q.samples
+			q.samples, q.head, q.spare = q.spare[:0], 0, nil
 			q.depth.Store(0)
 			q.space.Broadcast()
 		}
@@ -872,9 +933,8 @@ func (in *Ingestor) takeSnapshot(m *membership) (batch []engine.OfficeBatch, evs
 	return batch, evs, n
 }
 
-// recycleBatch returns a dispatched snapshot's buffers to their office
-// queues: every sample slice goes back to the office freelist and the
-// tick-header array becomes the office's spare. The fleet only reads the
+// recycleBatch returns a dispatched snapshot's arenas and row headers to
+// their office queues (see officeQueue.reclaim). The fleet only reads the
 // payload during Run, so by the time the dispatcher is here the buffers
 // are free. Offices retired while the batch was in flight are skipped
 // (their memory is garbage).
@@ -885,12 +945,7 @@ func (in *Ingestor) recycleBatch(m *membership, batch []engine.OfficeBatch) {
 		if q != nil {
 			q.mu.Lock()
 			if !q.retired {
-				for _, tick := range ob.Ticks {
-					q.recycleTick(tick, in.queue)
-				}
-				if q.spare == nil {
-					q.spare = ob.Ticks[:0]
-				}
+				q.reclaim(len(ob.Ticks))
 			}
 			q.mu.Unlock()
 		}
