@@ -18,7 +18,7 @@
 //	                  cluster epoch (worker mode, where a flush must
 //	                  carry one)
 //	GET  /v1/actions  chunked wire-frame stream of every dispatched
-//	                  action batch (?codec=1 JSONL, ?codec=2 binary)
+//	                  action batch (?compress=1 deflates large frames)
 //	GET  /v1/offices  per-office status: phase, training samples,
 //	                  observed spec generation, queue counters
 //	POST /v1/train    move every training-phase office online
@@ -30,8 +30,9 @@
 // flushes loses ticks to the drop counter.
 //
 // Actions can additionally be persisted to a rotating segment log
-// (-segments, replayable with fadewich-tail) and forwarded over TCP
-// (-forward, the feed for fadewich-tail -listen). On SIGINT/SIGTERM
+// (-segments, replayable with fadewich-tail; -retention deletes sealed
+// segments past a TTL) and forwarded over TCP (-forward, the feed for
+// fadewich-tail -listen). On SIGINT/SIGTERM
 // the daemon drains: queued ticks are dispatched, sinks flushed, the
 // active segment sealed.
 //
@@ -50,7 +51,7 @@
 // Usage:
 //
 //	fadewich-serve -spec fleet.json [-listen ADDR] [-watch 2s]
-//	               [-segments DIR] [-forward ADDR] [-codec 1|2]
+//	               [-segments DIR] [-retention TTL] [-forward ADDR]
 //	               [-queue N] [-on-full block|drop-oldest|error]
 //	               [-parallel N]
 //	fadewich-serve -mode coordinator -spec fleet.json -workers w1,w2
@@ -92,12 +93,9 @@ func main() {
 	segMaxBytes := flag.Int64("segment-max-bytes", 0, "rotate segments at this size (0 = library default)")
 	segMaxAge := flag.Duration("segment-max-age", 0, "rotate segments at this age (0 = size-only)")
 	fsync := flag.String("fsync", "rotate", "segment log durability: never, rotate or always")
-	codec := flag.Int("codec", 1, "wire codec of the segment log and the TCP forward: 1 = JSONL, 2 = compact binary")
+	codec := flag.Int("codec", 1, "wire codec of the segment log and the TCP forward: 1 = JSONL, the only codec")
 	compress := flag.Bool("compress", false, "deflate frame bodies on the segment log and the TCP forward (decoded output is byte-identical)")
-	compactAfter := flag.Duration("compact-after", 0, "rewrite sealed segments older than this into compressed frames (0 = off; needs -segments)")
-	retention := flag.Duration("retention", 0, "delete sealed segments older than this TTL (0 = keep forever; needs -segments)")
-	replicate := flag.String("replicate", "", "ship sealed segments to this directory before retention prunes them (needs -segments)")
-	maintainEvery := flag.Duration("maintain-every", 0, "segment maintenance pass interval (0 = default 1m; only with -compact-after, -retention or -replicate)")
+	retention := flag.Duration("retention", 0, "delete sealed segments older than this TTL, checked every min(TTL/2, 1m) (0 = keep forever; needs -segments)")
 	forward := flag.String("forward", "", "also stream dispatched batches to this TCP address as wire frames (worker mode: the stream router, required)")
 	coordinator := flag.String("coordinator", "", "coordinator base URL, e.g. http://127.0.0.1:9300 (worker mode)")
 	name := flag.String("name", "", "this worker's name in the coordinator's worker set (worker mode)")
@@ -111,28 +109,25 @@ func main() {
 	stopProf, err := prof.Start(prof.Flags{CPU: *cpuProfile, Mem: *memProfile, Mutex: *mutexProfile})
 	if err == nil {
 		err = run(options{
-			mode:          *mode,
-			listen:        *listen,
-			specPath:      *specPath,
-			watch:         *watch,
-			queue:         *queue,
-			onFull:        *onFull,
-			parallel:      *parallel,
-			segDir:        *segDir,
-			segMaxBytes:   *segMaxBytes,
-			segMaxAge:     *segMaxAge,
-			fsync:         *fsync,
-			codec:         *codec,
-			compress:      *compress,
-			compactAfter:  *compactAfter,
-			retention:     *retention,
-			replicate:     *replicate,
-			maintainEvery: *maintainEvery,
-			forward:       *forward,
-			coordinator:   *coordinator,
-			name:          *name,
-			workers:       *workers,
-			replicas:      *replicas,
+			mode:        *mode,
+			listen:      *listen,
+			specPath:    *specPath,
+			watch:       *watch,
+			queue:       *queue,
+			onFull:      *onFull,
+			parallel:    *parallel,
+			segDir:      *segDir,
+			segMaxBytes: *segMaxBytes,
+			segMaxAge:   *segMaxAge,
+			fsync:       *fsync,
+			codec:       *codec,
+			compress:    *compress,
+			retention:   *retention,
+			forward:     *forward,
+			coordinator: *coordinator,
+			name:        *name,
+			workers:     *workers,
+			replicas:    *replicas,
 		})
 		if perr := stopProf(); perr != nil && err == nil {
 			err = perr
@@ -145,28 +140,25 @@ func main() {
 }
 
 type options struct {
-	mode          string
-	listen        string
-	specPath      string
-	watch         time.Duration
-	queue         int
-	onFull        string
-	parallel      int
-	segDir        string
-	segMaxBytes   int64
-	segMaxAge     time.Duration
-	fsync         string
-	codec         int
-	compress      bool
-	compactAfter  time.Duration
-	retention     time.Duration
-	replicate     string
-	maintainEvery time.Duration
-	forward       string
-	coordinator   string
-	name          string
-	workers       string
-	replicas      int
+	mode        string
+	listen      string
+	specPath    string
+	watch       time.Duration
+	queue       int
+	onFull      string
+	parallel    int
+	segDir      string
+	segMaxBytes int64
+	segMaxAge   time.Duration
+	fsync       string
+	codec       int
+	compress    bool
+	retention   time.Duration
+	forward     string
+	coordinator string
+	name        string
+	workers     string
+	replicas    int
 }
 
 func run(opt options) error {
@@ -184,8 +176,8 @@ func run(opt options) error {
 
 // baseConfig translates the flags every fleet-hosting mode shares.
 func baseConfig(opt options) (serve.Config, error) {
-	if opt.codec != 1 && opt.codec != 2 {
-		return serve.Config{}, fmt.Errorf("unknown wire codec %d (want 1 or 2)", opt.codec)
+	if opt.codec != int(wire.V1JSONL) {
+		return serve.Config{}, fmt.Errorf("unknown wire codec %d (want 1)", opt.codec)
 	}
 	policy, err := stream.ParsePolicy(opt.onFull)
 	if err != nil {
@@ -203,12 +195,8 @@ func baseConfig(opt options) (serve.Config, error) {
 		SegmentMaxBytes: opt.segMaxBytes,
 		SegmentMaxAge:   opt.segMaxAge,
 		Fsync:           fsyncPolicy,
-		Codec:           wire.Version(opt.codec),
 		Compress:        opt.compress,
-		CompactAfter:    opt.compactAfter,
 		Retention:       opt.retention,
-		Replicate:       opt.replicate,
-		MaintainEvery:   opt.maintainEvery,
 		Forward:         opt.forward,
 	}, nil
 }

@@ -8,8 +8,8 @@
 //
 //   - fadewich-tail -listen :9000
 //     accepts connections from fadewich-serve -forward HOST:9000 (the
-//     TCPSink dials out) and decodes frames as they arrive, both codec
-//     versions, across reconnects. Listen mode always follows.
+//     TCPSink dials out) and decodes frames as they arrive, across
+//     reconnects. Listen mode always follows.
 //
 //     The accept loop is deliberately permissive: it accepts any
 //     number of concurrent connections for the listener's whole
@@ -29,7 +29,7 @@
 //     frame. The merged stream can additionally be re-emitted as a
 //     plain TCP wire stream (-forward, feeding a downstream
 //     fadewich-tail -listen) and/or persisted to a segment log
-//     (-segments DIR) under -codec.
+//     (-segments DIR).
 //
 //   - fadewich-tail DIR
 //     replays the segment directory a fadewich-serve -segments DIR run
@@ -54,7 +54,7 @@
 //	fadewich-tail -listen ADDR [-office LIST] [-from-tick T]
 //	              [-to-tick T] [-format jsonl|table]
 //	fadewich-tail -route -listen ADDR -expect N [-forward ADDR]
-//	              [-segments DIR] [-codec 1|2] [-format jsonl|table]
+//	              [-segments DIR] [-compress] [-format jsonl|table]
 package main
 
 import (
@@ -82,7 +82,6 @@ func main() {
 	expect := flag.Int("expect", 0, "route mode: number of worker sources that must deliver a final frame before exiting")
 	forward := flag.String("forward", "", "route mode: re-emit the merged stream to this TCP address as plain wire frames")
 	segDir := flag.String("segments", "", "route mode: persist the merged stream to a rotating segment log in this directory")
-	codec := flag.Int("codec", 1, "route mode: wire codec of -forward and -segments output: 1 = JSONL, 2 = compact binary")
 	compress := flag.Bool("compress", false, "route mode: deflate frame bodies on -forward and -segments output (decoded output is byte-identical)")
 	follow := flag.Bool("follow", false, "segment dir: keep polling for new frames instead of stopping at the end")
 	repair := flag.Bool("repair", false, "segment dir: truncate a torn final frame in place before replaying")
@@ -98,7 +97,6 @@ func main() {
 		expect:   *expect,
 		forward:  *forward,
 		segDir:   *segDir,
-		codec:    *codec,
 		compress: *compress,
 		follow:   *follow,
 		repair:   *repair,
@@ -119,7 +117,6 @@ type tailOptions struct {
 	expect   int
 	forward  string
 	segDir   string
-	codec    int
 	compress bool
 	follow   bool
 	repair   bool
@@ -154,9 +151,6 @@ func run(opt tailOptions, args []string) error {
 		}
 		if opt.expect < 1 {
 			return errors.New("-route needs -expect (the number of worker streams)")
-		}
-		if opt.codec != 1 && opt.codec != 2 {
-			return fmt.Errorf("unknown wire codec %d (want 1 or 2)", opt.codec)
 		}
 		return routeStream(opt, f, render)
 	case opt.listen != "":
@@ -397,7 +391,6 @@ func routeOnListener(ln net.Listener, opt tailOptions, f filter, render *rendere
 	if opt.segDir != "" {
 		seg, err := stream.NewSegmentSink(segment.Config{
 			Dir:      opt.segDir,
-			Version:  wire.Version(opt.codec),
 			Compress: opt.compress,
 		})
 		if err != nil {
@@ -411,7 +404,6 @@ func routeOnListener(ln net.Listener, opt tailOptions, f filter, render *rendere
 			closeSinks()
 			return err
 		}
-		fwd.Version = wire.Version(opt.codec)
 		fwd.Compress = opt.compress
 		sinks = append(sinks, fwd)
 	}

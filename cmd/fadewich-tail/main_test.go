@@ -168,7 +168,7 @@ func TestRouteOnListener(t *testing.T) {
 	segDir := t.TempDir()
 	doneServe := make(chan error, 1)
 	go func() {
-		doneServe <- routeOnListener(ln, tailOptions{expect: 2, segDir: segDir, codec: 1}, filter{}, render)
+		doneServe <- routeOnListener(ln, tailOptions{expect: 2, segDir: segDir}, filter{}, render)
 	}()
 
 	w1 := dial(t, ln)
@@ -226,7 +226,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"route without listen", tailOptions{route: true, expect: 2, format: "table"}, nil},
 		{"route without expect", tailOptions{route: true, listen: "127.0.0.1:0", format: "table"}, nil},
 		{"route with follow", tailOptions{route: true, listen: "127.0.0.1:0", expect: 2, follow: true, format: "table"}, nil},
-		{"route bad codec", tailOptions{route: true, listen: "127.0.0.1:0", expect: 2, codec: 3, format: "table"}, nil},
 		{"expect without route", tailOptions{listen: "127.0.0.1:0", expect: 2, format: "table"}, nil},
 		{"forward without route", tailOptions{forward: "127.0.0.1:1", format: "table"}, []string{"dir"}},
 		{"segments without route", tailOptions{segDir: "x", format: "table"}, []string{"dir"}},

@@ -31,10 +31,10 @@
 //     multi-sink fan-out) fed by a dedicated pump goroutine.
 //   - Wire + segment log (internal/wire, internal/segment) — the
 //     versioned frame codec every sink and consumer shares (magic +
-//     version + flags header, length, CRC32C trailer; JSONL payloads as
-//     codec v1, compact binary as v2) and the crash-safe rotating
-//     segment store with manifest, torn-frame recovery and filtered
-//     replay cursors. cmd/fadewich-tail is the reference consumer.
+//     version + flags header, length, CRC32C trailer; JSONL payloads,
+//     codec v1) and the crash-safe rotating segment store with
+//     manifest, torn-frame recovery, TTL retention and filtered replay
+//     cursors. cmd/fadewich-tail is the reference consumer.
 //   - Control plane (internal/serve) — the long-running service face:
 //     cmd/fadewich-serve hosts a live Fleet behind an HTTP API (tick
 //     ingest, streamed actions, office status, Prometheus metrics) and
@@ -67,7 +67,6 @@ import (
 	"fadewich/internal/sim"
 	"fadewich/internal/stream"
 	"fadewich/internal/svm"
-	"fadewich/internal/wire"
 )
 
 // System is the streaming FADEWICH instance (training phase →
@@ -194,25 +193,13 @@ func NewRingSink(capacity int) *RingSink { return stream.NewRingSink(capacity) }
 // each wire-frame variant once for the members that share it.
 func NewMultiSink(sinks ...Sink) Sink { return stream.NewEncodeOnceSink(sinks...) }
 
-// WireVersion selects the payload codec of framed sinks and segment
-// logs: WireV1JSONL keeps the historical JSONL payload, WireV2Binary is
-// the compact binary codec. Frames are self-describing, so consumers
-// (fadewich-tail, SegmentReader) decode either.
-type WireVersion = wire.Version
-
-// Wire codec versions.
-const (
-	WireV1JSONL  = wire.V1JSONL
-	WireV2Binary = wire.V2Binary
-)
-
 // SegmentSink persists the action stream to a durable segment log:
 // rotating segment files of wire frames plus an atomically-updated
 // manifest, replayable after a crash up to the last complete frame.
 type SegmentSink = stream.SegmentSink
 
 // SegmentConfig parameterises a segment log: directory, rotation
-// thresholds (size and age), fsync policy and wire codec.
+// thresholds (size and age), fsync policy and compression.
 type SegmentConfig = segment.Config
 
 // SegmentFsyncPolicy selects how hard the segment log pushes frames to

@@ -279,16 +279,3 @@ func (st *wsState) idle(now float64) float64 {
 	}
 	return now - st.lastInput
 }
-
-// RunBaseline replays one day under the plain idle time-out policy (no
-// sensors): sessions deauthenticate after TimeoutSec of inactivity, and
-// nothing else happens.
-func RunBaseline(timeoutSec, dt, daySec float64, numWS int, tracker *kma.Tracker) *Log {
-	return Run(Params{
-		TDeltaSec:    1e9, // rules can never fire without windows anyway
-		TIDSec:       1e9,
-		TSSSec:       1e9,
-		TimeoutSec:   timeoutSec,
-		Rule2IdleSec: 1,
-	}, dt, daySec, numWS, nil, nil, tracker)
-}

@@ -193,21 +193,6 @@ func TestUnauthenticatedWorkstationNeverDeauthed(t *testing.T) {
 	}
 }
 
-func TestRunBaselineOnlyTimeouts(t *testing.T) {
-	inputs := [][]float64{{10, 100}, typing(10, 590, 2)}
-	tracker := kma.NewTracker(inputs)
-	log := RunBaseline(120, dt, daySec, 2, tracker)
-	if len(log.Deauths) != 1 {
-		t.Fatalf("deauths %d, want 1", len(log.Deauths))
-	}
-	if log.Deauths[0].Cause != CauseTimeout || log.Deauths[0].Workstation != 0 {
-		t.Fatalf("unexpected deauth %+v", log.Deauths[0])
-	}
-	if len(log.Screensavers) != 0 {
-		t.Fatal("baseline activated screensavers")
-	}
-}
-
 func TestConsecutiveWindowsBothProcessed(t *testing.T) {
 	inputs := [][]float64{{10, 100}, {10, 200}}
 	tracker := kma.NewTracker(inputs)

@@ -67,7 +67,6 @@ type Reader struct {
 	f   *os.File
 	d   *wire.Decoder
 
-	ver  wire.Version
 	torn *TornInfo
 }
 
@@ -200,7 +199,6 @@ func (r *Reader) Next() ([]engine.OfficeAction, error) {
 		}
 		acts, err := r.d.Decode()
 		if err == nil {
-			r.ver = r.d.Version()
 			kept := acts[:0]
 			for _, a := range acts {
 				if r.keep(a) {
@@ -250,7 +248,9 @@ func (r *Reader) Next() ([]engine.OfficeAction, error) {
 			}
 			return r.handleTorn(boundary, err)
 		}
-		// Unknown codec version or I/O failure: hard error.
+		// Unknown codec version (wire.ErrVersion, a frame from a build
+		// with another codec) or I/O failure: hard error, and never a
+		// truncation, Repair or not.
 		r.closeFile()
 		return nil, fmt.Errorf("segment: %s: %w", r.segs[r.idx].name, err)
 	}
@@ -285,10 +285,6 @@ func (r *Reader) handleTorn(boundary int64, decodeErr error) ([]engine.OfficeAct
 	r.idx, r.off = r.idx+1, 0
 	return r.Next()
 }
-
-// Version returns the wire codec of the last decoded frame (0 before
-// the first).
-func (r *Reader) Version() wire.Version { return r.ver }
 
 // Torn returns the most recent torn-tail record, if any.
 func (r *Reader) Torn() (TornInfo, bool) {

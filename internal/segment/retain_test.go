@@ -43,75 +43,6 @@ func sealedDir(t *testing.T, dir string, n int, cfg Config) (*Writer, time.Time,
 	return w, clock, all
 }
 
-func TestCompactorRewritesColdSegments(t *testing.T) {
-	dir := t.TempDir()
-	w, _, all := sealedDir(t, dir, 4, Config{})
-	defer w.Close()
-
-	var before int64
-	for _, info := range w.Sealed() {
-		before += info.Bytes
-	}
-	// Sealed ages are 4, 3, 2 and 1 minutes; a 2.5-minute MinAge leaves
-	// the two most recently sealed segments warm and untouched.
-	res, err := Compactor{MinAge: 2*time.Minute + 30*time.Second}.Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Segments != 2 {
-		t.Fatalf("compacted %d segments, want 2 (the cold ones)", res.Segments)
-	}
-	if res.BytesAfter >= res.BytesBefore {
-		t.Fatalf("compaction grew the segments: %d -> %d bytes", res.BytesBefore, res.BytesAfter)
-	}
-	for i, info := range w.Sealed() {
-		wantCompacted := i < 2
-		if info.Compacted != wantCompacted {
-			t.Fatalf("segment %d: compacted=%v, want %v", i, info.Compacted, wantCompacted)
-		}
-		fi, err := os.Stat(filepath.Join(dir, info.Name))
-		if err != nil || fi.Size() != info.Bytes {
-			t.Fatalf("segment %s: size %d vs manifest %d (%v)", info.Name, fi.Size(), info.Bytes, err)
-		}
-		if wantCompacted && info.LogicalBytes <= info.Bytes {
-			t.Fatalf("segment %s: logical %d not larger than on-disk %d", info.Name, info.LogicalBytes, info.Bytes)
-		}
-	}
-
-	// A second pass with MinAge 0 compacts the remaining two and leaves
-	// the already-compacted ones alone.
-	res, err = Compactor{}.Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Segments != 2 {
-		t.Fatalf("second pass compacted %d segments, want 2", res.Segments)
-	}
-	if res, err = (Compactor{}).Run(w); err != nil || res.Segments != 0 {
-		t.Fatalf("third pass not a no-op: %+v, %v", res, err)
-	}
-
-	// Decoded output is untouched by compaction — same actions, and the
-	// same JSONL bytes they re-encode to.
-	r, err := OpenDir(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := readAll(t, r)
-	r.Close()
-	if !reflect.DeepEqual(got, all) {
-		t.Fatalf("replay after compaction differs: %d vs %d actions", len(got), len(all))
-	}
-
-	var after int64
-	for _, info := range w.Sealed() {
-		after += info.Bytes
-	}
-	if after*2 >= before {
-		t.Fatalf("compaction shrank sealed bytes only %d -> %d, want at least 2x", before, after)
-	}
-}
-
 func TestCompressedWriterShrinksAndReplays(t *testing.T) {
 	plainDir, compDir := t.TempDir(), t.TempDir()
 	wp, _, all := sealedDir(t, plainDir, 4, Config{})
@@ -186,113 +117,6 @@ func TestRetainDeletesExpiredSegments(t *testing.T) {
 	// TTL 0 keeps everything.
 	if res, err := w.Retain(0); err != nil || res.Segments != 0 {
 		t.Fatalf("ttl 0 deleted %d segments (%v)", res.Segments, err)
-	}
-}
-
-func TestReplicateShipsSealedSegments(t *testing.T) {
-	dir, replicaDir := t.TempDir(), t.TempDir()
-	w, _, all := sealedDir(t, dir, 3, Config{})
-	defer w.Close()
-
-	rep, err := NewReplicator(replicaDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := w.Replicate(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Segments != 3 {
-		t.Fatalf("replicated %d segments, want 3", res.Segments)
-	}
-	// Idempotent when nothing changed.
-	if res, err := w.Replicate(rep); err != nil || res.Segments != 0 {
-		t.Fatalf("second pass re-shipped %d segments (%v)", res.Segments, err)
-	}
-
-	// The replica replays the sealed prefix (the active tail is not
-	// shipped until sealed).
-	r, err := OpenDir(replicaDir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := readAll(t, r)
-	r.Close()
-	if want := all[:3*40]; !reflect.DeepEqual(got, want) {
-		t.Fatalf("replica replays %d actions, want %d", len(got), len(want))
-	}
-
-	// Compaction changes sealed sizes; the next pass re-ships exactly
-	// those, and the replica converges to the compacted bytes.
-	if _, err := (Compactor{}).Run(w); err != nil {
-		t.Fatal(err)
-	}
-	res, err = w.Replicate(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Segments != 3 {
-		t.Fatalf("post-compaction pass re-shipped %d segments, want 3", res.Segments)
-	}
-	for _, info := range w.Sealed() {
-		fi, err := os.Stat(filepath.Join(replicaDir, info.Name))
-		if err != nil || fi.Size() != info.Bytes {
-			t.Fatalf("replica %s: size %d vs primary manifest %d (%v)", info.Name, fi.Size(), info.Bytes, err)
-		}
-	}
-
-	// Retention pruning the primary leaves the replica's archive whole.
-	if _, err := w.Retain(time.Nanosecond); err != nil {
-		t.Fatal(err)
-	}
-	if len(w.Sealed()) != 0 {
-		t.Fatal("primary retention left sealed entries")
-	}
-	r2, err := OpenDir(replicaDir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	again := readAll(t, r2)
-	r2.Close()
-	if !reflect.DeepEqual(again, got) {
-		t.Fatal("primary retention changed the replica")
-	}
-}
-
-func TestMaintainRunsAllJobsInOrder(t *testing.T) {
-	dir, replicaDir := t.TempDir(), t.TempDir()
-	w, _, _ := sealedDir(t, dir, 4, Config{})
-	defer w.Close()
-	rep, err := NewReplicator(replicaDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := w.Maintain(MaintainOptions{
-		CompactAfter: time.Minute,
-		Retention:    2*time.Minute + 30*time.Second,
-		Replica:      rep,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Compacted.Segments != 4 {
-		t.Fatalf("compacted %d, want all 4 sealed", res.Compacted.Segments)
-	}
-	if res.Replicated.Segments != 4 {
-		t.Fatalf("replicated %d, want 4 (shipped before retention prunes)", res.Replicated.Segments)
-	}
-	if res.Retained.Segments != 2 {
-		t.Fatalf("retained %d, want the 2 expired", res.Retained.Segments)
-	}
-	// The expired segments were replicated (compacted) before deletion.
-	repMan, err := loadManifest(replicaDir)
-	if err != nil || repMan == nil || len(repMan.Sealed) != 4 {
-		t.Fatalf("replica manifest: %v (%+v)", err, repMan)
-	}
-	for _, info := range repMan.Sealed {
-		if !info.Compacted {
-			t.Fatalf("replica holds uncompacted entry %+v", info)
-		}
 	}
 }
 

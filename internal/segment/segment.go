@@ -116,9 +116,8 @@ type Config struct {
 	MaxSegmentAge time.Duration
 	// Fsync is the durability policy. The zero value is FsyncNever.
 	Fsync FsyncPolicy
-	// Version is the wire codec frames are written under (0 selects
-	// wire.V1JSONL). Frames are self-describing, so a directory may mix
-	// codecs across writer generations.
+	// Version is the wire codec frames are written under: 0 or
+	// wire.V1JSONL, the only codec; anything else is wire.ErrVersion.
 	Version wire.Version
 	// Compress writes frames FlagCompressed when the payload clears the
 	// wire layer's threshold and actually shrinks (see
@@ -151,13 +150,9 @@ type Info struct {
 	// "same as Bytes".
 	LogicalBytes int64 `json:"logical_bytes,omitempty"`
 	// SealedUnix is when the segment was sealed, in Unix seconds — the
-	// clock the maintenance layer's age cutoffs (compaction, TTL
-	// retention) run on. 0 in manifests from before the maintenance
-	// layer; maintenance falls back to the file's mtime then.
+	// clock TTL retention (Writer.Retain) runs on. 0 in older
+	// manifests; retention falls back to the file's mtime then.
 	SealedUnix int64 `json:"sealed_unix,omitempty"`
-	// Compacted marks a segment the compactor already rewrote into
-	// compressed frames; compaction skips it from then on.
-	Compacted bool `json:"compacted,omitempty"`
 }
 
 // manifest is the JSON shape of MANIFEST.json.
@@ -168,7 +163,9 @@ type manifest struct {
 
 // WriterStats snapshots a Writer's counters.
 type WriterStats struct {
-	// Sealed counts segments sealed (rotations plus the final seal).
+	// Sealed is the number of sealed segments in the directory
+	// manifest: it starts at the manifest's length when the writer
+	// opens, grows by one per seal, and Retain sets it to what is left.
 	Sealed int
 	// Open is the active segment's file name ("" when none).
 	Open string
@@ -223,10 +220,7 @@ func NewWriter(cfg Config) (*Writer, error) {
 	if cfg.MaxSegmentAge < 0 {
 		return nil, fmt.Errorf("segment: negative segment age %v", cfg.MaxSegmentAge)
 	}
-	if cfg.Version == 0 {
-		cfg.Version = wire.V1JSONL
-	}
-	if cfg.Version != wire.V1JSONL && cfg.Version != wire.V2Binary {
+	if cfg.Version != 0 && cfg.Version != wire.V1JSONL {
 		return nil, fmt.Errorf("%w %d", wire.ErrVersion, uint8(cfg.Version))
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -263,9 +257,9 @@ func (w *Writer) Append(batch []engine.OfficeAction) error {
 	var err error
 	logical := 0
 	if w.cfg.Compress {
-		w.buf, logical, err = wire.AppendFrameCompressed(w.buf[:0], w.cfg.Version, batch, 0)
+		w.buf, logical, err = wire.AppendFrameCompressed(w.buf[:0], wire.V1JSONL, batch, 0)
 	} else {
-		w.buf, err = wire.AppendFrame(w.buf[:0], w.cfg.Version, batch)
+		w.buf, err = wire.AppendFrame(w.buf[:0], wire.V1JSONL, batch)
 		logical = len(w.buf)
 	}
 	if err != nil {

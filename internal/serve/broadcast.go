@@ -10,8 +10,8 @@ import (
 )
 
 // broadcaster is the stream.Sink behind GET /v1/actions: every
-// dispatched batch is encoded as one wire frame per requested
-// (codec, compressed?) variant and fanned out to the connected
+// dispatched batch is encoded as one wire frame per requested variant
+// (plain or compressed) and fanned out to the connected
 // subscribers' buffered channels. As a stream.FrameSink it pulls those
 // variants from the dispatch cycle's shared EncodedBatch, so a variant
 // the segment log or another member already encoded is never encoded
@@ -38,7 +38,6 @@ type broadcaster struct {
 // subscriber is one /v1/actions connection.
 type subscriber struct {
 	ch       chan []byte
-	codec    wire.Version
 	compress bool
 }
 
@@ -53,16 +52,13 @@ func newBroadcaster() *broadcaster {
 // Subscribe registers a consumer with room for buffer in-flight
 // frames; compress requests FlagCompressed frames (small or
 // incompressible batches still arrive plain).
-func (b *broadcaster) Subscribe(codec wire.Version, compress bool, buffer int) (*subscriber, error) {
-	if codec != wire.V1JSONL && codec != wire.V2Binary {
-		return nil, errors.New("serve: unknown action codec")
-	}
+func (b *broadcaster) Subscribe(compress bool, buffer int) (*subscriber, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return nil, errBroadcasterClosed
 	}
-	s := &subscriber{ch: make(chan []byte, buffer), codec: codec, compress: compress}
+	s := &subscriber{ch: make(chan []byte, buffer), compress: compress}
 	b.subs[s] = struct{}{}
 	return s, nil
 }
@@ -107,8 +103,8 @@ func (b *broadcaster) Write(batch []engine.OfficeAction) error {
 	return b.WriteEncoded(stream.NewEncodedBatch(batch))
 }
 
-// WriteEncoded implements stream.FrameSink: each subscriber's
-// (codec, compressed) variant is pulled from the cycle's shared
+// WriteEncoded implements stream.FrameSink: each subscriber's variant
+// (plain or compressed) is pulled from the cycle's shared
 // EncodedBatch — encoded at most once across the whole fan-out — and
 // handed to same-variant subscribers read-only.
 func (b *broadcaster) WriteEncoded(e *stream.EncodedBatch) error {
@@ -123,9 +119,9 @@ func (b *broadcaster) WriteEncoded(e *stream.EncodedBatch) error {
 	}
 	b.frames++
 	b.actions += uint64(len(batch))
-	var seen [3][2]bool
+	var seen [2]bool
 	for s := range b.subs {
-		f, err := e.Frame(s.codec, s.compress)
+		f, err := e.Frame(wire.V1JSONL, s.compress)
 		if err != nil {
 			return err
 		}
@@ -133,8 +129,8 @@ func (b *broadcaster) WriteEncoded(e *stream.EncodedBatch) error {
 		if s.compress {
 			ci = 1
 		}
-		if !seen[s.codec][ci] {
-			seen[s.codec][ci] = true
+		if !seen[ci] {
+			seen[ci] = true
 			b.bytes += uint64(f.Logical)
 			b.wireBytes += uint64(len(f.Wire))
 		}

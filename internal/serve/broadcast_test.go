@@ -24,11 +24,11 @@ func testBatch(n int) []engine.OfficeAction {
 
 func TestBroadcasterDelivers(t *testing.T) {
 	b := newBroadcaster()
-	s1, err := b.Subscribe(wire.V1JSONL, false, 4)
+	s1, err := b.Subscribe(false, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := b.Subscribe(wire.V2Binary, false, 4)
+	s2, err := b.Subscribe(true, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +48,13 @@ func TestBroadcasterDelivers(t *testing.T) {
 		t.Fatalf("stats = %d/%d/%d", frames, actions, overflows)
 	}
 
-	wantV1, _ := wire.AppendFrame(nil, wire.V1JSONL, batch)
-	wantV2, _ := wire.AppendFrame(nil, wire.V2Binary, batch)
-	if got := <-s1.ch; !bytes.Equal(got, wantV1) {
-		t.Fatal("v1 subscriber got a frame that differs from AppendFrame")
+	wantPlain, _ := wire.AppendFrame(nil, wire.V1JSONL, batch)
+	wantComp, _, _ := wire.AppendFrameCompressed(nil, wire.V1JSONL, batch, 0)
+	if got := <-s1.ch; !bytes.Equal(got, wantPlain) {
+		t.Fatal("plain subscriber got a frame that differs from AppendFrame")
 	}
-	if got := <-s2.ch; !bytes.Equal(got, wantV2) {
-		t.Fatal("v2 subscriber got a frame that differs from AppendFrame")
+	if got := <-s2.ch; !bytes.Equal(got, wantComp) {
+		t.Fatal("compress subscriber got a frame that differs from AppendFrameCompressed")
 	}
 
 	b.Unsubscribe(s1)
@@ -69,11 +69,11 @@ func TestBroadcasterDelivers(t *testing.T) {
 
 func TestBroadcasterOverflowDropsSubscriber(t *testing.T) {
 	b := newBroadcaster()
-	slow, err := b.Subscribe(wire.V1JSONL, false, 1)
+	slow, err := b.Subscribe(false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := b.Subscribe(wire.V1JSONL, false, 4)
+	fast, err := b.Subscribe(false, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestBroadcasterOverflowDropsSubscriber(t *testing.T) {
 
 func TestBroadcasterClose(t *testing.T) {
 	b := newBroadcaster()
-	s, _ := b.Subscribe(wire.V1JSONL, false, 1)
+	s, _ := b.Subscribe(false, 1)
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +117,7 @@ func TestBroadcasterClose(t *testing.T) {
 	if err := b.Write(testBatch(1)); !errors.Is(err, stream.ErrSinkClosed) {
 		t.Fatalf("post-close write error = %v", err)
 	}
-	if _, err := b.Subscribe(wire.V1JSONL, false, 1); err == nil {
+	if _, err := b.Subscribe(false, 1); err == nil {
 		t.Fatal("subscribed to a closed broadcaster")
-	}
-}
-
-func TestBroadcasterRejectsUnknownCodec(t *testing.T) {
-	b := newBroadcaster()
-	if _, err := b.Subscribe(wire.Version(9), false, 1); err == nil {
-		t.Fatal("unknown codec accepted")
 	}
 }

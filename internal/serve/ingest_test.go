@@ -109,7 +109,7 @@ func newIngestTwin(t *testing.T) *ingestTwin {
 			c.OnFull = stream.DropOldest
 		})
 		goOnline(t, srv, "b")
-		sub, err := srv.bcast.Subscribe(wire.V1JSONL, false, 1<<16)
+		sub, err := srv.bcast.Subscribe(false, 1<<16)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,29 +116,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			sealedFrames += int64(info.Frames)
 			sealedBytes += info.Bytes
 		}
-		p.Metric("fadewich_segment_sealed_frames_total", "counter", "Frames in sealed segments, per the directory manifest.")
-		p.Sample("fadewich_segment_sealed_frames_total", float64(sealedFrames))
-		p.Metric("fadewich_segment_sealed_bytes_total", "counter", "Bytes in sealed segments, per the directory manifest.")
-		p.Sample("fadewich_segment_sealed_bytes_total", float64(sealedBytes))
+		p.Metric("fadewich_segment_sealed_frames", "gauge", "Frames in sealed segments, per the directory manifest; retention lowers it.")
+		p.Sample("fadewich_segment_sealed_frames", float64(sealedFrames))
+		p.Metric("fadewich_segment_sealed_bytes", "gauge", "On-disk bytes in sealed segments, per the directory manifest; retention lowers it.")
+		p.Sample("fadewich_segment_sealed_bytes", float64(sealedBytes))
 	}
 
-	if s.maintStop != nil {
-		p.Metric("fadewich_segment_maintenance_passes_total", "counter", "Completed segment-maintenance passes.")
-		p.Sample("fadewich_segment_maintenance_passes_total", float64(s.maint.passes.Load()))
-		p.Metric("fadewich_segment_maintenance_errors_total", "counter", "Segment-maintenance passes that failed.")
-		p.Sample("fadewich_segment_maintenance_errors_total", float64(s.maint.errors.Load()))
-		p.Metric("fadewich_segment_compacted_segments_total", "counter", "Sealed segments rewritten into compressed frames.")
-		p.Sample("fadewich_segment_compacted_segments_total", float64(s.maint.compactedSegments.Load()))
-		p.Metric("fadewich_segment_compacted_bytes_saved_total", "counter", "On-disk bytes reclaimed by compaction.")
-		p.Sample("fadewich_segment_compacted_bytes_saved_total", float64(s.maint.compactedBytesSaved.Load()))
+	if s.retainStop != nil {
+		p.Metric("fadewich_segment_maintenance_passes_total", "counter", "Completed TTL-retention passes.")
+		p.Sample("fadewich_segment_maintenance_passes_total", float64(s.retain.passes.Load()))
+		p.Metric("fadewich_segment_maintenance_errors_total", "counter", "TTL-retention passes that failed.")
+		p.Sample("fadewich_segment_maintenance_errors_total", float64(s.retain.errors.Load()))
 		p.Metric("fadewich_segment_retained_segments_total", "counter", "Sealed segments deleted by TTL retention.")
-		p.Sample("fadewich_segment_retained_segments_total", float64(s.maint.retainedSegments.Load()))
+		p.Sample("fadewich_segment_retained_segments_total", float64(s.retain.segments.Load()))
 		p.Metric("fadewich_segment_retained_bytes_total", "counter", "On-disk bytes deleted by TTL retention.")
-		p.Sample("fadewich_segment_retained_bytes_total", float64(s.maint.retainedBytes.Load()))
-		p.Metric("fadewich_segment_replicated_segments_total", "counter", "Sealed segments shipped to the replica directory.")
-		p.Sample("fadewich_segment_replicated_segments_total", float64(s.maint.replicatedSegments.Load()))
-		p.Metric("fadewich_segment_replicated_bytes_total", "counter", "Bytes shipped to the replica directory.")
-		p.Sample("fadewich_segment_replicated_bytes_total", float64(s.maint.replicatedBytes.Load()))
+		p.Sample("fadewich_segment_retained_bytes_total", float64(s.retain.deletedBytes.Load()))
 	}
 
 	if s.fwd != nil {

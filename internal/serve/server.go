@@ -19,10 +19,6 @@ import (
 	"fadewich/internal/wire"
 )
 
-// DefaultMaintainEvery is the segment-maintenance pass interval when
-// Config.MaintainEvery is zero.
-const DefaultMaintainEvery = time.Minute
-
 // Config parameterises a Server.
 type Config struct {
 	// SpecPath is the fleet-spec file (required unless SpecSource is
@@ -40,35 +36,25 @@ type Config struct {
 	// Workers sizes the fleet's worker pool (0 selects GOMAXPROCS).
 	Workers int
 	// SegmentDir, when set, persists the action stream to a rotating
-	// segment log there, under SegmentMaxBytes/SegmentMaxAge/Fsync and
-	// the Codec version. A drained shutdown seals the active segment.
+	// segment log there, under SegmentMaxBytes/SegmentMaxAge/Fsync. A
+	// drained shutdown seals the active segment.
 	SegmentDir      string
 	SegmentMaxBytes int64
 	SegmentMaxAge   time.Duration
 	Fsync           segment.FsyncPolicy
-	Codec           wire.Version
 	// Compress deflates frame bodies (wire.FlagCompressed) on the
 	// segment log and the forward stream when they clear the
 	// compression threshold; decoded output is byte-identical either
 	// way. /v1/actions subscribers opt in per connection (?compress=1)
 	// regardless of this knob.
 	Compress bool
-	// CompactAfter, when positive, rewrites sealed segments older than
-	// this into compressed frames on each maintenance pass. Retention,
-	// when positive, deletes sealed segments older than it
-	// (manifest-first; the active segment is never touched). Replicate,
-	// when set, ships sealed segments to this directory before
-	// retention prunes them. All three need SegmentDir.
-	CompactAfter time.Duration
-	Retention    time.Duration
-	Replicate    string
-	// MaintainEvery is the maintenance pass interval (0 selects
-	// DefaultMaintainEvery; only runs when a maintenance job is
-	// configured).
-	MaintainEvery time.Duration
+	// Retention, when positive, deletes sealed segments older than it
+	// (manifest-first; the active segment is never touched) on a pass
+	// every retentionEvery(Retention). Needs SegmentDir.
+	Retention time.Duration
 	// Forward, when set, streams every dispatched batch to this TCP
-	// address as wire frames (codec Codec), the fan-in feed for a
-	// downstream fadewich-tail or router tier.
+	// address as wire frames, the fan-in feed for a downstream
+	// fadewich-tail or router tier.
 	Forward string
 	// ForwardSource, when non-zero, switches the forward stream to the
 	// cluster wire protocol: frames are tagged with this worker source
@@ -102,38 +88,29 @@ type Server struct {
 	mux     *http.ServeMux
 	started time.Time
 
-	// Segment maintenance (compaction, retention, replication): the
-	// loop goroutine runs Maintain on a ticker; the counters accumulate
-	// its results for /metrics.
-	maintOpt  segment.MaintainOptions
-	maintStop chan struct{}
-	maintDone chan struct{}
-	maint     maintCounters
+	// TTL retention: the loop goroutine runs Retain on a ticker; the
+	// counters accumulate its results for /metrics.
+	retainStop chan struct{}
+	retainDone chan struct{}
+	retain     retainCounters
 
 	closing   atomic.Bool
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// maintCounters aggregates maintenance results across passes.
-type maintCounters struct {
-	passes, errors                         atomic.Uint64
-	compactedSegments, compactedBytesSaved atomic.Uint64
-	retainedSegments, retainedBytes        atomic.Uint64
-	replicatedSegments, replicatedBytes    atomic.Uint64
+// retainCounters aggregates retention results across passes.
+type retainCounters struct {
+	passes, errors         atomic.Uint64
+	segments, deletedBytes atomic.Uint64
 }
 
-// add folds one pass's result in.
-func (c *maintCounters) add(res segment.MaintainResult) {
-	c.passes.Add(1)
-	c.compactedSegments.Add(uint64(res.Compacted.Segments))
-	if saved := res.Compacted.BytesBefore - res.Compacted.BytesAfter; saved > 0 {
-		c.compactedBytesSaved.Add(uint64(saved))
-	}
-	c.retainedSegments.Add(uint64(res.Retained.Segments))
-	c.retainedBytes.Add(uint64(res.Retained.Bytes))
-	c.replicatedSegments.Add(uint64(res.Replicated.Segments))
-	c.replicatedBytes.Add(uint64(res.Replicated.Bytes))
+// retentionEvery is the retention pass interval for a TTL: often
+// enough that a sealed segment outlives its TTL by at most half of it,
+// and at least once a minute (a millisecond floor keeps the ticker's
+// period positive for sub-millisecond TTLs).
+func retentionEvery(ttl time.Duration) time.Duration {
+	return max(min(ttl/2, time.Minute), time.Millisecond)
 }
 
 // New builds the fleet from the spec file and starts the ingestion
@@ -190,8 +167,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 
-	if cfg.SegmentDir == "" && (cfg.CompactAfter > 0 || cfg.Retention > 0 || cfg.Replicate != "") {
-		return nil, errors.New("serve: segment maintenance (compaction, retention, replication) needs a segment directory")
+	if cfg.SegmentDir == "" && cfg.Retention > 0 {
+		return nil, errors.New("serve: segment retention needs a segment directory")
 	}
 
 	s := &Server{cfg: cfg, fleet: fleet, bcast: newBroadcaster(), source: source, started: time.Now()}
@@ -202,7 +179,6 @@ func New(cfg Config) (*Server, error) {
 			MaxSegmentBytes: cfg.SegmentMaxBytes,
 			MaxSegmentAge:   cfg.SegmentMaxAge,
 			Fsync:           cfg.Fsync,
-			Version:         cfg.Codec,
 			Compress:        cfg.Compress,
 		})
 		if err != nil {
@@ -219,9 +195,6 @@ func New(cfg Config) (*Server, error) {
 			}
 			return nil, fmt.Errorf("serve: %w", err)
 		}
-		if cfg.Codec != 0 {
-			fwd.Version = cfg.Codec
-		}
 		fwd.Compress = cfg.Compress
 		s.fwd = fwd
 		if cfg.ForwardSource != 0 {
@@ -236,7 +209,7 @@ func New(cfg Config) (*Server, error) {
 			sinks = append(sinks, fwd)
 		}
 	}
-	// Encode-once fan-out: any (codec, compressed) frame variant a
+	// Encode-once fan-out: any frame variant (plain or compressed) a
 	// member wants — the segment log, a broadcaster subscriber — is
 	// encoded exactly once per dispatch and shared read-only.
 	sink := sinks[0]
@@ -255,25 +228,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.rec = newReconciler(s.ing, resolved, fleet.IDs(), raw, cfg.AllowEmpty)
 
-	if cfg.CompactAfter > 0 || cfg.Retention > 0 || cfg.Replicate != "" {
-		s.maintOpt = segment.MaintainOptions{
-			CompactAfter: cfg.CompactAfter,
-			Retention:    cfg.Retention,
-		}
-		if cfg.Replicate != "" {
-			rep, err := segment.NewReplicator(cfg.Replicate)
-			if err != nil {
-				s.ing.Close()
-				return nil, fmt.Errorf("serve: %w", err)
-			}
-			s.maintOpt.Replica = rep
-		}
-		every := cfg.MaintainEvery
-		if every <= 0 {
-			every = DefaultMaintainEvery
-		}
-		s.maintStop, s.maintDone = make(chan struct{}), make(chan struct{})
-		go s.maintainLoop(every)
+	if cfg.Retention > 0 {
+		s.retainStop, s.retainDone = make(chan struct{}), make(chan struct{})
+		go s.retainLoop(retentionEvery(cfg.Retention))
 	}
 
 	s.mux = http.NewServeMux()
@@ -323,37 +280,28 @@ func (s *Server) Reload() error {
 	return s.rec.Reconcile(raw)
 }
 
-// maintainLoop runs segment maintenance every interval until Close.
-func (s *Server) maintainLoop(every time.Duration) {
-	defer close(s.maintDone)
+// retainLoop runs TTL retention every interval until Close.
+func (s *Server) retainLoop(every time.Duration) {
+	defer close(s.retainDone)
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.maintStop:
+		case <-s.retainStop:
 			return
 		case <-t.C:
-			if _, err := s.MaintainNow(); err != nil && !errors.Is(err, stream.ErrSinkClosed) {
-				s.maint.errors.Add(1)
+			res, err := s.seg.Retain(s.cfg.Retention)
+			if err != nil {
+				if !errors.Is(err, stream.ErrSinkClosed) {
+					s.retain.errors.Add(1)
+				}
+				continue
 			}
+			s.retain.passes.Add(1)
+			s.retain.segments.Add(uint64(res.Segments))
+			s.retain.deletedBytes.Add(uint64(res.Bytes))
 		}
 	}
-}
-
-// MaintainNow runs one synchronous segment-maintenance pass (compact,
-// replicate, retain — as configured) and folds the result into the
-// /metrics counters. The e2e harness calls it for a deterministic pass
-// instead of waiting out the ticker.
-func (s *Server) MaintainNow() (segment.MaintainResult, error) {
-	if s.seg == nil {
-		return segment.MaintainResult{}, errors.New("serve: no segment directory to maintain")
-	}
-	res, err := s.seg.Maintain(s.maintOpt)
-	if err != nil {
-		return res, err
-	}
-	s.maint.add(res)
-	return res, nil
 }
 
 // Close drains and shuts down: new ticks are refused, queued work is
@@ -362,9 +310,9 @@ func (s *Server) MaintainNow() (segment.MaintainResult, error) {
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.closing.Store(true)
-		if s.maintStop != nil {
-			close(s.maintStop)
-			<-s.maintDone
+		if s.retainStop != nil {
+			close(s.retainStop)
+			<-s.retainDone
 		}
 		s.closeErr = s.ing.Close()
 	})
@@ -462,13 +410,9 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleActions(w http.ResponseWriter, r *http.Request) {
-	codec := wire.V1JSONL
 	if q := r.URL.Query().Get("codec"); q != "" && q != "1" {
-		if q != "2" {
-			http.Error(w, "unknown codec (want 1 or 2)", http.StatusBadRequest)
-			return
-		}
-		codec = wire.V2Binary
+		http.Error(w, "unknown codec (want 1)", http.StatusBadRequest)
+		return
 	}
 	compress := false
 	switch q := r.URL.Query().Get("compress"); q {
@@ -487,7 +431,7 @@ func (s *Server) handleActions(w http.ResponseWriter, r *http.Request) {
 	// subscriberBuffer is each connection's in-flight frame budget; a
 	// consumer further behind is dropped.
 	const subscriberBuffer = 256
-	sub, err := s.bcast.Subscribe(codec, compress, subscriberBuffer)
+	sub, err := s.bcast.Subscribe(compress, subscriberBuffer)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return

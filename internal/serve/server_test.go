@@ -359,10 +359,14 @@ func TestActionsStream(t *testing.T) {
 	}
 }
 
+// TestActionsRejectsUnknownCodec: codec 1 is the only codec, so the
+// retired binary codec 2 is a 400 like any other value.
 func TestActionsRejectsUnknownCodec(t *testing.T) {
 	srv, _ := newTestServer(t, specJSON("a"))
-	if rr := get(srv, "/v1/actions?codec=9"); rr.Code != http.StatusBadRequest {
-		t.Fatalf("codec=9 status %d", rr.Code)
+	for _, q := range []string{"2", "9"} {
+		if rr := get(srv, "/v1/actions?codec="+q); rr.Code != http.StatusBadRequest {
+			t.Fatalf("codec=%s status %d", q, rr.Code)
+		}
 	}
 }
 
@@ -542,7 +546,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t, specJSON("a", "b"), func(c *Config) {
 		c.SegmentDir = segDir
 		c.Forward = forward
-		c.Codec = wire.V1JSONL
 	})
 	goOnline(t, srv, "a")
 
@@ -636,8 +639,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	want["fadewich_segment_frames_total"] = float64(sst.Frames)
 	want["fadewich_segment_bytes_total"] = float64(sst.Bytes)
 	want["fadewich_segment_sealed_segments"] = float64(sst.Sealed)
-	want["fadewich_segment_sealed_frames_total"] = sealedFrames
-	want["fadewich_segment_sealed_bytes_total"] = sealedBytes
+	want["fadewich_segment_sealed_frames"] = sealedFrames
+	want["fadewich_segment_sealed_bytes"] = sealedBytes
 	if sst.Frames == 0 || uint64(sst.Frames) != frames {
 		t.Fatalf("segment log holds %d frames, broadcaster saw %d", sst.Frames, frames)
 	}

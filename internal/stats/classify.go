@@ -46,86 +46,6 @@ func (d Detection) Add(o Detection) Detection {
 	return Detection{TP: d.TP + o.TP, FP: d.FP + o.FP, FN: d.FN + o.FN}
 }
 
-// ConfusionMatrix counts multi-class classification outcomes;
-// Counts[i][j] is the number of samples with true class i predicted as j.
-type ConfusionMatrix struct {
-	Classes int
-	Counts  [][]int
-}
-
-// NewConfusionMatrix returns an empty matrix over the given number of
-// classes (clamped to at least 1).
-func NewConfusionMatrix(classes int) *ConfusionMatrix {
-	if classes < 1 {
-		classes = 1
-	}
-	counts := make([][]int, classes)
-	for i := range counts {
-		counts[i] = make([]int, classes)
-	}
-	return &ConfusionMatrix{Classes: classes, Counts: counts}
-}
-
-// Observe records one classification outcome. Labels outside [0, Classes)
-// are ignored, so a truncated fold cannot corrupt the matrix.
-func (c *ConfusionMatrix) Observe(trueClass, predicted int) {
-	if trueClass < 0 || trueClass >= c.Classes || predicted < 0 || predicted >= c.Classes {
-		return
-	}
-	c.Counts[trueClass][predicted]++
-}
-
-// Total returns the number of recorded outcomes.
-func (c *ConfusionMatrix) Total() int {
-	var n int
-	for _, row := range c.Counts {
-		for _, v := range row {
-			n += v
-		}
-	}
-	return n
-}
-
-// Accuracy returns the fraction of outcomes on the diagonal, or 0 when
-// empty.
-func (c *ConfusionMatrix) Accuracy() float64 {
-	total := c.Total()
-	if total == 0 {
-		return 0
-	}
-	var correct int
-	for i := range c.Counts {
-		correct += c.Counts[i][i]
-	}
-	return float64(correct) / float64(total)
-}
-
-// PerClassRecall returns recall for each true class (diagonal over row
-// sum), 0 for classes never observed.
-func (c *ConfusionMatrix) PerClassRecall() []float64 {
-	out := make([]float64, c.Classes)
-	for i, row := range c.Counts {
-		var rowSum int
-		for _, v := range row {
-			rowSum += v
-		}
-		if rowSum > 0 {
-			out[i] = float64(row[i]) / float64(rowSum)
-		}
-	}
-	return out
-}
-
-// Merge adds the counts of o into c. Mismatched class counts are a
-// programming error; Merge ignores classes beyond c's range.
-func (c *ConfusionMatrix) Merge(o *ConfusionMatrix) {
-	for i := 0; i < c.Classes && i < o.Classes; i++ {
-		for j := 0; j < c.Classes && j < o.Classes; j++ {
-			c.Counts[i][j] += o.Counts[i][j]
-		}
-	}
-}
-
 // MeanAndCI95 returns the mean of xs and the half-width of its 95%
 // confidence interval (1.96·σ̂/√n), used for Fig 8's error bars over the 10
 // cross-validation splits.

@@ -61,49 +61,6 @@ func TestFMeasureHarmonicMeanProperty(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrix(t *testing.T) {
-	m := NewConfusionMatrix(3)
-	m.Observe(0, 0)
-	m.Observe(0, 0)
-	m.Observe(1, 1)
-	m.Observe(1, 2) // error
-	m.Observe(2, 2)
-	if m.Total() != 5 {
-		t.Fatalf("total %d", m.Total())
-	}
-	if acc := m.Accuracy(); !almost(acc, 0.8, 1e-12) {
-		t.Fatalf("accuracy %v", acc)
-	}
-	rec := m.PerClassRecall()
-	if rec[0] != 1 || rec[1] != 0.5 || rec[2] != 1 {
-		t.Fatalf("per-class recall %v", rec)
-	}
-}
-
-func TestConfusionMatrixIgnoresOutOfRange(t *testing.T) {
-	m := NewConfusionMatrix(2)
-	m.Observe(-1, 0)
-	m.Observe(0, 5)
-	if m.Total() != 0 {
-		t.Fatalf("out-of-range labels were recorded: %d", m.Total())
-	}
-}
-
-func TestConfusionMatrixMerge(t *testing.T) {
-	a := NewConfusionMatrix(2)
-	a.Observe(0, 0)
-	b := NewConfusionMatrix(2)
-	b.Observe(1, 1)
-	b.Observe(1, 0)
-	a.Merge(b)
-	if a.Total() != 3 {
-		t.Fatalf("merged total %d", a.Total())
-	}
-	if !almost(a.Accuracy(), 2.0/3.0, 1e-12) {
-		t.Fatalf("merged accuracy %v", a.Accuracy())
-	}
-}
-
 func TestMeanAndCI95(t *testing.T) {
 	mean, ci := MeanAndCI95([]float64{1, 1, 1, 1})
 	if mean != 1 || ci != 0 {

@@ -1,5 +1,5 @@
-// Encode-once fan-out: one dispatch cycle encodes each (codec,
-// compressed?) frame variant exactly once, and every frame-capable
+// Encode-once fan-out: one dispatch cycle encodes each frame variant
+// (plain or compressed) exactly once, and every frame-capable
 // member of the fan-out shares the resulting read-only bytes. Without
 // this, a worker daemon feeding a segment log, a TCP forward and an
 // HTTP broadcaster from the same dispatch encodes the same batch three
@@ -23,13 +23,6 @@ import (
 // indefinitely and shared read-only across consumers (broadcaster
 // subscribers hold it in their channels long after the cycle ends).
 type EncodedFrame struct {
-	// Version is the wire codec the frame was encoded under.
-	Version wire.Version
-	// Compressed records whether the frame was built with compression
-	// enabled. The frame itself may still be plain (small or
-	// incompressible batches fall back); the flag describes the
-	// variant, frame[3]&wire.FlagCompressed the outcome.
-	Compressed bool
 	// Wire is the complete frame: header, payload, CRC trailer.
 	Wire []byte
 	// Logical is the uncompressed-equivalent frame size —
@@ -43,12 +36,12 @@ type EncodedFrame struct {
 
 // EncodedBatch hands a dispatch cycle's batch to frame-consuming sinks
 // with at-most-once encoding per variant: the first Frame call for a
-// (codec, compress) pair encodes into a fresh buffer, later calls
-// return the same EncodedFrame. It is not safe for concurrent use —
+// compress setting encodes into a fresh buffer, later calls return the
+// same EncodedFrame. It is not safe for concurrent use —
 // the fan-out drives all members from the pump goroutine.
 type EncodedBatch struct {
 	batch  []engine.OfficeAction
-	frames [3][2]*EncodedFrame // [codec][compressed]
+	frames [2]*EncodedFrame // [compressed]
 }
 
 // NewEncodedBatch wraps one batch for frame-sink consumption outside a
@@ -62,26 +55,24 @@ func NewEncodedBatch(batch []engine.OfficeAction) *EncodedBatch {
 // variants (their buffers are owned by whoever received them).
 func (e *EncodedBatch) reset(batch []engine.OfficeAction) {
 	e.batch = batch
-	for i := range e.frames {
-		e.frames[i][0], e.frames[i][1] = nil, nil
-	}
+	e.frames = [2]*EncodedFrame{}
 }
 
 // Batch returns the cycle's batch. Not to be mutated.
 func (e *EncodedBatch) Batch() []engine.OfficeAction { return e.batch }
 
-// Frame returns the batch encoded under codec v, compressed or not,
-// encoding on first use. The returned frame's Wire bytes are immutable
-// and may be retained.
+// Frame returns the batch encoded under codec v, which must be
+// wire.V1JSONL, compressed or not, encoding on first use. The returned
+// frame's Wire bytes are immutable and may be retained.
 func (e *EncodedBatch) Frame(v wire.Version, compress bool) (*EncodedFrame, error) {
-	if v != wire.V1JSONL && v != wire.V2Binary {
+	if v != wire.V1JSONL {
 		return nil, fmt.Errorf("%w %d", wire.ErrVersion, uint8(v))
 	}
 	ci := 0
 	if compress {
 		ci = 1
 	}
-	if f := e.frames[v][ci]; f != nil {
+	if f := e.frames[ci]; f != nil {
 		return f, nil
 	}
 	var (
@@ -98,8 +89,8 @@ func (e *EncodedBatch) Frame(v wire.Version, compress bool) (*EncodedFrame, erro
 	if err != nil {
 		return nil, err
 	}
-	f := &EncodedFrame{Version: v, Compressed: compress, Wire: frame, Logical: logical, Batch: e.batch}
-	e.frames[v][ci] = f
+	f := &EncodedFrame{Wire: frame, Logical: logical, Batch: e.batch}
+	e.frames[ci] = f
 	return f, nil
 }
 
@@ -124,7 +115,7 @@ type encodeOnceSink struct {
 // NewEncodeOnceSink returns a sink fanning every Write, WriteEpoch and
 // Close out to all the given sinks, with shared encoding: members
 // implementing FrameSink receive the cycle's EncodedBatch and pull
-// their (codec, compressed) variant from it, so any variant is encoded
+// their variant (plain or compressed) from it, so any variant is encoded
 // once per dispatch no matter how many members (or broadcaster
 // subscribers) consume it. Epoch-stamped flushes keep the epoch
 // protocol: EpochSink members get WriteEpoch (empty batches included)

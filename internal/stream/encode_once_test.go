@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -12,14 +13,13 @@ import (
 // recordingFrameSink is a FrameSink that remembers the exact
 // *EncodedFrame pointers it pulled, so tests can prove sharing.
 type recordingFrameSink struct {
-	ver      wire.Version
 	compress bool
 	frames   []*EncodedFrame
 	plain    int // Write calls (the non-frame path)
 }
 
 func (s *recordingFrameSink) WriteEncoded(e *EncodedBatch) error {
-	f, err := e.Frame(s.ver, s.compress)
+	f, err := e.Frame(wire.V1JSONL, s.compress)
 	if err != nil {
 		return err
 	}
@@ -49,9 +49,9 @@ func (s *epochRecorder) WriteEpoch(epoch uint64, batch []engine.OfficeAction) er
 }
 
 func TestEncodeOnceSharesVariantAcrossMembers(t *testing.T) {
-	a := &recordingFrameSink{ver: wire.V1JSONL}
-	b := &recordingFrameSink{ver: wire.V1JSONL}
-	c := &recordingFrameSink{ver: wire.V2Binary, compress: true}
+	a := &recordingFrameSink{}
+	b := &recordingFrameSink{}
+	c := &recordingFrameSink{compress: true}
 	ring := NewRingSink(64)
 	fan := NewEncodeOnceSink(a, b, c, ring)
 
@@ -74,6 +74,9 @@ func TestEncodeOnceSharesVariantAcrossMembers(t *testing.T) {
 	if !reflect.DeepEqual(ring.Actions(), batch) {
 		t.Fatal("plain member missed the batch")
 	}
+	if _, err := NewEncodedBatch(batch).Frame(2, false); !errors.Is(err, wire.ErrVersion) {
+		t.Fatalf("codec 2 frame: got %v, want wire.ErrVersion", err)
+	}
 
 	// A second cycle must not reuse the first cycle's buffers: the
 	// first cycle's frames may be retained by consumers.
@@ -94,7 +97,7 @@ func TestEncodeOnceSharesVariantAcrossMembers(t *testing.T) {
 
 func TestEncodeOnceEpochProtocol(t *testing.T) {
 	ep := &epochRecorder{}
-	fr := &recordingFrameSink{ver: wire.V1JSONL}
+	fr := &recordingFrameSink{}
 	fan := NewEncodeOnceSink(ep, fr).(*encodeOnceSink)
 
 	if err := fan.WriteEpoch(1, sampleBatch(8)); err != nil {
@@ -241,7 +244,7 @@ func TestTCPSinkTaggedCompressedEpochs(t *testing.T) {
 func BenchmarkFanoutEncodeOnce(b *testing.B) {
 	batch := sampleBatch(256)
 	perSink := func() Sink {
-		return &benchEncodingSink{ver: wire.V1JSONL}
+		return &benchEncodingSink{}
 	}
 	b.Run("multi", func(b *testing.B) {
 		fan := NewEncodeOnceSink(perSink(), perSink(), perSink())
@@ -256,9 +259,9 @@ func BenchmarkFanoutEncodeOnce(b *testing.B) {
 	})
 	b.Run("shared", func(b *testing.B) {
 		fan := NewEncodeOnceSink(
-			&benchFrameSink{ver: wire.V1JSONL},
-			&benchFrameSink{ver: wire.V1JSONL},
-			&benchFrameSink{ver: wire.V1JSONL},
+			&benchFrameSink{},
+			&benchFrameSink{},
+			&benchFrameSink{},
 		)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -274,12 +277,11 @@ func BenchmarkFanoutEncodeOnce(b *testing.B) {
 // benchFrameSink pulls its variant and discards it, so the benchmark
 // measures encoding, not retention.
 type benchFrameSink struct {
-	ver   wire.Version
 	bytes uint64
 }
 
 func (s *benchFrameSink) WriteEncoded(e *EncodedBatch) error {
-	f, err := e.Frame(s.ver, false)
+	f, err := e.Frame(wire.V1JSONL, false)
 	if err != nil {
 		return err
 	}
@@ -293,13 +295,12 @@ func (s *benchFrameSink) Close() error                            { return nil }
 // benchEncodingSink stands in for a frame-writing sink that encodes
 // privately — the pre-encode-once cost model.
 type benchEncodingSink struct {
-	ver wire.Version
 	buf []byte
 }
 
 func (s *benchEncodingSink) Write(batch []engine.OfficeAction) error {
 	var err error
-	s.buf, err = wire.AppendFrame(s.buf[:0], s.ver, batch)
+	s.buf, err = wire.AppendFrame(s.buf[:0], wire.V1JSONL, batch)
 	return err
 }
 

@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"fadewich/internal/engine"
 	"fadewich/internal/segment"
@@ -19,9 +20,8 @@ type SegmentSink struct {
 	mu     sync.Mutex
 	w      *segment.Writer
 	closed bool
-	// ver/compress mirror the writer's config: the (codec, compressed)
-	// frame variant this sink pulls from an encode-once fan-out.
-	ver      wire.Version
+	// compress mirrors the writer's config: the frame variant this sink
+	// pulls from an encode-once fan-out.
 	compress bool
 }
 
@@ -34,11 +34,7 @@ func NewSegmentSink(cfg segment.Config) (*SegmentSink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: segment sink: %w", err)
 	}
-	ver := cfg.Version
-	if ver == 0 {
-		ver = wire.V1JSONL
-	}
-	return &SegmentSink{w: w, ver: ver, compress: cfg.Compress}, nil
+	return &SegmentSink{w: w, compress: cfg.Compress}, nil
 }
 
 // Write appends one batch as one frame, rotating segments as
@@ -56,7 +52,7 @@ func (s *SegmentSink) Write(batch []engine.OfficeAction) error {
 }
 
 // WriteEncoded implements FrameSink: the sink pulls its configured
-// (codec, compressed) variant from the cycle's shared EncodedBatch and
+// variant (plain or compressed) from the cycle's shared EncodedBatch and
 // appends the pre-encoded frame as-is — no second encode, no mutation
 // of the shared bytes.
 func (s *SegmentSink) WriteEncoded(e *EncodedBatch) error {
@@ -65,7 +61,7 @@ func (s *SegmentSink) WriteEncoded(e *EncodedBatch) error {
 	if s.closed {
 		return ErrSinkClosed
 	}
-	f, err := e.Frame(s.ver, s.compress)
+	f, err := e.Frame(wire.V1JSONL, s.compress)
 	if err != nil {
 		return fmt.Errorf("stream: segment sink: %w", err)
 	}
@@ -75,16 +71,16 @@ func (s *SegmentSink) WriteEncoded(e *EncodedBatch) error {
 	return nil
 }
 
-// Maintain runs the segment directory's maintenance jobs (compaction,
-// replication, retention — see segment.MaintainOptions) under the
-// sink's lock, so they never interleave with an in-flight Write.
-func (s *SegmentSink) Maintain(opt segment.MaintainOptions) (segment.MaintainResult, error) {
+// Retain runs TTL retention on the segment directory (see
+// segment.Writer.Retain) under the sink's lock, so it never interleaves
+// with an in-flight Write.
+func (s *SegmentSink) Retain(ttl time.Duration) (segment.RetainResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return segment.MaintainResult{}, ErrSinkClosed
+		return segment.RetainResult{}, ErrSinkClosed
 	}
-	res, err := s.w.Maintain(opt)
+	res, err := s.w.Retain(ttl)
 	if err != nil {
 		return res, fmt.Errorf("stream: segment sink: %w", err)
 	}

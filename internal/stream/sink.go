@@ -152,9 +152,6 @@ type TCPSink struct {
 	Backoff time.Duration
 	// BackoffMax caps the exponential growth of the pause. Default 2 s.
 	BackoffMax time.Duration
-	// Version selects the wire codec of the frames. Default
-	// wire.V1JSONL.
-	Version wire.Version
 	// Source, when non-zero, switches the sink to the cluster's tagged
 	// mode: every frame carries this worker source ID and an epoch
 	// (wire.FlagTagged), batches must arrive via WriteEpoch with
@@ -202,7 +199,6 @@ func NewTCPSink(addr string) (*TCPSink, error) {
 		Retries:      3,
 		Backoff:      50 * time.Millisecond,
 		BackoffMax:   2 * time.Second,
-		Version:      wire.V1JSONL,
 		addr:         addr,
 		jitter:       rng.New(h.Sum64()),
 	}
@@ -259,9 +255,9 @@ func (s *TCPSink) Write(batch []engine.OfficeAction) error {
 func (s *TCPSink) encodeLocked(batch []engine.OfficeAction) error {
 	var err error
 	if s.Compress {
-		s.frame, s.logical, err = wire.AppendFrameCompressed(s.frame[:0], s.Version, batch, 0)
+		s.frame, s.logical, err = wire.AppendFrameCompressed(s.frame[:0], wire.V1JSONL, batch, 0)
 	} else {
-		s.frame, err = wire.AppendFrame(s.frame[:0], s.Version, batch)
+		s.frame, err = wire.AppendFrame(s.frame[:0], wire.V1JSONL, batch)
 		s.logical = len(s.frame)
 	}
 	if err != nil {
@@ -296,9 +292,9 @@ func (s *TCPSink) WriteEpoch(epoch uint64, batch []engine.OfficeAction) error {
 	}
 	var err error
 	if s.Compress {
-		s.frame, s.logical, err = wire.AppendTaggedFrameCompressed(s.frame[:0], s.Version, wire.Tag{Source: s.Source, Epoch: epoch}, batch, 0)
+		s.frame, s.logical, err = wire.AppendTaggedFrameCompressed(s.frame[:0], wire.V1JSONL, wire.Tag{Source: s.Source, Epoch: epoch}, batch, 0)
 	} else {
-		s.frame, err = wire.AppendTaggedFrame(s.frame[:0], s.Version, wire.Tag{Source: s.Source, Epoch: epoch}, batch)
+		s.frame, err = wire.AppendTaggedFrame(s.frame[:0], wire.V1JSONL, wire.Tag{Source: s.Source, Epoch: epoch}, batch)
 		s.logical = len(s.frame)
 	}
 	if err != nil {
@@ -375,7 +371,7 @@ func (s *TCPSink) Close() error {
 			epoch = s.lastEpoch + 1
 		}
 		// The final frame is empty and never worth compressing.
-		s.frame, finalErr = wire.AppendTaggedFrame(s.frame[:0], s.Version, wire.Tag{Source: s.Source, Epoch: epoch, Final: true}, nil)
+		s.frame, finalErr = wire.AppendTaggedFrame(s.frame[:0], wire.V1JSONL, wire.Tag{Source: s.Source, Epoch: epoch, Final: true}, nil)
 		s.logical = len(s.frame)
 		if finalErr == nil {
 			finalErr = s.sendLocked()

@@ -126,7 +126,6 @@ func TestMultiSinkDeliversPastFailures(t *testing.T) {
 type frameServer struct {
 	ln     net.Listener
 	frames chan []engine.OfficeAction
-	vers   chan wire.Version
 	conns  chan net.Conn
 }
 
@@ -136,7 +135,7 @@ func newFrameServer(t *testing.T) *frameServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := &frameServer{ln: ln, frames: make(chan []engine.OfficeAction, 64), vers: make(chan wire.Version, 64), conns: make(chan net.Conn, 8)}
+	fs := &frameServer{ln: ln, frames: make(chan []engine.OfficeAction, 64), conns: make(chan net.Conn, 8)}
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -152,7 +151,6 @@ func newFrameServer(t *testing.T) *frameServer {
 						return
 					}
 					fs.frames <- acts
-					fs.vers <- d.Version()
 				}
 			}(conn)
 		}
@@ -184,29 +182,23 @@ func (fs *frameServer) recvConn(t *testing.T) net.Conn {
 }
 
 func TestTCPSinkStreamsFrames(t *testing.T) {
-	for _, v := range []wire.Version{wire.V1JSONL, wire.V2Binary} {
-		fs := newFrameServer(t)
-		s, err := NewTCPSink(fs.ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Version = v
-		batch := sampleBatch(7)
-		if err := s.Write(batch); err != nil {
-			t.Fatal(err)
-		}
-		if got := fs.recvFrame(t); !reflect.DeepEqual(got, batch) {
-			t.Fatalf("%v: decoded frame differs from the batch", v)
-		}
-		if got := <-fs.vers; got != v {
-			t.Fatalf("frame carried codec %v, want %v", got, v)
-		}
-		st := s.Stats()
-		if st.Frames != 1 || st.Attempts != 1 || st.Redials != 0 {
-			t.Fatalf("%v: healthy-path stats %+v", v, st)
-		}
-		s.Close()
+	fs := newFrameServer(t)
+	s, err := NewTCPSink(fs.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
+	batch := sampleBatch(7)
+	if err := s.Write(batch); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.recvFrame(t); !reflect.DeepEqual(got, batch) {
+		t.Fatal("decoded frame differs from the batch")
+	}
+	st := s.Stats()
+	if st.Frames != 1 || st.Attempts != 1 || st.Redials != 0 {
+		t.Fatalf("healthy-path stats %+v", st)
+	}
+	s.Close()
 }
 
 // TestTCPSinkReconnectsAfterPeerDisconnect kills the peer connection

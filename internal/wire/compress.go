@@ -20,8 +20,6 @@ package wire
 
 import (
 	"compress/flate"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -35,21 +33,21 @@ import (
 // own framing; compressing them costs CPU to save nothing.
 const DefaultCompressMin = 256
 
-// flateLevel is the deflate effort of the hot encode path. BestSpeed
-// captures most of the JSONL redundancy (repeated keys, enum
+// flateLevel is the deflate effort of every compressed frame.
+// BestSpeed captures most of the JSONL redundancy (repeated keys, enum
 // spellings) at a fraction of the default level's CPU — the right
-// trade for a per-dispatch operation. Cold-path rewriters (the segment
-// compactor) use CompactionLevel instead.
+// trade for a per-dispatch operation.
 const flateLevel = flate.BestSpeed
 
-// CompactionLevel is the deflate effort for offline rewriting of cold
-// data, where shrink matters more than CPU.
-const CompactionLevel = flate.BestCompression
-
-// flateWriters pools one *flate.Writer per level in use; the
-// compressor's internal state is ~600 KiB, far too much to allocate
-// per frame.
-var flateWriters [10]sync.Pool
+// flateWriters pools *flate.Writer at flateLevel; the compressor's
+// internal state is ~600 KiB, far too much to allocate per frame.
+var flateWriters = sync.Pool{New: func() any {
+	fw, err := flate.NewWriter(nil, flateLevel)
+	if err != nil {
+		panic(err) // flateLevel is a valid constant level
+	}
+	return fw
+}}
 
 // flateReaders pools inflaters (they satisfy flate.Resetter).
 var flateReaders = sync.Pool{New: func() any { return flate.NewReader(nil) }}
@@ -65,31 +63,19 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// appendDeflate appends the deflate stream of src to dst at the given
-// level and returns the extended slice.
-func appendDeflate(dst, src []byte, level int) []byte {
-	if level < 1 || level > 9 {
-		level = flateLevel
-	}
+// appendDeflate appends the deflate stream of src to dst and returns
+// the extended slice.
+func appendDeflate(dst, src []byte) []byte {
 	cw := &countWriter{buf: dst}
-	var fw *flate.Writer
-	if v := flateWriters[level].Get(); v != nil {
-		fw = v.(*flate.Writer)
-		fw.Reset(cw)
-	} else {
-		var err error
-		fw, err = flate.NewWriter(cw, level)
-		if err != nil {
-			panic(err) // level is range-checked above
-		}
-	}
+	fw := flateWriters.Get().(*flate.Writer)
+	fw.Reset(cw)
 	if _, err := fw.Write(src); err != nil {
 		panic(err) // countWriter cannot fail
 	}
 	if err := fw.Close(); err != nil {
 		panic(err) // countWriter cannot fail
 	}
-	flateWriters[level].Put(fw)
+	flateWriters.Put(fw)
 	return cw.buf
 }
 
@@ -146,7 +132,7 @@ func (b *byteReader) Read(p []byte) (int, error) {
 // maybeCompress deflates dst[payloadStart:] in place when it is at
 // least min bytes and deflate actually shrinks it, reporting whether it
 // did. min <= 0 selects DefaultCompressMin.
-func maybeCompress(dst []byte, payloadStart, min, level int) ([]byte, bool) {
+func maybeCompress(dst []byte, payloadStart, min int) ([]byte, bool) {
 	if min <= 0 {
 		min = DefaultCompressMin
 	}
@@ -156,7 +142,7 @@ func maybeCompress(dst []byte, payloadStart, min, level int) ([]byte, bool) {
 	}
 	// Deflate into the tail of dst past the payload, then slide the
 	// result down over it — one buffer, no pooled scratch to manage.
-	comp := appendDeflate(dst, payload, level)
+	comp := appendDeflate(dst, payload)
 	if len(comp)-len(dst) >= len(payload) {
 		return dst, false
 	}
@@ -171,19 +157,25 @@ func maybeCompress(dst []byte, payloadStart, min, level int) ([]byte, bool) {
 // occupies uncompressed, whether or not compression happened: the
 // "logical" byte count behind the sinks' bytes-vs-wire-bytes split.
 func AppendFrameCompressed(dst []byte, v Version, batch []engine.OfficeAction, min int) ([]byte, int, error) {
+	if err := checkVersion(v); err != nil {
+		return dst, 0, err
+	}
 	start := len(dst)
 	dst = append(dst, Magic[0], Magic[1], byte(v), 0, 0, 0, 0, 0)
-	bodyStart := len(dst)
-	dst, err := AppendPayload(dst, v, batch)
-	if err != nil {
-		return dst[:start], 0, err
-	}
-	logical := Overhead + len(dst) - bodyStart
-	dst, compressed := maybeCompress(dst, bodyStart, min, flateLevel)
+	return compressAndSeal(dst, start, len(dst), batch, min)
+}
+
+// compressAndSeal appends the batch's payload at bodyStart, deflates it
+// per maybeCompress, and seals the frame that begins at start. It also
+// returns the frame's uncompressed size.
+func compressAndSeal(dst []byte, start, bodyStart int, batch []engine.OfficeAction, min int) ([]byte, int, error) {
+	dst = AppendJSONL(dst, batch)
+	logical := len(dst) - start + TrailerSize
+	dst, compressed := maybeCompress(dst, bodyStart, min)
 	if compressed {
 		dst[start+3] |= FlagCompressed
 	}
-	dst, err = sealFrame(dst, start)
+	dst, err := sealFrame(dst, start)
 	return dst, logical, err
 }
 
@@ -193,54 +185,10 @@ func AppendFrameCompressed(dst []byte, v Version, batch []engine.OfficeAction, m
 // of the deflate stream, so tagged-frame consumers read provenance
 // without inflating. Also returns the uncompressed frame size.
 func AppendTaggedFrameCompressed(dst []byte, v Version, tag Tag, batch []engine.OfficeAction, min int) ([]byte, int, error) {
-	if tag.Source == 0 {
-		return dst, 0, errors.New("wire: tagged frame: source 0 is reserved for untagged streams")
-	}
-	if tag.Epoch > MaxTagEpoch {
-		return dst, 0, fmt.Errorf("wire: tagged frame: epoch %d exceeds the 32-bit wire field", tag.Epoch)
-	}
-	flags := byte(FlagTagged)
-	if tag.Final {
-		flags |= FlagFinal
-	}
 	start := len(dst)
-	dst = append(dst, Magic[0], Magic[1], byte(v), flags, 0, 0, 0, 0)
-	dst = append(dst, tag.Source)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(tag.Epoch))
-	bodyStart := len(dst)
-	dst, err := AppendPayload(dst, v, batch)
+	dst, err := appendTaggedHeader(dst, v, tag)
 	if err != nil {
-		return dst[:start], 0, err
+		return dst, 0, err
 	}
-	logical := Overhead + TagSize + len(dst) - bodyStart
-	dst, compressed := maybeCompress(dst, bodyStart, min, flateLevel)
-	if compressed {
-		dst[start+3] |= FlagCompressed
-	}
-	dst, err = sealFrame(dst, start)
-	return dst, logical, err
-}
-
-// AppendRawFrameCompressed appends one complete frame carrying an
-// opaque payload like AppendRawFrame, deflating it under the same
-// rules as AppendFrameCompressed, at the given deflate level (level
-// outside [1,9] selects the hot-path default). Also returns the
-// uncompressed frame size. This is the segment compactor's rewrite
-// primitive: DecodeRaw of the old frame feeds AppendRawFrameCompressed
-// of the new one, preserving payload bytes exactly.
-func AppendRawFrameCompressed(dst []byte, v Version, payload []byte, min, level int) ([]byte, int, error) {
-	if !v.valid() {
-		return dst, 0, fmt.Errorf("%w %d", ErrVersion, uint8(v))
-	}
-	start := len(dst)
-	dst = append(dst, Magic[0], Magic[1], byte(v), 0, 0, 0, 0, 0)
-	bodyStart := len(dst)
-	dst = append(dst, payload...)
-	logical := Overhead + len(payload)
-	dst, compressed := maybeCompress(dst, bodyStart, min, level)
-	if compressed {
-		dst[start+3] |= FlagCompressed
-	}
-	dst, err := sealFrame(dst, start)
-	return dst, logical, err
+	return compressAndSeal(dst, start, len(dst), batch, min)
 }

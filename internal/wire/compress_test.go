@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/hex"
 	"errors"
 	"reflect"
@@ -13,7 +12,7 @@ import (
 )
 
 // bigBatch repeats the fixture batch until its payload is comfortably
-// past DefaultCompressMin under both codecs, so the compressed append
+// past DefaultCompressMin, so the compressed append
 // functions actually deflate it.
 func bigBatch() []engine.OfficeAction {
 	var out []engine.OfficeAction
@@ -25,106 +24,87 @@ func bigBatch() []engine.OfficeAction {
 
 func TestCompressedFrameRoundTrip(t *testing.T) {
 	batch := bigBatch()
-	for _, v := range []Version{V1JSONL, V2Binary} {
-		frame, logical, err := AppendFrameCompressed(nil, v, batch, 0)
-		if err != nil {
-			t.Fatalf("%v: %v", v, err)
-		}
-		if frame[3]&FlagCompressed == 0 {
-			t.Fatalf("%v: large batch did not set FlagCompressed", v)
-		}
-		plain, err := AppendFrame(nil, v, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if logical != len(plain) {
-			t.Fatalf("%v: logical size %d, uncompressed frame is %d bytes", v, logical, len(plain))
-		}
-		if len(frame) >= len(plain) {
-			t.Fatalf("%v: compressed frame (%d bytes) not smaller than plain (%d)", v, len(frame), len(plain))
-		}
-		d := NewDecoder(bytes.NewReader(frame))
-		got, err := d.Decode()
-		if err != nil {
-			t.Fatalf("%v: decode: %v", v, err)
-		}
-		if !reflect.DeepEqual(got, batch) {
-			t.Fatalf("%v: round trip changed the batch", v)
-		}
-		if !d.Compressed() {
-			t.Fatalf("%v: decoder does not report the frame compressed", v)
-		}
-		if d.Offset() != int64(len(frame)) {
-			t.Fatalf("%v: offset %d, want the on-wire size %d", v, d.Offset(), len(frame))
-		}
-		// Determinism: the inflated payload is byte-identical to the
-		// uncompressed encoding.
-		raw, payload, err := NewDecoder(bytes.NewReader(frame)).DecodeRaw()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := AppendPayload(nil, v, batch)
-		if raw != v || !bytes.Equal(payload, want) {
-			t.Fatalf("%v: inflated payload differs from the uncompressed encoding", v)
-		}
+	frame, logical, err := AppendFrameCompressed(nil, V1JSONL, batch, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame[3]&FlagCompressed == 0 {
+		t.Fatal("large batch did not set FlagCompressed")
+	}
+	plain, err := AppendFrame(nil, V1JSONL, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if logical != len(plain) {
+		t.Fatalf("logical size %d, uncompressed frame is %d bytes", logical, len(plain))
+	}
+	if len(frame) >= len(plain) {
+		t.Fatalf("compressed frame (%d bytes) not smaller than plain (%d)", len(frame), len(plain))
+	}
+	d := NewDecoder(bytes.NewReader(frame))
+	got, err := d.Decode()
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(got, batch) {
+		t.Fatal("round trip changed the batch")
+	}
+	if d.Offset() != int64(len(frame)) {
+		t.Fatalf("offset %d, want the on-wire size %d", d.Offset(), len(frame))
+	}
+	// Determinism: the inflated payload is byte-identical to the
+	// uncompressed encoding.
+	fr, err := NewDecoder(bytes.NewReader(frame)).readFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fr.payload, AppendJSONL(nil, batch)) {
+		t.Fatal("inflated payload differs from the uncompressed encoding")
 	}
 }
 
 func TestCompressedSmallBatchStaysPlain(t *testing.T) {
 	batch := testBatch()[:1]
-	for _, v := range []Version{V1JSONL, V2Binary} {
-		frame, logical, err := AppendFrameCompressed(nil, v, batch, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, err := AppendFrame(nil, v, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(frame, plain) {
-			t.Fatalf("%v: sub-threshold batch did not fall back to the plain frame", v)
-		}
-		if logical != len(plain) {
-			t.Fatalf("%v: logical %d, want %d", v, logical, len(plain))
-		}
-		d := NewDecoder(bytes.NewReader(frame))
-		if _, err := d.Decode(); err != nil {
-			t.Fatal(err)
-		}
-		if d.Compressed() {
-			t.Fatalf("%v: plain fallback reported as compressed", v)
-		}
-	}
-}
-
-func TestCompressedIncompressibleFallsBack(t *testing.T) {
-	// A pseudo-random payload will not shrink under deflate; the raw
-	// append must emit a plain frame rather than grow it.
-	src := rng.New(11)
-	junk := make([]byte, 4*DefaultCompressMin)
-	for i := range junk {
-		junk[i] = byte(src.Intn(256))
-	}
-	frame, _, err := AppendRawFrameCompressed(nil, V1JSONL, junk, 0, flate.BestSpeed)
+	frame, logical, err := AppendFrameCompressed(nil, V1JSONL, batch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frame[3]&FlagCompressed != 0 {
-		t.Fatal("incompressible payload was flagged compressed")
-	}
-	plain, err := AppendRawFrame(nil, V1JSONL, junk)
+	plain, err := AppendFrame(nil, V1JSONL, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(frame, plain) {
-		t.Fatal("fallback frame differs from AppendRawFrame")
+		t.Fatal("sub-threshold batch did not fall back to the plain frame")
+	}
+	if logical != len(plain) {
+		t.Fatalf("logical %d, want %d", logical, len(plain))
+	}
+	if _, err := NewDecoder(bytes.NewReader(frame)).Decode(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCompressedIncompressibleFallsBack(t *testing.T) {
+	// A pseudo-random payload will not shrink under deflate;
+	// maybeCompress must leave it in place rather than grow it.
+	src := rng.New(11)
+	plain := []byte{'F', 'W', 1, 0, 0, 0, 0, 0}
+	for i := 0; i < 4*DefaultCompressMin; i++ {
+		plain = append(plain, byte(src.Intn(256)))
+	}
+	got, compressed := maybeCompress(bytes.Clone(plain), HeaderSize, 0)
+	if compressed {
+		t.Fatal("incompressible payload was compressed")
+	}
+	if !bytes.Equal(got, plain) {
+		t.Fatal("fallback changed the plain frame bytes")
 	}
 }
 
 func TestCompressedTaggedCompose(t *testing.T) {
 	batch := bigBatch()
 	tag := Tag{Source: 7, Epoch: 1234}
-	frame, logical, err := AppendTaggedFrameCompressed(nil, V2Binary, tag, batch, 0)
+	frame, logical, err := AppendTaggedFrameCompressed(nil, V1JSONL, tag, batch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +115,7 @@ func TestCompressedTaggedCompose(t *testing.T) {
 	if frame[HeaderSize] != 7 {
 		t.Fatalf("tag source byte %d not at the body start", frame[HeaderSize])
 	}
-	plain, err := AppendTaggedFrame(nil, V2Binary, tag, batch)
+	plain, err := AppendTaggedFrame(nil, V1JSONL, tag, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,9 +133,6 @@ func TestCompressedTaggedCompose(t *testing.T) {
 	gotTag, tagged := d.Tag()
 	if !tagged || gotTag != tag {
 		t.Fatalf("tag %+v (tagged=%v), want %+v", gotTag, tagged, tag)
-	}
-	if !d.Compressed() {
-		t.Fatal("decoder does not report the frame compressed")
 	}
 }
 
@@ -186,8 +163,8 @@ func TestCompressedFrameGolden(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("golden compressed frame decoded to %+v", got)
 	}
-	if !d.Compressed() {
-		t.Fatal("golden frame not reported compressed")
+	if frame[3]&FlagCompressed == 0 {
+		t.Fatal("golden frame not flagged compressed")
 	}
 	if d.Offset() != int64(len(frame)) {
 		t.Fatalf("offset %d, want %d", d.Offset(), len(frame))
@@ -289,7 +266,7 @@ func TestCompressedZipBombBounded(t *testing.T) {
 		t.Skip("allocates MaxPayloadBytes")
 	}
 	huge := make([]byte, MaxPayloadBytes+1)
-	comp := appendDeflate(nil, huge, flate.BestSpeed)
+	comp := appendDeflate(nil, huge)
 	f := []byte{'F', 'W', 1, FlagCompressed, 0, 0, 0, 0}
 	f = append(f, comp...)
 	f, err := sealFrame(f, 0)
@@ -301,28 +278,6 @@ func TestCompressedZipBombBounded(t *testing.T) {
 	}
 }
 
-func TestEncoderCompression(t *testing.T) {
-	var buf bytes.Buffer
-	enc, err := NewEncoder(&buf, V1JSONL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc.SetCompression(true)
-	if err := enc.Encode(bigBatch()); err != nil {
-		t.Fatal(err)
-	}
-	if enc.Bytes() >= enc.LogicalBytes() {
-		t.Fatalf("compressed encoder wrote %d wire bytes for %d logical", enc.Bytes(), enc.LogicalBytes())
-	}
-	got, err := NewDecoder(&buf).Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, bigBatch()) {
-		t.Fatal("encoder stream round trip changed the batch")
-	}
-}
-
 // TestCompressedAppendNoSteadyStateAllocs pins the hot path's pooling:
 // once the destination buffer is sized, compressing a batch must not
 // allocate per frame (the flate writer comes from the pool).
@@ -331,12 +286,12 @@ func TestCompressedAppendNoSteadyStateAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops a quarter of Puts under the race detector, so the pool-hit pin cannot hold")
 	}
 	batch := bigBatch()
-	buf, _, err := AppendFrameCompressed(nil, V2Binary, batch, 0)
+	buf, _, err := AppendFrameCompressed(nil, V1JSONL, batch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		buf, _, err = AppendFrameCompressed(buf[:0], V2Binary, batch, 0)
+		buf, _, err = AppendFrameCompressed(buf[:0], V1JSONL, batch, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,26 +304,24 @@ func TestCompressedAppendNoSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkEncodeCompressed measures the compressed per-batch encode
-// cost for both codecs — the price of FlagCompressed on the dispatch
+// cost — the price of FlagCompressed on the dispatch
 // hot path, to read against BenchmarkEncodeFrame's plain cost. The
 // compression ratio is reported per run.
 func BenchmarkEncodeCompressed(b *testing.B) {
 	batch := benchBatch()
-	for _, v := range []Version{V1JSONL, V2Binary} {
-		b.Run(v.String(), func(b *testing.B) {
-			var buf []byte
-			var logical int
-			var err error
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buf, logical, err = AppendFrameCompressed(buf[:0], v, batch, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
+	b.Run("v1", func(b *testing.B) {
+		var buf []byte
+		var logical int
+		var err error
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf, logical, err = AppendFrameCompressed(buf[:0], V1JSONL, batch, 0)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.SetBytes(int64(logical))
-			b.ReportMetric(float64(logical)/float64(len(buf)), "ratio")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(batch)), "ns/action")
-		})
-	}
+		}
+		b.SetBytes(int64(logical))
+		b.ReportMetric(float64(logical)/float64(len(buf)), "ratio")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(batch)), "ns/action")
+	})
 }

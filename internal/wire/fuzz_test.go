@@ -2,16 +2,17 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"testing"
 )
 
-// equalActs compares action slices with NaN-safe time comparison (the
-// v2 codec carries raw float64 bits, so a fuzzed frame can legally hold
-// a NaN time, and NaN != NaN under ==).
+// equalActs compares action slices field by field, times as raw
+// float64 bits.
 func equalActs(a, b []fuzzAct) bool {
 	if len(a) != len(b) {
 		return false
@@ -33,55 +34,65 @@ type fuzzAct struct {
 
 // FuzzDecode throws arbitrary bytes at the Decoder: every outcome must
 // be a clean decode, io.EOF, or one of the classified errors — never a
-// panic — and every successful decode must survive a re-encode under
-// the same codec version with identical actions.
+// panic — and every successful decode must survive a re-encode with
+// identical actions.
 func FuzzDecode(f *testing.F) {
-	// Seed with golden frames: both codec versions of the fixture batch,
-	// an empty batch, a torn prefix, and a corrupted byte.
-	for _, v := range []Version{V1JSONL, V2Binary} {
-		frame, err := AppendFrame(nil, v, testBatch())
-		if err != nil {
-			f.Fatal(err)
+	// Seed with golden frames: the fixture batch, an empty batch, a torn
+	// prefix, and a corrupted byte.
+	var seeds [][]byte
+	frame, err := AppendFrame(nil, V1JSONL, testBatch())
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, frame, frame[:len(frame)-5])
+	bad := append([]byte(nil), frame...)
+	bad[HeaderSize+1] ^= 0x10
+	seeds = append(seeds, bad)
+	empty, err := AppendFrame(nil, V1JSONL, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, empty, append(append([]byte(nil), frame...), empty...))
+	tagged, err := AppendTaggedFrame(nil, V1JSONL, Tag{Source: 3, Epoch: 41}, testBatch())
+	if err != nil {
+		f.Fatal(err)
+	}
+	final, err := AppendTaggedFrame(nil, V1JSONL, Tag{Source: 3, Epoch: 42, Final: true}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, tagged, append(append([]byte(nil), tagged...), final...))
+	// Compressed seeds: a FlagCompressed frame (min 1 forces deflate
+	// even for the small fixture batch), a compressed+tagged one, a
+	// torn prefix of each, and one with a flipped deflate byte.
+	comp, _, err := AppendFrameCompressed(nil, V1JSONL, bigBatch(), 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, comp, comp[:len(comp)-6])
+	badComp := append([]byte(nil), comp...)
+	badComp[HeaderSize+3] ^= 0x10
+	seeds = append(seeds, badComp)
+	compTagged, _, err := AppendTaggedFrameCompressed(nil, V1JSONL, Tag{Source: 5, Epoch: 9}, bigBatch(), 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, compTagged, append(append([]byte(nil), comp...), compTagged...))
+	for _, seed := range seeds {
+		f.Add(seed)
+	}
+	// Each seed's twin under the retired codec 2, first frame resealed
+	// when it is whole, must decode to ErrVersion and seeds the corpus.
+	for i, seed := range seeds {
+		v2 := bytes.Clone(seed)
+		v2[2] = 2
+		if n := HeaderSize + int(binary.BigEndian.Uint32(v2[4:HeaderSize])) + TrailerSize; n <= len(v2) {
+			binary.BigEndian.PutUint32(v2[n-TrailerSize:], crc32.Checksum(v2[:n-TrailerSize], castagnoli))
 		}
-		f.Add(frame)
-		f.Add(frame[:len(frame)-5])
-		bad := append([]byte(nil), frame...)
-		bad[HeaderSize+1] ^= 0x10
-		f.Add(bad)
-		empty, err := AppendFrame(nil, v, nil)
-		if err != nil {
-			f.Fatal(err)
+		if _, err := NewDecoder(bytes.NewReader(v2)).Decode(); !errors.Is(err, ErrVersion) {
+			f.Fatalf("version-2 twin of seed %d: got %v, want ErrVersion", i, err)
 		}
-		f.Add(empty)
-		f.Add(append(append([]byte(nil), frame...), empty...))
-		tagged, err := AppendTaggedFrame(nil, v, Tag{Source: 3, Epoch: 41}, testBatch())
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(tagged)
-		final, err := AppendTaggedFrame(nil, v, Tag{Source: 3, Epoch: 42, Final: true}, nil)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(append(append([]byte(nil), tagged...), final...))
-		// Compressed seeds: a FlagCompressed frame (min 1 forces deflate
-		// even for the small fixture batch), a compressed+tagged one, a
-		// torn prefix of each, and one with a flipped deflate byte.
-		comp, _, err := AppendFrameCompressed(nil, v, bigBatch(), 1)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(comp)
-		f.Add(comp[:len(comp)-6])
-		badComp := append([]byte(nil), comp...)
-		badComp[HeaderSize+3] ^= 0x10
-		f.Add(badComp)
-		compTagged, _, err := AppendTaggedFrameCompressed(nil, v, Tag{Source: 5, Epoch: 9}, bigBatch(), 1)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(compTagged)
-		f.Add(append(append([]byte(nil), comp...), compTagged...))
+		f.Add(v2)
 	}
 	// The toolchain-independent golden compressed frames (stored-block
 	// deflate streams) seed the corpus too.
@@ -102,7 +113,7 @@ func FuzzDecode(f *testing.F) {
 				}
 				return
 			}
-			frame, err := AppendFrame(nil, d.Version(), acts)
+			frame, err := AppendFrame(nil, V1JSONL, acts)
 			if err != nil {
 				t.Fatalf("re-encode of a decoded batch failed: %v", err)
 			}

@@ -143,23 +143,21 @@ func benchBatch() []engine.OfficeAction {
 }
 
 // BenchmarkEncodeFrame measures the full per-batch sink encode cost —
-// payload plus framing and CRC — for both codecs, as driven by the
-// segment and TCP sinks' wire.Encoder.
+// payload plus framing and CRC — as driven by the segment and TCP
+// sinks.
 func BenchmarkEncodeFrame(b *testing.B) {
 	batch := benchBatch()
-	for _, v := range []Version{V1JSONL, V2Binary} {
-		b.Run(v.String(), func(b *testing.B) {
-			var buf []byte
-			var err error
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buf, err = AppendFrame(buf[:0], v, batch)
-				if err != nil {
-					b.Fatal(err)
-				}
+	b.Run("v1", func(b *testing.B) {
+		var buf []byte
+		var err error
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf, err = AppendFrame(buf[:0], V1JSONL, batch)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.SetBytes(int64(len(buf)))
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(batch)), "ns/action")
-		})
-	}
+		}
+		b.SetBytes(int64(len(buf)))
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(batch)), "ns/action")
+	})
 }

@@ -41,34 +41,31 @@ func TestTaggedFrameGolden(t *testing.T) {
 	}
 }
 
-// TestTaggedFrameRoundTrip decodes tagged frames of both codecs and
-// checks the tag surfaces on the decoder, the payload comes back
+// TestTaggedFrameRoundTrip decodes a tagged frame and checks the tag surfaces on the decoder, the payload comes back
 // intact, and the offset accounts for the tag bytes.
 func TestTaggedFrameRoundTrip(t *testing.T) {
-	for _, v := range []Version{V1JSONL, V2Binary} {
-		tag := Tag{Source: 9, Epoch: 123456}
-		frame, err := AppendTaggedFrame(nil, v, tag, testBatch())
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := NewDecoder(bytes.NewReader(frame))
-		got, err := d.Decode()
-		if err != nil {
-			t.Fatalf("%v: decode: %v", v, err)
-		}
-		if !reflect.DeepEqual(got, testBatch()) {
-			t.Fatalf("%v: round trip changed the batch", v)
-		}
-		gotTag, tagged := d.Tag()
-		if !tagged || gotTag != tag {
-			t.Fatalf("%v: decoder tag = %+v (tagged=%v), want %+v", v, gotTag, tagged, tag)
-		}
-		if d.Offset() != int64(len(frame)) {
-			t.Fatalf("%v: offset %d, want %d", v, d.Offset(), len(frame))
-		}
-		if _, err := d.Decode(); err != io.EOF {
-			t.Fatalf("%v: second decode returned %v, want io.EOF", v, err)
-		}
+	tag := Tag{Source: 9, Epoch: 123456}
+	frame, err := AppendTaggedFrame(nil, V1JSONL, tag, testBatch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDecoder(bytes.NewReader(frame))
+	got, err := d.Decode()
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(got, testBatch()) {
+		t.Fatal("round trip changed the batch")
+	}
+	gotTag, tagged := d.Tag()
+	if !tagged || gotTag != tag {
+		t.Fatalf("decoder tag = %+v (tagged=%v), want %+v", gotTag, tagged, tag)
+	}
+	if d.Offset() != int64(len(frame)) {
+		t.Fatalf("offset %d, want %d", d.Offset(), len(frame))
+	}
+	if _, err := d.Decode(); err != io.EOF {
+		t.Fatalf("second decode returned %v, want io.EOF", err)
 	}
 }
 

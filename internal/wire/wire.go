@@ -8,18 +8,19 @@
 //
 //	offset  size  field
 //	0       2     magic "FW" (0x46 0x57)
-//	2       1     codec version (1 = JSONL payload, 2 = compact binary)
+//	2       1     codec version (1 = JSONL payload, the only codec)
 //	3       1     flags (0, or FlagTagged optionally ored with FlagFinal)
 //	4       4     body length, big-endian
 //	8       n     body: [5-byte tag if FlagTagged] + payload
 //	8+n     4     CRC32C (Castagnoli) over bytes [0, 8+n), big-endian
 //
-// Codec v1 carries the payload as JSONL — one JSON object per action,
-// one action per line, byte-for-byte the encoding the sinks emitted
-// before the frame layer existed — so a consumer that understands the
-// historical payload still decodes v1 frames. Codec v2 carries a
-// compact binary payload (varint fields, raw float64 time bits) at
-// roughly a third of the JSONL size. Both decode to the same actions.
+// The payload codec is JSONL — one JSON object per action, one action
+// per line, byte-for-byte the encoding the sinks emitted before the
+// frame layer existed — so a consumer that understands the historical
+// payload decodes every frame. Version 1 is the only codec; the version
+// byte stays in the header, so a frame carrying any other version,
+// such as one from a build that still wrote the retired binary codec
+// 2, decodes to ErrVersion rather than to a torn or corrupt frame.
 //
 // The flags byte was reserved-zero until the multi-node fleet needed
 // provenance on worker streams. FlagTagged (0x01) prefixes the body
@@ -59,25 +60,23 @@ import (
 	"fadewich/internal/engine"
 )
 
-// Version selects the payload codec of a frame.
+// Version is the codec byte of a frame. V1JSONL is the only codec;
+// the encoders take it as a parameter and reject anything else with
+// ErrVersion.
 type Version uint8
 
-const (
-	// V1JSONL encodes the payload as JSONL, one action per line — the
-	// historical sink encoding, kept as codec v1 so pre-frame consumers
-	// still understand the payload bytes.
-	V1JSONL Version = 1
-	// V2Binary encodes the payload compactly: varint count, then per
-	// action varint office/type/workstation/cause/label around the raw
-	// little-endian float64 time bits.
-	V2Binary Version = 2
-)
+// V1JSONL encodes the payload as JSONL, one action per line — the
+// historical sink encoding, so pre-frame consumers still understand
+// the payload bytes.
+const V1JSONL Version = 1
 
-// String returns the CLI spelling of the version (v1, v2).
-func (v Version) String() string { return fmt.Sprintf("v%d", uint8(v)) }
-
-// valid reports whether v names a known codec.
-func (v Version) valid() bool { return v == V1JSONL || v == V2Binary }
+// checkVersion rejects every codec but V1JSONL.
+func checkVersion(v Version) error {
+	if v != V1JSONL {
+		return fmt.Errorf("%w %d", ErrVersion, uint8(v))
+	}
+	return nil
+}
 
 // Frame geometry.
 const (
@@ -145,7 +144,8 @@ var (
 	// undecodable payload.
 	ErrCorrupt = errors.New("wire: corrupt frame")
 	// ErrVersion marks a frame whose codec version this build does not
-	// know.
+	// know — every version but V1JSONL, the retired binary codec 2
+	// included.
 	ErrVersion = errors.New("wire: unknown codec version")
 )
 
@@ -240,52 +240,38 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// appendBinary appends the codec-v2 payload encoding of a batch to dst.
-func appendBinary(dst []byte, batch []engine.OfficeAction) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(batch)))
-	for _, a := range batch {
-		dst = binary.AppendUvarint(dst, uint64(a.Office))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.Action.Time))
-		dst = binary.AppendUvarint(dst, uint64(a.Action.Type))
-		dst = binary.AppendUvarint(dst, uint64(a.Action.Workstation))
-		dst = binary.AppendUvarint(dst, uint64(a.Action.Cause))
-		dst = binary.AppendVarint(dst, int64(a.Action.Label))
-	}
-	return dst
-}
-
-// AppendPayload appends the payload encoding of a batch under the given
-// codec version to dst.
-func AppendPayload(dst []byte, v Version, batch []engine.OfficeAction) ([]byte, error) {
-	switch v {
-	case V1JSONL:
-		return AppendJSONL(dst, batch), nil
-	case V2Binary:
-		return appendBinary(dst, batch), nil
-	default:
-		return dst, fmt.Errorf("%w %d", ErrVersion, uint8(v))
-	}
-}
-
 // AppendFrame appends one complete frame (header, payload, CRC trailer)
-// encoding the batch under the given codec version to dst.
+// encoding the batch under codec v, which must be V1JSONL, to dst.
 func AppendFrame(dst []byte, v Version, batch []engine.OfficeAction) ([]byte, error) {
+	if err := checkVersion(v); err != nil {
+		return dst, err
+	}
 	start := len(dst)
 	dst = append(dst, Magic[0], Magic[1], byte(v), 0, 0, 0, 0, 0)
-	dst, err := AppendPayload(dst, v, batch)
-	if err != nil {
-		return dst[:start], err
-	}
-	return sealFrame(dst, start)
+	return sealFrame(AppendJSONL(dst, batch), start)
 }
 
 // AppendTaggedFrame appends one complete FlagTagged frame: the batch
-// encoded under the given codec version, with the frame body prefixed
+// encoded under codec v (V1JSONL), with the frame body prefixed
 // by the tag's source and epoch (and FlagFinal set when tag.Final).
 // The batch may be empty — an empty tagged frame is how a worker
 // reports "this epoch dispatched nothing", which the router needs to
 // advance its merge watermark.
 func AppendTaggedFrame(dst []byte, v Version, tag Tag, batch []engine.OfficeAction) ([]byte, error) {
+	start := len(dst)
+	dst, err := appendTaggedHeader(dst, v, tag)
+	if err != nil {
+		return dst, err
+	}
+	return sealFrame(AppendJSONL(dst, batch), start)
+}
+
+// appendTaggedHeader validates v and tag and appends a tagged frame's
+// header (length left zero for sealFrame) and tag bytes.
+func appendTaggedHeader(dst []byte, v Version, tag Tag) ([]byte, error) {
+	if err := checkVersion(v); err != nil {
+		return dst, err
+	}
 	if tag.Source == 0 {
 		return dst, errors.New("wire: tagged frame: source 0 is reserved for untagged streams")
 	}
@@ -296,33 +282,9 @@ func AppendTaggedFrame(dst []byte, v Version, tag Tag, batch []engine.OfficeActi
 	if tag.Final {
 		flags |= FlagFinal
 	}
-	start := len(dst)
 	dst = append(dst, Magic[0], Magic[1], byte(v), flags, 0, 0, 0, 0)
 	dst = append(dst, tag.Source)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(tag.Epoch))
-	dst, err := AppendPayload(dst, v, batch)
-	if err != nil {
-		return dst[:start], err
-	}
-	return sealFrame(dst, start)
-}
-
-// AppendRawFrame appends one complete frame carrying an opaque payload
-// under the given version byte. The framing (magic, version, flags,
-// length, CRC32C trailer) is identical to AppendFrame's, but the
-// payload bytes are the caller's. It is the uncompressed form of
-// AppendRawFrameCompressed, the segment compactor's rewrite primitive;
-// DecodeRaw reads either back. The version byte still has to name a
-// known codec; it describes the payload's text-vs-binary convention to
-// whoever decodes it.
-func AppendRawFrame(dst []byte, v Version, payload []byte) ([]byte, error) {
-	if !v.valid() {
-		return dst, fmt.Errorf("%w %d", ErrVersion, uint8(v))
-	}
-	start := len(dst)
-	dst = append(dst, Magic[0], Magic[1], byte(v), 0, 0, 0, 0, 0)
-	dst = append(dst, payload...)
-	return sealFrame(dst, start)
+	return binary.BigEndian.AppendUint32(dst, uint32(tag.Epoch)), nil
 }
 
 // sealFrame back-fills the payload length of the frame that begins at
@@ -406,152 +368,14 @@ func decodeJSONL(payload []byte) ([]engine.OfficeAction, error) {
 	return out, nil
 }
 
-// decodeBinary decodes a codec-v2 payload back into actions.
-func decodeBinary(payload []byte) ([]engine.OfficeAction, error) {
-	count, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return nil, errors.New("wire: binary payload: bad action count")
-	}
-	payload = payload[n:]
-	// Each action occupies at least 13 bytes (five 1-byte varints around
-	// the 8 time bytes); a larger count cannot be honest.
-	if count > uint64(len(payload)/13+1) {
-		return nil, fmt.Errorf("wire: binary payload: count %d exceeds payload size", count)
-	}
-	uv := func() (uint64, error) {
-		v, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return 0, errors.New("wire: binary payload: truncated varint")
-		}
-		payload = payload[n:]
-		return v, nil
-	}
-	out := make([]engine.OfficeAction, 0, count)
-	for i := uint64(0); i < count; i++ {
-		office, err := uv()
-		if err != nil {
-			return nil, err
-		}
-		if len(payload) < 8 {
-			return nil, errors.New("wire: binary payload: truncated time field")
-		}
-		timeBits := binary.LittleEndian.Uint64(payload)
-		payload = payload[8:]
-		typ, err := uv()
-		if err != nil {
-			return nil, err
-		}
-		ws, err := uv()
-		if err != nil {
-			return nil, err
-		}
-		cause, err := uv()
-		if err != nil {
-			return nil, err
-		}
-		label, n := binary.Varint(payload)
-		if n <= 0 {
-			return nil, errors.New("wire: binary payload: truncated label")
-		}
-		payload = payload[n:]
-		out = append(out, engine.OfficeAction{
-			Office: int(office),
-			Action: core.Action{
-				Time:        math.Float64frombits(timeBits),
-				Type:        core.ActionType(typ),
-				Workstation: int(ws),
-				Cause:       control.Cause(cause),
-				Label:       int(label),
-			},
-		})
-	}
-	if len(payload) != 0 {
-		return nil, fmt.Errorf("wire: binary payload: %d trailing bytes", len(payload))
-	}
-	return out, nil
-}
-
-// DecodePayload decodes a frame payload under the given codec version.
-func DecodePayload(v Version, payload []byte) ([]engine.OfficeAction, error) {
-	switch v {
-	case V1JSONL:
-		return decodeJSONL(payload)
-	case V2Binary:
-		return decodeBinary(payload)
-	default:
-		return nil, fmt.Errorf("%w %d", ErrVersion, uint8(v))
-	}
-}
-
-// Encoder writes frames to an io.Writer, one per batch, reusing one
-// internal buffer. Not safe for concurrent use.
-type Encoder struct {
-	w        io.Writer
-	version  Version
-	buf      []byte
-	frames   uint64
-	bytes    uint64
-	logical  uint64
-	compress bool
-}
-
-// NewEncoder returns an Encoder emitting frames under the given codec
-// version.
-func NewEncoder(w io.Writer, v Version) (*Encoder, error) {
-	if !v.valid() {
-		return nil, fmt.Errorf("%w %d", ErrVersion, uint8(v))
-	}
-	return &Encoder{w: w, version: v}, nil
-}
-
-// SetCompression switches the encoder to compressed frames: payloads
-// at least DefaultCompressMin bytes that deflate smaller are carried
-// FlagCompressed. Call before or between Encodes, not concurrently.
-func (e *Encoder) SetCompression(on bool) { e.compress = on }
-
-// Encode writes one batch as one frame.
-func (e *Encoder) Encode(batch []engine.OfficeAction) error {
-	var err error
-	logical := 0
-	if e.compress {
-		e.buf, logical, err = AppendFrameCompressed(e.buf[:0], e.version, batch, 0)
-	} else {
-		e.buf, err = AppendFrame(e.buf[:0], e.version, batch)
-		logical = len(e.buf)
-	}
-	if err != nil {
-		return err
-	}
-	if _, err := e.w.Write(e.buf); err != nil {
-		return err
-	}
-	e.frames++
-	e.bytes += uint64(len(e.buf))
-	e.logical += uint64(logical)
-	return nil
-}
-
-// Frames returns the number of frames encoded.
-func (e *Encoder) Frames() uint64 { return e.frames }
-
-// Bytes returns the total framed bytes written — the on-wire count,
-// after any compression.
-func (e *Encoder) Bytes() uint64 { return e.bytes }
-
-// LogicalBytes returns the total bytes the frames would have occupied
-// uncompressed. Equal to Bytes without compression.
-func (e *Encoder) LogicalBytes() uint64 { return e.logical }
-
 // Decoder reads frames from an io.Reader. Not safe for concurrent use.
 type Decoder struct {
-	r          *bufio.Reader
-	off        int64
-	ver        Version
-	tag        Tag
-	tagged     bool
-	compressed bool
-	buf        []byte
-	zbuf       []byte // inflation buffer for FlagCompressed payloads
+	r      *bufio.Reader
+	off    int64
+	tag    Tag
+	tagged bool
+	buf    []byte
+	zbuf   []byte // inflation buffer for FlagCompressed payloads
 }
 
 // NewDecoder returns a Decoder over r. It buffers its reads; do not mix
@@ -563,60 +387,33 @@ func NewDecoder(r io.Reader) *Decoder {
 // Decode reads the next frame and returns its actions. At a clean frame
 // boundary with no more data it returns io.EOF; a stream ending
 // mid-frame returns an error wrapping ErrTorn; undecodable bytes return
-// an error wrapping ErrCorrupt (or ErrVersion for an unknown codec);
-// an underlying read failure that is not end-of-data is returned as
-// itself — it is an I/O problem, not a statement about the frame.
-// Offset, Version and Tag describe the last successful decode.
+// an error wrapping ErrCorrupt (or ErrVersion for a codec other than
+// V1JSONL); an underlying read failure that is not end-of-data is
+// returned as itself — it is an I/O problem, not a statement about the
+// frame. Offset and Tag describe the last successful decode.
 func (d *Decoder) Decode() ([]engine.OfficeAction, error) {
 	fr, err := d.readFrame()
 	if err != nil {
 		return nil, err
 	}
-	acts, err := DecodePayload(fr.ver, fr.payload)
+	acts, err := decodeJSONL(fr.payload)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	d.off += int64(HeaderSize + fr.bodyLen + TrailerSize)
-	d.ver = fr.ver
 	d.tag, d.tagged = fr.tag, fr.tagged
-	d.compressed = fr.compressed
 	return acts, nil
 }
 
-// DecodeRaw reads the next frame and returns its version byte and
-// payload without interpreting the payload — the counterpart of
-// AppendRawFrame. The error taxonomy is Decode's (io.EOF / ErrTorn /
-// ErrCorrupt / ErrVersion), minus the payload-decode ErrCorrupt case:
-// any CRC-intact payload is returned as-is — though a FlagCompressed
-// payload that fails to inflate is still ErrCorrupt, since the logical
-// payload cannot be recovered. The returned slice aliases the
-// decoder's internal buffers and is valid only until the next Decode
-// or DecodeRaw call. A tagged frame's tag bytes are stripped from the
-// returned payload and surfaced via Tag; a compressed frame's payload
-// is returned inflated, with Compressed reporting the on-wire form.
-func (d *Decoder) DecodeRaw() (Version, []byte, error) {
-	fr, err := d.readFrame()
-	if err != nil {
-		return 0, nil, err
-	}
-	d.off += int64(HeaderSize + fr.bodyLen + TrailerSize)
-	d.ver = fr.ver
-	d.tag, d.tagged = fr.tag, fr.tagged
-	d.compressed = fr.compressed
-	return fr.ver, fr.payload, nil
-}
-
-// frame is one decoded frame as readFrame hands it to Decode/DecodeRaw:
-// the codec version, the tag (when tagged), the payload (tag bytes
-// stripped, inflated when compressed, aliasing the decoder's buffers)
-// and the on-wire body length for offset accounting.
+// frame is one frame as readFrame hands it to Decode: the tag (when
+// tagged), the payload (tag bytes stripped, inflated when compressed,
+// aliasing the decoder's buffers) and the on-wire body length for
+// offset accounting.
 type frame struct {
-	ver        Version
-	tag        Tag
-	tagged     bool
-	compressed bool
-	payload    []byte
-	bodyLen    int
+	tag     Tag
+	tagged  bool
+	payload []byte
+	bodyLen int
 }
 
 // readFrame reads one frame and verifies everything up to and
@@ -649,9 +446,8 @@ func (d *Decoder) readFrame() (frame, error) {
 	if hdr[0] != Magic[0] || hdr[1] != Magic[1] {
 		return fr, fmt.Errorf("%w: bad magic %#02x%02x", ErrCorrupt, hdr[0], hdr[1])
 	}
-	v := Version(hdr[2])
-	if !v.valid() {
-		return fr, fmt.Errorf("%w %d", ErrVersion, hdr[2])
+	if err := checkVersion(Version(hdr[2])); err != nil {
+		return fr, err
 	}
 	flags := hdr[3]
 	tagged := flags&FlagTagged != 0
@@ -699,9 +495,7 @@ func (d *Decoder) readFrame() (frame, error) {
 			return fr, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
 		}
 		payload = d.zbuf
-		fr.compressed = true
 	}
-	fr.ver = v
 	fr.tagged = tagged
 	fr.payload = payload
 	fr.bodyLen = int(n)
@@ -712,17 +506,7 @@ func (d *Decoder) readFrame() (frame, error) {
 // decoded frame — the truncation point for torn-tail recovery.
 func (d *Decoder) Offset() int64 { return d.off }
 
-// Version returns the codec version of the last successfully decoded
-// frame (0 before the first).
-func (d *Decoder) Version() Version { return d.ver }
-
 // Tag returns the source/epoch tag of the last successfully decoded
 // frame, and whether that frame was tagged at all — untagged frames
 // (the single-process wire format) report false.
 func (d *Decoder) Tag() (Tag, bool) { return d.tag, d.tagged }
-
-// Compressed reports whether the last successfully decoded frame was
-// carried FlagCompressed on the wire. The payload handed back was
-// inflated either way — this is observability, not a decoding duty
-// left with the caller.
-func (d *Decoder) Compressed() bool { return d.compressed }

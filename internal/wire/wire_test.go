@@ -64,56 +64,56 @@ func TestFrameGoldenV1(t *testing.T) {
 	}
 }
 
+// TestRoundTripBothVersions checks the two outcomes a codec byte can
+// have: V1JSONL round-trips, and every other version, the retired
+// binary codec 2 included, is refused at encode time with ErrVersion.
 func TestRoundTripBothVersions(t *testing.T) {
-	for _, v := range []Version{V1JSONL, V2Binary} {
-		frame, err := AppendFrame(nil, v, testBatch())
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := NewDecoder(bytes.NewReader(frame))
-		got, err := d.Decode()
-		if err != nil {
-			t.Fatalf("%v: decode: %v", v, err)
-		}
-		if !reflect.DeepEqual(got, testBatch()) {
-			t.Fatalf("%v: round trip changed the batch:\ngot  %+v\nwant %+v", v, got, testBatch())
-		}
-		if d.Version() != v {
-			t.Fatalf("decoder reports version %v, want %v", d.Version(), v)
-		}
-		if d.Offset() != int64(len(frame)) {
-			t.Fatalf("offset %d, want %d", d.Offset(), len(frame))
-		}
-		if _, err := d.Decode(); err != io.EOF {
-			t.Fatalf("%v: second decode returned %v, want io.EOF", v, err)
-		}
-	}
-}
-
-func TestV2PayloadIsSmaller(t *testing.T) {
-	p1, _ := AppendPayload(nil, V1JSONL, testBatch())
-	p2, _ := AppendPayload(nil, V2Binary, testBatch())
-	if len(p2) >= len(p1) {
-		t.Fatalf("v2 payload (%d bytes) is not smaller than v1 (%d bytes)", len(p2), len(p1))
-	}
-}
-
-func TestEncoderDecoderStream(t *testing.T) {
-	var buf bytes.Buffer
-	enc, err := NewEncoder(&buf, V2Binary)
+	frame, err := AppendFrame(nil, V1JSONL, testBatch())
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := NewDecoder(bytes.NewReader(frame))
+	got, err := d.Decode()
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(got, testBatch()) {
+		t.Fatalf("round trip changed the batch:\ngot  %+v\nwant %+v", got, testBatch())
+	}
+	if d.Offset() != int64(len(frame)) {
+		t.Fatalf("offset %d, want %d", d.Offset(), len(frame))
+	}
+	if _, err := d.Decode(); err != io.EOF {
+		t.Fatalf("second decode returned %v, want io.EOF", err)
+	}
+	for _, v := range []Version{0, 2, 9} {
+		if _, err := AppendFrame(nil, v, testBatch()); !errors.Is(err, ErrVersion) {
+			t.Fatalf("AppendFrame under codec %d: got %v, want ErrVersion", v, err)
+		}
+		if _, err := AppendTaggedFrame(nil, v, Tag{Source: 1}, nil); !errors.Is(err, ErrVersion) {
+			t.Fatalf("AppendTaggedFrame under codec %d: got %v, want ErrVersion", v, err)
+		}
+		if _, _, err := AppendFrameCompressed(nil, v, testBatch(), 0); !errors.Is(err, ErrVersion) {
+			t.Fatalf("AppendFrameCompressed under codec %d: got %v, want ErrVersion", v, err)
+		}
+		if _, _, err := AppendTaggedFrameCompressed(nil, v, Tag{Source: 1}, nil, 0); !errors.Is(err, ErrVersion) {
+			t.Fatalf("AppendTaggedFrameCompressed under codec %d: got %v, want ErrVersion", v, err)
+		}
+	}
+}
+
+// TestEncoderDecoderStream decodes a stream of back-to-back frames in
+// order, ending in io.EOF at the clean boundary.
+func TestEncoderDecoderStream(t *testing.T) {
 	batches := [][]engine.OfficeAction{testBatch(), testBatch()[:1], testBatch()[2:]}
+	var stream []byte
 	for _, b := range batches {
-		if err := enc.Encode(b); err != nil {
+		var err error
+		if stream, err = AppendFrame(stream, V1JSONL, b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if enc.Frames() != 3 || enc.Bytes() != uint64(buf.Len()) {
-		t.Fatalf("encoder counters frames=%d bytes=%d, buffer has %d bytes", enc.Frames(), enc.Bytes(), buf.Len())
-	}
-	d := NewDecoder(&buf)
+	d := NewDecoder(bytes.NewReader(stream))
 	for i, want := range batches {
 		got, err := d.Decode()
 		if err != nil {
@@ -125,6 +125,9 @@ func TestEncoderDecoderStream(t *testing.T) {
 	}
 	if _, err := d.Decode(); err != io.EOF {
 		t.Fatalf("trailing decode returned %v, want io.EOF", err)
+	}
+	if d.Offset() != int64(len(stream)) {
+		t.Fatalf("offset %d, want %d", d.Offset(), len(stream))
 	}
 }
 
@@ -177,7 +180,7 @@ func TestDecodeTornVsCorrupt(t *testing.T) {
 // segment reader's truncation relies on.
 func TestDecodeResumesAfterGoodFrames(t *testing.T) {
 	f1, _ := AppendFrame(nil, V1JSONL, testBatch()[:2])
-	f2, _ := AppendFrame(nil, V2Binary, testBatch()[2:])
+	f2, _ := AppendFrame(nil, V1JSONL, testBatch()[2:])
 	stream := append(append([]byte(nil), f1...), f2[:len(f2)-3]...)
 	d := NewDecoder(bytes.NewReader(stream))
 	if _, err := d.Decode(); err != nil {
@@ -273,90 +276,5 @@ func TestJSONLTimePrecision(t *testing.T) {
 	}
 	if !bytes.Equal(AppendJSONL(nil, acts), p) {
 		t.Fatal("re-encoded JSONL differs from the original payload")
-	}
-}
-
-// TestRawFrameRoundTrip covers the payload-agnostic framing that the
-// segment compactor rewrites through: AppendRawFrame must emit
-// the exact frame geometry of AppendFrame, DecodeRaw must hand back
-// the payload bytes untouched, and the two decode entry points must
-// interoperate (a raw frame whose payload happens to be action JSONL
-// decodes through Decode, and vice versa).
-func TestRawFrameRoundTrip(t *testing.T) {
-	payloads := [][]byte{
-		[]byte(`{"office":"hq-0","rssi":[1,2,3]}` + "\n"),
-		{},
-		{0x00, 0xff, 'F', 'W', 0x01},
-	}
-	var stream []byte
-	for _, p := range payloads {
-		var err error
-		stream, err = AppendRawFrame(stream, V1JSONL, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	d := NewDecoder(bytes.NewReader(stream))
-	for i, want := range payloads {
-		v, got, err := d.DecodeRaw()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if v != V1JSONL {
-			t.Fatalf("frame %d: version %v, want %v", i, v, V1JSONL)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("frame %d payload changed:\ngot  %q\nwant %q", i, got, want)
-		}
-	}
-	if _, _, err := d.DecodeRaw(); err != io.EOF {
-		t.Fatalf("trailing DecodeRaw returned %v, want io.EOF", err)
-	}
-	if d.Offset() != int64(len(stream)) {
-		t.Fatalf("offset %d, want %d", d.Offset(), len(stream))
-	}
-
-	// An action frame is a raw frame whose payload is the codec
-	// encoding: both constructors must agree byte for byte.
-	batch := testBatch()
-	viaActions, err := AppendFrame(nil, V1JSONL, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaRaw, err := AppendRawFrame(nil, V1JSONL, AppendJSONL(nil, batch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(viaActions, viaRaw) {
-		t.Fatal("AppendRawFrame over the v1 payload differs from AppendFrame")
-	}
-	acts, err := NewDecoder(bytes.NewReader(viaRaw)).Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(acts, batch) {
-		t.Fatal("raw-built frame did not Decode back to the batch")
-	}
-}
-
-// TestRawFrameErrors pins the raw path's error taxonomy: unknown
-// version at encode time, and torn/corrupt classification at decode
-// time (DecodeRaw skips payload interpretation, so a CRC-intact frame
-// is never corrupt).
-func TestRawFrameErrors(t *testing.T) {
-	if _, err := AppendRawFrame(nil, Version(9), []byte("x")); !errors.Is(err, ErrVersion) {
-		t.Fatalf("bad version: got %v, want ErrVersion", err)
-	}
-	frame, err := AppendRawFrame(nil, V2Binary, []byte("opaque"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := NewDecoder(bytes.NewReader(frame[:len(frame)-2])).DecodeRaw(); !errors.Is(err, ErrTorn) {
-		t.Fatalf("truncated frame: got %v, want ErrTorn", err)
-	}
-	flipped := bytes.Clone(frame)
-	flipped[HeaderSize] ^= 0x40
-	if _, _, err := NewDecoder(bytes.NewReader(flipped)).DecodeRaw(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bit flip: got %v, want ErrCorrupt", err)
 	}
 }
