@@ -1,7 +1,7 @@
-// Benchmarks: one per table and figure of the paper's evaluation (the
-// regeneration entry points the DESIGN.md experiment index references),
-// plus the ablation benches for the design choices DESIGN.md calls out and
-// raw throughput benches for the hot paths (RF sampling, MD ticks, SVM
+// Benchmarks: one per table and figure of the paper's evaluation, plus
+// ablation benches for the model's design choices (shadowing ellipse, MD
+// window, profile update, SVM kernel, feature families) and raw
+// throughput benches for the hot paths (RF sampling, MD ticks, SVM
 // training).
 //
 // The experiment benches run against a shared reduced dataset (two
@@ -164,7 +164,7 @@ func BenchmarkFig13SecurityUsabilityTradeoff(b *testing.B) {
 	}
 }
 
-// --- Ablation benches: design choices from DESIGN.md §5 ---
+// --- Ablation benches: one design choice of the model each ---
 
 // ablationDataset generates a small dataset under a custom RF model.
 func ablationDataset(b *testing.B, mutate func(*sim.Config)) *eval.Harness {

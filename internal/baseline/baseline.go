@@ -14,10 +14,6 @@ type Policy struct {
 // Default returns the paper's T = 300 s baseline.
 func Default() Policy { return Policy{TimeoutSec: 300} }
 
-// DeauthDelay returns the time between a user's departure (last input) and
-// deauthentication: exactly the time-out.
-func (p Policy) DeauthDelay() float64 { return p.TimeoutSec }
-
 // VulnerableTime returns the total unattended-and-authenticated time for
 // the given number of departures: each contributes the full time-out.
 func (p Policy) VulnerableTime(departures int) float64 {

@@ -7,9 +7,6 @@ func TestDefaultPolicy(t *testing.T) {
 	if p.TimeoutSec != 300 {
 		t.Fatalf("default timeout %v", p.TimeoutSec)
 	}
-	if p.DeauthDelay() != 300 {
-		t.Fatalf("deauth delay %v", p.DeauthDelay())
-	}
 }
 
 func TestVulnerableTimeScalesWithDepartures(t *testing.T) {

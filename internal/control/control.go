@@ -11,17 +11,11 @@
 // against Sections IV-F/V-B (a misclassified sample must NOT deauthenticate
 // the busy workstation it names — that is exactly what makes case B reach
 // the real victim via the alert path), the membership test is clearly meant
-// to be positive. We implement "if ci ∈ S(t∆)". DESIGN.md records the
-// discrepancy.
+// to be positive. We implement "if ci ∈ S(t∆)". docs/ARCHITECTURE.md
+// ("Decision layer") records the discrepancy.
 package control
 
-import (
-	"fmt"
-	"sort"
-
-	"fadewich/internal/kma"
-	"fadewich/internal/md"
-)
+import "fmt"
 
 // Params are the controller timing constants.
 type Params struct {
@@ -94,188 +88,181 @@ func (c Cause) String() string {
 	}
 }
 
-// Deauth is one deauthentication action.
-type Deauth struct {
-	Time        float64
-	Workstation int
-	Cause       Cause
-}
+// ActionType enumerates the controller's outputs.
+type ActionType int
 
-// Screensaver is one screensaver activation.
-type Screensaver struct {
-	Time        float64
-	Workstation int
-}
+// Emitted actions. AlertEnter/AlertExit bracket the alert state of Rule 2;
+// ScreensaverOn is the t_ID expiry inside an alert; Deauthenticate ends a
+// session (the Cause field tells why).
+const (
+	ActionAlertEnter ActionType = iota + 1
+	ActionAlertExit
+	ActionScreensaverOn
+	ActionDeauthenticate
+)
 
-// Log collects the controller's actions over one day.
-type Log struct {
-	Deauths      []Deauth
-	Screensavers []Screensaver
-	// Rule1Fired counts Rule 1 activations (one per qualifying window).
-	Rule1Fired int
-	// Logins counts session (re-)authentications.
-	Logins int
-}
-
-// FirstDeauthAfter returns the first deauthentication of workstation ws at
-// or after t, and false if none occurred.
-func (l *Log) FirstDeauthAfter(ws int, t float64) (Deauth, bool) {
-	idx := sort.Search(len(l.Deauths), func(i int) bool { return l.Deauths[i].Time >= t })
-	for ; idx < len(l.Deauths); idx++ {
-		if l.Deauths[idx].Workstation == ws {
-			return l.Deauths[idx], true
-		}
+// String implements fmt.Stringer.
+func (a ActionType) String() string {
+	switch a {
+	case ActionAlertEnter:
+		return "alert-enter"
+	case ActionAlertExit:
+		return "alert-exit"
+	case ActionScreensaverOn:
+		return "screensaver-on"
+	case ActionDeauthenticate:
+		return "deauthenticate"
+	default:
+		return fmt.Sprintf("action(%d)", int(a))
 	}
-	return Deauth{}, false
 }
 
-// Prediction supplies the RE classifier's output for a variation window.
-// It is invoked lazily, only for windows whose duration reaches t∆, at the
-// moment t1+t∆ — mirroring the online phase. Label 0 means w0 (entry);
-// label i ≥ 1 names workstation i−1.
-type Prediction func(w md.Window) int
-
-// Run replays one day through the controller. windows must be the MD
-// module's raw variation windows (unfiltered), time-sorted; tracker must
-// be freshly reset; present reports whether the workstation's user is
-// physically at the desk (used only for action bookkeeping by the caller —
-// the controller itself never peeks). numWS is the workstation count and
-// daySec the day length.
-func Run(p Params, dt, daySec float64, numWS int, windows []md.Window, predict Prediction, tracker *kma.Tracker) *Log {
-	p = p.WithDefaults()
-	log := &Log{}
-
-	states := make([]wsState, numWS)
-
-	ticks := int(daySec / dt)
-	tDeltaTicks := int(p.TDeltaSec / dt)
-
-	winIdx := 0
-	curWin := -1 // index into windows of the active window, -1 if Quiet
-	rule1Done := false
-
-	idleBuf := make([]int, 0, numWS)
-
-	for tick := 0; tick < ticks; tick++ {
-		t := float64(tick) * dt
-
-		// Detect fresh input per workstation: login, alert cancellation.
-		for ws := 0; ws < numWS; ws++ {
-			st := &states[ws]
-			last, ok := tracker.LastInput(ws, t)
-			if ok && (!st.hasInput || last > st.lastInput) {
-				st.hasInput = true
-				st.lastInput = last
-				if !st.authenticated {
-					st.authenticated = true
-					log.Logins++
-				}
-				// Input dismisses alert state and the screensaver.
-				st.alert = false
-				st.ssOn = false
-			}
-		}
-
-		// Track the active variation window.
-		if curWin >= 0 && tick >= windows[curWin].EndTick {
-			// Window over: back to Quiet. Alert states that never
-			// reached the screensaver are dismissed.
-			for ws := range states {
-				if states[ws].alert && !states[ws].ssOn {
-					states[ws].alert = false
-				}
-			}
-			curWin = -1
-		}
-		for winIdx < len(windows) && windows[winIdx].EndTick <= tick {
-			winIdx++
-		}
-		if curWin < 0 && winIdx < len(windows) && windows[winIdx].StartTick <= tick {
-			curWin = winIdx
-			rule1Done = false
-		}
-
-		if curWin >= 0 {
-			dW := tick - windows[curWin].StartTick
-			if dW >= tDeltaTicks {
-				if !rule1Done {
-					rule1Done = true
-					log.Rule1Fired++
-					label := predict(windows[curWin])
-					if label >= 1 && label <= numWS {
-						ci := label - 1
-						st := &states[ci]
-						// Rule 1: deauthenticate ci if it has been idle
-						// for t∆ (see package comment on the paper's
-						// inverted membership test).
-						if st.authenticated && st.idle(t) >= p.TDeltaSec {
-							st.authenticated = false
-							st.alert = false
-							log.Deauths = append(log.Deauths, Deauth{Time: t, Workstation: ci, Cause: CauseRule1})
-						}
-					}
-				}
-				// Rule 2 at every tick while the window persists.
-				idleBuf = idleBuf[:0]
-				for ws := 0; ws < numWS; ws++ {
-					if states[ws].idle(t) >= p.Rule2IdleSec {
-						idleBuf = append(idleBuf, ws)
-					}
-				}
-				for _, ws := range idleBuf {
-					if states[ws].authenticated {
-						states[ws].alert = true
-					}
-				}
-			}
-		}
-
-		// Alert-state lifecycle and the baseline time-out backstop.
-		for ws := 0; ws < numWS; ws++ {
-			st := &states[ws]
-			if !st.authenticated {
-				continue
-			}
-			idle := st.idle(t)
-			if st.alert {
-				if !st.ssOn && idle >= p.TIDSec {
-					st.ssOn = true
-					log.Screensavers = append(log.Screensavers, Screensaver{Time: t, Workstation: ws})
-				}
-				if st.ssOn && idle >= p.TIDSec+p.TSSSec {
-					st.authenticated = false
-					st.alert = false
-					log.Deauths = append(log.Deauths, Deauth{Time: t, Workstation: ws, Cause: CauseAlert})
-					continue
-				}
-			}
-			if idle >= p.TimeoutSec {
-				st.authenticated = false
-				st.alert = false
-				st.ssOn = false
-				log.Deauths = append(log.Deauths, Deauth{Time: t, Workstation: ws, Cause: CauseTimeout})
-			}
-		}
-	}
-
-	sort.Slice(log.Deauths, func(i, j int) bool { return log.Deauths[i].Time < log.Deauths[j].Time })
-	return log
+// Action is one controller output.
+type Action struct {
+	Time        float64
+	Type        ActionType
+	Workstation int
+	// Cause is set for deauthentications.
+	Cause Cause
+	// Label is the RE classification that triggered a Rule-1 action
+	// (0 = w0); the other deauthentications carry −1.
+	Label int
 }
 
-// wsState is the controller's per-workstation session state.
-type wsState struct {
+// Controller is one office's decision automaton: each workstation's
+// session and alert state, driven once per tick by Step and between
+// ticks by Input. Not safe for concurrent use.
+type Controller struct {
+	p      Params
+	tDelta int // t∆ in ticks
+	inWin  bool
+	ws     []session
+}
+
+// session is one workstation's state.
+type session struct {
 	authenticated bool
-	lastInput     float64
 	hasInput      bool
+	lastInput     float64
 	alert         bool
 	ssOn          bool
 }
 
-// idle computes idle time from the cached last-input state, treating a
-// never-touched workstation as idle since day start.
-func (st *wsState) idle(now float64) float64 {
+// NewController returns a Controller for the given number of
+// workstations, none of them logged in, stepped every dt seconds.
+func NewController(p Params, dt float64, workstations int) *Controller {
+	p = p.WithDefaults()
+	return &Controller{p: p, tDelta: int(p.TDeltaSec / dt), ws: make([]session, workstations)}
+}
+
+// Authenticated reports whether workstation ws has an active session.
+func (c *Controller) Authenticated(ws int) bool {
+	return ws >= 0 && ws < len(c.ws) && c.ws[ws].authenticated
+}
+
+// idle is workstation ws's idle time at now; a never-touched workstation
+// has been idle since time 0.
+func (c *Controller) idle(ws int, now float64) float64 {
+	st := &c.ws[ws]
 	if !st.hasInput {
 		return now
 	}
 	return now - st.lastInput
+}
+
+// Input records keyboard/mouse input at workstation ws at time now. It
+// logs the user in, since a user typing at a locked workstation is
+// logging in, and cancels an alert or screensaver with an AlertExit
+// appended to out.
+func (c *Controller) Input(ws int, now float64, out []Action) []Action {
+	if ws < 0 || ws >= len(c.ws) {
+		return out
+	}
+	st := &c.ws[ws]
+	st.hasInput = true
+	st.lastInput = now
+	st.authenticated = true
+	if st.alert || st.ssOn {
+		st.alert = false
+		st.ssOn = false
+		out = append(out, Action{Time: now, Type: ActionAlertExit, Workstation: ws})
+	}
+	return out
+}
+
+// Step advances the automaton to time now and appends the tick's actions
+// to out. win is the number of ticks since the current variation window
+// began (0 on its first tick, growing by one per tick) and −1 while the
+// radio is quiet. In order, Step dismisses alerts that never reached the
+// screensaver when a window ends, applies Rule 1 when win reaches t∆
+// (classify is called then, once per window: 0 means w0, i ≥ 1 names
+// workstation i−1), applies Rule 2 while win ≥ t∆, and runs the
+// screensaver, alert expiry and time-out.
+func (c *Controller) Step(now float64, win int, classify func() int, out []Action) []Action {
+	if c.inWin && win < 0 {
+		for ws := range c.ws {
+			st := &c.ws[ws]
+			if st.alert && !st.ssOn {
+				st.alert = false
+				out = append(out, Action{Time: now, Type: ActionAlertExit, Workstation: ws})
+			}
+		}
+	}
+	c.inWin = win >= 0
+
+	if win >= c.tDelta {
+		if win == c.tDelta {
+			// Rule 1 (see the package comment on the paper's inverted
+			// membership test).
+			if label := classify(); label >= 1 && label <= len(c.ws) {
+				ci := label - 1
+				if c.ws[ci].authenticated && c.idle(ci, now) >= c.p.TDeltaSec {
+					out = c.deauth(ci, now, CauseRule1, label, out)
+				}
+			}
+		}
+		// Rule 2: alert every idle workstation while the window persists.
+		for ws := range c.ws {
+			st := &c.ws[ws]
+			if st.authenticated && !st.alert && c.idle(ws, now) >= c.p.Rule2IdleSec {
+				st.alert = true
+				out = append(out, Action{Time: now, Type: ActionAlertEnter, Workstation: ws})
+			}
+		}
+	}
+
+	// Alert lifecycle and the baseline time-out backstop.
+	for ws := range c.ws {
+		st := &c.ws[ws]
+		if !st.authenticated {
+			continue
+		}
+		idle := c.idle(ws, now)
+		if st.alert {
+			if !st.ssOn && idle >= c.p.TIDSec {
+				st.ssOn = true
+				out = append(out, Action{Time: now, Type: ActionScreensaverOn, Workstation: ws})
+			}
+			if st.ssOn && idle >= c.p.TIDSec+c.p.TSSSec {
+				out = c.deauth(ws, now, CauseAlert, -1, out)
+				continue
+			}
+		}
+		if idle >= c.p.TimeoutSec {
+			out = c.deauth(ws, now, CauseTimeout, -1, out)
+		}
+	}
+	return out
+}
+
+// deauth locks workstation ws's session and appends the action. The
+// screensaver flag stays set.
+func (c *Controller) deauth(ws int, now float64, cause Cause, label int, out []Action) []Action {
+	st := &c.ws[ws]
+	st.authenticated = false
+	st.alert = false
+	return append(out, Action{
+		Time: now, Type: ActionDeauthenticate, Workstation: ws,
+		Cause: cause, Label: label,
+	})
 }

@@ -21,9 +21,9 @@ func TestOnlineInputsKeepNoLog(t *testing.T) {
 		s.NotifyInput(i % workstations)
 		s.Tick(row)
 	}
-	for ws := range s.ws {
-		if len(s.ws[ws].inputLog) != 10 {
-			t.Fatalf("training logged %d inputs at workstation %d, want 10", len(s.ws[ws].inputLog), ws)
+	for ws := range s.inputLog {
+		if len(s.inputLog[ws]) != 10 {
+			t.Fatalf("training logged %d inputs at workstation %d, want 10", len(s.inputLog[ws]), ws)
 		}
 	}
 
@@ -51,8 +51,8 @@ func TestOnlineInputsKeepNoLog(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("10,000 online inputs allocated %.0f times, want 0", allocs)
 	}
-	for ws := range s.ws {
-		if n := len(s.ws[ws].inputLog); n != 0 {
+	for ws := range s.inputLog {
+		if n := len(s.inputLog[ws]); n != 0 {
 			t.Errorf("workstation %d keeps %d logged inputs online, want 0", ws, n)
 		}
 	}

@@ -1,10 +1,11 @@
-// Package core assembles the paper's modules (KMA, MD, RE and the control
-// rules) into a single streaming System — the artefact a deployment would
-// actually run. The System consumes one tick of RSSI samples at a time
-// plus asynchronous keyboard/mouse notifications, passes through the
-// paper's two phases (a training phase that auto-labels variation windows
-// from workstation idle times, then an online phase driven by the trained
-// classifier), and emits actions: alert-state transitions, screensaver
+// Package core assembles the paper's modules (KMA, MD and RE) in front of
+// the decision automaton (control.Controller) into a single streaming
+// System — the artefact a deployment would actually run. The System
+// consumes one tick of RSSI samples at a time plus asynchronous
+// keyboard/mouse notifications, passes through the paper's two phases (a
+// training phase that auto-labels variation windows from workstation idle
+// times, then an online phase driven by the trained classifier), and
+// emits the controller's actions: alert-state transitions, screensaver
 // activations and deauthentications.
 package core
 
@@ -68,46 +69,20 @@ const (
 	PhaseOnline
 )
 
-// ActionType enumerates the System's outputs.
-type ActionType int
-
-// Emitted actions. AlertEnter/AlertExit bracket the alert state of Rule 2;
-// ScreensaverOn is the t_ID expiry inside an alert; Deauthenticate ends a
-// session (the Cause field tells why).
-const (
-	ActionAlertEnter ActionType = iota + 1
-	ActionAlertExit
-	ActionScreensaverOn
-	ActionDeauthenticate
+// Action and ActionType are the controller's outputs, re-exported for
+// callers that drive a System.
+type (
+	Action     = control.Action
+	ActionType = control.ActionType
 )
 
-// String implements fmt.Stringer.
-func (a ActionType) String() string {
-	switch a {
-	case ActionAlertEnter:
-		return "alert-enter"
-	case ActionAlertExit:
-		return "alert-exit"
-	case ActionScreensaverOn:
-		return "screensaver-on"
-	case ActionDeauthenticate:
-		return "deauthenticate"
-	default:
-		return fmt.Sprintf("action(%d)", int(a))
-	}
-}
-
-// Action is one System output.
-type Action struct {
-	Time        float64
-	Type        ActionType
-	Workstation int
-	// Cause is set for deauthentications.
-	Cause control.Cause
-	// Label is the RE classification that triggered a Rule-1 action
-	// (0 = w0).
-	Label int
-}
+// The emitted action types (see control.ActionType).
+const (
+	ActionAlertEnter     = control.ActionAlertEnter
+	ActionAlertExit      = control.ActionAlertExit
+	ActionScreensaverOn  = control.ActionScreensaverOn
+	ActionDeauthenticate = control.ActionDeauthenticate
+)
 
 // ErrNotTraining is returned by FinishTraining outside the training phase.
 var ErrNotTraining = errors.New("core: system is not in the training phase")
@@ -123,6 +98,7 @@ type System struct {
 	cfg   Config
 	det   *md.Detector
 	clf   *re.Classifier
+	ctl   *control.Controller
 	phase Phase
 
 	now  float64
@@ -143,12 +119,13 @@ type System struct {
 	inWindow    bool
 	winStart    int
 	lastAnom    int
-	rule1Fired  bool
 	tDeltaTicks int
 	gapTicks    int
 
-	// Per-workstation session and input state.
-	ws []wsState
+	// inputLog keeps each workstation's input times for training-phase
+	// auto-labelling. Only training appends to it, and going online
+	// releases it.
+	inputLog [][]float64
 
 	// Training-phase sample store. pending holds windows whose features
 	// are extracted but whose label cannot be resolved yet: the
@@ -169,20 +146,6 @@ type pendingSample struct {
 	window    md.Window
 	features  []float64
 	resolveAt float64
-}
-
-// wsState mirrors the controller's per-workstation state for the online
-// system.
-type wsState struct {
-	authenticated bool
-	lastInput     float64
-	hasInput      bool
-	alert         bool
-	ssOn          bool
-	// inputLog keeps this workstation's input times for training-phase
-	// auto-labelling. Only training appends to it, and going online
-	// releases it.
-	inputLog []float64
 }
 
 // NewSystem builds a System in the training phase.
@@ -212,12 +175,13 @@ func NewSystem(cfg Config) (*System, error) {
 	return &System{
 		cfg:         cfg,
 		det:         det,
+		ctl:         control.NewController(cfg.Params, cfg.DT, cfg.Workstations),
 		phase:       PhaseTraining,
 		ring:        ring,
 		ringCap:     ringCap,
 		tDeltaTicks: tDeltaTicks,
 		gapTicks:    gapTicks,
-		ws:          make([]wsState, cfg.Workstations),
+		inputLog:    make([][]float64, cfg.Workstations),
 	}, nil
 }
 
@@ -239,42 +203,18 @@ func (s *System) TrainingSamples() int { return len(s.samples) }
 // current system time. It also (re-)authenticates the session, since a
 // user typing at a locked workstation is logging in.
 func (s *System) NotifyInput(ws int) {
-	if ws < 0 || ws >= len(s.ws) {
+	if ws < 0 || ws >= len(s.inputLog) {
 		return
 	}
-	st := &s.ws[ws]
-	st.hasInput = true
-	st.lastInput = s.now
 	if s.phase == PhaseTraining {
-		st.inputLog = append(st.inputLog, s.now)
+		s.inputLog[ws] = append(s.inputLog[ws], s.now)
 	}
-	if !st.authenticated {
-		st.authenticated = true
-	}
-	if st.alert || st.ssOn {
-		st.alert = false
-		st.ssOn = false
-		s.interTick = append(s.interTick, Action{Time: s.now, Type: ActionAlertExit, Workstation: ws})
-	}
+	s.interTick = s.ctl.Input(ws, s.now, s.interTick)
 }
 
 // Authenticated reports whether workstation ws currently has an active
 // session.
-func (s *System) Authenticated(ws int) bool {
-	if ws < 0 || ws >= len(s.ws) {
-		return false
-	}
-	return s.ws[ws].authenticated
-}
-
-// idle returns the idle time of workstation ws at the current clock.
-func (s *System) idle(ws int) float64 {
-	st := &s.ws[ws]
-	if !st.hasInput {
-		return s.now
-	}
-	return s.now - st.lastInput
-}
+func (s *System) Authenticated(ws int) bool { return s.ctl.Authenticated(ws) }
 
 // Tick consumes one tick of RSSI samples (one per stream) and returns the
 // actions emitted during this tick. The returned slice is reused by the
@@ -303,107 +243,42 @@ func (s *System) Tick(rssi []float64) []Action {
 		if !s.inWindow {
 			s.inWindow = true
 			s.winStart = s.tick
-			s.rule1Fired = false
 		}
 		s.lastAnom = s.tick
 	case s.inWindow && s.tick-s.lastAnom > s.gapTicks:
 		s.endWindow()
 	}
 
+	win := -1
 	if s.inWindow {
-		dW := s.tick - s.winStart
-		if dW >= s.tDeltaTicks {
-			if !s.rule1Fired {
-				s.rule1Fired = true
-				s.onWindowReachedTDelta()
-			}
-			// Rule 2: alert every idle workstation while the window
-			// persists.
-			for ws := range s.ws {
-				st := &s.ws[ws]
-				if st.authenticated && !st.alert && s.idle(ws) >= s.cfg.Params.Rule2IdleSec {
-					st.alert = true
-					s.actions = append(s.actions, Action{Time: s.now, Type: ActionAlertEnter, Workstation: ws})
-				}
-			}
-		}
+		win = s.tick - s.winStart
 	}
+	s.actions = s.ctl.Step(s.now, win, s.classify, s.actions)
 
 	if s.phase == PhaseTraining {
 		s.resolvePending()
 	}
-
-	// Alert lifecycle + time-out backstop.
-	p := s.cfg.Params
-	for ws := range s.ws {
-		st := &s.ws[ws]
-		if !st.authenticated {
-			continue
-		}
-		idle := s.idle(ws)
-		if st.alert {
-			if !st.ssOn && idle >= p.TIDSec {
-				st.ssOn = true
-				s.actions = append(s.actions, Action{Time: s.now, Type: ActionScreensaverOn, Workstation: ws})
-			}
-			if st.ssOn && idle >= p.TIDSec+p.TSSSec {
-				s.deauth(ws, control.CauseAlert, -1)
-				continue
-			}
-		}
-		if idle >= p.TimeoutSec {
-			s.deauth(ws, control.CauseTimeout, -1)
-		}
-	}
 	return s.actions
 }
 
-// endWindow closes the current variation window: dismiss alerts that never
-// reached the screensaver, and in the training phase try to label the
-// window. The window's effective end is the last anomalous tick, not the
-// closing tick (which trails by the merge gap).
+// endWindow closes the current variation window and, in the training
+// phase, tries to label it. The window's effective end is the last
+// anomalous tick, not the closing tick (which trails by the merge gap).
 func (s *System) endWindow() {
 	s.inWindow = false
-	for ws := range s.ws {
-		st := &s.ws[ws]
-		if st.alert && !st.ssOn {
-			st.alert = false
-			s.actions = append(s.actions, Action{Time: s.now, Type: ActionAlertExit, Workstation: ws})
-		}
-	}
 	if s.phase == PhaseTraining && s.lastAnom+1-s.winStart >= s.tDeltaTicks {
 		s.collectTrainingSample()
 	}
 }
 
-// deauth locks a session and records the action.
-func (s *System) deauth(ws int, cause control.Cause, label int) {
-	st := &s.ws[ws]
-	st.authenticated = false
-	st.alert = false
-	s.actions = append(s.actions, Action{
-		Time: s.now, Type: ActionDeauthenticate, Workstation: ws,
-		Cause: cause, Label: label,
-	})
-}
-
-// onWindowReachedTDelta fires when the current window's duration hits t∆:
-// Rule 1 in the online phase (classification + conditional deauth);
-// nothing yet in training (labelling happens at window end, when idle
-// evidence is complete).
-func (s *System) onWindowReachedTDelta() {
+// classify is Rule 1's query, made when the current window's duration
+// hits t∆. It returns 0 (w0, no deauthentication) in training, where
+// labelling waits for the window end and its idle evidence.
+func (s *System) classify() int {
 	if s.phase != PhaseOnline || s.clf == nil {
-		return
+		return 0
 	}
-	features := s.extractSignature()
-	label := s.clf.Predict(features)
-	if label < 1 || label > len(s.ws) {
-		return // w0: someone entered; no deauthentication
-	}
-	ci := label - 1
-	if s.ws[ci].authenticated && s.idle(ci) >= s.cfg.Params.TDeltaSec {
-		s.deauth(ci, control.CauseRule1, label)
-	}
+	return s.clf.Predict(s.extractSignature())
 }
 
 // extractSignature pulls the [t1, t1+t∆] window from the ring buffer and
@@ -490,11 +365,7 @@ func (s *System) extractSignatureFrom(startTick int) []float64 {
 // trackerView snapshots the per-workstation input logs into a fresh
 // kma.Tracker for the auto-labeller.
 func (s *System) trackerView() *kma.Tracker {
-	logs := make([][]float64, len(s.ws))
-	for i := range s.ws {
-		logs[i] = s.ws[i].inputLog
-	}
-	return kma.NewTracker(logs)
+	return kma.NewTracker(s.inputLog)
 }
 
 // FinishTraining trains the classifier on the collected samples and
@@ -527,8 +398,8 @@ func (s *System) FinishTraining() error {
 func (s *System) AdoptClassifier(clf *re.Classifier) {
 	s.clf = clf
 	s.phase = PhaseOnline
-	for i := range s.ws {
-		s.ws[i].inputLog = nil
+	for i := range s.inputLog {
+		s.inputLog[i] = nil
 	}
 }
 

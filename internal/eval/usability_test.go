@@ -61,12 +61,31 @@ func TestAnalyticAlertAgreesWithTickController(t *testing.T) {
 			tq := c.t1 + p.TDeltaSec
 			ssAt, gotSS := alertScreensaverTime(tracker, 0, tq, c.t2, p.TIDSec)
 
-			// Tick-driven reference.
+			// Tick-driven reference: the controller over a 300 s day, each
+			// input delivered at the first tick at or after it.
 			tracker2 := kma.NewTracker([][]float64{c.inputs})
-			win := md.Window{StartTick: int(c.t1 / dt), EndTick: int(c.t2 / dt)}
-			log := control.Run(p, dt, 300, 1, []md.Window{win},
-				func(md.Window) int { return 0 }, tracker2)
-			refSS := len(log.Screensavers) > 0
+			ctl := control.NewController(p, dt, 1)
+			start, end := int(c.t1/dt), int(c.t2/dt)
+			var ss []control.Action
+			last := -1.0
+			for tick := 0; tick < int(300/dt); tick++ {
+				now := float64(tick) * dt
+				var out []control.Action
+				if in, ok := tracker2.LastInput(0, now); ok && in > last {
+					last = in
+					out = ctl.Input(0, in, out)
+				}
+				win := -1
+				if start <= tick && tick < end {
+					win = tick - start
+				}
+				for _, a := range ctl.Step(now, win, func() int { return 0 }, out) {
+					if a.Type == control.ActionScreensaverOn {
+						ss = append(ss, a)
+					}
+				}
+			}
+			refSS := len(ss) > 0
 
 			if gotSS != c.wantSS {
 				t.Fatalf("analytic ss=%v (at %v), want %v", gotSS, ssAt, c.wantSS)
@@ -76,8 +95,8 @@ func TestAnalyticAlertAgreesWithTickController(t *testing.T) {
 			}
 			if gotSS && refSS {
 				// Times agree within a tick plus scheduling slack.
-				if diff := ssAt - log.Screensavers[0].Time; diff > 2*dt || diff < -2*dt {
-					t.Fatalf("analytic ss at %v, controller at %v", ssAt, log.Screensavers[0].Time)
+				if diff := ssAt - ss[0].Time; diff > 2*dt || diff < -2*dt {
+					t.Fatalf("analytic ss at %v, controller at %v", ssAt, ss[0].Time)
 				}
 			}
 		})

@@ -22,9 +22,6 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns p - q componentwise.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns p scaled by k.
-func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
-
 // Dot returns the dot product of p and q interpreted as vectors.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
@@ -75,13 +72,6 @@ func (s Segment) DistToPoint(p Point) (dist, t float64) {
 // sits inside the sensitivity ellipse of the link.
 func (s Segment) ExcessPathLength(p Point) float64 {
 	return s.A.Dist(p) + p.Dist(s.B) - s.Length()
-}
-
-// InEllipse reports whether p lies within the ellipse having the segment
-// endpoints as foci and the given excess path length (metres) as the
-// allowed detour, i.e. |A-p| + |p-B| <= |A-B| + excess.
-func (s Segment) InEllipse(p Point, excess float64) bool {
-	return s.ExcessPathLength(p) <= excess
 }
 
 // Path is a polyline with precomputed cumulative arc lengths, supporting
@@ -170,11 +160,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
 // Height returns the rectangle's extent along Y.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
-
-// Center returns the rectangle's central point.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
 
 // Clamp returns the point inside the rectangle closest to p.
 func (r Rect) Clamp(p Point) Point {

@@ -16,9 +16,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Sub(q); got != (Point{-2, 3}) {
 		t.Fatalf("Sub = %v", got)
 	}
-	if got := p.Scale(2); got != (Point{2, 4}) {
-		t.Fatalf("Scale = %v", got)
-	}
 	if got := p.Dot(q); got != 1 {
 		t.Fatalf("Dot = %v", got)
 	}
@@ -98,16 +95,6 @@ func TestExcessPathLength(t *testing.T) {
 	}
 }
 
-func TestInEllipseMonotoneInExcess(t *testing.T) {
-	s := Segment{A: Point{0, 0}, B: Point{6, 0}}
-	if !s.InEllipse(Point{3, 0.1}, 0.5) {
-		t.Fatal("point near LoS should be inside a 0.5m ellipse")
-	}
-	if s.InEllipse(Point{3, 4}, 0.5) {
-		t.Fatal("point far from LoS should be outside a 0.5m ellipse")
-	}
-}
-
 func TestPathArcLength(t *testing.T) {
 	p := NewPath(Point{0, 0}, Point{3, 0}, Point{3, 4})
 	if !almostEqual(p.Length(), 7, 1e-12) {
@@ -183,9 +170,6 @@ func TestRect(t *testing.T) {
 	}
 	if r.Width() != 6 || r.Height() != 3 {
 		t.Fatalf("dims %v x %v", r.Width(), r.Height())
-	}
-	if r.Center() != (Point{3, 1.5}) {
-		t.Fatalf("center %v", r.Center())
 	}
 	if got := r.Clamp(Point{10, -5}); got != (Point{6, 0}) {
 		t.Fatalf("Clamp = %v", got)

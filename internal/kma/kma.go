@@ -139,30 +139,6 @@ func (t *Tracker) LastInput(w int, now float64) (float64, bool) {
 	return t.inputs[w][c-1], true
 }
 
-// IdleTime returns how long workstation w has been idle at time now. A
-// workstation with no input yet is treated as idle since time 0, matching
-// a machine that has not been touched.
-func (t *Tracker) IdleTime(w int, now float64) float64 {
-	last, ok := t.LastInput(w, now)
-	if !ok {
-		return now
-	}
-	return now - last
-}
-
-// IdleSet returns the paper's S_t^(s): the workstations that observed no
-// input during [now−s, now]. The result is in ascending workstation order
-// and the backing array is reused across calls — copy it to retain.
-func (t *Tracker) IdleSet(now, s float64, buf []int) []int {
-	buf = buf[:0]
-	for w := range t.inputs {
-		if t.IdleTime(w, now) >= s {
-			buf = append(buf, w)
-		}
-	}
-	return buf
-}
-
 // LastInputAt returns the time of the last input at workstation w at or
 // before t, using binary search. Unlike LastInput it does not advance the
 // replay cursor, so callers may probe arbitrary times in any order.
@@ -203,12 +179,4 @@ func (t *Tracker) NextInputAfter(w int, after float64) (float64, bool) {
 		return 0, false
 	}
 	return xs[i], true
-}
-
-// Reset rewinds all replay cursors, allowing the tracker to be reused for
-// another monotone pass.
-func (t *Tracker) Reset() {
-	for i := range t.cursor {
-		t.cursor[i] = 0
-	}
 }

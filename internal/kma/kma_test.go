@@ -74,36 +74,6 @@ func TestDepartureAddsWorstCaseInput(t *testing.T) {
 	}
 }
 
-func TestTrackerIdleTime(t *testing.T) {
-	tr := NewTracker([][]float64{{10, 20, 30}})
-	if got := tr.IdleTime(0, 5); got != 5 {
-		t.Fatalf("pre-input idle %v, want 5 (since day start)", got)
-	}
-	if got := tr.IdleTime(0, 25); got != 5 {
-		t.Fatalf("idle at 25 = %v, want 5", got)
-	}
-	if got := tr.IdleTime(0, 30); got != 0 {
-		t.Fatalf("idle at 30 = %v, want 0", got)
-	}
-	if got := tr.IdleTime(0, 100); got != 70 {
-		t.Fatalf("idle at 100 = %v, want 70", got)
-	}
-}
-
-func TestTrackerIdleSet(t *testing.T) {
-	tr := NewTracker([][]float64{
-		{50}, // ws0: idle since 50
-		{98}, // ws1: idle since 98
-		{},   // ws2: never touched
-	})
-	buf := make([]int, 0, 3)
-	got := tr.IdleSet(100, 5, buf)
-	want := []int{0, 2}
-	if len(got) != len(want) || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("IdleSet = %v, want %v", got, want)
-	}
-}
-
 func TestTrackerLastInputMonotoneCursor(t *testing.T) {
 	tr := NewTracker([][]float64{{1, 2, 3, 4, 5}})
 	for now := 0.5; now < 6; now += 0.5 {
@@ -161,15 +131,6 @@ func TestTrackerNextInputAfter(t *testing.T) {
 	}
 	if _, ok := tr.NextInputAfter(0, 20); ok {
 		t.Fatal("NextInputAfter(last) should report none")
-	}
-}
-
-func TestTrackerReset(t *testing.T) {
-	tr := NewTracker([][]float64{{10, 20, 30}})
-	tr.IdleTime(0, 100) // advance cursor
-	tr.Reset()
-	if got := tr.IdleTime(0, 15); got != 5 {
-		t.Fatalf("after reset idle at 15 = %v, want 5", got)
 	}
 }
 

@@ -203,15 +203,6 @@ func (d *Detector) observe(st float64) State {
 	return StateNormal
 }
 
-// PushInt8 is Push for quantised traces, avoiding a caller-side conversion
-// allocation. buf must have capacity for one sample per stream.
-func (d *Detector) PushInt8(samples []int8, buf []float64) (State, float64) {
-	for i, v := range samples {
-		buf[i] = float64(v)
-	}
-	return d.Push(buf[:len(samples)])
-}
-
 // initProfile builds the first normal profile from the warm-up samples.
 // The earliest StdWindowSec worth of values is dropped: the rolling
 // windows were not yet full and their tiny standard deviations would bias

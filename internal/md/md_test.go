@@ -250,25 +250,6 @@ func TestPushPanicsOnWrongLength(t *testing.T) {
 	det.Push([]float64{1})
 }
 
-func TestPushInt8MatchesPush(t *testing.T) {
-	mk := func() *Detector {
-		d, _ := NewDetector(Config{}, 2, 0.2)
-		return d
-	}
-	a, b := mk(), mk()
-	src := rng.New(7)
-	buf := make([]float64, 2)
-	for i := 0; i < 500; i++ {
-		v1 := int8(-60 + src.Normal(0, 1))
-		v2 := int8(-55 + src.Normal(0, 1))
-		sa, va := a.Push([]float64{float64(v1), float64(v2)})
-		sb, vb := b.PushInt8([]int8{v1, v2}, buf)
-		if sa != sb || va != vb {
-			t.Fatalf("PushInt8 diverges at tick %d", i)
-		}
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	if _, err := Run(nil, nil, 0.2, Config{}); err == nil {
 		t.Fatal("empty streams accepted")

@@ -226,15 +226,6 @@ func greedyCoverageOrder(sensors []geom.Point, door geom.Point) []int {
 	return chosen
 }
 
-// SubsetPositions resolves a subset of sensor indices to positions.
-func (l *Layout) SubsetPositions(subset []int) []geom.Point {
-	out := make([]geom.Point, len(subset))
-	for i, idx := range subset {
-		out[i] = l.Sensors[idx]
-	}
-	return out
-}
-
 // Validate checks the layout's internal consistency: workstations and
 // sensors inside the bounds, a door on the boundary, at least one
 // workstation and two sensors.

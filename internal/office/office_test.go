@@ -158,14 +158,6 @@ func TestGenericLayoutsUseGreedyOrder(t *testing.T) {
 	}
 }
 
-func TestSubsetPositions(t *testing.T) {
-	l := Paper()
-	pos := l.SubsetPositions([]int{0, 4})
-	if pos[0] != l.Sensors[0] || pos[1] != l.Sensors[4] {
-		t.Fatalf("positions %v", pos)
-	}
-}
-
 func TestValidateCatchesBrokenLayouts(t *testing.T) {
 	cases := []struct {
 		name   string

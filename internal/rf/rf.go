@@ -395,22 +395,6 @@ func (n *Network) bodyAttenuation(seg geom.Segment, bodies []Body) float64 {
 	return atten
 }
 
-// motionNoiseStd returns the standard deviation of the motion-induced
-// perturbation on the link for the given bodies. Like bodyAttenuation it
-// is the scalar reference implementation mirrored by tickEffects.
-func (n *Network) motionNoiseStd(seg geom.Segment, bodies []Body) float64 {
-	var variance float64
-	for i := range bodies {
-		if bodies[i].Speed <= 0 {
-			continue
-		}
-		dist, _ := seg.DistToPoint(bodies[i].Pos)
-		sd := n.cfg.MotionNoiseStdDB * bodies[i].Speed * math.Exp(-dist/n.cfg.MotionRangeM)
-		variance += sd * sd
-	}
-	return math.Sqrt(variance)
-}
-
 // stepBursts advances the interference burst process by one tick and
 // reports whether a burst is active.
 func (n *Network) stepBursts() bool {
@@ -443,12 +427,10 @@ func (n *Network) stepBursts() bool {
 // *pair* for the attenuation, which is bitwise-symmetric in the link
 // direction) and shared across the link's subcarrier streams.
 //
-// The arithmetic replicates bodyAttenuation and motionNoiseStd
-// operation for operation, so the outputs are bit-identical to the
-// per-stream scalar path: sums accumulate in body order, the
-// closest-point projection evaluates exactly like
-// geom.Segment.DistToPoint, and the saturation cap applies after the
-// sum.
+// The attenuation replicates bodyAttenuation operation for operation, so
+// it is bit-identical to the scalar reference: sums accumulate in body
+// order, the closest-point projection evaluates exactly like
+// geom.Segment.DistToPoint, and the saturation cap applies after the sum.
 func (n *Network) tickEffects(bodies []Body) {
 	atten, motion := n.attenScratch, n.motionScratch
 	if len(bodies) == 0 {

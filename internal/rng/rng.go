@@ -177,16 +177,6 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	s.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // Shuffle applies a Fisher-Yates shuffle over n elements using swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

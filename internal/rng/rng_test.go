@@ -198,24 +198,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	src := New(41)
-	if err := quick.Check(func(nRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		p := src.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestJitterRange(t *testing.T) {
 	src := New(43)
 	for i := 0; i < 10000; i++ {

@@ -118,9 +118,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // Autocorrelation returns the lag-k autocorrelation of the window xs as
 // defined in Section IV-D1 of the paper:
 //
@@ -184,26 +181,4 @@ func CorrelationMatrix(cols [][]float64) [][]float64 {
 		}
 	}
 	return out
-}
-
-// Summary bundles the descriptive statistics the report package prints.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		Median: Median(xs),
-	}
 }

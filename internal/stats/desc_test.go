@@ -173,10 +173,3 @@ func TestVarianceNonNegativeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("summary %+v", s)
-	}
-}

@@ -381,16 +381,6 @@ func (m *Multiclass) Classes() []int {
 	return out
 }
 
-// NumSupportVectors returns the total support vector count across all
-// pairwise models, a useful convergence diagnostic.
-func (m *Multiclass) NumSupportVectors() int {
-	var n int
-	for _, p := range m.pairs {
-		n += len(p.model.sv)
-	}
-	return n
-}
-
 // sortInts is insertion sort; class lists are tiny and this avoids pulling
 // in sort for a hot path that isn't.
 func sortInts(xs []int) {

@@ -244,18 +244,6 @@ func TestTrainingDeterministic(t *testing.T) {
 	}
 }
 
-func TestNumSupportVectors(t *testing.T) {
-	x, y := blobs(7, 20, 0.4, []float64{0, 0}, []float64{5, 5})
-	m, _ := TrainMulticlass(x, y, Config{})
-	sv := m.NumSupportVectors()
-	if sv == 0 {
-		t.Fatal("no support vectors")
-	}
-	if sv > len(x) {
-		t.Fatalf("more SVs (%d) than samples (%d)", sv, len(x))
-	}
-}
-
 func TestOverlappingClassesStillMostlyCorrect(t *testing.T) {
 	// Heavily overlapping blobs: the SVM cannot be perfect but must do
 	// far better than chance.
