@@ -46,7 +46,11 @@ type Config struct {
 	// RefitEvery re-estimates the KDE and threshold only every so many
 	// accepted batches; the profile drifts slowly, so a slightly stale
 	// threshold is statistically irrelevant but much cheaper over
-	// multi-day traces.
+	// multi-day traces. A refit certifies a narrow bracket around the
+	// threshold and inverts the KDE exactly only when needed (see
+	// Threshold). Above 2, a merge would overwrite the profile the last
+	// refit's KDE reads before the next refit, so the threshold is
+	// inverted then at the latest.
 	RefitEvery int
 }
 
@@ -117,12 +121,24 @@ type Detector struct {
 	// the next merge writes into, and evicted holds the values one
 	// accepted batch pushes out of the FIFO.
 	sorted, spare, evicted []float64
-	threshold              float64
-	queue                  []float64 // batch queue Q of Algorithm 1
-	queueAnom              int       // anomalous values in the queue
-	warmup                 []float64 // s_t values collected during initialisation
-	warmTicks              int
-	ticks                  int
+	// kde is the last refit's profile KDE. It reads the sorted buffer of
+	// that refit, which the next merge moves to spare and the one after
+	// overwrites.
+	kde stats.KDE
+	// lo and hi decide a tick without the threshold: s_t < lo is normal
+	// and s_t >= hi anomalous. While pending, they are the bracket the
+	// refit certified and threshold is not yet computed; otherwise both
+	// equal threshold.
+	lo, hi    float64
+	threshold float64
+	pending   bool
+	// inversions counts the exact KDE inversions, for tests.
+	inversions int
+	queue      []float64 // batch queue Q of Algorithm 1
+	queueAnom  int       // anomalous values in the queue
+	warmup     []float64 // s_t values collected during initialisation
+	warmTicks  int
+	ticks      int
 	// accepted counts batches merged since the last refit, implementing
 	// RefitEvery.
 	accepted int
@@ -164,8 +180,19 @@ func (d *Detector) SumStd() float64 {
 }
 
 // Threshold returns the current anomaly threshold (the (100−α)-th profile
-// percentile), or 0 during warm-up.
-func (d *Detector) Threshold() float64 { return d.threshold }
+// percentile), or 0 during warm-up. A tick needs it only when s_t lands
+// in the narrow bracket its refit certified, so the first read after a
+// refit may have to invert the KDE (tens of µs); the result is cached
+// until the next refit.
+func (d *Detector) Threshold() float64 {
+	if d.pending {
+		d.pending = false
+		d.inversions++
+		d.threshold = d.kde.Percentile(100 - d.cfg.Alpha)
+		d.lo, d.hi = d.threshold, d.threshold
+	}
+	return d.threshold
+}
 
 // ProfileSize returns the number of s_t values in the normal profile.
 func (d *Detector) ProfileSize() int { return len(d.profile) }
@@ -195,7 +222,15 @@ func (d *Detector) observe(st float64) State {
 		return StateWarmup
 	}
 
-	anomalous := st >= d.threshold
+	// st >= d.Threshold(), inverting the KDE only inside [lo, hi).
+	var anomalous bool
+	switch {
+	case st < d.lo:
+	case st >= d.hi:
+		anomalous = true
+	default:
+		anomalous = st >= d.Threshold()
+	}
 	d.enqueue(st, anomalous)
 	if anomalous {
 		return StateAnomalous
@@ -237,11 +272,17 @@ func (d *Detector) enqueue(st float64, anomalous bool) {
 			// (MaxProfile < BatchSize), and more than a batch's worth
 			// when the initial profile exceeds MaxProfile.
 			d.evicted = append(d.evicted, d.profile[:over]...)
-			d.profile = d.profile[over:]
+			d.profile = d.profile[:copy(d.profile, d.profile[over:])]
 		}
 		// The queue is reset below, so it is sorted in place.
 		sortProfile(d.queue)
 		sortProfile(d.evicted)
+		// One merge after a refit, spare holds the profile d.kde reads.
+		// This merge overwrites it, so unless a refit follows, the
+		// threshold is inverted first.
+		if d.accepted == 1 && d.cfg.RefitEvery > 2 {
+			d.Threshold()
+		}
 		d.sorted, d.spare = mergeProfile(d.spare[:0], d.sorted, d.queue, d.evicted), d.sorted
 		d.accepted++
 		if d.accepted >= d.cfg.RefitEvery {
@@ -253,7 +294,9 @@ func (d *Detector) enqueue(st float64, anomalous bool) {
 	d.queueAnom = 0
 }
 
-// refit re-estimates the profile KDE and the anomaly threshold.
+// refit re-estimates the profile KDE and certifies a bracket around the
+// anomaly threshold; the threshold itself is inverted only when a tick
+// or a caller needs it, or at once when the bracket does not certify.
 func (d *Detector) refit() {
 	kde, err := stats.NewKDESorted(d.sorted, d.cfg.KDEBandwidth)
 	if err != nil {
@@ -261,7 +304,13 @@ func (d *Detector) refit() {
 		// d.sorted in order: only a bug gets here.
 		panic("md: refit: " + err.Error())
 	}
-	d.threshold = kde.Percentile(100 - d.cfg.Alpha)
+	d.kde = kde
+	var ok bool
+	d.lo, d.hi, ok = kde.PercentileBracket(100 - d.cfg.Alpha)
+	d.pending = true
+	if !ok {
+		d.Threshold()
+	}
 }
 
 // profileCmp orders s_t values as sort.Float64s does (NaNs first, then

@@ -286,20 +286,66 @@ func TestSubsetRestrictsAnalysis(t *testing.T) {
 	}
 }
 
+// detectorProfileSeeds seed FuzzDetectorProfile. The last puts 2 % of
+// a full profile at one value far above the rest, so the KDE's 99th
+// percentile lands on that value and s_t inside the certified bracket
+// takes the exact inversion.
+var detectorProfileSeeds = [][]byte{
+	{1, 2, 3, 5, 8, 13, 21, 34, 55},
+	{7, 7, 7, 9, 9, 0, 0, 252, 7, 7, 7, 7},
+	append(bytes.Repeat([]byte{10, 20, 30, 40}, 30), bytes.Repeat([]byte{220}, 60)...),
+	{4, 240, 8, 244, 12, 248, 16, 252, 0, 230, 231, 232},
+	{248, 250},
+	bytes.Repeat(append([]byte{40}, make([]byte, 49)...), 40),
+}
+
 // FuzzDetectorProfile feeds s_t streams straight into the batched
-// profile update, under the default config, a small dt (the initial
-// profile exceeds MaxProfile) and MaxProfile < BatchSize. Each input
+// profile update; see checkDetectorProfile.
+func FuzzDetectorProfile(f *testing.F) {
+	for _, seed := range detectorProfileSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkDetectorProfile(t, data) })
+}
+
+// TestDetectorProfileSeedsReachLazyPaths runs FuzzDetectorProfile's
+// seeds and requires them to decide ticks from the bracket on both
+// sides and to reach the exact inversion from a tick inside it.
+func TestDetectorProfileSeedsReachLazyPaths(t *testing.T) {
+	var sum lazyCounts
+	for _, seed := range detectorProfileSeeds {
+		n := checkDetectorProfile(t, seed)
+		sum.below += n.below
+		sum.above += n.above
+		sum.inside += n.inside
+	}
+	if sum.below == 0 || sum.above == 0 || sum.inside == 0 {
+		t.Fatalf("seeds decided %d ticks below the bracket, %d above and %d inside; want each > 0",
+			sum.below, sum.above, sum.inside)
+	}
+}
+
+// lazyCounts counts the ticks that met a pending threshold below its
+// bracket, above it, and inside it.
+type lazyCounts struct{ below, above, inside int }
+
+// checkDetectorProfile runs data through the detector's batched profile
+// update under the default config, a small dt (the initial profile
+// exceeds MaxProfile), MaxProfile < BatchSize and RefitEvery 3 (a merge
+// overwrites the refit's profile before the next refit). Each input
 // byte picks one value: small steps with many duplicates, large values
 // whose runs get batches rejected, ±Inf, NaNs of either sign and −0.
 // After every tick the sorted profile must hold the FIFO's values in
-// sort.Float64s order, and the threshold must be, bit for bit, what
-// stats.NewKDE over the FIFO gave at the last refit.
-func FuzzDetectorProfile(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 5, 8, 13, 21, 34, 55})
-	f.Add([]byte{7, 7, 7, 9, 9, 0, 0, 252, 7, 7, 7, 7})
-	f.Add(append(bytes.Repeat([]byte{10, 20, 30, 40}, 30), bytes.Repeat([]byte{220}, 60)...))
-	f.Add([]byte{4, 240, 8, 244, 12, 248, 16, 252, 0, 230, 231, 232})
-	f.Add([]byte{248, 250})
+// sort.Float64s order, and the tick's state must be s_t >= the
+// threshold stats.NewKDE over the FIFO gave at the last refit. The
+// threshold itself is read, and must be that one bit for bit, only on
+// the tick before each possible refit, so most ticks take the lazy
+// path.
+func checkDetectorProfile(t *testing.T, data []byte) (n lazyCounts) {
+	t.Helper()
+	if len(data) == 0 {
+		return n
+	}
 	configs := []struct {
 		cfg Config
 		dt  float64
@@ -307,59 +353,83 @@ func FuzzDetectorProfile(f *testing.F) {
 		{Config{}, 0.2},
 		{Config{}, 0.04},
 		{Config{MaxProfile: 25}, 0.2},
+		{Config{RefitEvery: 3}, 0.2},
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
+	for _, c := range configs {
+		d, err := NewDetector(c.cfg, 1, c.dt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, c := range configs {
-			d, err := NewDetector(c.cfg, 1, c.dt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d.cfg.RefitEvery < 2 {
-				t.Fatal("refits are told apart by accepted falling; need RefitEvery >= 2")
-			}
-			var fifo []float64 // sort.Float64s of the FIFO
-			var want float64
-			for i := 0; i < d.warmTicks+1000; i++ {
-				warm, accepted := d.profile == nil, d.accepted
-				d.observe(profileValue(data[i%len(data)], i/len(data)))
-				if d.profile == nil {
-					continue
-				}
-				// The FIFO changes only when warm-up ends or a batch
-				// completes; sorting it only then keeps the fuzzer fast.
-				if warm || len(d.queue) == 0 {
-					fifo = append(fifo[:0], d.profile...)
-					sort.Float64s(fifo)
-					if !sameBits(d.sorted, fifo) {
-						t.Fatalf("dt %v MaxProfile %d tick %d: sorted profile holds other bit patterns than the FIFO",
-							c.dt, d.cfg.MaxProfile, i)
-					}
-				}
-				if !sameOrder(d.sorted, fifo) {
-					t.Fatalf("dt %v MaxProfile %d tick %d: sorted profile %v, want %v",
-						c.dt, d.cfg.MaxProfile, i, d.sorted, fifo)
-				}
-				if warm || d.accepted < accepted {
-					kde, err := stats.NewKDE(d.profile, d.cfg.KDEBandwidth)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want = kde.Percentile(100 - d.cfg.Alpha)
-				}
+		if d.cfg.RefitEvery < 2 {
+			t.Fatal("refits are told apart by accepted falling; need RefitEvery >= 2")
+		}
+		var fifo []float64 // sort.Float64s of the FIFO
+		var want float64
+		for i := 0; i < d.warmTicks+1000; i++ {
+			warm, accepted := d.profile == nil, d.accepted
+			if !warm && len(d.queue) == d.cfg.BatchSize-1 && d.accepted == d.cfg.RefitEvery-1 {
 				// Which NaN a NaN threshold carries depends on the
 				// order sort.Float64s leaves NaNs in, which it does not
 				// define.
 				if got := d.Threshold(); math.Float64bits(got) != math.Float64bits(want) &&
 					!(math.IsNaN(got) && math.IsNaN(want)) {
-					t.Fatalf("dt %v MaxProfile %d tick %d: threshold %v, stats.NewKDE gives %v",
-						c.dt, d.cfg.MaxProfile, i, got, want)
+					t.Fatalf("dt %v %+v tick %d: threshold %v, stats.NewKDE gives %v",
+						c.dt, c.cfg, i, got, want)
 				}
 			}
+			st := profileValue(data[i%len(data)], i/len(data))
+			pending, lo, hi, inversions := d.pending, d.lo, d.hi, d.inversions
+			state := d.observe(st)
+			if !warm {
+				wantState := StateNormal
+				if st >= want {
+					wantState = StateAnomalous
+				}
+				if state != wantState {
+					t.Fatalf("dt %v %+v tick %d: s_t %v gives state %v, threshold %v gives %v (bracket [%v, %v], pending %v)",
+						c.dt, c.cfg, i, st, state, want, wantState, lo, hi, pending)
+				}
+				switch {
+				case !pending:
+				case st < lo:
+					n.below++
+				case st >= hi:
+					n.above++
+				default:
+					n.inside++
+					if d.inversions == inversions {
+						t.Fatalf("dt %v %+v tick %d: s_t %v inside [%v, %v] decided without inverting",
+							c.dt, c.cfg, i, st, lo, hi)
+					}
+				}
+			}
+			if d.profile == nil {
+				continue
+			}
+			// The FIFO changes only when warm-up ends or a batch
+			// completes; sorting it only then keeps the fuzzer fast.
+			if warm || len(d.queue) == 0 {
+				fifo = append(fifo[:0], d.profile...)
+				sort.Float64s(fifo)
+				if !sameBits(d.sorted, fifo) {
+					t.Fatalf("dt %v %+v tick %d: sorted profile holds other bit patterns than the FIFO",
+						c.dt, c.cfg, i)
+				}
+			}
+			if !sameOrder(d.sorted, fifo) {
+				t.Fatalf("dt %v %+v tick %d: sorted profile %v, want %v",
+					c.dt, c.cfg, i, d.sorted, fifo)
+			}
+			if warm || d.accepted < accepted {
+				kde, err := stats.NewKDE(d.profile, d.cfg.KDEBandwidth)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = kde.Percentile(100 - d.cfg.Alpha)
+			}
 		}
-	})
+	}
+	return n
 }
 
 // profileValue maps a fuzz byte, on the given pass over the input, to

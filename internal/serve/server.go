@@ -370,8 +370,8 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	}
 	var res ingestResult
 	// A training POST carries one window of every office's ticks (about
-	// 17 MB for 128 offices); the body is bounded at the wire layer's
-	// 64 MiB payload limit.
+	// 5 MB of integer-dBm lines for 128 offices × 500 ticks); the body is
+	// bounded at the wire layer's 64 MiB payload limit.
 	body := http.MaxBytesReader(w, r.Body, wire.MaxPayloadBytes)
 	err := s.ingestJSONL(body, &res)
 	if err == nil {

@@ -39,24 +39,30 @@ func NewKDE(samples []float64, bandwidth float64) (*KDE, error) {
 	sorted := make([]float64, len(samples))
 	copy(sorted, samples)
 	sort.Float64s(sorted)
-	return NewKDESorted(sorted, bandwidth)
+	k, err := NewKDESorted(sorted, bandwidth)
+	if err != nil {
+		return nil, err
+	}
+	return &k, nil
 }
 
 // NewKDESorted is NewKDE over samples already in sort.Float64s order
 // (ascending, NaNs first). The KDE uses samples in place: the caller
-// must not change them while it uses the KDE. It returns ErrUnsorted,
-// after an O(n) check, for samples out of order.
-func NewKDESorted(sorted []float64, bandwidth float64) (*KDE, error) {
+// must not change them while it uses the KDE. It returns the KDE by
+// value, so a caller that refits often can keep it without an
+// allocation. It returns ErrUnsorted, after an O(n) check, for samples
+// out of order.
+func NewKDESorted(sorted []float64, bandwidth float64) (KDE, error) {
 	if len(sorted) == 0 {
-		return nil, ErrEmptyDistribution
+		return KDE{}, ErrEmptyDistribution
 	}
 	if !sort.Float64sAreSorted(sorted) {
-		return nil, ErrUnsorted
+		return KDE{}, ErrUnsorted
 	}
 	if bandwidth <= 0 {
 		bandwidth = silvermanSorted(sorted)
 	}
-	return &KDE{samples: sorted, h: bandwidth}, nil
+	return KDE{samples: sorted, h: bandwidth}, nil
 }
 
 // SilvermanBandwidth returns Silverman's rule-of-thumb bandwidth
@@ -94,9 +100,11 @@ func (k *KDE) Bandwidth() float64 { return k.h }
 // N returns the number of underlying observations.
 func (k *KDE) N() int { return len(k.samples) }
 
+// invSqrt2Pi is 1/√(2π), the standard normal density at 0.
+const invSqrt2Pi = 0.3989422804014327
+
 // Density evaluates the estimated probability density at x.
 func (k *KDE) Density(x float64) float64 {
-	const invSqrt2Pi = 0.3989422804014327
 	var sum float64
 	for _, s := range k.samples {
 		z := (x - s) / k.h
@@ -241,7 +249,7 @@ func (k *KDE) bracket(p, lo, hi float64) (a, b float64, evals int) {
 			break
 		}
 	}
-	e := 4 * float64(len(k.samples)+32) * 0x1p-52
+	e := k.cdfErr()
 	below, above := target-2*e, target+2*e
 	d := 4 * e / density
 	if math.Abs(step) > newtonTol*k.h {
@@ -266,10 +274,15 @@ func (k *KDE) bracket(p, lo, hi float64) (a, b float64, evals int) {
 	return a, b, evals
 }
 
+// cdfErr is E, the bound on |CDF(x) − R(x)| that Percentile's
+// certification rests on.
+func (k *KDE) cdfErr() float64 {
+	return 4 * float64(len(k.samples)+32) * 0x1p-52
+}
+
 // cdfDensity returns the CDF and the density at x, both summed over the
 // kernels within cdfCutoff bandwidths of x, as CDF does.
 func (k *KDE) cdfDensity(x float64) (cdf, density float64) {
-	const invSqrt2Pi = 0.3989422804014327
 	lo, hi := k.window(x)
 	sum := float64(lo)
 	var dsum float64
@@ -280,6 +293,161 @@ func (k *KDE) cdfDensity(x float64) (cdf, density float64) {
 	}
 	n := float64(len(k.samples))
 	return sum / n, dsum / (n * k.h)
+}
+
+// The Φ table: cubic-Hermite nodes every phiStep on [−cdfCutoff,
+// cdfCutoff], one per 1/16 of a bandwidth.
+const (
+	phiStep  = 1.0 / 16
+	phiNodes = 2*cdfCutoff*16 + 1
+)
+
+// phiTableErr bounds |phiTable(z).cdf − Φ(z)| for every float z. On a
+// node interval the cubic-Hermite error is at most
+// phiStep⁴/384 · max|Φ⁗| = 2⁻¹⁶/384 · max|φ‴|, and max|φ‴| = 0.55059
+// (at z = √(3−√6)), so 2.1879e-8. The rounding of the table entries
+// (Erfc and Exp within 1 ulp), of z+8 and of the Hermite arithmetic,
+// and the rounded Erfc argument −z/√2 at which R (see Percentile)
+// takes Φ, add under 1e-14, and beyond ±8 the clamp to Φ(±8) errs by
+// under 1e-15; 2.2e-8 covers all of it. TestPhiTableErr measures
+// 2.185e-8.
+const phiTableErr = 2.2e-8
+
+// phiTab holds, at each node z = −8 + i/16, Φ(z) and φ(z)·phiStep,
+// Φ's derivative over one node interval.
+var phiTab = func() (t [phiNodes][2]float64) {
+	for i := range t {
+		z := -cdfCutoff + float64(i)*phiStep
+		t[i] = [2]float64{stdNormalCDF(z), invSqrt2Pi * math.Exp(-0.5*z*z) * phiStep}
+	}
+	return t
+}()
+
+// phiTable interpolates Φ(z) from phiTab by cubic Hermite, and φ(z) as
+// the interpolant's derivative. Beyond the table it returns the end
+// node's Φ and φ.
+func phiTable(z float64) (cdf, density float64) {
+	u := (z + cdfCutoff) / phiStep
+	i, t := 0, 0.0
+	switch {
+	case !(u > 0): // NaN too
+	case u >= phiNodes-1:
+		i, t = phiNodes-2, 1
+	default:
+		i = int(u)
+		t = u - float64(i)
+	}
+	n0, n1 := &phiTab[i], &phiTab[i+1]
+	dp := n1[0] - n0[0]
+	s := 1 - t
+	cdf = n0[0] + t*t*(3-2*t)*dp + t*s*(s*n0[1]-t*n1[1])
+	density = (6*t*s*dp + s*(1-3*t)*n0[1] + t*(3*t-2)*n1[1]) / phiStep
+	return cdf, density
+}
+
+// phiTableSum is cdfDensity with each term taken from phiTable. It
+// uses CDF's window and kernel arguments z, so the sum it rounds is,
+// term by term, within phiTableErr of R(x) (see Percentile).
+func (k *KDE) phiTableSum(x float64) (cdf, density float64) {
+	lo, hi := k.window(x)
+	sum := float64(lo)
+	var dsum float64
+	for _, s := range k.samples[lo:hi] {
+		c, d := phiTable((x - s) / k.h)
+		sum += c
+		dsum += d
+	}
+	n := float64(len(k.samples))
+	return sum / n, dsum / (n * k.h)
+}
+
+// PercentileBracket's Newton takes at most bracketSteps steps of at
+// most a bandwidth each, stops once a step is under bracketTol
+// bandwidths, and brackets its last iterate by ±bracketHalf bandwidths.
+const (
+	bracketSteps = 16
+	bracketTol   = 0.0025
+	bracketHalf  = 0.01
+)
+
+// PercentileBracket returns lo < Percentile(p) < hi, about 0.02
+// bandwidths apart, for a fraction of Percentile's cost, or ok false
+// when it cannot certify them. A caller that only compares values with
+// the percentile can decide every value outside [lo, hi) without
+// Percentile.
+//
+// Newton's method from the empirical quantile runs on phiTable's sums,
+// and the points a, b = x ∓ bracketHalf·h around its last iterate x are
+// certified by Percentile's argument with the margin 2E widened by
+// phiTableErr: the table sum t(x) is within E + phiTableErr of R(x)
+// (the n terms err by at most phiTableErr each, the division by n
+// scales that back, and the rounding of the sum is the same as CDF's),
+// so t(a) < target−2E−phiTableErr gives R(a) < target−E and CDF(x) <
+// target for every x ≤ a, and t(b) ≥ target+2E+phiTableErr gives
+// CDF(x) ≥ target for every x ≥ b.
+//
+// Percentile's bisection therefore only ever moves hi to midpoints
+// above a and lo to midpoints below b, and returns a midpoint of its
+// final [lo, hi]; bisectWidth bounds that interval's width, so widening
+// a and b by it brackets the result.
+//
+// ok is false when p is not in (0, 100), the bandwidth is not finite
+// and positive, the bisection's start interval is not finite, the table
+// density is zero, Newton does not converge, a or b falls outside the
+// start interval, or a side fails to certify.
+func (k *KDE) PercentileBracket(p float64) (lo, hi float64, ok bool) {
+	target := p / 100
+	h := k.h
+	if !(target > 0 && target < 1) || !(h > 0) || math.IsInf(h, 0) {
+		return 0, 0, false
+	}
+	lo0 := k.samples[0] - 10*h
+	hi0 := k.samples[len(k.samples)-1] + 10*h
+	// Finite bounds exclude NaN and infinite samples; under half the
+	// float range, no midpoint sum overflows.
+	if !(math.Abs(lo0) < math.MaxFloat64/2 && math.Abs(hi0) < math.MaxFloat64/2) {
+		return 0, 0, false
+	}
+	x := percentileSorted(k.samples, p)
+	converged := false
+	for i := 0; i < bracketSteps && !converged; i++ {
+		c, density := k.phiTableSum(x)
+		if !(density > 0) {
+			return 0, 0, false
+		}
+		// A sparse tail's density overshoots: move at most a bandwidth.
+		step := math.Min(math.Max((c-target)/density, -h), h)
+		x = math.Min(math.Max(x-step, lo0), hi0)
+		converged = math.Abs(step) <= bracketTol*h
+	}
+	a, b := x-bracketHalf*h, x+bracketHalf*h
+	if !converged || !(lo0 < a && b < hi0) {
+		return 0, 0, false
+	}
+	margin := 2*k.cdfErr() + phiTableErr
+	if c, _ := k.phiTableSum(a); !(c < target-margin) {
+		return 0, 0, false
+	}
+	if c, _ := k.phiTableSum(b); !(c >= target+margin) {
+		return 0, 0, false
+	}
+	w := bisectWidth(lo0, hi0)
+	return a - w, b + w, true
+}
+
+// bisectWidth bounds, with room for the rounding of a−w and b+w, the
+// width hi−lo of the interval Percentile's bisection over [lo0, hi0]
+// ends with. The loop stops once the computed hi−lo is under 1e-10,
+// which leaves the exact width at most one rounding above it, or after
+// 100 halvings. Each rounded midpoint lies within M·2⁻⁵³ of the exact
+// one, M the larger of |lo0| and |hi0|, so a halving leaves at most
+// half the width plus M·2⁻⁵³, and 100 leave at most
+// (hi0−lo0)·2⁻¹⁰⁰ + M·2⁻⁵². Past 1e6, where floats are more than 1e-10
+// apart, that ulp term is what stops the interval. The bound returned
+// is over 1.5 times the larger of the two.
+func bisectWidth(lo0, hi0 float64) float64 {
+	m := math.Max(math.Abs(lo0), math.Abs(hi0))
+	return 3e-10 + (hi0-lo0)*0x1p-99 + m*0x1p-50
 }
 
 // Samples returns a copy of the (sorted) underlying observations.

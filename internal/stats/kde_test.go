@@ -330,7 +330,108 @@ func FuzzKDEPercentile(f *testing.F) {
 			t.Fatalf("%s n=%d h=%v p=%v: Percentile %v (%#x), bisection %v (%#x)",
 				percentileKinds[k].name, size, kde.Bandwidth(), p, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
+		if lo, hi, ok := kde.PercentileBracket(p); ok && !(lo < want && want < hi) {
+			t.Fatalf("%s n=%d h=%v p=%v: bracket [%v, %v] misses Percentile %v",
+				percentileKinds[k].name, size, kde.Bandwidth(), p, lo, hi, want)
+		}
 	})
+}
+
+// TestKDEBracketContainsPercentile checks, over the bisection grid, that
+// whenever PercentileBracket certifies, its bracket holds Percentile
+// strictly inside, and that the bisection's final interval is narrower
+// than bisectWidth. It also requires the bracket to certify on most of
+// the grid and on every md-shaped pin, so the check is not vacuous.
+func TestKDEBracketContainsPercentile(t *testing.T) {
+	cases, certified := 0, 0
+	for kind, pk := range percentileKinds {
+		for _, n := range percentileSizes {
+			for _, bw := range percentileBandwidths {
+				kde, err := NewKDE(percentileSample(uint64(1000*kind+n), n, kind), bw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lo0 := kde.samples[0] - 10*kde.h
+				hi0 := kde.samples[n-1] + 10*kde.h
+				for _, p := range percentilePs {
+					want := kde.Percentile(p)
+					if lo, hi := bisectInterval(kde, p, lo0, hi0); !(hi-lo < bisectWidth(lo0, hi0)/1.5) {
+						t.Errorf("%s n=%d bw=%v p=%v: bisection ends %v wide, bisectWidth %v",
+							pk.name, n, bw, p, hi-lo, bisectWidth(lo0, hi0))
+					}
+					cases++
+					lo, hi, ok := kde.PercentileBracket(p)
+					if !ok {
+						continue
+					}
+					certified++
+					if !(lo < want && want < hi) {
+						t.Errorf("%s n=%d bw=%v p=%v: bracket [%v, %v] misses Percentile %v",
+							pk.name, n, bw, p, lo, hi, want)
+					}
+					if w := (hi - lo) / kde.h; w > 0.03 && hi-lo > 2*bisectWidth(lo0, hi0) {
+						t.Errorf("%s n=%d bw=%v p=%v: bracket %v bandwidths wide", pk.name, n, bw, p, w)
+					}
+				}
+			}
+		}
+	}
+	if certified < cases/2 {
+		t.Errorf("bracket certified %d of %d cases", certified, cases)
+	}
+	for _, tc := range mdShapedPins {
+		kde, err := NewKDE(mdShapedProfile(tc.seed), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := math.Float64frombits(tc.want)
+		if lo, hi, ok := kde.PercentileBracket(tc.p); !ok || !(lo < want && want < hi) {
+			t.Errorf("seed %d p=%v: bracket [%v, %v] ok %v, Percentile %v", tc.seed, tc.p, lo, hi, ok, want)
+		}
+	}
+	t.Logf("bracket certified %d of %d grid cases", certified, cases)
+}
+
+// bisectInterval is bisectPercentile's loop over [lo, hi] for p in
+// (0, 100), returning the final interval instead of its midpoint.
+func bisectInterval(k *KDE, p, lo, hi float64) (float64, float64) {
+	for i := 0; i < 100; i++ {
+		mid := (lo + hi) / 2
+		if k.CDF(mid) < p/100 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+		if hi-lo < 1e-10 {
+			break
+		}
+	}
+	return lo, hi
+}
+
+// TestPhiTableErr measures phiTable against stdNormalCDF on a 1e-4 grid
+// over [−9, 9] and checks the measured error, and the analytic
+// cubic-Hermite bound from max|φ‴|, against phiTableErr, the per-term
+// allowance PercentileBracket's certification uses.
+func TestPhiTableErr(t *testing.T) {
+	var worst float64
+	for i := -90000; i <= 90000; i++ {
+		z := float64(i) * 1e-4
+		c, _ := phiTable(z)
+		worst = math.Max(worst, math.Abs(c-stdNormalCDF(z)))
+	}
+	if !(worst <= phiTableErr) || worst < phiTableErr/2 {
+		t.Fatalf("phiTable error %.4g, allowance %.4g", worst, phiTableErr)
+	}
+	// φ‴(z) = (3z − z³)·φ(z).
+	var d3 float64
+	for z := 0.0; z < 9; z += 1e-5 {
+		d3 = math.Max(d3, math.Abs((3*z-z*z*z)*invSqrt2Pi*math.Exp(-z*z/2)))
+	}
+	if bound := math.Pow(phiStep, 4) / 384 * d3; bound+1e-14 > phiTableErr {
+		t.Fatalf("Hermite bound %.5g plus rounding exceeds phiTableErr %.4g", bound, phiTableErr)
+	}
+	t.Logf("phiTable error %.4g, max|φ‴| %.5f", worst, d3)
 }
 
 // BenchmarkKDEPercentile inverts a fixed md-shaped 600-sample profile at
@@ -348,4 +449,19 @@ func BenchmarkKDEPercentile(b *testing.B) {
 		evals += e
 	}
 	b.ReportMetric(float64(evals)/float64(b.N), "cdf-evals/op")
+}
+
+// BenchmarkKDEBracket certifies the bracket around the same percentile
+// of the same profile as BenchmarkKDEPercentile.
+func BenchmarkKDEBracket(b *testing.B) {
+	kde, err := NewKDE(mdShapedProfile(1), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := kde.PercentileBracket(99); !ok {
+			b.Fatal("bracket did not certify")
+		}
+	}
 }
