@@ -42,8 +42,8 @@
 // Filters and rendering apply to every source: -office N keeps one
 // office's actions (repeatable as a comma list), -from-tick/-to-tick
 // bound the office-clock time in seconds, -format picks jsonl
-// (byte-exact codec-v1 lines, suitable for diffing against a LogSink
-// file) or table. In -route mode the filters shape only the rendered
+// (byte-exact codec-v1 lines, the reference form for diffing two
+// streams) or table. In -route mode the filters shape only the rendered
 // output — the -forward and -segments streams always carry the full
 // merge.
 //
@@ -379,15 +379,6 @@ func routeStream(opt tailOptions, f filter, render *renderer) error {
 // routeOnListener is route mode minus the listen call; it owns ln.
 func routeOnListener(ln net.Listener, opt tailOptions, f filter, render *renderer) error {
 	var sinks []stream.Sink
-	closeSinks := func() error {
-		var first error
-		for _, s := range sinks {
-			if err := s.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
 	if opt.segDir != "" {
 		seg, err := stream.NewSegmentSink(segment.Config{
 			Dir:      opt.segDir,
@@ -401,22 +392,23 @@ func routeOnListener(ln net.Listener, opt tailOptions, f filter, render *rendere
 	if opt.forward != "" {
 		fwd, err := stream.NewTCPSink(opt.forward)
 		if err != nil {
-			closeSinks()
+			stream.NewEncodeOnceSink(sinks...).Close()
 			return err
 		}
 		fwd.Compress = opt.compress
 		sinks = append(sinks, fwd)
 	}
+	// One fan-out: -forward and -segments share one encode of each
+	// merged batch.
+	out := stream.NewEncodeOnceSink(sinks...)
 
 	var epochs uint64
 	router, err := cluster.NewRouter(cluster.RouterConfig{
 		Expect: opt.expect,
 		OnBatch: func(epoch uint64, batch []engine.OfficeAction) error {
 			epochs++
-			for _, s := range sinks {
-				if err := s.Write(batch); err != nil {
-					return err
-				}
+			if err := out.WriteEncoded(stream.NewEncodedBatch(batch)); err != nil {
+				return err
 			}
 			// Render last: the filter compacts the batch in place, so the
 			// sinks must have encoded it first.
@@ -424,11 +416,11 @@ func routeOnListener(ln net.Listener, opt tailOptions, f filter, render *rendere
 		},
 	})
 	if err != nil {
-		closeSinks()
+		out.Close()
 		return err
 	}
 	err = router.Serve(ln)
-	if cerr := closeSinks(); cerr != nil && err == nil {
+	if cerr := out.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
 	if err != nil {

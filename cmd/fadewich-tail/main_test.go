@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -154,8 +156,20 @@ func TestServeListenerInterleavesConnections(t *testing.T) {
 
 // TestRouteOnListener drives route mode end to end in-process: two
 // tagged worker streams arrive out of phase and the rendered output is
-// the byte-exact globally-ordered merge.
+// the byte-exact globally-ordered merge. The -segments log replays to
+// the same stream, and with -forward -compress the forwarded frames
+// decode to it too and carry the segment log's bytes.
 func TestRouteOnListener(t *testing.T) {
+	for _, forward := range []bool{false, true} {
+		name := "segments"
+		if forward {
+			name = "segments+forward-compress"
+		}
+		t.Run(name, func(t *testing.T) { testRouteOnListener(t, forward) })
+	}
+}
+
+func testRouteOnListener(t *testing.T, forward bool) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -165,10 +179,29 @@ func TestRouteOnListener(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segDir := t.TempDir()
+	opt := tailOptions{expect: 2, segDir: t.TempDir()}
+	fwdBytes := make(chan []byte, 1)
+	if forward {
+		fln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fln.Close()
+		go func() {
+			c, err := fln.Accept()
+			if err != nil {
+				fwdBytes <- nil
+				return
+			}
+			defer c.Close()
+			b, _ := io.ReadAll(c)
+			fwdBytes <- b
+		}()
+		opt.forward, opt.compress = fln.Addr().String(), true
+	}
 	doneServe := make(chan error, 1)
 	go func() {
-		doneServe <- routeOnListener(ln, tailOptions{expect: 2, segDir: segDir}, filter{}, render)
+		doneServe <- routeOnListener(ln, opt, filter{}, render)
 	}()
 
 	w1 := dial(t, ln)
@@ -195,7 +228,7 @@ func TestRouteOnListener(t *testing.T) {
 	}
 
 	// The -segments log must replay to the same merged stream.
-	r, err := segment.OpenDir(segDir, segment.Options{})
+	r, err := segment.OpenDir(opt.segDir, segment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,6 +246,44 @@ func TestRouteOnListener(t *testing.T) {
 	}
 	if string(segBytes) != string(want) {
 		t.Fatalf("segment replay mismatch:\ngot:\n%s\nwant:\n%s", segBytes, want)
+	}
+	if !forward {
+		return
+	}
+
+	// The -forward stream decodes to the same merged stream, and its
+	// frames are the segment log's: one shared encode per batch.
+	var raw []byte
+	select {
+	case raw = <-fwdBytes:
+	case <-time.After(5 * time.Second):
+		t.Fatal("forward stream not closed within 5s")
+	}
+	d := wire.NewDecoder(bytes.NewReader(raw))
+	var fwd []byte
+	for {
+		acts, err := d.Decode()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("decoding the forward stream: %v", err)
+		}
+		fwd = wire.AppendJSONL(fwd, acts)
+	}
+	if string(fwd) != string(want) {
+		t.Fatalf("forward stream mismatch:\ngot:\n%s\nwant:\n%s", fwd, want)
+	}
+	names, err := filepath.Glob(filepath.Join(opt.segDir, "segment-*.fwl"))
+	if err != nil || len(names) != 1 {
+		t.Fatalf("glob: %v (%d segments, want 1)", err, len(names))
+	}
+	seg, err := os.ReadFile(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, seg) {
+		t.Fatalf("forward stream (%d bytes) differs from the segment log (%d bytes)", len(raw), len(seg))
 	}
 }
 

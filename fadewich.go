@@ -26,9 +26,11 @@
 //   - Streaming (internal/stream) — the asynchronous pipeline on top of
 //     the Fleet: an Ingestor with bounded per-office tick queues
 //     (block / drop-oldest / error backpressure, created and retired on
-//     membership change) and pluggable action Sinks (JSONL log file,
-//     wire-framed TCP stream, durable segment log, in-memory ring,
-//     multi-sink fan-out) fed by a dedicated pump goroutine.
+//     membership change) and pluggable action Sinks (wire-framed TCP
+//     stream, durable segment log, in-memory ring, multi-sink fan-out)
+//     fed by a dedicated pump goroutine. Every sink takes each
+//     dispatch cycle as one EncodedBatch, so each frame variant is
+//     encoded once per cycle however many sinks share it.
 //   - Wire + segment log (internal/wire, internal/segment) — the
 //     versioned frame codec every sink and consumer shares (magic +
 //     version + flags header, length, CRC32C trailer; JSONL payloads,
@@ -166,11 +168,13 @@ func NewIngestor(fleet *Fleet, cfg IngestorConfig) (*Ingestor, error) {
 	return stream.NewIngestor(fleet, cfg)
 }
 
-// Sink consumes dispatched batches of the merged fleet action stream.
+// Sink consumes the dispatch cycles of the merged fleet action stream:
+// WriteEncoded receives each cycle's EncodedBatch.
 type Sink = stream.Sink
 
-// LogSink appends the action stream to a JSONL file.
-type LogSink = stream.LogSink
+// EncodedBatch is one dispatch cycle as a Sink receives it: the batch,
+// its epoch if any, and each wire-frame variant encoded at most once.
+type EncodedBatch = stream.EncodedBatch
 
 // TCPSink streams the action stream to a TCP peer as wire frames,
 // redialing with capped exponential backoff on connection errors.
@@ -179,9 +183,6 @@ type TCPSink = stream.TCPSink
 // RingSink keeps the most recent actions in a fixed in-memory ring.
 type RingSink = stream.RingSink
 
-// NewLogSink creates (or truncates) the JSONL file at path.
-func NewLogSink(path string) (*LogSink, error) { return stream.NewLogSink(path) }
-
 // NewTCPSink dials addr and streams wire-framed action batches to it.
 func NewTCPSink(addr string) (*TCPSink, error) { return stream.NewTCPSink(addr) }
 
@@ -189,8 +190,9 @@ func NewTCPSink(addr string) (*TCPSink, error) { return stream.NewTCPSink(addr) 
 // the default of 1024).
 func NewRingSink(capacity int) *RingSink { return stream.NewRingSink(capacity) }
 
-// NewMultiSink fans every batch out to all the given sinks, encoding
-// each wire-frame variant once for the members that share it.
+// NewMultiSink hands every cycle's EncodedBatch to all the given
+// sinks, so each wire-frame variant is encoded once for the members
+// that share it.
 func NewMultiSink(sinks ...Sink) Sink { return stream.NewEncodeOnceSink(sinks...) }
 
 // SegmentSink persists the action stream to a durable segment log:
@@ -261,9 +263,6 @@ func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
 // ParseFleetSpec decodes a fleet spec from JSON, rejecting unknown
 // fields.
 func ParseFleetSpec(data []byte) (*FleetSpec, error) { return serve.ParseSpec(data) }
-
-// LoadFleetSpec reads and parses a fleet-spec file.
-func LoadFleetSpec(path string) (*FleetSpec, error) { return serve.LoadSpec(path) }
 
 // Layout is an office floor plan: workstations, wall sensors, the door.
 type Layout = office.Layout

@@ -1,9 +1,7 @@
 package fadewich_test
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
+	"io"
 	"testing"
 
 	"fadewich"
@@ -64,7 +62,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 // TestFacadeStreaming exercises the streaming exports: a small fleet
 // behind an Ingestor, its merged action stream fanned out to a ring and a
-// JSONL log sink.
+// segment log sink.
 func TestFacadeStreaming(t *testing.T) {
 	fleet, err := fadewich.NewFleet(fadewich.FleetConfig{
 		Offices: 2,
@@ -78,15 +76,15 @@ func TestFacadeStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := fadewich.NewRingSink(256)
-	logPath := filepath.Join(t.TempDir(), "actions.jsonl")
-	logSink, err := fadewich.NewLogSink(logPath)
+	segDir := t.TempDir()
+	seg, err := fadewich.NewSegmentSink(fadewich.SegmentConfig{Dir: segDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ing, err := fadewich.NewIngestor(fleet, fadewich.IngestorConfig{
 		Queue:  64,
 		OnFull: fadewich.OnFullBlock,
-		Sink:   fadewich.NewMultiSink(ring, logSink),
+		Sink:   fadewich.NewMultiSink(ring, seg),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,12 +116,24 @@ func TestFacadeStreaming(t *testing.T) {
 	if deauths != 2 {
 		t.Fatalf("%d deauthentications in the sink stream, want one per office", deauths)
 	}
-	data, err := os.ReadFile(logPath)
+	r, err := fadewich.OpenSegmentDir(segDir, fadewich.SegmentReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lines := bytes.Count(data, []byte("\n")); lines != len(acts) {
-		t.Fatalf("log sink has %d lines, ring has %d actions", lines, len(acts))
+	replayed := 0
+	for {
+		b, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed += len(b)
+	}
+	r.Close()
+	if replayed != len(acts) {
+		t.Fatalf("segment log replays %d actions, ring has %d", replayed, len(acts))
 	}
 	st := ing.Stats()
 	if st.Dropped != 0 || st.Offices[0].Dispatched != 60 {

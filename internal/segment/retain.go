@@ -38,8 +38,8 @@ func (w *Writer) sealedAt(info Info) time.Time {
 // while an unmanifested leftover file is merely replayed as an unsealed
 // tail, so a crash between the manifest write and the unlink is benign.
 // The active segment is never touched. ttl <= 0 keeps everything. Like
-// every Writer method it is not safe to call concurrently with Append
-// or Close.
+// every Writer method it is not safe to call concurrently with
+// AppendEncoded or Close.
 func (w *Writer) Retain(ttl time.Duration) (RetainResult, error) {
 	var res RetainResult
 	if w.closed {

@@ -31,7 +31,7 @@ func sealedDir(t *testing.T, dir string, n int, cfg Config) (*Writer, time.Time,
 	var all []engine.OfficeAction
 	for i := 0; i < n+1; i++ {
 		b := mkBatch(i%3, float64(1+i*100), 40)
-		if err := w.Append(b); err != nil {
+		if err := appendBatch(w, b); err != nil {
 			t.Fatal(err)
 		}
 		all = append(all, b...)
@@ -137,7 +137,7 @@ func TestCrashRecoveryTruncatesTornCompressedFrame(t *testing.T) {
 	}
 	var all, intact []engine.OfficeAction
 	for _, b := range batches {
-		if err := w.Append(b); err != nil {
+		if err := appendBatch(w, b); err != nil {
 			t.Fatal(err)
 		}
 		all = append(all, b...)
@@ -190,7 +190,7 @@ func TestCrashRecoveryTruncatesTornCompressedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	extra := mkBatch(1, 900, 40)
-	if err := w2.Append(extra); err != nil {
+	if err := appendBatch(w2, extra); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.Close(); err != nil {
@@ -208,55 +208,80 @@ func TestCrashRecoveryTruncatesTornCompressedFrame(t *testing.T) {
 	}
 }
 
-func TestAppendEncodedMatchesAppend(t *testing.T) {
-	dirA, dirB := t.TempDir(), t.TempDir()
-	wa, err := NewWriter(Config{Dir: dirA})
+// TestAppendEncodedWritesFramesVerbatim checks that the writer stores
+// the frames it is handed byte for byte, accounts their logical and
+// wire sizes, skips empty batches and refuses what is not a frame.
+func TestAppendEncodedWritesFramesVerbatim(t *testing.T) {
+	dir := t.TempDir()
+	w, err := NewWriter(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb, err := NewWriter(Config{Dir: dirB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var frame []byte
+	var (
+		want               []byte
+		all                []engine.OfficeAction
+		logical, wireBytes uint64
+	)
 	for i := 0; i < 5; i++ {
-		b := mkBatch(i%2, float64(1+i*10), 8)
-		if err := wa.Append(b); err != nil {
-			t.Fatal(err)
+		b := mkBatch(i%2, float64(1+i*10), 40)
+		var (
+			frame []byte
+			n     int
+		)
+		if i%2 == 0 {
+			frame, err = wire.AppendFrame(nil, wire.V1JSONL, b)
+			n = len(frame)
+		} else {
+			frame, n, err = wire.AppendFrameCompressed(nil, wire.V1JSONL, b, 0)
 		}
-		frame, err = wire.AppendFrame(frame[:0], wire.V1JSONL, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wb.AppendEncoded(frame, len(frame), b); err != nil {
+		if err := w.AppendEncoded(frame, n, b); err != nil {
 			t.Fatal(err)
 		}
+		want = append(want, frame...)
+		all = append(all, b...)
+		logical += uint64(n)
+		wireBytes += uint64(len(frame))
 	}
-	if err := wa.Close(); err != nil {
-		t.Fatal(err)
+	if err := w.AppendEncoded([]byte("definitely not a frame"), 0, mkBatch(0, 1, 1)); err == nil {
+		t.Fatal("AppendEncoded accepted junk")
 	}
-	if err := wb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sa, sb := wa.Stats(), wb.Stats()
-	if sa.Frames != sb.Frames || sa.Bytes != sb.Bytes || sa.WireBytes != sb.WireBytes {
-		t.Fatalf("stats diverge: %+v vs %+v", sa, sb)
-	}
-	ra, err := OpenDir(dirA, Options{})
+	empty, err := wire.AppendFrame(nil, wire.V1JSONL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := OpenDir(dirB, Options{})
+	if err := w.AppendEncoded(empty, len(empty), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.Frames != 5 || st.Bytes != logical || st.WireBytes != wireBytes || st.WireBytes >= st.Bytes {
+		t.Fatalf("stats %+v, want 5 frames, %d logical and %d wire bytes", st, logical, wireBytes)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "segment-*.fwl"))
+	if err != nil || len(names) != 1 {
+		t.Fatalf("glob: %v (%d segments, want 1)", err, len(names))
+	}
+	got, err := os.ReadFile(names[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	ga, gb := readAll(t, ra), readAll(t, rb)
-	ra.Close()
-	rb.Close()
-	if !reflect.DeepEqual(ga, gb) {
-		t.Fatal("AppendEncoded directory replays differently from Append")
+	if string(got) != string(want) {
+		t.Fatalf("segment holds %d bytes, not the %d bytes of frames appended", len(got), len(want))
 	}
-	if err := wb.AppendEncoded([]byte("definitely not a frame"), 0, mkBatch(0, 1, 1)); err == nil {
-		t.Fatal("AppendEncoded accepted junk on a closed writer") // closed + junk: either error is fine, nil is not
+	r, err := OpenDir(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := readAll(t, r)
+	r.Close()
+	if !reflect.DeepEqual(replay, all) {
+		t.Fatalf("replay: %d actions, want %d", len(replay), len(all))
+	}
+	if err := w.AppendEncoded(want, 0, all); err == nil {
+		t.Fatal("AppendEncoded on a closed writer succeeded")
 	}
 }

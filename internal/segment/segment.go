@@ -119,7 +119,8 @@ type Config struct {
 	// Version is the wire codec frames are written under: 0 or
 	// wire.V1JSONL, the only codec; anything else is wire.ErrVersion.
 	Version wire.Version
-	// Compress writes frames FlagCompressed when the payload clears the
+	// Compress asks the encoder feeding the writer (stream.SegmentSink)
+	// for FlagCompressed frames, deflated when the payload clears the
 	// wire layer's threshold and actually shrinks (see
 	// wire.AppendFrameCompressed). Frames are self-describing either
 	// way, so a directory may mix compressed and plain frames across
@@ -191,7 +192,6 @@ type Writer struct {
 	f        *os.File
 	openedAt time.Time
 	cur      Info
-	buf      []byte
 
 	man    manifest
 	stats  WriterStats
@@ -243,39 +243,15 @@ func NewWriter(cfg Config) (*Writer, error) {
 	return w, nil
 }
 
-// Append writes one batch as one wire frame, rotating first if the
-// active segment is full or too old. Empty batches are ignored (a
-// segment is named after its first action, and there is nothing to
-// replay in an empty frame).
-func (w *Writer) Append(batch []engine.OfficeAction) error {
-	if w.closed {
-		return errors.New("segment: writer closed")
-	}
-	if len(batch) == 0 {
-		return nil
-	}
-	var err error
-	logical := 0
-	if w.cfg.Compress {
-		w.buf, logical, err = wire.AppendFrameCompressed(w.buf[:0], wire.V1JSONL, batch, 0)
-	} else {
-		w.buf, err = wire.AppendFrame(w.buf[:0], wire.V1JSONL, batch)
-		logical = len(w.buf)
-	}
-	if err != nil {
-		return err
-	}
-	return w.writeFrame(w.buf, logical, batch)
-}
-
 // AppendEncoded writes one already-encoded wire frame carrying the
-// given batch — the encode-once fan-out path: the dispatch loop
-// encodes a frame once and the segment sink appends those exact bytes
-// instead of re-encoding the batch. The frame must be one complete
-// frame; the batch (used for the manifest's time bounds and must be
-// non-empty, matching Append's empty-batch skip) must be what the
-// frame decodes to. logical is the frame's uncompressed size (pass
-// len(frame) for a plain frame).
+// given batch, rotating first if the active segment is full or too
+// old: the dispatch cycle encodes a frame once and the segment sink
+// appends those exact bytes. The frame must be one complete frame; the
+// batch (used for the manifest's time bounds) must be what the frame
+// decodes to. An empty batch is ignored (a segment is named after its
+// first action, and there is nothing to replay in an empty frame).
+// logical is the frame's uncompressed size (pass len(frame) for a
+// plain frame).
 func (w *Writer) AppendEncoded(frame []byte, logical int, batch []engine.OfficeAction) error {
 	if w.closed {
 		return errors.New("segment: writer closed")

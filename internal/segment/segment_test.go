@@ -35,6 +35,26 @@ func mkBatch(office int, baseTime float64, n int) []engine.OfficeAction {
 	return out
 }
 
+// appendBatch encodes batch as the writer's configured frame variant
+// and appends it, as stream.SegmentSink does.
+func appendBatch(w *Writer, batch []engine.OfficeAction) error {
+	var (
+		frame   []byte
+		logical int
+		err     error
+	)
+	if w.cfg.Compress {
+		frame, logical, err = wire.AppendFrameCompressed(nil, wire.V1JSONL, batch, 0)
+	} else {
+		frame, err = wire.AppendFrame(nil, wire.V1JSONL, batch)
+		logical = len(frame)
+	}
+	if err != nil {
+		return err
+	}
+	return w.AppendEncoded(frame, logical, batch)
+}
+
 // readAll drains a Reader.
 func readAll(t *testing.T, r *Reader) []engine.OfficeAction {
 	t.Helper()
@@ -65,7 +85,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		var want []engine.OfficeAction
 		for i := 0; i < 7; i++ {
 			b := mkBatch(i%3, float64(1+i*10), 5)
-			if err := w.Append(b); err != nil {
+			if err := appendBatch(w, b); err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, b...)
@@ -98,7 +118,7 @@ func TestRotationBySizeAndManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := w.Append(mkBatch(0, float64(1+i), 3)); err != nil {
+		if err := appendBatch(w, mkBatch(0, float64(1+i), 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,18 +170,18 @@ func TestRotationByAge(t *testing.T) {
 	}
 	clock := time.Unix(1000, 0)
 	w.now = func() time.Time { return clock }
-	if err := w.Append(mkBatch(0, 1, 2)); err != nil {
+	if err := appendBatch(w, mkBatch(0, 1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	clock = clock.Add(30 * time.Second)
-	if err := w.Append(mkBatch(0, 2, 2)); err != nil {
+	if err := appendBatch(w, mkBatch(0, 2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.Stats().Sealed; got != 0 {
 		t.Fatalf("rotated after 30s with a 1m age limit (%d sealed)", got)
 	}
 	clock = clock.Add(31 * time.Second)
-	if err := w.Append(mkBatch(0, 3, 2)); err != nil {
+	if err := appendBatch(w, mkBatch(0, 3, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.Stats().Sealed; got != 1 {
@@ -179,7 +199,7 @@ func TestFsyncAlways(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := w.Append(mkBatch(0, float64(i+1), 1)); err != nil {
+		if err := appendBatch(w, mkBatch(0, float64(i+1), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +224,7 @@ func crashDir(t *testing.T, batches [][]engine.OfficeAction, cutBytes int64) (di
 		t.Fatal(err)
 	}
 	for _, b := range batches {
-		if err := w.Append(b); err != nil {
+		if err := appendBatch(w, b); err != nil {
 			t.Fatal(err)
 		}
 		all = append(all, b...)
@@ -318,10 +338,10 @@ func TestTornMidLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	b1, b2 := mkBatch(0, 1, 3), mkBatch(0, 2, 3)
-	if err := w1.Append(b1); err != nil {
+	if err := appendBatch(w1, b1); err != nil {
 		t.Fatal(err)
 	}
-	if err := w1.Append(b2); err != nil {
+	if err := appendBatch(w1, b2); err != nil {
 		t.Fatal(err)
 	}
 	// Crash: no Close. Tear the tail frame.
@@ -336,7 +356,7 @@ func TestTornMidLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	b3 := mkBatch(0, 3, 3)
-	if err := w2.Append(b3); err != nil {
+	if err := appendBatch(w2, b3); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.Close(); err != nil {
@@ -378,7 +398,7 @@ func TestFilteredCursors(t *testing.T) {
 	var all []engine.OfficeAction
 	for i := 0; i < 12; i++ {
 		b := mkBatch(i%3, float64(1+i*10), 2)
-		if err := w.Append(b); err != nil {
+		if err := appendBatch(w, b); err != nil {
 			t.Fatal(err)
 		}
 		all = append(all, b...)
@@ -434,7 +454,7 @@ func TestManifestSkipsSealedSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := w.Append(mkBatch(0, float64(1+i*10), 2)); err != nil {
+		if err := appendBatch(w, mkBatch(0, float64(1+i*10), 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -475,7 +495,7 @@ func TestFollowPicksUpNewData(t *testing.T) {
 		t.Fatal(err)
 	}
 	b1 := mkBatch(0, 1, 2)
-	if err := w.Append(b1); err != nil {
+	if err := appendBatch(w, b1); err != nil {
 		t.Fatal(err)
 	}
 	r, err := OpenDir(dir, Options{})
@@ -487,7 +507,7 @@ func TestFollowPicksUpNewData(t *testing.T) {
 	}
 	// Same segment grows.
 	b2 := mkBatch(0, 2, 1)
-	if err := w.Append(b2); err != nil {
+	if err := appendBatch(w, b2); err != nil {
 		t.Fatal(err)
 	}
 	if got := readAll(t, r); !reflect.DeepEqual(got, b2) {
@@ -495,7 +515,7 @@ func TestFollowPicksUpNewData(t *testing.T) {
 	}
 	// Force a rotation into a brand-new segment.
 	b3 := mkBatch(0, 3, 6)
-	if err := w.Append(b3); err != nil {
+	if err := appendBatch(w, b3); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -532,7 +552,7 @@ func TestManifestNamesMissingFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if err := w.Append(mkBatch(0, float64(i+1), 2)); err != nil {
+		if err := appendBatch(w, mkBatch(0, float64(i+1), 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -571,7 +591,7 @@ func TestWriterSealedAccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := w.Append(mkBatch(0, float64(1+i), 3)); err != nil {
+		if err := appendBatch(w, mkBatch(0, float64(1+i), 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -615,7 +635,7 @@ func TestManifestWithCompactedFieldReplays(t *testing.T) {
 	var want []engine.OfficeAction
 	for i := 0; i < 3; i++ {
 		b := mkBatch(i, float64(1+i*10), 4)
-		if err := w.Append(b); err != nil {
+		if err := appendBatch(w, b); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, b...)

@@ -4,18 +4,16 @@ import (
 	"errors"
 	"sync"
 
-	"fadewich/internal/engine"
 	"fadewich/internal/stream"
 	"fadewich/internal/wire"
 )
 
 // broadcaster is the stream.Sink behind GET /v1/actions: every
-// dispatched batch is encoded as one wire frame per requested variant
-// (plain or compressed) and fanned out to the connected
-// subscribers' buffered channels. As a stream.FrameSink it pulls those
-// variants from the dispatch cycle's shared EncodedBatch, so a variant
-// the segment log or another member already encoded is never encoded
-// again.
+// dispatched batch is sent as one wire frame per requested variant
+// (plain or compressed) to the connected subscribers' buffered
+// channels. It pulls those variants from the dispatch cycle's shared
+// EncodedBatch, so a variant the segment log or another member already
+// encoded is never encoded again.
 //
 // Delivery is at-most-once per subscriber with a hard overflow rule: a
 // subscriber whose channel is full when a frame arrives is dropped
@@ -97,16 +95,11 @@ func (b *broadcaster) ByteStats() (logical, wireBytes uint64) {
 	return b.bytes, b.wireBytes
 }
 
-// Write implements stream.Sink on the ingestor's pump goroutine; a
-// broadcaster outside an encode-once fan-out encodes its own variants.
-func (b *broadcaster) Write(batch []engine.OfficeAction) error {
-	return b.WriteEncoded(stream.NewEncodedBatch(batch))
-}
-
-// WriteEncoded implements stream.FrameSink: each subscriber's variant
-// (plain or compressed) is pulled from the cycle's shared
-// EncodedBatch — encoded at most once across the whole fan-out — and
-// handed to same-variant subscribers read-only.
+// WriteEncoded implements stream.Sink on the ingestor's pump
+// goroutine: each subscriber's variant (plain or compressed) is pulled
+// from the cycle's shared EncodedBatch — encoded at most once across
+// the whole fan-out — and handed to same-variant subscribers
+// read-only. An empty batch sends nothing; the epoch is ignored.
 func (b *broadcaster) WriteEncoded(e *stream.EncodedBatch) error {
 	batch := e.Batch()
 	if len(batch) == 0 {

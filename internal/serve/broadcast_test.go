@@ -37,10 +37,10 @@ func TestBroadcasterDelivers(t *testing.T) {
 	}
 
 	batch := testBatch(3)
-	if err := b.Write(batch); err != nil {
+	if err := b.WriteEncoded(stream.NewEncodedBatch(batch)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Write(nil); err != nil { // empty batches are skipped
+	if err := b.WriteEncoded(stream.NewEncodedBatch(nil)); err != nil { // empty batches are skipped
 		t.Fatal(err)
 	}
 	frames, actions, overflows := b.Stats()
@@ -80,10 +80,10 @@ func TestBroadcasterOverflowDropsSubscriber(t *testing.T) {
 
 	// Frame 1 fills slow's buffer; frame 2 overflows it. fast keeps
 	// receiving: one consumer falling behind never stalls the rest.
-	if err := b.Write(testBatch(1)); err != nil {
+	if err := b.WriteEncoded(stream.NewEncodedBatch(testBatch(1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Write(testBatch(2)); err != nil {
+	if err := b.WriteEncoded(stream.NewEncodedBatch(testBatch(2))); err != nil {
 		t.Fatal(err)
 	}
 	_, _, overflows := b.Stats()
@@ -114,7 +114,7 @@ func TestBroadcasterClose(t *testing.T) {
 	if _, ok := <-s.ch; ok {
 		t.Fatal("subscriber channel survived Close")
 	}
-	if err := b.Write(testBatch(1)); !errors.Is(err, stream.ErrSinkClosed) {
+	if err := b.WriteEncoded(stream.NewEncodedBatch(testBatch(1))); !errors.Is(err, stream.ErrSinkClosed) {
 		t.Fatalf("post-close write error = %v", err)
 	}
 	if _, err := b.Subscribe(false, 1); err == nil {

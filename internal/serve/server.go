@@ -210,12 +210,10 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	// Encode-once fan-out: any frame variant (plain or compressed) a
-	// member wants — the segment log, a broadcaster subscriber — is
-	// encoded exactly once per dispatch and shared read-only.
-	sink := sinks[0]
-	if len(sinks) > 1 {
-		sink = stream.NewEncodeOnceSink(sinks...)
-	}
+	// member wants — the segment log, a broadcaster subscriber, an
+	// untagged forward — is encoded exactly once per dispatch and shared
+	// read-only.
+	sink := stream.NewEncodeOnceSink(sinks...)
 
 	s.ing, err = stream.NewIngestor(fleet, stream.Config{
 		Queue:  cfg.Queue,

@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"fadewich/internal/core"
 	"fadewich/internal/md"
@@ -108,15 +107,6 @@ func ParseSpec(data []byte) (*Spec, error) {
 		return nil, fmt.Errorf("serve: fleet spec: trailing data after the spec object")
 	}
 	return &s, nil
-}
-
-// LoadSpec reads and parses a fleet-spec file.
-func LoadSpec(path string) (*Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("serve: fleet spec: %w", err)
-	}
-	return ParseSpec(data)
 }
 
 // layoutByName maps the spec layout spelling to a floor plan.

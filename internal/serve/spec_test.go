@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -177,22 +175,5 @@ func TestResolveAllOrNothing(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `office 1 ("bad")`) {
 		t.Fatalf("error %q does not name the failing office", err)
-	}
-}
-
-func TestLoadSpec(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fleet.json")
-	if err := os.WriteFile(path, []byte(`{"offices": [{"name": "hq", "layout": "small", "sensors": 2}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := LoadSpec(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Offices) != 1 || s.Offices[0].Name != "hq" {
-		t.Fatalf("loaded spec wrong: %+v", s)
-	}
-	if _, err := LoadSpec(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file loaded")
 	}
 }

@@ -1,17 +1,17 @@
-// Encode-once fan-out: one dispatch cycle encodes each frame variant
-// (plain or compressed) exactly once, and every frame-capable
-// member of the fan-out shares the resulting read-only bytes. Without
-// this, a worker daemon feeding a segment log, a TCP forward and an
-// HTTP broadcaster from the same dispatch encodes the same batch three
-// times — the encode dominates the pump's cycle cost well before the
-// sinks do any I/O.
+// Encode-once delivery: every sink receives the dispatch cycle as one
+// EncodedBatch and pulls the frame variant (plain or compressed) it
+// wants from it, so each variant is encoded at most once per cycle no
+// matter how many sinks — or broadcaster subscribers — consume it.
+// Without this, a worker daemon feeding a segment log, a TCP forward
+// and an HTTP broadcaster from the same dispatch encodes the same batch
+// three times — the encode dominates the pump's cycle cost well before
+// the sinks do any I/O.
 
 package stream
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"fadewich/internal/engine"
 	"fadewich/internal/wire"
@@ -34,32 +34,41 @@ type EncodedFrame struct {
 	Batch []engine.OfficeAction
 }
 
-// EncodedBatch hands a dispatch cycle's batch to frame-consuming sinks
-// with at-most-once encoding per variant: the first Frame call for a
+// EncodedBatch is one dispatch cycle as every Sink receives it: the
+// merged batch, the epoch the cycle was flushed under (if any), and
+// at-most-once encoding per frame variant — the first Frame call for a
 // compress setting encodes into a fresh buffer, later calls return the
-// same EncodedFrame. It is not safe for concurrent use —
-// the fan-out drives all members from the pump goroutine.
+// same EncodedFrame. It is not safe for concurrent use — the pump
+// drives every sink from one goroutine.
 type EncodedBatch struct {
-	batch  []engine.OfficeAction
-	frames [2]*EncodedFrame // [compressed]
+	batch    []engine.OfficeAction
+	epoch    uint64
+	hasEpoch bool
+	frames   [2]*EncodedFrame // [compressed]
 }
 
-// NewEncodedBatch wraps one batch for frame-sink consumption outside a
-// fan-out — a FrameSink driven directly (no NewEncodeOnceSink in
-// front) still encodes each variant it needs at most once.
+// NewEncodedBatch wraps one batch, without an epoch, for a sink driven
+// directly rather than by an Ingestor; the sink still encodes each
+// variant it needs at most once.
 func NewEncodedBatch(batch []engine.OfficeAction) *EncodedBatch {
 	return &EncodedBatch{batch: batch}
 }
 
-// reset points the EncodedBatch at a new batch and forgets the encoded
+// reset points the EncodedBatch at a new cycle and forgets the encoded
 // variants (their buffers are owned by whoever received them).
-func (e *EncodedBatch) reset(batch []engine.OfficeAction) {
-	e.batch = batch
-	e.frames = [2]*EncodedFrame{}
+func (e *EncodedBatch) reset(batch []engine.OfficeAction, epoch uint64, hasEpoch bool) {
+	*e = EncodedBatch{batch: batch, epoch: epoch, hasEpoch: hasEpoch}
 }
 
 // Batch returns the cycle's batch. Not to be mutated.
 func (e *EncodedBatch) Batch() []engine.OfficeAction { return e.batch }
+
+// Epoch returns the epoch number of a cycle that served
+// Ingestor.FlushEpoch. Such a cycle reaches the sinks even when its
+// batch is empty — "this epoch dispatched nothing" is what a
+// downstream merge watermark needs; sinks that do not tag their output
+// write nothing for an empty batch and ignore the epoch.
+func (e *EncodedBatch) Epoch() (uint64, bool) { return e.epoch, e.hasEpoch }
 
 // Frame returns the batch encoded under codec v, which must be
 // wire.V1JSONL, compressed or not, encoding on first use. The returned
@@ -94,86 +103,27 @@ func (e *EncodedBatch) Frame(v wire.Version, compress bool) (*EncodedFrame, erro
 	return f, nil
 }
 
-// FrameSink is the optional third face of a sink that can consume
-// pre-encoded frames: instead of receiving the raw batch and encoding
-// privately, the sink pulls the variant(s) it wants from the cycle's
-// EncodedBatch, sharing the encode with every other frame-capable
-// member of the fan-out.
-type FrameSink interface {
-	Sink
-	WriteEncoded(e *EncodedBatch) error
-}
-
 // encodeOnceSink is NewEncodeOnceSink's fan-out.
-type encodeOnceSink struct {
-	sinks []Sink
+type encodeOnceSink []Sink
 
-	mu sync.Mutex
-	eb EncodedBatch
-}
-
-// NewEncodeOnceSink returns a sink fanning every Write, WriteEpoch and
-// Close out to all the given sinks, with shared encoding: members
-// implementing FrameSink receive the cycle's EncodedBatch and pull
-// their variant (plain or compressed) from it, so any variant is encoded
-// once per dispatch no matter how many members (or broadcaster
-// subscribers) consume it. Epoch-stamped flushes keep the epoch
-// protocol: EpochSink members get WriteEpoch (empty batches included)
-// — a tagged TCP forward's frames carry a tag and remapped IDs,
-// different bytes by design, so the epoch face wins over the frame
-// face. Remaining members get plain Writes (non-empty ones only for
-// epoch flushes). This is how a worker daemon feeds its tagged TCP
-// forward and its untagged broadcaster and segment log from the same
-// dispatch. One member failing does not stop delivery to the others;
-// the errors join.
+// NewEncodeOnceSink returns a sink handing every cycle's EncodedBatch
+// to all the given sinks, in order, and closing them all on Close.
+// Members share the batch's encodes, so a frame variant is encoded once
+// per dispatch however many members want it; each member decides from
+// the batch alone what to write (a tagged TCP forward encodes its own
+// tagged frame, different bytes by design). This is how a worker
+// daemon feeds its tagged TCP forward and its untagged broadcaster and
+// segment log from the same dispatch. One member failing does not stop
+// delivery to the others; the errors join.
 func NewEncodeOnceSink(sinks ...Sink) Sink {
-	return &encodeOnceSink{sinks: append([]Sink(nil), sinks...)}
+	return encodeOnceSink(append([]Sink(nil), sinks...))
 }
 
-// Write delivers the batch to every member, encoding each requested
-// frame variant once.
-func (s *encodeOnceSink) Write(batch []engine.OfficeAction) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.eb.reset(batch)
+// WriteEncoded delivers the cycle to every member.
+func (s encodeOnceSink) WriteEncoded(e *EncodedBatch) error {
 	var errs []error
-	for _, snk := range s.sinks {
-		var err error
-		if fs, ok := snk.(FrameSink); ok {
-			err = fs.WriteEncoded(&s.eb)
-		} else {
-			err = snk.Write(batch)
-		}
-		if err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// WriteEpoch delivers an epoch-stamped batch: epoch-aware members get
-// the epoch (and empty batches), frame-aware members share the
-// encode, the rest get plain non-empty Writes.
-func (s *encodeOnceSink) WriteEpoch(epoch uint64, batch []engine.OfficeAction) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.eb.reset(batch)
-	var errs []error
-	for _, snk := range s.sinks {
-		var err error
-		switch t := snk.(type) {
-		case EpochSink:
-			err = t.WriteEpoch(epoch, batch)
-		case FrameSink:
-			if len(batch) > 0 {
-				err = t.WriteEncoded(&s.eb)
-			}
-		default:
-			if len(batch) > 0 {
-				err = snk.Write(batch)
-			}
-		}
-		if err != nil {
+	for _, snk := range s {
+		if err := snk.WriteEncoded(e); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -181,9 +131,9 @@ func (s *encodeOnceSink) WriteEpoch(epoch uint64, batch []engine.OfficeAction) e
 }
 
 // Close closes every member, joining any errors.
-func (s *encodeOnceSink) Close() error {
+func (s encodeOnceSink) Close() error {
 	var errs []error
-	for _, snk := range s.sinks {
+	for _, snk := range s {
 		if err := snk.Close(); err != nil {
 			errs = append(errs, err)
 		}

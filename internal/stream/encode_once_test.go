@@ -2,23 +2,28 @@ package stream
 
 import (
 	"errors"
+	"io"
+	"net"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"fadewich/internal/engine"
 	"fadewich/internal/segment"
 	"fadewich/internal/wire"
 )
 
-// recordingFrameSink is a FrameSink that remembers the exact
-// *EncodedFrame pointers it pulled, so tests can prove sharing.
-type recordingFrameSink struct {
+// recordingSink remembers the exact *EncodedFrame pointers it pulled,
+// so tests can prove sharing.
+type recordingSink struct {
 	compress bool
 	frames   []*EncodedFrame
-	plain    int // Write calls (the non-frame path)
 }
 
-func (s *recordingFrameSink) WriteEncoded(e *EncodedBatch) error {
+func (s *recordingSink) WriteEncoded(e *EncodedBatch) error {
 	f, err := e.Frame(wire.V1JSONL, s.compress)
 	if err != nil {
 		return err
@@ -27,36 +32,89 @@ func (s *recordingFrameSink) WriteEncoded(e *EncodedBatch) error {
 	return nil
 }
 
-func (s *recordingFrameSink) Write(batch []engine.OfficeAction) error {
-	s.plain++
-	return nil
+func (s *recordingSink) Close() error { return nil }
+
+// writeEpoch hands s one epoch-stamped cycle, as an Ingestor's
+// FlushEpoch delivers it.
+func writeEpoch(s Sink, epoch uint64, batch []engine.OfficeAction) error {
+	var e EncodedBatch
+	e.reset(batch, epoch, true)
+	return s.WriteEncoded(&e)
 }
 
-func (s *recordingFrameSink) Close() error { return nil }
-
-// epochRecorder captures WriteEpoch deliveries.
-type epochRecorder struct {
-	epochs  []uint64
-	lengths []int
+// rawServer accepts one connection and returns every byte read from it
+// until the peer closes.
+func rawServer(t *testing.T) (addr string, got <-chan []byte) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	ch := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			ch <- nil
+			return
+		}
+		defer conn.Close()
+		b, _ := io.ReadAll(conn)
+		ch <- b
+	}()
+	return ln.Addr().String(), ch
 }
 
-func (s *epochRecorder) Write(batch []engine.OfficeAction) error { return nil }
-func (s *epochRecorder) Close() error                            { return nil }
-func (s *epochRecorder) WriteEpoch(epoch uint64, batch []engine.OfficeAction) error {
-	s.epochs = append(s.epochs, epoch)
-	s.lengths = append(s.lengths, len(batch))
-	return nil
+// recv waits for a rawServer's bytes.
+func recv(t *testing.T, got <-chan []byte) []byte {
+	t.Helper()
+	select {
+	case b := <-got:
+		return b
+	case <-time.After(5 * time.Second):
+		t.Fatal("peer stream not closed within 5s")
+		return nil
+	}
+}
+
+// segmentBytes concatenates a segment directory's files in name order.
+func segmentBytes(t *testing.T, dir string) []byte {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "segment-*.fwl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for _, n := range names {
+		b, err := os.ReadFile(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b...)
+	}
+	return out
 }
 
 func TestEncodeOnceSharesVariantAcrossMembers(t *testing.T) {
-	a := &recordingFrameSink{}
-	b := &recordingFrameSink{}
-	c := &recordingFrameSink{compress: true}
+	a := &recordingSink{}
+	b := &recordingSink{}
+	c := &recordingSink{compress: true}
 	ring := NewRingSink(64)
-	fan := NewEncodeOnceSink(a, b, c, ring)
+	addr, fwdBytes := rawServer(t)
+	fwd, err := NewTCPSink(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd.Compress = true
+	segDir := t.TempDir()
+	seg, err := NewSegmentSink(segment.Config{Dir: segDir, Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fan := NewEncodeOnceSink(a, b, c, ring, fwd, seg)
 
 	batch := sampleBatch(20)
-	if err := fan.Write(batch); err != nil {
+	if err := writeBatch(fan, batch); err != nil {
 		t.Fatal(err)
 	}
 	if len(a.frames) != 1 || len(b.frames) != 1 || len(c.frames) != 1 {
@@ -72,7 +130,7 @@ func TestEncodeOnceSharesVariantAcrossMembers(t *testing.T) {
 		t.Fatalf("shared frame differs from a direct encode (%v)", err)
 	}
 	if !reflect.DeepEqual(ring.Actions(), batch) {
-		t.Fatal("plain member missed the batch")
+		t.Fatal("ring member missed the batch")
 	}
 	if _, err := NewEncodedBatch(batch).Frame(2, false); !errors.Is(err, wire.ErrVersion) {
 		t.Fatalf("codec 2 frame: got %v, want wire.ErrVersion", err)
@@ -81,7 +139,7 @@ func TestEncodeOnceSharesVariantAcrossMembers(t *testing.T) {
 	// A second cycle must not reuse the first cycle's buffers: the
 	// first cycle's frames may be retained by consumers.
 	first := a.frames[0].Wire
-	if err := fan.Write(sampleBatch(21)); err != nil {
+	if err := writeBatch(fan, sampleBatch(21)); err != nil {
 		t.Fatal(err)
 	}
 	if &first[0] == &a.frames[1].Wire[0] {
@@ -93,31 +151,143 @@ func TestEncodeOnceSharesVariantAcrossMembers(t *testing.T) {
 	}()) {
 		t.Fatal("cycle 1's retained frame was clobbered by cycle 2")
 	}
+
+	// The untagged forward and the segment log, both compressing, carry
+	// the same bytes: the compressed variant both cycles encoded once.
+	if err := fan.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]byte(nil), c.frames[0].Wire...), c.frames[1].Wire...)
+	if len(c.frames[0].Wire) >= c.frames[0].Logical {
+		t.Fatal("compressed variant is not compressed; the comparison is weak")
+	}
+	if got := recv(t, fwdBytes); string(got) != string(want) {
+		t.Fatalf("forward stream (%d bytes) differs from the shared compressed frames (%d bytes)", len(got), len(want))
+	}
+	if got := segmentBytes(t, segDir); string(got) != string(want) {
+		t.Fatalf("segment log (%d bytes) differs from the shared compressed frames (%d bytes)", len(got), len(want))
+	}
 }
 
-func TestEncodeOnceEpochProtocol(t *testing.T) {
-	ep := &epochRecorder{}
-	fr := &recordingFrameSink{}
-	fan := NewEncodeOnceSink(ep, fr).(*encodeOnceSink)
+// taggedFrame is one decoded frame of a tagged stream.
+type taggedFrame struct {
+	tag  wire.Tag
+	acts []engine.OfficeAction
+}
 
-	if err := fan.WriteEpoch(1, sampleBatch(8)); err != nil {
+// TestEncodeOnceEpochProtocol pins the epoch rule where it lives, in
+// each sink: an Ingestor's epoch flushes reach every fan-out member as
+// one EncodedBatch; the tagged forward (behind a RemapSink) writes one
+// tagged frame per epoch, the empty one included, with remapped IDs,
+// while the segment log and the ring take only the non-empty batch.
+func TestEncodeOnceEpochProtocol(t *testing.T) {
+	const offices, ticks = 4, 200
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fan.WriteEpoch(2, nil); err != nil { // empty epoch
+	t.Cleanup(func() { ln.Close() })
+	decoded := make(chan []taggedFrame, 1)
+	go func() {
+		var out []taggedFrame
+		defer func() { decoded <- out }()
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		d := wire.NewDecoder(conn)
+		for {
+			acts, err := d.Decode()
+			if err != nil {
+				return
+			}
+			tag, _ := d.Tag()
+			out = append(out, taggedFrame{tag, acts})
+		}
+	}()
+
+	fwd, err := NewTCPSink(ln.Addr().String())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ep.epochs, []uint64{1, 2}) || !reflect.DeepEqual(ep.lengths, []int{8, 0}) {
-		t.Fatalf("epoch member saw %v/%v, want epochs 1,2 with lengths 8,0", ep.epochs, ep.lengths)
+	fwd.Source = 2
+	remapped := NewRemapSink(fwd, func(id int) (int, bool) { return id + 100, true })
+	segDir := t.TempDir()
+	seg, err := NewSegmentSink(segment.Config{Dir: segDir})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The frame member sees only the non-empty cycle, and through the
-	// frame face, not plain Write.
-	if len(fr.frames) != 1 || fr.plain != 0 {
-		t.Fatalf("frame member: %d frames, %d plain writes; want 1/0", len(fr.frames), fr.plain)
+	ring := NewRingSink(0)
+	in, err := NewIngestor(testFleet(t, offices, 2), Config{Queue: ticks, Sink: NewEncodeOnceSink(remapped, seg, ring)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.FlushEpoch(1); err != nil { // nothing queued: an empty epoch
+		t.Fatal(err)
+	}
+	batch, inputs := scenario(offices, ticks)
+	pushWindow(t, in, batch, inputs)
+	if err := in.FlushEpoch(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Close(); err != nil { // the forward sends its final frame
+		t.Fatal(err)
+	}
+
+	want := ring.Actions()
+	if len(want) == 0 {
+		t.Fatal("scenario produced no actions; the epoch check is vacuous")
+	}
+	if st := seg.Stats(); st.Frames != 1 {
+		t.Fatalf("segment log wrote %d frames, want 1 (the empty epoch writes nothing)", st.Frames)
+	}
+	r, err := segment.OpenDir(segDir, segment.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replay []engine.OfficeAction
+	for {
+		acts, err := r.Next()
+		if err != nil {
+			break
+		}
+		replay = append(replay, acts...)
+	}
+	r.Close()
+	if !reflect.DeepEqual(replay, want) {
+		t.Fatalf("segment replay: %d actions, ring %d", len(replay), len(want))
+	}
+
+	var frames []taggedFrame
+	select {
+	case frames = <-decoded:
+	case <-time.After(5 * time.Second):
+		t.Fatal("tagged stream not closed within 5s")
+	}
+	if len(frames) != 3 {
+		t.Fatalf("tagged forward sent %d frames, want 3 (epoch 1, epoch 2, final)", len(frames))
+	}
+	for i, wantTag := range []wire.Tag{{Source: 2, Epoch: 1}, {Source: 2, Epoch: 2}, {Source: 2, Epoch: 3, Final: true}} {
+		if frames[i].tag != wantTag {
+			t.Fatalf("frame %d tag %+v, want %+v", i, frames[i].tag, wantTag)
+		}
+	}
+	if len(frames[0].acts) != 0 || len(frames[2].acts) != 0 {
+		t.Fatal("the empty epoch or the final frame carried actions")
+	}
+	wantRemapped := make([]engine.OfficeAction, len(want))
+	for i, a := range want {
+		a.Office += 100
+		wantRemapped[i] = a
+	}
+	if !reflect.DeepEqual(frames[1].acts, wantRemapped) {
+		t.Fatal("epoch 2's tagged frame is not the remapped batch")
 	}
 }
 
 // TestEncodeOnceSegmentSinkMatchesDirectWrites proves the fan-out path
-// writes a byte-identical segment directory to per-sink encoding.
+// writes a byte-identical segment directory to a directly driven sink.
 func TestEncodeOnceSegmentSinkMatchesDirectWrites(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		dirFan, dirDirect := t.TempDir(), t.TempDir()
@@ -133,10 +303,10 @@ func TestEncodeOnceSegmentSinkMatchesDirectWrites(t *testing.T) {
 		var want []engine.OfficeAction
 		for i := 0; i < 6; i++ {
 			b := sampleBatch(40 + i)
-			if err := fan.Write(b); err != nil {
+			if err := writeBatch(fan, b); err != nil {
 				t.Fatal(err)
 			}
-			if err := direct.Write(b); err != nil {
+			if err := writeBatch(direct, b); err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, b...)
@@ -181,7 +351,7 @@ func TestTCPSinkCompressedStream(t *testing.T) {
 	}
 	s.Compress = true
 	batch := sampleBatch(100)
-	if err := s.Write(batch); err != nil {
+	if err := writeBatch(s, batch); err != nil {
 		t.Fatal(err)
 	}
 	if got := fs.recvFrame(t); !reflect.DeepEqual(got, batch) {
@@ -194,7 +364,7 @@ func TestTCPSinkCompressedStream(t *testing.T) {
 	// A tiny batch rides along as a plain frame — both counters grow by
 	// the same amount.
 	small := sampleBatch(1)
-	if err := s.Write(small); err != nil {
+	if err := writeBatch(s, small); err != nil {
 		t.Fatal(err)
 	}
 	if got := fs.recvFrame(t); !reflect.DeepEqual(got, small) {
@@ -216,10 +386,10 @@ func TestTCPSinkTaggedCompressedEpochs(t *testing.T) {
 	s.Source = 3
 	s.Compress = true
 	b1, b2 := sampleBatch(80), sampleBatch(90)
-	if err := s.WriteEpoch(1, b1); err != nil {
+	if err := writeEpoch(s, 1, b1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteEpoch(2, b2); err != nil {
+	if err := writeEpoch(s, 2, b2); err != nil {
 		t.Fatal(err)
 	}
 	if got := fs.recvFrame(t); !reflect.DeepEqual(got, b1) {
@@ -232,55 +402,52 @@ func TestTCPSinkTaggedCompressedEpochs(t *testing.T) {
 	if st.WireBytes >= st.Bytes {
 		t.Fatalf("tagged compression saved nothing: %d wire for %d logical", st.WireBytes, st.Bytes)
 	}
+	if err := writeBatch(s, b1); err == nil || !strings.Contains(err.Error(), "untagged batch") {
+		t.Fatalf("tagged sink took a batch without an epoch: %v", err)
+	}
+	if err := writeEpoch(s, 2, b1); err == nil || !strings.Contains(err.Error(), "not after") {
+		t.Fatalf("tagged sink took a repeated epoch: %v", err)
+	}
+	if got := s.Stats().Frames; got != 2 {
+		t.Fatalf("refused cycles sent frames: %d delivered, want 2", got)
+	}
 	if err := s.Close(); err != nil { // sends the FlagFinal frame
 		t.Fatal(err)
 	}
 }
 
 // BenchmarkFanoutEncodeOnce measures a three-way fan-out of the same
-// dispatch: "multi" encodes per member (plain sinks, which the fan-out
-// hands the raw batch), "shared" pulls one encode per variant from the
-// EncodedBatch.
+// dispatch: "multi" members each encode privately from the batch,
+// "shared" members pull one encode per variant from the EncodedBatch.
 func BenchmarkFanoutEncodeOnce(b *testing.B) {
 	batch := sampleBatch(256)
-	perSink := func() Sink {
-		return &benchEncodingSink{}
+	run := func(b *testing.B, fan Sink) {
+		var eb EncodedBatch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eb.reset(batch, 0, false)
+			if err := fan.WriteEncoded(&eb); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/action")
 	}
 	b.Run("multi", func(b *testing.B) {
-		fan := NewEncodeOnceSink(perSink(), perSink(), perSink())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := fan.Write(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/action")
+		run(b, NewEncodeOnceSink(&benchEncodingSink{}, &benchEncodingSink{}, &benchEncodingSink{}))
 	})
 	b.Run("shared", func(b *testing.B) {
-		fan := NewEncodeOnceSink(
-			&benchFrameSink{},
-			&benchFrameSink{},
-			&benchFrameSink{},
-		)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := fan.Write(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/action")
+		run(b, NewEncodeOnceSink(&benchSharedSink{}, &benchSharedSink{}, &benchSharedSink{}))
 	})
 }
 
-// benchFrameSink pulls its variant and discards it, so the benchmark
+// benchSharedSink pulls its variant and discards it, so the benchmark
 // measures encoding, not retention.
-type benchFrameSink struct {
+type benchSharedSink struct {
 	bytes uint64
 }
 
-func (s *benchFrameSink) WriteEncoded(e *EncodedBatch) error {
+func (s *benchSharedSink) WriteEncoded(e *EncodedBatch) error {
 	f, err := e.Frame(wire.V1JSONL, false)
 	if err != nil {
 		return err
@@ -289,8 +456,7 @@ func (s *benchFrameSink) WriteEncoded(e *EncodedBatch) error {
 	return nil
 }
 
-func (s *benchFrameSink) Write(batch []engine.OfficeAction) error { return nil }
-func (s *benchFrameSink) Close() error                            { return nil }
+func (s *benchSharedSink) Close() error { return nil }
 
 // benchEncodingSink stands in for a frame-writing sink that encodes
 // privately — the pre-encode-once cost model.
@@ -298,9 +464,9 @@ type benchEncodingSink struct {
 	buf []byte
 }
 
-func (s *benchEncodingSink) Write(batch []engine.OfficeAction) error {
+func (s *benchEncodingSink) WriteEncoded(e *EncodedBatch) error {
 	var err error
-	s.buf, err = wire.AppendFrame(s.buf[:0], wire.V1JSONL, batch)
+	s.buf, err = wire.AppendFrame(s.buf[:0], wire.V1JSONL, e.Batch())
 	return err
 }
 

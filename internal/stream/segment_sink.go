@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"fadewich/internal/engine"
 	"fadewich/internal/segment"
 	"fadewich/internal/wire"
 )
@@ -21,7 +20,7 @@ type SegmentSink struct {
 	w      *segment.Writer
 	closed bool
 	// compress mirrors the writer's config: the frame variant this sink
-	// pulls from an encode-once fan-out.
+	// pulls from each cycle's EncodedBatch.
 	compress bool
 }
 
@@ -37,29 +36,19 @@ func NewSegmentSink(cfg segment.Config) (*SegmentSink, error) {
 	return &SegmentSink{w: w, compress: cfg.Compress}, nil
 }
 
-// Write appends one batch as one frame, rotating segments as
-// configured.
-func (s *SegmentSink) Write(batch []engine.OfficeAction) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrSinkClosed
-	}
-	if err := s.w.Append(batch); err != nil {
-		return fmt.Errorf("stream: segment sink: %w", err)
-	}
-	return nil
-}
-
-// WriteEncoded implements FrameSink: the sink pulls its configured
-// variant (plain or compressed) from the cycle's shared EncodedBatch and
-// appends the pre-encoded frame as-is — no second encode, no mutation
-// of the shared bytes.
+// WriteEncoded appends the cycle as one frame, rotating segments as
+// configured: the sink pulls its configured variant (plain or
+// compressed) from the cycle's shared EncodedBatch and appends the
+// encoded frame as-is — no second encode, no mutation of the shared
+// bytes. An empty batch writes nothing; the epoch is ignored.
 func (s *SegmentSink) WriteEncoded(e *EncodedBatch) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrSinkClosed
+	}
+	if len(e.Batch()) == 0 {
+		return nil
 	}
 	f, err := e.Frame(wire.V1JSONL, s.compress)
 	if err != nil {
@@ -73,7 +62,7 @@ func (s *SegmentSink) WriteEncoded(e *EncodedBatch) error {
 
 // Retain runs TTL retention on the segment directory (see
 // segment.Writer.Retain) under the sink's lock, so it never interleaves
-// with an in-flight Write.
+// with an in-flight WriteEncoded.
 func (s *SegmentSink) Retain(ttl time.Duration) (segment.RetainResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

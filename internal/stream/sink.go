@@ -1,18 +1,17 @@
 // Sinks: the pluggable backends the merged fleet action stream is pumped
-// into. All sinks consume whole dispatched batches and share one wire
-// layer (package wire: versioned frames, JSONL or binary payloads);
-// they are safe for use from the pump goroutine plus a closing
-// goroutine.
+// into. Every sink has one face, WriteEncoded, which takes the dispatch
+// cycle's EncodedBatch: the batch, its epoch if it has one, and the
+// shared codec-v1 wire frames (package wire) encoded at most once per
+// variant. Sinks are safe for use from the pump goroutine plus a
+// closing goroutine.
 
 package stream
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -21,84 +20,21 @@ import (
 	"fadewich/internal/wire"
 )
 
-// ErrSinkClosed is returned by Write on a closed sink.
+// ErrSinkClosed is returned by WriteEncoded on a closed sink.
 var ErrSinkClosed = errors.New("stream: sink closed")
 
-// Sink consumes dispatched batches of the merged fleet action stream.
-// Write is called from the Ingestor's pump goroutine, one batch at a
-// time, in dispatch order; a non-nil error marks the sink broken (the
-// pump stops writing and surfaces the error). Close flushes buffered
-// data and releases resources; it must be safe to call after a Write
+// Sink consumes the dispatch cycles of the merged fleet action stream.
+// WriteEncoded is called from the Ingestor's pump goroutine, one cycle
+// at a time, in dispatch order; a non-nil error marks the sink broken
+// (the pump stops writing and surfaces the error). A cycle without an
+// epoch always carries a non-empty batch; an epoch-stamped cycle (see
+// Ingestor.FlushEpoch) may carry an empty one. Sinks that do not tag
+// their output write nothing for an empty batch. Close flushes buffered
+// data and releases resources; it must be safe to call after a write
 // error and more than once.
 type Sink interface {
-	Write(batch []engine.OfficeAction) error
+	WriteEncoded(e *EncodedBatch) error
 	Close() error
-}
-
-// EpochSink is the optional second face of a sink that can carry the
-// cluster epoch protocol: WriteEpoch delivers one dispatch cycle's
-// batch together with its producer-assigned epoch number. Unlike
-// Write, WriteEpoch is also called with an empty batch — "this epoch
-// dispatched nothing" is information the downstream merge watermark
-// needs. The Ingestor's pump prefers this face for epoch-stamped
-// flushes (see Ingestor.FlushEpoch) and falls back to plain non-empty
-// Writes on sinks without it.
-type EpochSink interface {
-	Sink
-	WriteEpoch(epoch uint64, batch []engine.OfficeAction) error
-}
-
-// LogSink appends the action stream to a JSONL file (one JSON object per
-// action — the unframed codec-v1 payload), buffered, flushed on Close.
-type LogSink struct {
-	mu  sync.Mutex
-	f   *os.File
-	w   *bufio.Writer
-	buf []byte
-}
-
-// NewLogSink creates (or truncates) the file at path and returns a sink
-// writing the JSONL action stream to it. An unwritable path fails here,
-// not at the first Write.
-func NewLogSink(path string) (*LogSink, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("stream: log sink: %w", err)
-	}
-	return &LogSink{f: f, w: bufio.NewWriterSize(f, 64<<10)}, nil
-}
-
-// Write appends one batch to the file.
-func (s *LogSink) Write(batch []engine.OfficeAction) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return ErrSinkClosed
-	}
-	s.buf = wire.AppendJSONL(s.buf[:0], batch)
-	if _, err := s.w.Write(s.buf); err != nil {
-		return fmt.Errorf("stream: log sink: %w", err)
-	}
-	return nil
-}
-
-// Close flushes the buffer and closes the file. Idempotent.
-func (s *LogSink) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	flushErr := s.w.Flush()
-	closeErr := s.f.Close()
-	s.f, s.w = nil, nil
-	if flushErr != nil {
-		return fmt.Errorf("stream: log sink: %w", flushErr)
-	}
-	if closeErr != nil {
-		return fmt.Errorf("stream: log sink: %w", closeErr)
-	}
-	return nil
 }
 
 // TCPSinkStats snapshot the delivery counters of a TCPSink.
@@ -136,16 +72,16 @@ type TCPSinkStats struct {
 // peer address — a fleet of sinks desynchronises its redial storms
 // while every individual sink remains exactly reproducible.
 //
-// The exported fields may be tuned before the first Write; afterwards
-// the sink owns them.
+// The exported fields may be tuned before the first WriteEncoded;
+// afterwards the sink owns them.
 type TCPSink struct {
 	// DialTimeout bounds each (re)connection attempt. Default 5 s.
 	DialTimeout time.Duration
 	// WriteTimeout bounds each frame write, so a stalled peer surfaces
 	// as an error instead of blocking the pump forever. Default 10 s.
 	WriteTimeout time.Duration
-	// Retries is how many times Write redials after a connection error
-	// before giving up. Default 3.
+	// Retries is how many times WriteEncoded redials after a connection
+	// error before giving up. Default 3.
 	Retries int
 	// Backoff is the base pause before the first redial attempt.
 	// Default 50 ms.
@@ -153,14 +89,13 @@ type TCPSink struct {
 	// BackoffMax caps the exponential growth of the pause. Default 2 s.
 	BackoffMax time.Duration
 	// Source, when non-zero, switches the sink to the cluster's tagged
-	// mode: every frame carries this worker source ID and an epoch
-	// (wire.FlagTagged), batches must arrive via WriteEpoch with
-	// strictly increasing epochs, and Close sends a FlagFinal frame so
-	// the downstream router knows the stream ended cleanly. Plain
-	// Write is refused in this mode — an untagged batch has no place
-	// in an epoch-merged stream, and dropping it silently would corrupt
-	// the cross-node order. Default 0 (untagged, the historical
-	// behavior).
+	// mode: every frame carries this worker source ID and the cycle's
+	// epoch (wire.FlagTagged), cycles must carry strictly increasing
+	// epochs, and Close sends a FlagFinal frame so the downstream
+	// router knows the stream ended cleanly. A cycle without an epoch
+	// is refused in this mode — an untagged batch has no place in an
+	// epoch-merged stream, and dropping it silently would corrupt the
+	// cross-node order. Default 0 (untagged).
 	Source uint8
 	// Compress, when set, deflates frame bodies at or above
 	// wire.DefaultCompressMin (wire.FlagCompressed); small or
@@ -171,16 +106,15 @@ type TCPSink struct {
 
 	addr string
 
-	mu      sync.Mutex
-	conn    net.Conn
-	frame   []byte
-	logical int // uncompressed-equivalent size of s.frame
-	closed  bool
+	mu     sync.Mutex
+	conn   net.Conn
+	frame  []byte // the tagged mode's reused frame buffer
+	closed bool
 	// lastEpoch/wroteEpoch track the tagged mode's epoch monotonicity
 	// and give the final frame an epoch past every delivered one.
 	lastEpoch  uint64
 	wroteEpoch bool
-	// streak counts consecutive failed attempts across Writes; it sets
+	// streak counts consecutive failed attempts across writes; it sets
 	// the backoff exponent and resets on a delivered frame.
 	streak int
 	jitter *rng.Source
@@ -189,7 +123,7 @@ type TCPSink struct {
 
 // NewTCPSink dials addr and returns a sink streaming wire frames to it.
 // The initial dial failing is an error here; later connection failures
-// are retried by Write.
+// are retried by WriteEncoded.
 func NewTCPSink(addr string) (*TCPSink, error) {
 	h := fnv.New64a()
 	h.Write([]byte(addr))
@@ -231,85 +165,63 @@ func (s *TCPSink) backoffDelay() time.Duration {
 	return half + time.Duration(s.jitter.Float64()*float64(half))
 }
 
-// Write sends one batch as a single wire frame, redialing with capped
-// exponential backoff up to Retries times on connection errors. In
-// tagged mode (Source non-zero) Write is refused: batches must carry
-// an epoch, via WriteEpoch.
-func (s *TCPSink) Write(batch []engine.OfficeAction) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrSinkClosed
-	}
-	if s.Source != 0 {
-		return fmt.Errorf("stream: tcp sink %s: tagged sink (source %d) got an untagged batch — drive dispatches with epoch flushes", s.addr, s.Source)
-	}
-	if err := s.encodeLocked(batch); err != nil {
-		return err
-	}
-	return s.sendLocked()
-}
-
-// encodeLocked builds the untagged frame for batch into s.frame,
-// honouring the Compress knob, and records its logical size.
-func (s *TCPSink) encodeLocked(batch []engine.OfficeAction) error {
-	var err error
-	if s.Compress {
-		s.frame, s.logical, err = wire.AppendFrameCompressed(s.frame[:0], wire.V1JSONL, batch, 0)
-	} else {
-		s.frame, err = wire.AppendFrame(s.frame[:0], wire.V1JSONL, batch)
-		s.logical = len(s.frame)
-	}
-	if err != nil {
-		return fmt.Errorf("stream: tcp sink %s: %w", s.addr, err)
-	}
-	return nil
-}
-
-// WriteEpoch sends one epoch's batch as a single tagged wire frame
-// (source, epoch, possibly empty payload). Epochs must be strictly
-// increasing; requires tagged mode.
-func (s *TCPSink) WriteEpoch(epoch uint64, batch []engine.OfficeAction) error {
+// WriteEncoded sends one cycle as a single wire frame, redialing with
+// capped exponential backoff up to Retries times on connection errors.
+// An untagged sink (Source 0) sends the cycle's shared frame and
+// writes nothing for an empty batch. A tagged sink sends a frame
+// carrying its source and the cycle's epoch, empty batches included;
+// it refuses a cycle without an epoch, and epochs must be strictly
+// increasing.
+func (s *TCPSink) WriteEncoded(e *EncodedBatch) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrSinkClosed
 	}
 	if s.Source == 0 {
-		// Without a source ID there is nothing to tag with: carry the
-		// batch as a plain frame, matching the pump's fallback for
-		// sinks that are not epoch-aware. Empty epochs write nothing.
-		if len(batch) == 0 {
+		if len(e.Batch()) == 0 {
 			return nil
 		}
-		if err := s.encodeLocked(batch); err != nil {
-			return err
+		f, err := e.Frame(wire.V1JSONL, s.Compress)
+		if err != nil {
+			return fmt.Errorf("stream: tcp sink %s: %w", s.addr, err)
 		}
-		return s.sendLocked()
+		return s.sendLocked(f.Wire, f.Logical)
+	}
+	epoch, ok := e.Epoch()
+	if !ok {
+		return fmt.Errorf("stream: tcp sink %s: tagged sink (source %d) got an untagged batch — drive dispatches with epoch flushes", s.addr, s.Source)
 	}
 	if s.wroteEpoch && epoch <= s.lastEpoch {
 		return fmt.Errorf("stream: tcp sink %s: epoch %d is not after the last delivered epoch %d", s.addr, epoch, s.lastEpoch)
 	}
-	var err error
+	// The tagged frame's bytes differ from the shared untagged ones, so
+	// it is encoded here, into the sink's own reused buffer.
+	tag := wire.Tag{Source: s.Source, Epoch: epoch}
+	var (
+		logical int
+		err     error
+	)
 	if s.Compress {
-		s.frame, s.logical, err = wire.AppendTaggedFrameCompressed(s.frame[:0], wire.V1JSONL, wire.Tag{Source: s.Source, Epoch: epoch}, batch, 0)
+		s.frame, logical, err = wire.AppendTaggedFrameCompressed(s.frame[:0], wire.V1JSONL, tag, e.Batch(), 0)
 	} else {
-		s.frame, err = wire.AppendTaggedFrame(s.frame[:0], wire.V1JSONL, wire.Tag{Source: s.Source, Epoch: epoch}, batch)
-		s.logical = len(s.frame)
+		s.frame, err = wire.AppendTaggedFrame(s.frame[:0], wire.V1JSONL, tag, e.Batch())
+		logical = len(s.frame)
 	}
 	if err != nil {
 		return fmt.Errorf("stream: tcp sink %s: %w", s.addr, err)
 	}
-	if err := s.sendLocked(); err != nil {
+	if err := s.sendLocked(s.frame, logical); err != nil {
 		return err
 	}
 	s.lastEpoch, s.wroteEpoch = epoch, true
 	return nil
 }
 
-// sendLocked delivers s.frame, redialing with capped exponential
-// backoff up to Retries times on connection errors.
-func (s *TCPSink) sendLocked() error {
+// sendLocked delivers frame (logical bytes uncompressed), redialing
+// with capped exponential backoff up to Retries times on connection
+// errors.
+func (s *TCPSink) sendLocked(frame []byte, logical int) error {
 	var lastErr error
 	for attempt := 0; attempt <= s.Retries; attempt++ {
 		if attempt > 0 {
@@ -328,7 +240,7 @@ func (s *TCPSink) sendLocked() error {
 			s.stats.Redials++
 		}
 		s.conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-		if _, err := s.conn.Write(s.frame); err != nil {
+		if _, err := s.conn.Write(frame); err != nil {
 			lastErr = err
 			s.streak++
 			s.stats.WriteFailures++
@@ -338,8 +250,8 @@ func (s *TCPSink) sendLocked() error {
 		}
 		s.streak = 0
 		s.stats.Frames++
-		s.stats.Bytes += uint64(s.logical)
-		s.stats.WireBytes += uint64(len(s.frame))
+		s.stats.Bytes += uint64(logical)
+		s.stats.WireBytes += uint64(len(frame))
 		return nil
 	}
 	return fmt.Errorf("stream: tcp sink %s: %w", s.addr, lastErr)
@@ -372,9 +284,8 @@ func (s *TCPSink) Close() error {
 		}
 		// The final frame is empty and never worth compressing.
 		s.frame, finalErr = wire.AppendTaggedFrame(s.frame[:0], wire.V1JSONL, wire.Tag{Source: s.Source, Epoch: epoch, Final: true}, nil)
-		s.logical = len(s.frame)
 		if finalErr == nil {
-			finalErr = s.sendLocked()
+			finalErr = s.sendLocked(s.frame, len(s.frame))
 		}
 	}
 	if s.conn == nil {
@@ -411,14 +322,15 @@ func NewRingSink(capacity int) *RingSink {
 	return &RingSink{buf: make([]engine.OfficeAction, capacity)}
 }
 
-// Write appends the batch's actions, overwriting the oldest on wrap.
-func (s *RingSink) Write(batch []engine.OfficeAction) error {
+// WriteEncoded appends the cycle's actions, overwriting the oldest on
+// wrap.
+func (s *RingSink) WriteEncoded(e *EncodedBatch) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrSinkClosed
 	}
-	for _, a := range batch {
+	for _, a := range e.Batch() {
 		if s.n == len(s.buf) {
 			s.buf[s.start] = a
 			s.start = (s.start + 1) % len(s.buf)
@@ -465,74 +377,47 @@ func (s *RingSink) Overwritten() uint64 {
 }
 
 // RemapSink rewrites each action's office ID through a lookup before
-// handing the batch to an inner sink, leaving the caller's batch
-// untouched (batches are shared across a fan-out, so the rewrite works
-// on a reused scratch copy). A cluster worker wraps its tagged TCP
-// forward in one: the fleet's worker-local office IDs become the
-// coordinator-assigned global IDs, which is what makes the routed
-// cross-worker stream byte-identical to a single-process fleet's. The
-// lookup returning false for an ID is an error — an unmapped office
-// must break the stream loudly, not ship a wrong ID.
+// handing the cycle to an inner sink, leaving the caller's batch
+// untouched (a cycle is shared across a fan-out, so the rewrite works
+// on a reused scratch copy, passed on with the same epoch). A cluster
+// worker wraps its tagged TCP forward in one: the fleet's worker-local
+// office IDs become the coordinator-assigned global IDs, which is what
+// makes the routed cross-worker stream byte-identical to a
+// single-process fleet's. The lookup returning false for an ID is an
+// error — an unmapped office must break the stream loudly, not ship a
+// wrong ID.
 type RemapSink struct {
-	inner   Sink
-	innerEp EpochSink // inner's epoch face, nil if absent
-	remap   func(int) (int, bool)
+	inner Sink
+	remap func(int) (int, bool)
 
 	mu      sync.Mutex
 	scratch []engine.OfficeAction
+	eb      EncodedBatch
 }
 
 // NewRemapSink wraps inner with the office-ID remapping.
 func NewRemapSink(inner Sink, remap func(int) (int, bool)) *RemapSink {
-	s := &RemapSink{inner: inner, remap: remap}
-	s.innerEp, _ = inner.(EpochSink)
-	return s
+	return &RemapSink{inner: inner, remap: remap}
 }
 
-// remapLocked copies batch into the scratch buffer with office IDs
-// rewritten.
-func (s *RemapSink) remapLocked(batch []engine.OfficeAction) ([]engine.OfficeAction, error) {
+// WriteEncoded remaps the cycle's batch and forwards it, with the
+// cycle's epoch, to the inner sink.
+func (s *RemapSink) WriteEncoded(e *EncodedBatch) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := s.scratch[:0]
-	for _, a := range batch {
+	for _, a := range e.Batch() {
 		id, ok := s.remap(a.Office)
 		if !ok {
-			return nil, fmt.Errorf("stream: remap sink: no mapping for office %d", a.Office)
+			return fmt.Errorf("stream: remap sink: no mapping for office %d", a.Office)
 		}
 		a.Office = id
 		out = append(out, a)
 	}
 	s.scratch = out
-	return out, nil
-}
-
-// Write remaps and forwards one batch.
-func (s *RemapSink) Write(batch []engine.OfficeAction) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out, err := s.remapLocked(batch)
-	if err != nil {
-		return err
-	}
-	return s.inner.Write(out)
-}
-
-// WriteEpoch remaps and forwards one epoch-stamped batch. If the inner
-// sink is not epoch-aware the epoch is dropped and empty batches are
-// skipped, mirroring the pump's fallback.
-func (s *RemapSink) WriteEpoch(epoch uint64, batch []engine.OfficeAction) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out, err := s.remapLocked(batch)
-	if err != nil {
-		return err
-	}
-	if s.innerEp != nil {
-		return s.innerEp.WriteEpoch(epoch, out)
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return s.inner.Write(out)
+	epoch, hasEpoch := e.Epoch()
+	s.eb.reset(out, epoch, hasEpoch)
+	return s.inner.WriteEncoded(&s.eb)
 }
 
 // Close closes the inner sink.

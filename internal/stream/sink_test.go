@@ -34,49 +34,16 @@ func sampleBatch(n int) []engine.OfficeAction {
 	return out
 }
 
-func TestLogSinkWritesJSONL(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "actions.jsonl")
-	s, err := NewLogSink(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, b2 := sampleBatch(3), sampleBatch(5)
-	if err := s.Write(b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(b2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("second close: %v", err)
-	}
-	if err := s.Write(b1); !errors.Is(err, ErrSinkClosed) {
-		t.Fatalf("write after close returned %v", err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wire.AppendJSONL(wire.AppendJSONL(nil, b1), b2)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("file content differs: %d vs %d bytes", len(got), len(want))
-	}
-}
-
-func TestLogSinkUnwritablePathFailsFast(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "no", "such", "dir", "actions.jsonl")
-	if _, err := NewLogSink(path); err == nil {
-		t.Fatal("log sink on an unwritable path succeeded")
-	}
+// writeBatch hands s one untagged cycle, as a sink driven directly
+// (not by an Ingestor) sees it.
+func writeBatch(s Sink, batch []engine.OfficeAction) error {
+	return s.WriteEncoded(NewEncodedBatch(batch))
 }
 
 func TestRingSinkWraparound(t *testing.T) {
 	s := NewRingSink(4)
 	batch := sampleBatch(10)
-	if err := s.Write(batch); err != nil {
+	if err := writeBatch(s, batch); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 4 {
@@ -91,7 +58,7 @@ func TestRingSinkWraparound(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write(batch); !errors.Is(err, ErrSinkClosed) {
+	if err := writeBatch(s, batch); !errors.Is(err, ErrSinkClosed) {
 		t.Fatalf("write after close returned %v", err)
 	}
 	if s.Len() != 4 {
@@ -102,15 +69,15 @@ func TestRingSinkWraparound(t *testing.T) {
 // failSink fails every operation — the broken-backend stand-in.
 type failSink struct{ err error }
 
-func (s failSink) Write([]engine.OfficeAction) error { return s.err }
-func (s failSink) Close() error                      { return s.err }
+func (s failSink) WriteEncoded(*EncodedBatch) error { return s.err }
+func (s failSink) Close() error                     { return s.err }
 
 func TestMultiSinkDeliversPastFailures(t *testing.T) {
 	ring := NewRingSink(64)
 	boom := errors.New("boom")
 	multi := NewEncodeOnceSink(failSink{err: boom}, ring)
 	batch := sampleBatch(3)
-	if err := multi.Write(batch); !errors.Is(err, boom) {
+	if err := writeBatch(multi, batch); !errors.Is(err, boom) {
 		t.Fatalf("multi write returned %v, want the failing sink's error", err)
 	}
 	if ring.Len() != 3 {
@@ -188,7 +155,7 @@ func TestTCPSinkStreamsFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := sampleBatch(7)
-	if err := s.Write(batch); err != nil {
+	if err := writeBatch(s, batch); err != nil {
 		t.Fatal(err)
 	}
 	if got := fs.recvFrame(t); !reflect.DeepEqual(got, batch) {
@@ -215,7 +182,7 @@ func TestTCPSinkReconnectsAfterPeerDisconnect(t *testing.T) {
 	s.BackoffMax = 10 * time.Millisecond
 	s.Retries = 5
 
-	if err := s.Write(sampleBatch(2)); err != nil {
+	if err := writeBatch(s, sampleBatch(2)); err != nil {
 		t.Fatal(err)
 	}
 	fs.recvFrame(t)
@@ -226,7 +193,7 @@ func TestTCPSinkReconnectsAfterPeerDisconnect(t *testing.T) {
 	// on the redialed connection.
 	delivered := false
 	for i := 0; i < 20 && !delivered; i++ {
-		if err := s.Write(sampleBatch(3)); err != nil {
+		if err := writeBatch(s, sampleBatch(3)); err != nil {
 			t.Fatalf("write %d failed despite live listener: %v", i, err)
 		}
 		select {
@@ -263,7 +230,7 @@ func TestTCPSinkPeerGoneSurfacesError(t *testing.T) {
 
 	var writeErr error
 	for i := 0; i < 20 && writeErr == nil; i++ {
-		writeErr = s.Write(sampleBatch(1))
+		writeErr = writeBatch(s, sampleBatch(1))
 	}
 	if writeErr == nil {
 		t.Fatal("writes kept succeeding with no peer")
@@ -353,13 +320,13 @@ func TestSegmentSinkRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	b1, b2 := sampleBatch(4), sampleBatch(9)
-	if err := s.Write(b1); err != nil {
+	if err := writeBatch(s, b1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write(b2); err != nil {
+	if err := writeBatch(s, b2); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -368,7 +335,7 @@ func TestSegmentSinkRoundTrip(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	if err := s.Write(b1); !errors.Is(err, ErrSinkClosed) {
+	if err := writeBatch(s, b1); !errors.Is(err, ErrSinkClosed) {
 		t.Fatalf("write after close returned %v", err)
 	}
 	if st := s.Stats(); st.Frames != 2 {

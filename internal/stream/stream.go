@@ -4,9 +4,9 @@
 // assemble a full batch and wait for it to run. Package stream decouples
 // the two ends with an Ingestor — bounded per-office tick queues feeding
 // a dispatcher goroutine — and streams the merged action output to
-// pluggable Sink backends (JSONL log files, wire-framed TCP streams, a
-// durable segment log, an in-memory ring, fan-out to several at once)
-// on a dedicated pump goroutine. The byte formats all live in package
+// pluggable Sink backends (wire-framed TCP streams, a durable segment
+// log, an in-memory ring, fan-out to several at once) on a dedicated
+// pump goroutine. The byte formats all live in package
 // wire; the segment log's storage layer lives in package segment.
 //
 // Data flow:
@@ -21,8 +21,9 @@
 //	      │                                       ordered actions
 //	      ├──► Config.OnBatch (synchronous tap)
 //	      ▼
-//	pump goroutine ──► Sink.Write (LogSink / TCPSink / SegmentSink /
-//	                               RingSink / NewEncodeOnceSink fan-out)
+//	pump goroutine ──► Sink.WriteEncoded (TCPSink / SegmentSink /
+//	                                      RingSink / RemapSink /
+//	                                      NewEncodeOnceSink fan-out)
 //
 // Backpressure: every office has its own queue, so one slow or bursty
 // office fills only its own queue and cannot stall ingestion for the
@@ -641,15 +642,16 @@ func (in *Ingestor) Flush() error {
 
 // FlushEpoch is Flush with a caller-assigned epoch number attached:
 // the dispatch cycle serving this request hands its batch to the sink
-// pump stamped with the epoch — and hands it over even when the batch
-// is empty, so an EpochSink emits exactly one (possibly empty) epoch
-// frame per FlushEpoch call. This is the worker side of the cluster
-// epoch protocol: the tick producer drives every worker's flushes with
-// the same epoch sequence, and the stream router re-merges the
-// per-worker frames epoch by epoch (see internal/cluster). Epoch
-// flushes must be driven sequentially — one producer, each call after
-// the previous returned; a concurrent second call errors rather than
-// risk two epochs coalescing into one dispatch.
+// pump stamped with the epoch (EncodedBatch.Epoch reports it) — and
+// hands it over even when the batch is empty, so a tagged sink emits
+// exactly one (possibly empty) epoch frame per FlushEpoch call. This
+// is the worker side of the cluster epoch protocol: the tick producer
+// drives every worker's flushes with the same epoch sequence, and the
+// stream router re-merges the per-worker frames epoch by epoch (see
+// internal/cluster). Epoch flushes must be driven sequentially — one
+// producer, each call after the previous returned; a concurrent second
+// call errors rather than risk two epochs coalescing into one
+// dispatch.
 func (in *Ingestor) FlushEpoch(epoch uint64) error {
 	if epoch > wire.MaxTagEpoch {
 		return fmt.Errorf("stream: epoch %d exceeds the 32-bit wire field", epoch)
@@ -843,8 +845,8 @@ func (in *Ingestor) dispatch() {
 		if err == nil && len(acts) > 0 && in.onBatch != nil {
 			in.onBatch(acts)
 		}
-		// Epoch-stamped cycles reach the pump even when empty: an
-		// EpochSink must emit one frame per epoch so downstream merge
+		// Epoch-stamped cycles reach the pump even when empty: a tagged
+		// sink must emit one frame per epoch so downstream merge
 		// watermarks keep advancing through quiet epochs.
 		if err == nil && in.pumpCh != nil && (len(acts) > 0 || hasEpoch) {
 			in.pumpCh <- pumpItem{acts: acts, epoch: epoch, hasEpoch: hasEpoch}
@@ -963,29 +965,23 @@ type pumpItem struct {
 	hasEpoch bool
 }
 
-// pump is the sink delivery goroutine: it forwards dispatched batches to
-// the Sink in dispatch order. Epoch-stamped batches go through the
-// sink's EpochSink face when it has one (empty batches included);
-// sinks without one get plain non-empty Writes, epoch dropped. After
-// the first write error it records the error and keeps draining the
-// channel (discarding batches), so a broken sink can never deadlock
-// the dispatcher or producers.
+// pump is the sink delivery goroutine: it forwards dispatch cycles to
+// the Sink in dispatch order, each as one reused EncodedBatch carrying
+// the batch and, for an epoch-stamped cycle, the epoch; the sink
+// decides from the batch alone what to write. After the first write
+// error it records the error and keeps draining the channel
+// (discarding batches), so a broken sink can never deadlock the
+// dispatcher or producers.
 func (in *Ingestor) pump() {
 	defer close(in.pumpDone)
-	es, hasEpochSink := in.sink.(EpochSink)
+	var eb EncodedBatch
 	failed := false
 	for item := range in.pumpCh {
 		if failed {
 			continue
 		}
-		var err error
-		switch {
-		case item.hasEpoch && hasEpochSink:
-			err = es.WriteEpoch(item.epoch, item.acts)
-		case len(item.acts) > 0:
-			err = in.sink.Write(item.acts)
-		}
-		if err != nil {
+		eb.reset(item.acts, item.epoch, item.hasEpoch)
+		if err := in.sink.WriteEncoded(&eb); err != nil {
 			failed = true
 			in.mu.Lock()
 			if in.err == nil {

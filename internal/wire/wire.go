@@ -168,8 +168,9 @@ type wireAction struct {
 
 // AppendJSONL appends the codec-v1 payload encoding of a batch to dst
 // and returns the extended slice: one JSON object per action, one
-// action per line, in batch order. This is the LogSink file format and
-// the v1 frame payload, unchanged from the pre-frame wire encoding.
+// action per line, in batch order. This is the v1 frame payload and the
+// output of fadewich-tail -format jsonl, unchanged from the pre-frame
+// wire encoding.
 //
 // The encoding is hand-rolled but byte-identical to json.Marshal of
 // wireAction (TestAppendJSONLMatchesStdlib pins the equivalence): the

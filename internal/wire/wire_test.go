@@ -28,8 +28,8 @@ func testBatch() []engine.OfficeAction {
 }
 
 // TestAppendJSONLByteCompat pins the v1 payload byte stream: it is the
-// pre-frame sink encoding and must never drift (LogSink files and v1
-// frame payloads are this, byte for byte).
+// pre-frame sink encoding and must never drift (v1 frame payloads and
+// fadewich-tail -format jsonl output are this, byte for byte).
 func TestAppendJSONLByteCompat(t *testing.T) {
 	got := AppendJSONL(nil, testBatch()[:2])
 	want := `{"office":3,"time":1.2,"type":"alert-enter","workstation":1,"label":0}
