@@ -2,7 +2,7 @@
 // layer: a coordinator consistent-hashes the fleet spec's offices onto
 // named workers and serves each worker its gid-stamped sub-spec; each
 // worker runs an ordinary serve.Server over its shard, forwarding
-// epoch-tagged wire frames; and a stream router k-way merges the worker
+// epoch-tagged wire frames; and a stream router merges the worker
 // streams back into one globally-ordered action stream.
 //
 // The pieces compose into the topology DEPLOYMENT.md documents:

@@ -188,11 +188,6 @@ func NewSystem(cfg Config) (*System, error) {
 // Phase returns the current lifecycle phase.
 func (s *System) Phase() Phase { return s.phase }
 
-// DT returns the effective RSSI sampling period in seconds (the
-// configured Config.DT, or the 0.2 s default). Action times are always
-// whole multiples of it: Tick stamps float64(tick)·DT.
-func (s *System) DT() float64 { return s.cfg.DT }
-
 // Now returns the system clock (seconds since start).
 func (s *System) Now() float64 { return s.now }
 

@@ -47,9 +47,6 @@ func NewPool(workers int) *Pool {
 	return &Pool{workers: workers, tokens: make(chan struct{}, workers-1)}
 }
 
-// Workers returns the pool width.
-func (p *Pool) Workers() int { return p.workers }
-
 // Map runs fn(i) for every i in [0, n) across the pool's workers and
 // blocks until all dispatched jobs finish. Jobs are dispatched in index
 // order; after the first failure no further jobs start, already-running

@@ -8,13 +8,13 @@ import (
 )
 
 func TestNewPoolDefaultsToCPUs(t *testing.T) {
-	if w := NewPool(0).Workers(); w < 1 {
+	if w := NewPool(0).workers; w < 1 {
 		t.Fatalf("default pool width %d < 1", w)
 	}
-	if w := NewPool(-3).Workers(); w < 1 {
+	if w := NewPool(-3).workers; w < 1 {
 		t.Fatalf("negative-width pool resolved to %d", w)
 	}
-	if w := NewPool(7).Workers(); w != 7 {
+	if w := NewPool(7).workers; w != 7 {
 		t.Fatalf("explicit width: got %d, want 7", w)
 	}
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 
 	"fadewich/internal/core"
@@ -12,9 +11,8 @@ import (
 // one tick apart) separated by quiet stretches, phase-shifted per
 // office in twelve groups. Times are stamped exactly as core.System
 // does — float64(tick)·DT on the shared tick grid — so many actions
-// across offices carry bit-equal times, the structure the bucket merge
-// exploits; same-group offices tie constantly, exercising the office-ID
-// tie-break.
+// across offices carry bit-equal times, and same-group offices tie
+// constantly, exercising the office-ID tie-break.
 func syntheticRuns(offices, perOffice int) [][]OfficeAction {
 	const dt = 0.2
 	runs := make([][]OfficeAction, offices)
@@ -37,49 +35,49 @@ func syntheticRuns(offices, perOffice int) [][]OfficeAction {
 	return runs
 }
 
-// BenchmarkFleetMerge measures the two-level shard merge that Fleet.Run
-// performs per batch — the shard-local k-way pass over per-office runs
-// fanned across the pool, then the final pass over the shard runs — at
-// 64, 256 and 1024 offices over a fixed fleet-wide action volume
-// (32k actions per batch, so the metric isolates merge fan-in from data
-// volume). ns/action is the tracked metric: segment galloping merges
-// bursty runs at ~one comparison per action and the shard count is
-// capped at ~4·workers, so per-action cost stays flat-to-falling as the
-// fleet scales (the old concat-and-sort merge paid O(log total)
-// comparator calls per action, growing with fleet size).
+// workloadRuns shapes one batch like the end-to-end workloads: 128
+// offices of which a few act, 13 actions in all (a traced serve-paced
+// run carries 12.6 per batch), on four shared ticks.
+func workloadRuns() [][]OfficeAction {
+	const dt = 0.2
+	runs := make([][]OfficeAction, 128)
+	for i := 0; i < 13; i++ {
+		o := i * 128 / 13
+		runs[o] = append(runs[o], OfficeAction{Office: o, Action: core.Action{
+			Time:        float64(1000+i%4) * dt,
+			Type:        core.ActionAlertEnter,
+			Workstation: i % 3,
+		}})
+	}
+	return runs
+}
+
+// BenchmarkFleetMerge measures MergeRuns, the merge Fleet.Run performs
+// per batch, at 64, 256 and 1024 offices over a fixed fleet-wide action
+// volume (32k actions per batch, so the metric isolates merge fan-in
+// from data volume), and on one workload-shaped batch: 128 offices,
+// 13 actions. ns/action is the tracked metric.
 func BenchmarkFleetMerge(b *testing.B) {
 	const totalActions = 32768
-	for _, offices := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("offices-%d", offices), func(b *testing.B) {
-			pool := NewPool(0)
-			runs := syntheticRuns(offices, totalActions/offices)
-			size := shardSize(offices, pool.Workers())
-			numShards := (offices + size - 1) / size
-			total := totalActions
-			// Same buffer ownership as Fleet.runLocked: intermediate
-			// shard runs reuse per-shard scratch, only the final merged
-			// slice is freshly allocated.
-			shardRuns := make([][]OfficeAction, numShards)
-			shardSc := make([]*mergeScratch, numShards)
-			for si := range shardSc {
-				shardSc[si] = new(mergeScratch)
+	cases := []struct {
+		name string
+		runs [][]OfficeAction
+	}{
+		{"offices-64", syntheticRuns(64, totalActions/64)},
+		{"offices-256", syntheticRuns(256, totalActions/256)},
+		{"offices-1024", syntheticRuns(1024, totalActions/1024)},
+		{"offices-128-actions-13", workloadRuns()},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			total := 0
+			for _, r := range tc.runs {
+				total += len(r)
 			}
-			var finalSc mergeScratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := pool.Map(numShards, func(si int) error {
-					lo := si * size
-					hi := lo + size
-					if hi > offices {
-						hi = offices
-					}
-					shardRuns[si] = shardSc[si].merge(runs[lo:hi], 0.2, false)
-					return nil
-				}); err != nil {
-					b.Fatal(err)
-				}
-				if merged := finalSc.merge(shardRuns, 0.2, true); len(merged) != total {
+				if merged := MergeRuns(tc.runs, 0.2); len(merged) != total {
 					b.Fatalf("merged %d actions, want %d", len(merged), total)
 				}
 			}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -69,12 +70,10 @@ func runFleetOnce(t *testing.T, offices, workers int) []OfficeAction {
 	return all
 }
 
-// TestMergeIdenticalAcrossShardShapes checks the shard-local two-level
-// merge produces a byte-identical stream for every worker count — each
-// width partitions the fleet into different shard shapes (64 offices:
-// 4 shards of 16 at one worker, 32 shards of 2 at eight, one office per
-// shard at 16+).
-func TestMergeIdenticalAcrossShardShapes(t *testing.T) {
+// TestMergeIdenticalAcrossWorkerCounts checks Fleet.Run produces a
+// byte-identical stream for every worker count: each width hands the
+// per-office tasks to the pool's goroutines in a different interleaving.
+func TestMergeIdenticalAcrossWorkerCounts(t *testing.T) {
 	ref := runFleetOnce(t, 64, 1)
 	if len(ref) == 0 {
 		t.Fatal("synthetic day emitted no actions; the merge test is vacuous")
@@ -92,10 +91,41 @@ func TestMergeIdenticalAcrossShardShapes(t *testing.T) {
 	}
 }
 
-// TestMergeRunsOrdering exercises mergeRuns directly on crafted runs:
-// cross-run ties on time must order by office ID and every run must
-// stay FIFO.
-func TestMergeRunsOrdering(t *testing.T) {
+// naiveMerge is the reference for MergeRuns: it repeatedly takes the
+// smallest run head by (time, office). Runs must be ordered by (time,
+// office) and hold disjoint offices, so no two heads tie.
+func naiveMerge(runs [][]OfficeAction) []OfficeAction {
+	pos := make([]int, len(runs))
+	var out []OfficeAction
+	for {
+		best := -1
+		for ri, r := range runs {
+			if pos[ri] == len(r) {
+				continue
+			}
+			if best < 0 {
+				best = ri
+				continue
+			}
+			x, y := r[pos[ri]], runs[best][pos[best]]
+			if x.Action.Time < y.Action.Time || x.Action.Time == y.Action.Time && x.Office < y.Office {
+				best = ri
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		out = append(out, runs[best][pos[best]])
+		pos[best]++
+	}
+}
+
+// mergeCases are the run sets TestMergeRunsOrdering merges.
+func mergeCases() []struct {
+	name string
+	runs [][]OfficeAction
+} {
+	const dt = 0.2
 	mk := func(office int, times ...float64) []OfficeAction {
 		out := make([]OfficeAction, len(times))
 		for i, ts := range times {
@@ -103,13 +133,91 @@ func TestMergeRunsOrdering(t *testing.T) {
 		}
 		return out
 	}
-	runs := [][]OfficeAction{
-		mk(2, 1.0, 1.0, 3.0),
-		mk(0, 1.0, 2.0),
-		nil,
-		mk(5, 0.5, 1.0, 1.0, 4.0),
+	// Off-grid: one time moved between ticks.
+	offGrid := syntheticRuns(48, 40)
+	offGrid[3][2].Action.Time += 0.05
+	sortRunFix(offGrid[3])
+	// Sparse tick span: a joiner's near-zero clock next to a multi-day
+	// one.
+	sparse := [][]OfficeAction{make([]OfficeAction, 40), make([]OfficeAction, 40)}
+	for i := range sparse[0] {
+		sparse[0][i] = OfficeAction{Office: 0, Action: core.Action{Time: float64(i) * dt}}
+		sparse[1][i] = OfficeAction{Office: 1, Action: core.Action{Time: float64(10_000_000+i) * dt}}
 	}
-	got := mergeRuns(runs, 0)
+	// Two offices sampling at different periods: their grids meet every
+	// second (5·0.2 = 4·0.25 = 1 exactly).
+	mixedDT := [][]OfficeAction{make([]OfficeAction, 60), make([]OfficeAction, 48)}
+	for i := range mixedDT[0] {
+		mixedDT[0][i] = OfficeAction{Office: 7, Action: core.Action{Time: float64(i) * dt, Workstation: i}}
+	}
+	for i := range mixedDT[1] {
+		mixedDT[1][i] = OfficeAction{Office: 3, Action: core.Action{Time: float64(i) * 0.25, Workstation: i}}
+	}
+	// Per-worker sub-batches, as the cluster router merges them: each
+	// run holds many offices, already merged.
+	heavy := syntheticRuns(48, 40)
+	var even, odd [][]OfficeAction
+	for o, r := range heavy {
+		if o%2 == 0 {
+			even = append(even, r)
+		} else {
+			odd = append(odd, r)
+		}
+	}
+	return []struct {
+		name string
+		runs [][]OfficeAction
+	}{
+		{"crafted", [][]OfficeAction{
+			mk(2, 1.0, 1.0, 3.0),
+			mk(0, 1.0, 2.0),
+			nil,
+			mk(5, 0.5, 1.0, 1.0, 4.0),
+		}},
+		{"single-run", [][]OfficeAction{nil, mk(4, 0.2, 0.2, 0.4)}},
+		{"heavy-ties", heavy},
+		{"off-grid", offGrid},
+		{"sparse", sparse},
+		{"mixed-dt", mixedDT},
+		{"worker-runs", [][]OfficeAction{naiveMerge(odd), naiveMerge(even)}},
+	}
+}
+
+// TestMergeRunsOrdering checks MergeRuns against naiveMerge on every
+// case of mergeCases, with the runs in their given, reversed and
+// shuffled order (the router passes runs in source order, not office
+// order): cross-run ties on time order by office ID, every office stays
+// FIFO, and the result never shares a run's backing array.
+func TestMergeRunsOrdering(t *testing.T) {
+	for _, tc := range mergeCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			want := naiveMerge(tc.runs)
+			reversed := slices.Clone(tc.runs)
+			slices.Reverse(reversed)
+			orders := [][][]OfficeAction{tc.runs, reversed}
+			src := rng.New(uint64(len(want)))
+			for i := 0; i < 4; i++ {
+				shuffled := slices.Clone(tc.runs)
+				for j := len(shuffled) - 1; j > 0; j-- {
+					k := src.Intn(j + 1)
+					shuffled[j], shuffled[k] = shuffled[k], shuffled[j]
+				}
+				orders = append(orders, shuffled)
+			}
+			for oi, runs := range orders {
+				got := MergeRuns(runs, 0.2)
+				if !slices.Equal(got, want) {
+					t.Fatalf("order %d: MergeRuns differs from the naive merge:\n got %+v\nwant %+v", oi, got, want)
+				}
+				for _, r := range runs {
+					if len(r) > 0 && &got[0] == &r[0] {
+						t.Fatalf("order %d: merged slice aliases an input run", oi)
+					}
+				}
+			}
+		})
+	}
+	crafted := MergeRuns(mergeCases()[0].runs, 0)
 	want := []OfficeAction{
 		{Office: 5, Action: core.Action{Time: 0.5, Workstation: 0}},
 		{Office: 0, Action: core.Action{Time: 1.0, Workstation: 0}},
@@ -121,76 +229,16 @@ func TestMergeRunsOrdering(t *testing.T) {
 		{Office: 2, Action: core.Action{Time: 3.0, Workstation: 2}},
 		{Office: 5, Action: core.Action{Time: 4.0, Workstation: 3}},
 	}
-	if len(got) != len(want) {
-		t.Fatalf("merged %d actions, want %d", len(got), len(want))
+	if !slices.Equal(crafted, want) {
+		t.Fatalf("crafted merge %+v, want %+v", crafted, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("action %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if mergeRuns(nil, 0.2) != nil || mergeRuns([][]OfficeAction{nil, nil}, 0.2) != nil {
+	if MergeRuns(nil, 0.2) != nil || MergeRuns([][]OfficeAction{nil, nil}, 0.2) != nil {
 		t.Fatal("empty merges should return nil")
 	}
 }
 
-// TestBucketMergeMatchesHeap checks the counting-sort fast path against
-// the heap merge on tick-grid runs, and that each of its preconditions
-// falls back to the heap (returns nil) instead of mis-merging.
-func TestBucketMergeMatchesHeap(t *testing.T) {
-	const dt = 0.2
-	runs := syntheticRuns(48, 40) // ascending offices, grid times, heavy ties
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	fast := new(mergeScratch).bucket(runs, total, dt, true)
-	if fast == nil {
-		t.Fatal("bucket merge rejected tick-grid input")
-	}
-	ref := mergeRuns(runs, 0) // dt 0 forces the heap path
-	if len(fast) != len(ref) {
-		t.Fatalf("bucket merged %d actions, heap %d", len(fast), len(ref))
-	}
-	for i := range ref {
-		if fast[i] != ref[i] {
-			t.Fatalf("action %d: bucket %+v, heap %+v", i, fast[i], ref[i])
-		}
-	}
-
-	// Off-grid time: must fall back.
-	offGrid := syntheticRuns(48, 40)
-	offGrid[3][2].Action.Time += 0.05
-	sortRunFix(offGrid[3])
-	if new(mergeScratch).bucket(offGrid, total, dt, true) != nil {
-		t.Fatal("bucket merge accepted an off-grid time")
-	}
-	// Non-ascending office ranges: must fall back.
-	swapped := syntheticRuns(48, 40)
-	swapped[0], swapped[1] = swapped[1], swapped[0]
-	if new(mergeScratch).bucket(swapped, total, dt, true) != nil {
-		t.Fatal("bucket merge accepted non-ascending office ranges")
-	}
-	// Sparse span (a joiner's near-zero clock next to a multi-day one):
-	// must fall back.
-	sparse := [][]OfficeAction{
-		make([]OfficeAction, 40),
-		make([]OfficeAction, 40),
-	}
-	for i := range sparse[0] {
-		sparse[0][i] = OfficeAction{Office: 0, Action: core.Action{Time: float64(i) * dt}}
-		sparse[1][i] = OfficeAction{Office: 1, Action: core.Action{Time: float64(10_000_000+i) * dt}}
-	}
-	if new(mergeScratch).bucket(sparse, 80, dt, true) != nil {
-		t.Fatal("bucket merge accepted a hugely sparse tick span")
-	}
-	if got := mergeRuns(sparse, dt); len(got) != 80 || got[0].Office != 0 || got[79].Office != 1 {
-		t.Fatalf("sparse fallback merged wrong: len %d", len(got))
-	}
-}
-
 // sortRunFix re-sorts one run by time after a test perturbation so it
-// still satisfies mergeRuns' ordered-run precondition.
+// still satisfies MergeRuns' ordered-run precondition.
 func sortRunFix(r []OfficeAction) {
 	sort.SliceStable(r, func(a, b int) bool { return r[a].Action.Time < r[b].Action.Time })
 }
@@ -206,26 +254,6 @@ func TestRunEmptyBatchIsNoOp(t *testing.T) {
 		acts, err := f.Run(batches, nil)
 		if err != nil || acts != nil {
 			t.Fatalf("Run(%v, nil) = (%v, %v), want (nil, nil)", batches, acts, err)
-		}
-	}
-}
-
-// TestShardSizeHeuristic pins the shard-local batching policy.
-func TestShardSizeHeuristic(t *testing.T) {
-	cases := []struct {
-		offices, workers, want int
-	}{
-		{1, 8, 1},
-		{32, 8, 1}, // ≤ 4·workers: one office per task
-		{64, 8, 2}, // beyond it, shards grow with the fleet
-		{1024, 8, 32},
-		{10000, 8, 313},
-		{64, 1, 16},
-		{5, 0, 5}, // degenerate worker count still shards sanely
-	}
-	for _, c := range cases {
-		if got := shardSize(c.offices, c.workers); got != c.want {
-			t.Fatalf("shardSize(%d, %d) = %d, want %d", c.offices, c.workers, got, c.want)
 		}
 	}
 }

@@ -393,8 +393,10 @@ const (
 //
 // ok is false when p is not in (0, 100), the bandwidth is not finite
 // and positive, the bisection's start interval is not finite, the table
-// density is zero, Newton does not converge, a or b falls outside the
-// start interval, or a side fails to certify.
+// density is zero, or too low for any bracket to certify at an iterate
+// whose table sum is within the margin of the target, Newton does not
+// converge, a or b falls outside the start interval, or a side fails to
+// certify.
 func (k *KDE) PercentileBracket(p float64) (lo, hi float64, ok bool) {
 	target := p / 100
 	h := k.h
@@ -408,11 +410,27 @@ func (k *KDE) PercentileBracket(p float64) (lo, hi float64, ok bool) {
 	if !(math.Abs(lo0) < math.MaxFloat64/2 && math.Abs(hi0) < math.MaxFloat64/2) {
 		return 0, 0, false
 	}
+	margin := 2*k.cdfErr() + phiTableErr
+	// a and b certify only if t(a) < target−margin and t(b) ≥
+	// target+margin. So once an iterate x has |t(x)−target| < margin,
+	// every bracket that could certify holds x (the table sum is
+	// monotone to far under the margin: each exact node slope is at
+	// most 1.3 times its interval's secant, under the 3 up to which
+	// cubic Hermite keeps monotone data monotone), and its table
+	// density must average margin/(bracketHalf·h) over it. Within
+	// 2·bracketHalf·h of x no kernel's table density changes by more
+	// than 18 %, so under minDensity, half that average, no bracket of
+	// width 2·bracketHalf·h certifies and Newton gives up. This is the
+	// flat tail of md profiles with exactly 1 % of the values far above
+	// the rest: the target is reached only where the lower kernels' CDF
+	// flattens out, and Newton would creep on at falling density for
+	// all its steps.
+	minDensity := margin / (2 * bracketHalf * h)
 	x := percentileSorted(k.samples, p)
 	converged := false
 	for i := 0; i < bracketSteps && !converged; i++ {
 		c, density := k.phiTableSum(x)
-		if !(density > 0) {
+		if !(density > 0) || math.Abs(c-target) < margin && density < minDensity {
 			return 0, 0, false
 		}
 		// A sparse tail's density overshoots: move at most a bandwidth.
@@ -424,7 +442,6 @@ func (k *KDE) PercentileBracket(p float64) (lo, hi float64, ok bool) {
 	if !converged || !(lo0 < a && b < hi0) {
 		return 0, 0, false
 	}
-	margin := 2*k.cdfErr() + phiTableErr
 	if c, _ := k.phiTableSum(a); !(c < target-margin) {
 		return 0, 0, false
 	}

@@ -451,17 +451,42 @@ func BenchmarkKDEPercentile(b *testing.B) {
 	b.ReportMetric(float64(evals)/float64(b.N), "cdf-evals/op")
 }
 
-// BenchmarkKDEBracket certifies the bracket around the same percentile
-// of the same profile as BenchmarkKDEPercentile.
-func BenchmarkKDEBracket(b *testing.B) {
-	kde, err := NewKDE(mdShapedProfile(1), 0)
-	if err != nil {
-		b.Fatal(err)
+// plateauProfile is mdShapedProfile(seed) with exactly 1 % of its
+// values moved far above the rest, so the 99th percentile lies in the
+// flat far tail of the lower values' kernels, where no bracket
+// certifies.
+func plateauProfile(seed uint64) []float64 {
+	xs := mdShapedProfile(seed)
+	for i := 0; i < len(xs)/100; i++ {
+		xs[i] = 100
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := kde.PercentileBracket(99); !ok {
-			b.Fatal("bracket did not certify")
-		}
+	return xs
+}
+
+// BenchmarkKDEBracket certifies the bracket around the same percentile
+// of the same profile as BenchmarkKDEPercentile (md-shaped), and fails
+// to certify it on a plateau profile, which should cost a few Newton
+// steps, not all bracketSteps.
+func BenchmarkKDEBracket(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		samples []float64
+		ok      bool
+	}{
+		{"md-shaped", mdShapedProfile(1), true},
+		{"plateau", plateauProfile(1), false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			kde, err := NewKDE(tc.samples, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, ok := kde.PercentileBracket(99); ok != tc.ok {
+					b.Fatalf("bracket certified %v, want %v", ok, tc.ok)
+				}
+			}
+		})
 	}
 }
