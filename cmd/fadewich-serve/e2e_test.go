@@ -82,6 +82,7 @@ type e2eFleetStatus struct {
 	GenerationLag      uint64            `json:"generation_lag"`
 	DesiredOffices     int               `json:"desired_offices"`
 	LiveOffices        int               `json:"live_offices"`
+	ReconcileErrors    uint64            `json:"reconcile_errors"`
 	LastReconcileError string            `json:"last_reconcile_error"`
 	Offices            []e2eOfficeStatus `json:"offices"`
 }

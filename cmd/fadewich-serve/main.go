@@ -6,8 +6,10 @@
 // stable "name" plus its floor plan, sensor count and MD thresholds
 // (see internal/serve.OfficeSpec). A reconcile loop diffs that
 // desired state against live membership and applies adds, removes and
-// config rollouts at batch boundaries. The spec is re-read on SIGHUP,
-// on POST /v1/reload, and (with -watch) whenever the file changes.
+// config rollouts at batch boundaries. Startup is the first reconcile;
+// the spec is re-read on SIGHUP, on POST /v1/reload, and (with -watch)
+// on every tick of the poll interval, where unchanged content is a
+// no-op.
 //
 // The HTTP surface:
 //
@@ -85,7 +87,7 @@ func main() {
 	mode := flag.String("mode", "serve", "role: serve (single-process fleet), coordinator (shard a spec onto workers) or worker (run a coordinator-assigned shard)")
 	listen := flag.String("listen", "127.0.0.1:8080", "HTTP listen address (use :0 for an ephemeral port; the bound address is printed to stderr)")
 	specPath := flag.String("spec", "", "JSON fleet-spec file with the desired offices (serve and coordinator modes)")
-	watch := flag.Duration("watch", 0, "poll the spec source at this interval and reconcile when it changes (0 = only SIGHUP and /v1/reload)")
+	watch := flag.Duration("watch", 0, "re-read the spec source at this interval and reconcile when it changed (0 = only SIGHUP and /v1/reload)")
 	queue := flag.Int("queue", 0, "per-office tick queue capacity (0 = default 256)")
 	onFull := flag.String("on-full", "block", "backpressure policy when a queue is full: block, drop-oldest or error")
 	parallel := flag.Int("parallel", 0, "fleet worker pool width (0 = one per CPU)")
@@ -225,8 +227,8 @@ func runServe(opt options) error {
 	if err != nil {
 		return err
 	}
-	cfg.SpecPath = opt.specPath
-	return serveFleet(opt, cfg, true)
+	cfg.SpecSource = func() ([]byte, error) { return os.ReadFile(opt.specPath) }
+	return serveFleet(opt, cfg)
 }
 
 // runWorker runs a coordinator-assigned shard: the spec comes from the
@@ -252,9 +254,6 @@ func runWorker(opt options) error {
 		return err
 	}
 	cfg.ForwardSource = source
-	// The hash may currently owe this worker nothing — an empty shard
-	// still runs, emitting its per-epoch watermark frames.
-	cfg.AllowEmpty = true
 	cfg.SpecSource = func() ([]byte, error) {
 		ss, err := cluster.FetchShard(nil, opt.coordinator, opt.name)
 		if err != nil {
@@ -265,33 +264,55 @@ func runWorker(opt options) error {
 		}
 		return ss.Spec, nil
 	}
-	return serveFleet(opt, cfg, false)
+	return serveFleet(opt, cfg)
 }
 
 // serveFleet hosts a serve.Server (single-process or worker shard)
 // until SIGINT/SIGTERM, draining on the way out.
-func serveFleet(opt options, cfg serve.Config, specIsFile bool) error {
+func serveFleet(opt options, cfg serve.Config) error {
 	srv, err := serve.New(cfg)
 	if err != nil {
 		return err
 	}
+	if opt.watch > 0 {
+		// The spec file and the coordinator's sub-spec alike: the
+		// reconciler's content hash makes an unchanged spec a no-op.
+		go func() {
+			for range time.Tick(opt.watch) {
+				if err := srv.Reload(); err != nil {
+					fmt.Fprintf(os.Stderr, "fadewich-serve: watch reload: %v\n", err)
+				}
+			}
+		}()
+	}
+	err = serveHTTP(opt.listen, srv, srv.Reload, srv.Close)
+	printRunStats(srv)
+	return err
+}
 
-	ln, err := net.Listen("tcp", opt.listen)
+// serveHTTP serves h on addr until SIGINT/SIGTERM, calling reload on
+// every SIGHUP. On SIGINT/SIGTERM drain runs before the listener stops:
+// a fleet's Close dispatches queued ticks, flushes and closes the sinks
+// (sealing the active segment, and in worker mode sending the final
+// tagged frame) and completes the /v1/actions streams, which lets
+// Shutdown's wait for active connections finish.
+func serveHTTP(addr string, h http.Handler, reload, drain func() error) error {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		srv.Close()
+		drain()
 		return err
 	}
 	// The bound address line is machine-read by the e2e harness (and by
 	// humans with -listen :0), so its shape is load-bearing.
 	fmt.Fprintf(os.Stderr, "fadewich-serve: listening on %s\n", ln.Addr())
 
-	httpSrv := newHTTPServer(srv)
+	httpSrv := newHTTPServer(h)
 
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
 		for range hup {
-			if err := srv.Reload(); err != nil {
+			if err := reload(); err != nil {
 				fmt.Fprintf(os.Stderr, "fadewich-serve: reload: %v\n", err)
 			} else {
 				fmt.Fprintln(os.Stderr, "fadewich-serve: spec reloaded")
@@ -299,35 +320,13 @@ func serveFleet(opt options, cfg serve.Config, specIsFile bool) error {
 		}
 	}()
 
-	if opt.watch > 0 {
-		if specIsFile {
-			go watchSpec(opt.specPath, opt.watch, srv)
-		} else {
-			// No file to stat in worker mode: poll the coordinator. The
-			// reconciler's content hash makes an unchanged sub-spec a
-			// no-op.
-			go func() {
-				for range time.Tick(opt.watch) {
-					if err := srv.Reload(); err != nil {
-						fmt.Fprintf(os.Stderr, "fadewich-serve: watch reload: %v\n", err)
-					}
-				}
-			}()
-		}
-	}
-
-	// On SIGINT/SIGTERM, drain before stopping the listener: Close
-	// dispatches queued ticks, flushes and closes the sinks (sealing
-	// the active segment, and in worker mode sending the final tagged
-	// frame) and completes the /v1/actions streams, which lets
-	// Shutdown's wait for active connections finish.
 	term := make(chan os.Signal, 1)
 	signal.Notify(term, syscall.SIGINT, syscall.SIGTERM)
 	done := make(chan error, 1)
 	go func() {
 		sig := <-term
 		fmt.Fprintf(os.Stderr, "fadewich-serve: %v: draining\n", sig)
-		err := srv.Close()
+		err := drain()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if serr := httpSrv.Shutdown(ctx); serr != nil && err == nil {
@@ -337,12 +336,10 @@ func serveFleet(opt options, cfg serve.Config, specIsFile bool) error {
 	}()
 
 	if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-		srv.Close()
+		drain()
 		return err
 	}
-	err = <-done
-	printRunStats(srv)
-	return err
+	return <-done
 }
 
 // printRunStats reports the end-of-run byte movement on stderr. The
@@ -382,69 +379,6 @@ func runCoordinator(opt options) error {
 	if err != nil {
 		return err
 	}
-
-	ln, err := net.Listen("tcp", opt.listen)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "fadewich-serve: listening on %s\n", ln.Addr())
-
-	httpSrv := newHTTPServer(c)
-
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	go func() {
-		for range hup {
-			if err := c.Reload(); err != nil {
-				fmt.Fprintf(os.Stderr, "fadewich-serve: reload: %v\n", err)
-			} else {
-				fmt.Fprintln(os.Stderr, "fadewich-serve: spec reloaded")
-			}
-		}
-	}()
-
-	term := make(chan os.Signal, 1)
-	signal.Notify(term, syscall.SIGINT, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() {
-		<-term
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		done <- httpSrv.Shutdown(ctx)
-	}()
-
-	if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-		return err
-	}
-	return <-done
-}
-
-// watchSpec polls the spec file and reconciles whenever its mtime or
-// size changes — the declarative alternative to signalling SIGHUP. A
-// vanished file is reported through the reconciler as a reconcile
-// error (visible in /v1/offices and /metrics) and retried.
-func watchSpec(path string, every time.Duration, srv *serve.Server) {
-	var lastMod time.Time
-	var lastSize int64
-	if info, err := os.Stat(path); err == nil {
-		lastMod, lastSize = info.ModTime(), info.Size()
-	}
-	for range time.Tick(every) {
-		info, err := os.Stat(path)
-		if err != nil {
-			if ferr := srv.Reconciler().Fail(fmt.Errorf("watch spec: %w", err)); ferr != nil {
-				fmt.Fprintf(os.Stderr, "fadewich-serve: %v\n", ferr)
-			}
-			continue
-		}
-		if info.ModTime().Equal(lastMod) && info.Size() == lastSize {
-			continue
-		}
-		lastMod, lastSize = info.ModTime(), info.Size()
-		if err := srv.Reload(); err != nil {
-			fmt.Fprintf(os.Stderr, "fadewich-serve: watch reload: %v\n", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "fadewich-serve: spec change applied\n")
-		}
-	}
+	// The coordinator holds no fleet, so it has nothing to drain.
+	return serveHTTP(opt.listen, c, c.Reload, func() error { return nil })
 }

@@ -12,8 +12,9 @@ import (
 // TestHTTPServersBoundHeaderReads checks that both HTTP servers the
 // daemon runs bound header reads: the fleet server of the serve and
 // worker modes (serveFleet) and the coordinator's (runCoordinator)
-// each come from newHTTPServer, which holds the only http.Server
-// literal in main.go and sets ReadHeaderTimeout.
+// each go through serveHTTP, the one caller of newHTTPServer, which
+// holds the only http.Server literal in main.go and sets
+// ReadHeaderTimeout.
 func TestHTTPServersBoundHeaderReads(t *testing.T) {
 	h := http.NewServeMux()
 	s := newHTTPServer(h)
@@ -28,7 +29,7 @@ func TestHTTPServersBoundHeaderReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := map[string]int{}    // function → newHTTPServer calls in it
+	calls := map[string]int{}    // "caller→callee" → calls of serveHTTP or newHTTPServer
 	literals := map[string]int{} // function → http.Server literals in it
 	for _, decl := range file.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
@@ -38,8 +39,8 @@ func TestHTTPServersBoundHeaderReads(t *testing.T) {
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "newHTTPServer" {
-					calls[fn.Name.Name]++
+				if id, ok := n.Fun.(*ast.Ident); ok && (id.Name == "serveHTTP" || id.Name == "newHTTPServer") {
+					calls[fn.Name.Name+"→"+id.Name]++
 				}
 			case *ast.CompositeLit:
 				if sel, ok := n.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "Server" {
@@ -51,8 +52,9 @@ func TestHTTPServersBoundHeaderReads(t *testing.T) {
 			return true
 		})
 	}
-	if want := map[string]int{"serveFleet": 1, "runCoordinator": 1}; !reflect.DeepEqual(calls, want) {
-		t.Errorf("newHTTPServer calls by function: %v, want %v", calls, want)
+	want := map[string]int{"serveFleet→serveHTTP": 1, "runCoordinator→serveHTTP": 1, "serveHTTP→newHTTPServer": 1}
+	if !reflect.DeepEqual(calls, want) {
+		t.Errorf("serveHTTP and newHTTPServer calls: %v, want %v", calls, want)
 	}
 	if want := map[string]int{"newHTTPServer": 1}; !reflect.DeepEqual(literals, want) {
 		t.Errorf("http.Server literals by function: %v, want %v", literals, want)

@@ -235,7 +235,8 @@ func OpenSegmentDir(dir string, opt SegmentReadOptions) (*SegmentReader, error) 
 }
 
 // ServeConfig parameterises the control-plane Server behind
-// cmd/fadewich-serve: spec file path, ingestion knobs, sinks.
+// cmd/fadewich-serve: the spec source (a func returning the raw fleet
+// spec, read at startup and on every reload), ingestion knobs, sinks.
 type ServeConfig = serve.Config
 
 // Server hosts a live Fleet+Ingestor behind the fadewich-serve HTTP
@@ -256,8 +257,9 @@ type FleetOfficeSpec = serve.OfficeSpec
 // validation: its name and fully-resolved System configuration.
 type ResolvedOffice = serve.ResolvedOffice
 
-// NewServer builds the fleet from the spec file and starts the
-// ingestion machinery.
+// NewServer validates the spec, starts the ingestion machinery and
+// brings the spec's offices in through the reconciler, the same path
+// every reload takes.
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
 
 // ParseFleetSpec decodes a fleet spec from JSON, rejecting unknown

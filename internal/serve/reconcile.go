@@ -44,9 +44,6 @@ type Diff struct {
 	// different configuration, in spec order; Old names the live
 	// instance being replaced.
 	Updates []Update
-	// Keeps are live offices already matching their desired
-	// configuration, ascending by ID.
-	Keeps []LiveOffice
 }
 
 // Update pairs a live office with the new configuration that replaces
@@ -54,11 +51,6 @@ type Diff struct {
 type Update struct {
 	Old LiveOffice
 	New ResolvedOffice
-}
-
-// Empty reports whether the diff changes nothing.
-func (d Diff) Empty() bool {
-	return len(d.Adds) == 0 && len(d.Removes) == 0 && len(d.Updates) == 0
 }
 
 // ComputeDiff is the pure reconcile differ: desired spec (resolved, in
@@ -79,8 +71,6 @@ func ComputeDiff(desired []ResolvedOffice, live []LiveOffice) Diff {
 			d.Adds = append(d.Adds, want)
 		case cur.Config != want.Config || cur.GID != want.GID:
 			d.Updates = append(d.Updates, Update{Old: cur, New: want})
-		default:
-			d.Keeps = append(d.Keeps, cur)
 		}
 	}
 	for _, l := range live {
@@ -89,7 +79,6 @@ func ComputeDiff(desired []ResolvedOffice, live []LiveOffice) Diff {
 		}
 	}
 	sort.Slice(d.Removes, func(i, j int) bool { return d.Removes[i].ID < d.Removes[j].ID })
-	sort.Slice(d.Keeps, func(i, j int) bool { return d.Keeps[i].ID < d.Keeps[j].ID })
 	return d
 }
 
@@ -111,15 +100,15 @@ type liveEntry struct {
 // batch boundary. All methods are safe for concurrent use.
 type Reconciler struct {
 	mu sync.Mutex
-	// allowEmpty mirrors Config.AllowEmpty: whether a reload may take
-	// the fleet down to zero offices (a worker's shard can empty out).
-	allowEmpty bool
-	ing        *stream.Ingestor
-	now        func() time.Time
-	gen        uint64
-	hash       uint64
-	live       map[string]*liveEntry
-	desired    int
+	// tagged is set on a cluster worker (Config.ForwardSource != 0):
+	// see resolveSpec.
+	tagged  bool
+	ing     *stream.Ingestor
+	now     func() time.Time
+	gen     uint64
+	hash    uint64
+	live    map[string]*liveEntry
+	desired int
 	// byLocal maps local fleet ID → gid, append-only: fleet IDs are
 	// assigned by a monotonic counter and never reused, so a reader may
 	// consult this map for an office that was just removed (the sink
@@ -141,32 +130,25 @@ func specHash(raw []byte) uint64 {
 	return h.Sum64()
 }
 
-// newReconciler adopts the server's initial fleet: resolved office i is
-// live under ID ids[i], at generation 1 of the given raw spec content.
-func newReconciler(ing *stream.Ingestor, resolved []ResolvedOffice, ids []int, raw []byte, allowEmpty bool) *Reconciler {
-	r := &Reconciler{
-		allowEmpty: allowEmpty,
-		ing:        ing,
-		now:        time.Now,
-		gen:        1,
-		hash:       specHash(raw),
-		live:       make(map[string]*liveEntry, len(resolved)),
-		desired:    len(resolved),
-		byLocal:    make(map[int]int),
+// newReconciler tracks an empty fleet; start brings in the first spec.
+func newReconciler(ing *stream.Ingestor, tagged bool) *Reconciler {
+	return &Reconciler{
+		tagged:  tagged,
+		ing:     ing,
+		now:     time.Now,
+		live:    make(map[string]*liveEntry),
+		byLocal: make(map[int]int),
 	}
-	t := r.now()
-	for i, ro := range resolved {
-		r.live[ro.Name] = &liveEntry{
-			LiveOffice:  LiveOffice{Name: ro.Name, ID: ids[i], Config: ro.Config, GID: ro.GID},
-			observedGen: 1,
-			transition:  "added",
-			since:       t,
-		}
-		if ro.GID >= 0 {
-			r.byLocal[ids[i]] = ro.GID
-		}
-	}
-	return r
+}
+
+// start applies the startup spec, already validated by resolveSpec, as
+// generation 1. It is the first reconcile: the same apply step as every
+// later one, but not counted in Reconciles.
+func (r *Reconciler) start(raw []byte, resolved []ResolvedOffice) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gen, r.hash = 1, specHash(raw)
+	return r.applyLocked(resolved)
 }
 
 // GlobalID resolves a local fleet ID to the cluster-wide gid its office
@@ -223,65 +205,66 @@ func (r *Reconciler) Reconcile(raw []byte) error {
 	} else if r.lastErr == nil {
 		return nil
 	}
-	spec, err := ParseSpec(raw)
-	var resolved []ResolvedOffice
-	if err == nil {
-		resolved, err = spec.Resolve()
-	}
-	if err == nil && len(resolved) == 0 && !r.allowEmpty {
-		err = fmt.Errorf("serve: fleet spec: no offices (the fleet needs at least one)")
-	}
+	resolved, err := resolveSpec(raw, r.tagged)
 	if err != nil {
 		return r.failLocked(err)
 	}
-
 	start := r.now()
+	if err := r.applyLocked(resolved); err != nil {
+		return r.failLocked(err)
+	}
+	r.lastDur = r.now().Sub(start)
+	r.reconciles++
+	r.lastErr = nil
+	return nil
+}
+
+// applyLocked diffs resolved against live membership and applies the
+// plan through the ingestor in the documented order, then marks every
+// live office as observing the current generation.
+func (r *Reconciler) applyLocked(resolved []ResolvedOffice) error {
 	diff := ComputeDiff(resolved, r.liveLocked())
 	for _, rm := range diff.Removes {
 		if _, err := r.ing.RemoveOffice(rm.ID); err != nil {
-			return r.failLocked(fmt.Errorf("remove office %q (id %d): %w", rm.Name, rm.ID, err))
+			return fmt.Errorf("remove office %q (id %d): %w", rm.Name, rm.ID, err)
 		}
 		delete(r.live, rm.Name)
 	}
 	for _, up := range diff.Updates {
 		if _, err := r.ing.RemoveOffice(up.Old.ID); err != nil {
-			return r.failLocked(fmt.Errorf("update office %q: remove id %d: %w", up.Old.Name, up.Old.ID, err))
+			return fmt.Errorf("update office %q: remove id %d: %w", up.Old.Name, up.Old.ID, err)
 		}
 		delete(r.live, up.Old.Name)
-		id, err := r.ing.AddOffice(up.New.Config)
-		if err != nil {
-			return r.failLocked(fmt.Errorf("update office %q: add: %w", up.New.Name, err))
-		}
-		r.live[up.New.Name] = &liveEntry{
-			LiveOffice: LiveOffice{Name: up.New.Name, ID: id, Config: up.New.Config, GID: up.New.GID},
-			transition: "updated",
-			since:      r.now(),
-		}
-		if up.New.GID >= 0 {
-			r.byLocal[id] = up.New.GID
+		if err := r.addLocked(up.New, "updated"); err != nil {
+			return fmt.Errorf("update office %q: add: %w", up.New.Name, err)
 		}
 	}
 	for _, ad := range diff.Adds {
-		id, err := r.ing.AddOffice(ad.Config)
-		if err != nil {
-			return r.failLocked(fmt.Errorf("add office %q: %w", ad.Name, err))
-		}
-		r.live[ad.Name] = &liveEntry{
-			LiveOffice: LiveOffice{Name: ad.Name, ID: id, Config: ad.Config, GID: ad.GID},
-			transition: "added",
-			since:      r.now(),
-		}
-		if ad.GID >= 0 {
-			r.byLocal[id] = ad.GID
+		if err := r.addLocked(ad, "added"); err != nil {
+			return fmt.Errorf("add office %q: %w", ad.Name, err)
 		}
 	}
 	for _, e := range r.live {
 		e.observedGen = r.gen
 	}
 	r.desired = len(resolved)
-	r.lastDur = r.now().Sub(start)
-	r.reconciles++
-	r.lastErr = nil
+	return nil
+}
+
+// addLocked joins one office through the ingestor and records it live.
+func (r *Reconciler) addLocked(ro ResolvedOffice, transition string) error {
+	id, err := r.ing.AddOffice(ro.Config)
+	if err != nil {
+		return err
+	}
+	r.live[ro.Name] = &liveEntry{
+		LiveOffice: LiveOffice{Name: ro.Name, ID: id, Config: ro.Config, GID: ro.GID},
+		transition: transition,
+		since:      r.now(),
+	}
+	if ro.GID >= 0 {
+		r.byLocal[id] = ro.GID
+	}
 	return nil
 }
 

@@ -14,7 +14,7 @@ func rc(streams int) core.Config {
 	return core.Config{DT: 0.2, Streams: streams, Workstations: 2}
 }
 
-func names(d Diff) (adds, removes, updates, keeps []string) {
+func names(d Diff) (adds, removes, updates []string) {
 	for _, a := range d.Adds {
 		adds = append(adds, a.Name)
 	}
@@ -23,9 +23,6 @@ func names(d Diff) (adds, removes, updates, keeps []string) {
 	}
 	for _, u := range d.Updates {
 		updates = append(updates, u.New.Name)
-	}
-	for _, k := range d.Keeps {
-		keeps = append(keeps, k.Name)
 	}
 	return
 }
@@ -38,27 +35,23 @@ func TestComputeDiff(t *testing.T) {
 		adds    []string
 		removes []string
 		updates []string
-		keeps   []string
 	}{
 		{
 			name:    "no-op",
 			desired: []ResolvedOffice{{Name: "a", Config: rc(6)}, {Name: "b", Config: rc(12)}},
 			live:    []LiveOffice{{Name: "a", ID: 0, Config: rc(6)}, {Name: "b", ID: 1, Config: rc(12)}},
-			keeps:   []string{"a", "b"},
 		},
 		{
 			name:    "add",
 			desired: []ResolvedOffice{{Name: "a", Config: rc(6)}, {Name: "b", Config: rc(6)}, {Name: "c", Config: rc(6)}},
 			live:    []LiveOffice{{Name: "a", ID: 0, Config: rc(6)}},
 			adds:    []string{"b", "c"},
-			keeps:   []string{"a"},
 		},
 		{
 			name:    "remove",
 			desired: []ResolvedOffice{{Name: "b", Config: rc(6)}},
 			live:    []LiveOffice{{Name: "a", ID: 0, Config: rc(6)}, {Name: "b", ID: 1, Config: rc(6)}, {Name: "c", ID: 2, Config: rc(6)}},
 			removes: []string{"a", "c"},
-			keeps:   []string{"b"},
 		},
 		{
 			name:    "config change",
@@ -81,19 +74,17 @@ func TestComputeDiff(t *testing.T) {
 			adds:    []string{"new"},
 			removes: []string{"gone"},
 			updates: []string{"retune"},
-			keeps:   []string{"keep"},
 		},
 		{
 			name:    "reorder alone changes nothing",
 			desired: []ResolvedOffice{{Name: "b", Config: rc(12)}, {Name: "a", Config: rc(6)}},
 			live:    []LiveOffice{{Name: "a", ID: 0, Config: rc(6)}, {Name: "b", ID: 1, Config: rc(12)}},
-			keeps:   []string{"a", "b"},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := ComputeDiff(tc.desired, tc.live)
-			adds, removes, updates, keeps := names(d)
+			adds, removes, updates := names(d)
 			if !reflect.DeepEqual(adds, tc.adds) {
 				t.Errorf("adds = %v, want %v", adds, tc.adds)
 			}
@@ -102,13 +93,6 @@ func TestComputeDiff(t *testing.T) {
 			}
 			if !reflect.DeepEqual(updates, tc.updates) {
 				t.Errorf("updates = %v, want %v", updates, tc.updates)
-			}
-			if !reflect.DeepEqual(keeps, tc.keeps) {
-				t.Errorf("keeps = %v, want %v", keeps, tc.keeps)
-			}
-			wantEmpty := len(tc.adds) == 0 && len(tc.removes) == 0 && len(tc.updates) == 0
-			if d.Empty() != wantEmpty {
-				t.Errorf("Empty() = %v, want %v", d.Empty(), wantEmpty)
 			}
 		})
 	}
@@ -131,7 +115,7 @@ func TestComputeDiffOrdering(t *testing.T) {
 		{Name: "up2", ID: 3, Config: rc(6)},
 	}
 	d := ComputeDiff(desired, live)
-	adds, removes, updates, _ := names(d)
+	adds, removes, updates := names(d)
 	if want := []string{"rm-low", "rm-high"}; !reflect.DeepEqual(removes, want) {
 		t.Errorf("removes = %v, want ascending-ID %v", removes, want)
 	}
@@ -145,19 +129,21 @@ func TestComputeDiffOrdering(t *testing.T) {
 
 // TestReconcilerApply drives the reconciler against a real
 // fleet+ingestor and checks the deterministic ID assignment contract:
-// removes free nothing, updates and adds take fresh monotonic IDs in
-// the documented order.
+// startup, the first reconcile, assigns IDs 0..n−1 in spec order at
+// generation 1 without counting a reconcile; removes free nothing,
+// updates and adds take fresh monotonic IDs in the documented order.
 func TestReconcilerApply(t *testing.T) {
 	srv, _ := newTestServer(t, specJSON("a", "b", "c"))
-	rec := srv.Reconciler()
+	rec := srv.rec
 
-	st, _ := rec.Status()
-	if st.SpecGeneration != 1 || st.LiveOffices != 3 || st.DesiredOffices != 3 || st.GenerationLag != 0 {
-		t.Fatalf("adopted status wrong: %+v", st)
+	st, reports := rec.Status()
+	if st.SpecGeneration != 1 || st.LiveOffices != 3 || st.DesiredOffices != 3 || st.GenerationLag != 0 ||
+		st.Reconciles != 0 || st.Errors != 0 || st.LastError != "" || st.LastDuration != 0 {
+		t.Fatalf("startup status wrong: %+v", st)
 	}
 	for i, name := range []string{"a", "b", "c"} {
-		if id, ok := rec.IDOf(name); !ok || id != i {
-			t.Fatalf("office %q adopted under id %d (ok=%v), want %d", name, id, ok, i)
+		if rep := reports[i]; rep.Name != name || rep.ID != i || rep.Transition != "added" || rep.ObservedGeneration != 1 {
+			t.Fatalf("office %d after startup: %+v, want %q under id %d, added at generation 1", i, rep, name, i)
 		}
 	}
 
@@ -174,7 +160,7 @@ func TestReconcilerApply(t *testing.T) {
 	if err := rec.Reconcile(raw); err != nil {
 		t.Fatal(err)
 	}
-	st, reports := rec.Status()
+	st, reports = rec.Status()
 	if st.SpecGeneration != 2 || st.GenerationLag != 0 || st.Reconciles != 1 || st.Errors != 0 {
 		t.Fatalf("post-rollout status wrong: %+v", st)
 	}
@@ -207,7 +193,7 @@ func TestReconcilerApply(t *testing.T) {
 		t.Errorf("a rolled out without its new tau: %+v", byName["a"].Config)
 	}
 	// The updated office restarted in training.
-	if ph := srv.Fleet().System(byName["a"].ID).Phase(); ph != core.PhaseTraining {
+	if ph := srv.fleet.System(byName["a"].ID).Phase(); ph != core.PhaseTraining {
 		t.Errorf("updated office phase %v, want training", ph)
 	}
 }
@@ -218,7 +204,7 @@ func TestReconcilerApply(t *testing.T) {
 // revision lands.
 func TestReconcilerInvalidSpecAtomic(t *testing.T) {
 	srv, _ := newTestServer(t, specJSON("a", "b"))
-	rec := srv.Reconciler()
+	rec := srv.rec
 	before := rec.Live()
 
 	err := rec.Reconcile([]byte(`{"offices": [{"name": "a"}, {"name": "a"}]}`))
@@ -267,7 +253,7 @@ func TestReconcilerInvalidSpecAtomic(t *testing.T) {
 // after a failure retries it.
 func TestReconcilerNoOp(t *testing.T) {
 	srv, _ := newTestServer(t, specJSON("a"))
-	rec := srv.Reconciler()
+	rec := srv.rec
 
 	if err := rec.Reconcile([]byte(specJSON("a"))); err != nil {
 		t.Fatal(err)

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -21,12 +19,10 @@ import (
 
 // Config parameterises a Server.
 type Config struct {
-	// SpecPath is the fleet-spec file (required unless SpecSource is
-	// set): the declarative desired membership, reloaded by Reload.
-	SpecPath string
-	// SpecSource, when set, replaces the spec file as the source of raw
-	// spec content for both startup and Reload. Worker mode uses it to
-	// fetch the coordinator-assigned sub-spec over HTTP.
+	// SpecSource returns the raw fleet spec (required): the declarative
+	// desired membership, read once at startup and again by every
+	// Reload. A single-process daemon reads its spec file; worker mode
+	// fetches the coordinator-assigned sub-spec over HTTP.
 	SpecSource func() ([]byte, error)
 	// Queue and OnFull pass through to the ingestor (stream.Config).
 	// Dispatch is driven by ?flush=1, by a Block-policy queue that
@@ -62,16 +58,10 @@ type Config struct {
 	// remapped from local fleet IDs to the gids the spec carries, and
 	// shutdown sends a final frame. Requires Forward and a spec whose
 	// offices all carry gids. The tagged sink refuses untagged batches,
-	// so POST /v1/ticks rejects ?flush=1 without an epoch.
+	// so POST /v1/ticks rejects ?flush=1 without an epoch. A tagged
+	// worker may run an empty spec: the hash may owe it nothing right
+	// now, and it must still emit its per-epoch watermark frames.
 	ForwardSource uint8
-	// AllowEmpty accepts a spec with zero offices, at startup and on
-	// reload. Worker mode sets it: a coordinator-assigned shard may
-	// legitimately be empty (the hash owes this worker nothing right
-	// now), and the worker must still run to emit its per-epoch
-	// watermark frames. Without it an empty spec is rejected — a
-	// single-process operator emptying the fleet is almost always a
-	// spec-file accident.
-	AllowEmpty bool
 }
 
 // Server hosts a live Fleet+Ingestor behind the HTTP API. Create with
@@ -84,7 +74,6 @@ type Server struct {
 	bcast   *broadcaster
 	seg     *stream.SegmentSink // nil without SegmentDir
 	fwd     *stream.TCPSink     // nil without Forward
-	source  func() ([]byte, error)
 	mux     *http.ServeMux
 	started time.Time
 
@@ -113,65 +102,36 @@ func retentionEvery(ttl time.Duration) time.Duration {
 	return max(min(ttl/2, time.Minute), time.Millisecond)
 }
 
-// New builds the fleet from the spec file and starts the ingestion
-// machinery. Offices are created in spec order under IDs 0..n−1.
+// New validates the spec, opens the sinks and starts the ingestor over
+// an empty fleet; the spec then reaches the fleet through the same
+// apply step every reload uses, so offices join in spec order under
+// IDs 0..n−1. A spec that fails validation opens no sink: no segment
+// directory is created and no forward address is dialled.
 func New(cfg Config) (*Server, error) {
-	if cfg.SpecPath == "" && cfg.SpecSource == nil {
-		return nil, errors.New("serve: no fleet-spec path or source")
+	if cfg.SpecSource == nil {
+		return nil, errors.New("serve: no fleet-spec source")
 	}
 	if cfg.ForwardSource != 0 && cfg.Forward == "" {
 		return nil, errors.New("serve: forward source set without a forward address")
 	}
-	source := cfg.SpecSource
-	if source == nil {
-		path := cfg.SpecPath
-		source = func() ([]byte, error) { return os.ReadFile(path) }
+	if cfg.SegmentDir == "" && cfg.Retention > 0 {
+		return nil, errors.New("serve: segment retention needs a segment directory")
 	}
-	raw, err := source()
+	raw, err := cfg.SpecSource()
 	if err != nil {
 		return nil, fmt.Errorf("serve: fleet spec: %w", err)
 	}
-	spec, err := ParseSpec(raw)
+	tagged := cfg.ForwardSource != 0
+	resolved, err := resolveSpec(raw, tagged)
 	if err != nil {
 		return nil, err
 	}
-	resolved, err := spec.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	if len(resolved) == 0 && !cfg.AllowEmpty {
-		return nil, errors.New("serve: fleet spec: no offices (the fleet needs at least one)")
-	}
-	if cfg.ForwardSource != 0 {
-		for _, ro := range resolved {
-			if ro.GID < 0 {
-				return nil, fmt.Errorf("serve: tagged forwarding needs a gid for every office, but %q has none", ro.Name)
-			}
-		}
-	}
-	perOffice := make(map[int]core.Config, len(resolved))
-	var def core.Config
-	for i, ro := range resolved {
-		perOffice[i] = ro.Config
-		if i == 0 {
-			def = ro.Config
-		}
-	}
-	fleet, err := engine.NewFleet(engine.FleetConfig{
-		Offices:   len(resolved),
-		System:    def,
-		PerOffice: perOffice,
-		Workers:   cfg.Workers,
-	})
+	fleet, err := engine.NewFleet(engine.FleetConfig{Workers: cfg.Workers})
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 
-	if cfg.SegmentDir == "" && cfg.Retention > 0 {
-		return nil, errors.New("serve: segment retention needs a segment directory")
-	}
-
-	s := &Server{cfg: cfg, fleet: fleet, bcast: newBroadcaster(), source: source, started: time.Now()}
+	s := &Server{cfg: cfg, fleet: fleet, bcast: newBroadcaster(), started: time.Now()}
 	sinks := []stream.Sink{s.bcast}
 	if cfg.SegmentDir != "" {
 		seg, err := stream.NewSegmentSink(segment.Config{
@@ -224,7 +184,11 @@ func New(cfg Config) (*Server, error) {
 		sink.Close()
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	s.rec = newReconciler(s.ing, resolved, fleet.IDs(), raw, cfg.AllowEmpty)
+	s.rec = newReconciler(s.ing, tagged)
+	if err := s.rec.start(raw, resolved); err != nil {
+		s.ing.Close()
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 
 	if cfg.Retention > 0 {
 		s.retainStop, s.retainDone = make(chan struct{}), make(chan struct{})
@@ -246,32 +210,20 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Ingestor exposes the underlying ingestion layer (stats, direct
-// pushes in tests).
-func (s *Server) Ingestor() *stream.Ingestor { return s.ing }
-
-// Fleet exposes the hosted fleet (read-side inspection only; all
-// membership changes must flow through the reconciler).
-func (s *Server) Fleet() *engine.Fleet { return s.fleet }
-
-// Reconciler exposes the reconcile loop's state.
-func (s *Server) Reconciler() *Reconciler { return s.rec }
-
 // Segment exposes the segment sink, nil without Config.SegmentDir.
 func (s *Server) Segment() *stream.SegmentSink { return s.seg }
 
 // Forwarder exposes the TCP forward sink, nil without Config.Forward.
 func (s *Server) Forwarder() *stream.TCPSink { return s.fwd }
 
-// Reload re-reads the spec source (the spec file, or Config.SpecSource
-// — in worker mode the coordinator's sub-spec endpoint) and reconciles
-// the fleet against it. Wired to SIGHUP, the spec-file watcher and
-// POST /v1/reload.
+// Reload re-reads Config.SpecSource (the spec file, or in worker mode
+// the coordinator's sub-spec endpoint) and reconciles the fleet against
+// it. Wired to SIGHUP, the -watch ticker and POST /v1/reload.
 func (s *Server) Reload() error {
 	if s.closing.Load() {
 		return errBroadcasterClosed
 	}
-	raw, err := s.source()
+	raw, err := s.cfg.SpecSource()
 	if err != nil {
 		return s.rec.Fail(fmt.Errorf("read spec: %w", err))
 	}
@@ -582,9 +534,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var res trainResult
-	live := s.rec.Live()
-	sort.Slice(live, func(i, j int) bool { return live[i].ID < live[j].ID })
-	for _, o := range live {
+	for _, o := range s.rec.Live() {
 		sys := s.fleet.System(o.ID)
 		if sys == nil {
 			continue // removed since the snapshot

@@ -10,11 +10,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fadewich/internal/re"
 	"fadewich/internal/rng"
@@ -36,6 +38,12 @@ func specJSON(names ...string) string {
 		strings.Join(offices, ", "))
 }
 
+// fileSource reads the spec file at path, the way the daemon's
+// single-process mode does.
+func fileSource(path string) func() ([]byte, error) {
+	return func() ([]byte, error) { return os.ReadFile(path) }
+}
+
 // newTestServer stands up a Server over a temp spec file. Its 4096-tick
 // queues keep dispatch flush-driven, the deterministic mode the handler
 // tests rely on.
@@ -45,7 +53,7 @@ func newTestServer(t testing.TB, spec string, mut ...func(*Config)) (*Server, st
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{SpecPath: path, Queue: 4096, Workers: 2}
+	cfg := Config{SpecSource: fileSource(path), Queue: 4096, Workers: 2}
 	for _, m := range mut {
 		m(&cfg)
 	}
@@ -97,11 +105,11 @@ func rssiLines(office string, n int, sigma float64, src *rng.Source) string {
 // workstation 0.
 func goOnline(t *testing.T, srv *Server, name string) int {
 	t.Helper()
-	id, ok := srv.Reconciler().IDOf(name)
+	id, ok := srv.rec.IDOf(name)
 	if !ok {
 		t.Fatalf("office %q not live", name)
 	}
-	sys := srv.Fleet().System(id)
+	sys := srv.fleet.System(id)
 	streams := 2
 	src := rng.New(31)
 	var samples []re.Sample
@@ -128,14 +136,14 @@ func goOnline(t *testing.T, srv *Server, name string) int {
 
 func TestNewErrors(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
-		t.Fatal("server built without a spec path")
+		t.Fatal("server built without a spec source")
 	}
-	if _, err := New(Config{SpecPath: filepath.Join(t.TempDir(), "nope.json")}); err == nil {
+	if _, err := New(Config{SpecSource: fileSource(filepath.Join(t.TempDir(), "nope.json"))}); err == nil {
 		t.Fatal("server built from a missing spec file")
 	}
 	path := filepath.Join(t.TempDir(), "fleet.json")
 	os.WriteFile(path, []byte(`{"offices": []}`), 0o644)
-	if _, err := New(Config{SpecPath: path}); err == nil {
+	if _, err := New(Config{SpecSource: fileSource(path)}); err == nil {
 		t.Fatal("server built from an empty fleet")
 	}
 }
@@ -152,7 +160,7 @@ func TestTicksJSONL(t *testing.T) {
 	if res.AcceptedTicks != 3 || res.AcceptedInputs != 1 || !res.Flushed || res.Error != "" {
 		t.Fatalf("result %+v", res)
 	}
-	tot := srv.Ingestor().Stats().Totals()
+	tot := srv.ing.Stats().Totals()
 	if tot.Pushed != 3 || tot.Dispatched != 3 || tot.Depth != 0 {
 		t.Fatalf("post-flush totals %+v", tot)
 	}
@@ -339,7 +347,7 @@ func TestActionsStream(t *testing.T) {
 			t.Fatalf("step %d: status %d: %s", i, rr.Code, rr.Body.String())
 		}
 	}
-	produced := srv.Ingestor().Stats().Actions
+	produced := srv.ing.Stats().Actions
 	if produced == 0 {
 		t.Fatal("the online office produced no actions — the alert recipe regressed")
 	}
@@ -425,11 +433,21 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 }
 
-// TestEmptySpecPolicy pins Config.AllowEmpty: a zero-office spec is
-// rejected by default (at startup and on reload — emptying a
-// single-process fleet is a spec accident), while a worker whose
-// shard is currently empty starts, reloads offices in, and empties
-// out again without failing.
+// taggedWorker configures a test server as cluster worker source 1,
+// forwarding to a discarding listener.
+func taggedWorker(t *testing.T) func(*Config) {
+	forward := discardListener(t)
+	return func(c *Config) {
+		c.Forward = forward
+		c.ForwardSource = 1
+	}
+}
+
+// TestEmptySpecPolicy pins the empty-spec policy of resolveSpec: a
+// zero-office spec is rejected by a single-process daemon (at startup
+// and on reload — emptying its fleet is a spec accident), while a
+// tagged worker whose shard is currently empty starts, reloads offices
+// in, and empties out again without failing.
 func TestEmptySpecPolicy(t *testing.T) {
 	empty := `{"defaults": {"layout": "small", "sensors": 2}, "offices": []}`
 
@@ -437,17 +455,18 @@ func TestEmptySpecPolicy(t *testing.T) {
 	if err := os.WriteFile(path, []byte(empty), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{SpecPath: path, Workers: 1}); err == nil || !strings.Contains(err.Error(), "no offices") {
-		t.Fatalf("empty spec without AllowEmpty: err = %v, want no-offices rejection", err)
+	if _, err := New(Config{SpecSource: fileSource(path), Workers: 1}); err == nil || !strings.Contains(err.Error(), "no offices") {
+		t.Fatalf("empty spec on a single-process daemon: err = %v, want no-offices rejection", err)
 	}
 
-	srv, specPath := newTestServer(t, empty, func(c *Config) { c.AllowEmpty = true })
+	srv, specPath := newTestServer(t, empty, taggedWorker(t))
 	if n := len(decodeBody[fleetStatus](t, get(srv, "/v1/offices")).Offices); n != 0 {
 		t.Fatalf("empty shard lists %d offices", n)
 	}
 
 	// Offices hash in: the reload populates the empty fleet.
-	os.WriteFile(specPath, []byte(specJSON("a", "b")), 0o644)
+	os.WriteFile(specPath, []byte(`{"defaults": {"layout": "small", "sensors": 2},
+		"offices": [{"name": "a", "gid": 0}, {"name": "b", "gid": 1}]}`), 0o644)
 	rr := post(srv, "/v1/reload", "")
 	res := decodeBody[reloadResult](t, rr)
 	if rr.Code != http.StatusOK || res.LiveOffices != 2 || res.Error != "" {
@@ -468,7 +487,105 @@ func TestEmptySpecPolicy(t *testing.T) {
 	rr = post(single, "/v1/reload", "")
 	res = decodeBody[reloadResult](t, rr)
 	if rr.Code != http.StatusBadRequest || res.LiveOffices != 2 || !strings.Contains(res.Error, "no offices") {
-		t.Fatalf("reload to empty without AllowEmpty: status %d result %+v", rr.Code, res)
+		t.Fatalf("single-process reload to empty: status %d result %+v", rr.Code, res)
+	}
+}
+
+// TestNewRejectsBadSpecBeforeSinks: a spec that fails validation stops
+// New before any sink opens. No segment directory appears and the
+// forward address is never dialled, so a worker that fails to start
+// sends no final frame to the router.
+func TestNewRejectsBadSpecBeforeSinks(t *testing.T) {
+	for _, tc := range []struct {
+		name, spec, want string
+		tagged           bool
+	}{
+		{"tagged office without gid", specJSON("a"), `"a" has none`, true},
+		{"empty single-process fleet", `{"offices": []}`, "no offices", false},
+		{"garbage", `{broken`, "fleet spec", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			segDir := filepath.Join(t.TempDir(), "segments")
+			cfg := Config{
+				SpecSource: func() ([]byte, error) { return []byte(tc.spec), nil },
+				SegmentDir: segDir,
+				Forward:    ln.Addr().String(),
+			}
+			if tc.tagged {
+				cfg.ForwardSource = 1
+			}
+			if srv, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				if srv != nil {
+					srv.Close()
+				}
+				t.Fatalf("New: err = %v, want one containing %q", err, tc.want)
+			}
+			if _, err := os.Stat(segDir); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("segment directory after a rejected spec: stat err = %v", err)
+			}
+			// A dial that New made would be waiting in the backlog.
+			ln.(*net.TCPListener).SetDeadline(time.Now().Add(50 * time.Millisecond))
+			if conn, err := ln.Accept(); err == nil {
+				conn.Close()
+				t.Fatal("New dialled the forward address for a rejected spec")
+			}
+		})
+	}
+}
+
+// TestTaggedReloadRequiresGIDs: a tagged worker applies the same gid
+// rule on reload as at startup. A revision adding an office without a
+// gid is refused with a 400 naming it, membership stays as it was, and
+// the generation lag shows the refused revision. The forward stream
+// stays healthy: later epoch flushes remap every action and answer 200.
+func TestTaggedReloadRequiresGIDs(t *testing.T) {
+	spec := `{"defaults": {"layout": "small", "sensors": 2}, "offices": [{"name": "a", "gid": 7}]}`
+	srv, path := newTestServer(t, spec, taggedWorker(t))
+	goOnline(t, srv, "a")
+	before := srv.rec.Live()
+
+	os.WriteFile(path, []byte(`{"defaults": {"layout": "small", "sensors": 2},
+		"offices": [{"name": "a", "gid": 7}, {"name": "b"}]}`), 0o644)
+	rr := post(srv, "/v1/reload", "")
+	res := decodeBody[reloadResult](t, rr)
+	if rr.Code != http.StatusBadRequest || !strings.Contains(res.Error, `"b" has none`) ||
+		res.SpecGeneration != 2 || res.LiveOffices != 1 {
+		t.Fatalf("reload adding a gid-less office: status %d result %+v", rr.Code, res)
+	}
+	if got := srv.rec.Live(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("membership changed under a refused spec: %v -> %v", before, got)
+	}
+	st := decodeBody[fleetStatus](t, get(srv, "/v1/offices"))
+	if st.GenerationLag != 1 || st.ReconcileErrors != 1 || !strings.Contains(st.LastReconcileError, `"b"`) {
+		t.Fatalf("status after a refused spec: %+v", st)
+	}
+
+	// Had b joined, these ticks would raise its first action, an alert
+	// with no gid to remap it to, and every later epoch flush would fail.
+	src := rng.New(7)
+	alertRecipe := func(office string) string {
+		return rssiLines(office, 400, 0.5, src) + fmt.Sprintf(`{"office":%q,"input":0}`, office) + "\n" +
+			rssiLines(office, 50, 0.5, src) + rssiLines(office, 120, 6, src)
+	}
+	if rr := post(srv, "/v1/ticks", alertRecipe("b")); rr.Code != http.StatusBadRequest {
+		t.Fatalf("ticks for the refused office: status %d", rr.Code)
+	}
+
+	for i, body := range []string{alertRecipe("a"), ""} {
+		if rr := post(srv, fmt.Sprintf("/v1/ticks?flush=1&epoch=%d", i+1), body); rr.Code != http.StatusOK {
+			t.Fatalf("epoch %d flush: status %d: %s", i+1, rr.Code, rr.Body.String())
+		}
+	}
+	if srv.ing.Stats().Actions == 0 {
+		t.Fatal("office a produced no actions; the forward check is vacuous")
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 }
 
@@ -521,14 +638,14 @@ func TestWorkerRejectsUntaggedFlush(t *testing.T) {
 	if res := decodeBody[ingestResult](t, rr); res.Error != errUntaggedFlush.Error() || res.AcceptedTicks != 570 {
 		t.Fatalf("untagged flush: %+v", res)
 	}
-	if got := srv.Ingestor().Stats().Batches; got != 0 {
+	if got := srv.ing.Stats().Batches; got != 0 {
 		t.Fatalf("untagged flush dispatched %d batches", got)
 	}
 
 	if rr := post(srv, "/v1/ticks?flush=1&epoch=1", ""); rr.Code != http.StatusOK {
 		t.Fatalf("epoch flush: status %d: %s", rr.Code, rr.Body.String())
 	}
-	if srv.Ingestor().Stats().Actions == 0 {
+	if srv.ing.Stats().Actions == 0 {
 		t.Fatal("the queued ticks produced no actions; the check is vacuous")
 	}
 	if err := srv.Close(); err != nil {
@@ -602,7 +719,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	st := srv.Ingestor().Stats()
+	st := srv.ing.Stats()
 	tot := st.Totals()
 	if tot.Pushed == 0 || st.Actions == 0 || st.BufferBytes == 0 {
 		t.Fatalf("test produced no traffic: %+v", tot)
@@ -663,7 +780,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// Per-office series carry the spec names as labels.
 	for _, name := range []string{"a", "b"} {
-		id, _ := srv.Reconciler().IDOf(name)
+		id, _ := srv.rec.IDOf(name)
 		var ost stream.OfficeStats
 		for _, o := range st.Offices {
 			if o.Office == id {
@@ -766,11 +883,11 @@ func TestConcurrentTicksAndReload(t *testing.T) {
 	if rr := post(srv, "/v1/reload", ""); rr.Code != http.StatusOK {
 		t.Fatalf("final reload: status %d: %s", rr.Code, rr.Body.String())
 	}
-	if err := srv.Ingestor().Flush(); err != nil {
+	if err := srv.ing.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	rst, reports := srv.Reconciler().Status()
+	rst, reports := srv.rec.Status()
 	if rst.Errors != 0 {
 		t.Fatalf("reconcile errors under churn: %+v", rst)
 	}
@@ -787,12 +904,12 @@ func TestConcurrentTicksAndReload(t *testing.T) {
 		t.Fatalf("live = %v, want %v", liveNames, want)
 	}
 	for _, name := range []string{"a", "b", "c", "d"} {
-		if _, ok := srv.Reconciler().IDOf(name); !ok {
+		if _, ok := srv.rec.IDOf(name); !ok {
 			t.Fatalf("office %q dropped during churn (live: %v)", name, liveNames)
 		}
 	}
 
-	tot := srv.Ingestor().Stats().Totals()
+	tot := srv.ing.Stats().Totals()
 	if tot.Pushed != accepted.Load() {
 		t.Fatalf("pushed %d ticks, POSTers were told %d were accepted", tot.Pushed, accepted.Load())
 	}

@@ -17,6 +17,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -139,9 +140,7 @@ func orDefault[T comparable](v, d T) T {
 // configuration is additionally dry-run through core.NewSystem, so a
 // spec that Resolve accepts cannot fail later at AddOffice time.
 // An office-less spec resolves to an empty slice: whether that is
-// acceptable is the caller's policy (a coordinator-assigned worker
-// shard may legitimately be empty; a single-process daemon rejects it
-// unless Config.AllowEmpty is set).
+// acceptable is the daemon's policy, which resolveSpec applies.
 func (s *Spec) Resolve() ([]ResolvedOffice, error) {
 	seen := make(map[string]int, len(s.Offices))
 	seenGID := make(map[int]int, len(s.Offices))
@@ -198,4 +197,32 @@ func (s *Spec) Resolve() ([]ResolvedOffice, error) {
 		out = append(out, ResolvedOffice{Name: o.Name, Config: cfg, GID: gid})
 	}
 	return out, nil
+}
+
+// resolveSpec is the one validation every spec passes, at startup and
+// on every reload: parse, resolve, then the daemon's membership policy.
+// A tagged worker (Config.ForwardSource != 0) may run an empty shard,
+// but every office it runs needs a gid: its actions leave remapped to
+// the cluster-wide ID space, and an office without one would break the
+// forward stream at its first action. Anywhere else an empty spec is
+// rejected: a single-process operator emptying the fleet is almost
+// always a spec-file accident.
+func resolveSpec(raw []byte, tagged bool) ([]ResolvedOffice, error) {
+	spec, err := ParseSpec(raw)
+	if err != nil {
+		return nil, err
+	}
+	resolved, err := spec.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	if len(resolved) == 0 && !tagged {
+		return nil, errors.New("serve: fleet spec: no offices (the fleet needs at least one)")
+	}
+	for _, ro := range resolved {
+		if tagged && ro.GID < 0 {
+			return nil, fmt.Errorf("serve: tagged forwarding needs a gid for every office, but %q has none", ro.Name)
+		}
+	}
+	return resolved, nil
 }
