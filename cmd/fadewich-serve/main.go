@@ -27,9 +27,12 @@
 //	POST /v1/reload   re-read the spec source and reconcile
 //	GET  /metrics     Prometheus text exposition, dependency-free
 //
-// Actions leave on ?flush=1, when a queue fills under -on-full block,
-// and at drain. Under drop-oldest or error, a producer that never
-// flushes loses ticks to the drop counter.
+// Actions leave on ?flush=1, when a queue fills under -on-full block
+// (in worker mode those hold for the next epoch flush), and at drain.
+// A ?flush=1 body larger than the decode window runs through the fleet
+// while it is decoded, its actions held for the flush. Under
+// drop-oldest or error, a producer that never flushes loses ticks to
+// the drop counter.
 //
 // Actions can additionally be persisted to a rotating segment log
 // (-segments, replayable with fadewich-tail; -retention deletes sealed
@@ -57,7 +60,7 @@
 //	               [-queue N] [-on-full block|drop-oldest|error]
 //	               [-parallel N]
 //	fadewich-serve -mode coordinator -spec fleet.json -workers w1,w2
-//	               [-replicas N] [-listen ADDR]
+//	               [-replicas N] [-listen ADDR] [-watch 2s]
 //	fadewich-serve -mode worker -coordinator URL -name w1
 //	               -forward ROUTER [-listen ADDR] [...]
 package main
@@ -274,29 +277,21 @@ func serveFleet(opt options, cfg serve.Config) error {
 	if err != nil {
 		return err
 	}
-	if opt.watch > 0 {
-		// The spec file and the coordinator's sub-spec alike: the
-		// reconciler's content hash makes an unchanged spec a no-op.
-		go func() {
-			for range time.Tick(opt.watch) {
-				if err := srv.Reload(); err != nil {
-					fmt.Fprintf(os.Stderr, "fadewich-serve: watch reload: %v\n", err)
-				}
-			}
-		}()
-	}
-	err = serveHTTP(opt.listen, srv, srv.Reload, srv.Close)
+	err = serveHTTP(opt.listen, opt.watch, srv, srv.Reload, srv.Close)
 	printRunStats(srv)
 	return err
 }
 
 // serveHTTP serves h on addr until SIGINT/SIGTERM, calling reload on
-// every SIGHUP. On SIGINT/SIGTERM drain runs before the listener stops:
+// every SIGHUP and, when watch is positive, at that interval: the spec
+// file, a worker's sub-spec and the coordinator's spec alike, where
+// unchanged content is a no-op that keeps the generation. On
+// SIGINT/SIGTERM drain runs before the listener stops:
 // a fleet's Close dispatches queued ticks, flushes and closes the sinks
 // (sealing the active segment, and in worker mode sending the final
 // tagged frame) and completes the /v1/actions streams, which lets
 // Shutdown's wait for active connections finish.
-func serveHTTP(addr string, h http.Handler, reload, drain func() error) error {
+func serveHTTP(addr string, watch time.Duration, h http.Handler, reload, drain func() error) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		drain()
@@ -307,6 +302,16 @@ func serveHTTP(addr string, h http.Handler, reload, drain func() error) error {
 	fmt.Fprintf(os.Stderr, "fadewich-serve: listening on %s\n", ln.Addr())
 
 	httpSrv := newHTTPServer(h)
+
+	if watch > 0 {
+		go func() {
+			for range time.Tick(watch) {
+				if err := reload(); err != nil {
+					fmt.Fprintf(os.Stderr, "fadewich-serve: watch reload: %v\n", err)
+				}
+			}
+		}()
+	}
 
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
@@ -380,5 +385,5 @@ func runCoordinator(opt options) error {
 		return err
 	}
 	// The coordinator holds no fleet, so it has nothing to drain.
-	return serveHTTP(opt.listen, c, c.Reload, func() error { return nil })
+	return serveHTTP(opt.listen, opt.watch, c, c.Reload, func() error { return nil })
 }

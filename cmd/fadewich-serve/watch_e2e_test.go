@@ -10,6 +10,33 @@ import (
 	"fadewich/internal/serve"
 )
 
+// replaceFile replaces the file at path in one rename, so no poll reads
+// it half written.
+func replaceFile(t *testing.T, path string, raw []byte) {
+	t.Helper()
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// watchSpec is a spec of small two-sensor offices with the given names.
+func watchSpec(t *testing.T, names ...string) []byte {
+	t.Helper()
+	spec := serve.Spec{Defaults: serve.OfficeSpec{Layout: "small", Sensors: 2}}
+	for _, n := range names {
+		spec.Offices = append(spec.Offices, serve.OfficeSpec{Name: n})
+	}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // TestServeWatchEndToEnd runs the real daemon with -watch and sends it
 // no signal and no reload request: a rewritten spec file must reach the
 // fleet within a deadline, and an invalid one must be reported while
@@ -24,29 +51,8 @@ func TestServeWatchEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	serveBin := buildBinary(t, dir, "fadewich-serve", "fadewich/cmd/fadewich-serve")
 	specPath := filepath.Join(dir, "fleet.json")
-	// writeSpec replaces the spec file in one rename, so no poll reads
-	// it half written.
-	writeSpec := func(raw []byte) {
-		t.Helper()
-		tmp := specPath + ".tmp"
-		if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(tmp, specPath); err != nil {
-			t.Fatal(err)
-		}
-	}
-	specOf := func(names ...string) []byte {
-		spec := serve.Spec{Defaults: serve.OfficeSpec{Layout: "small", Sensors: 2}}
-		for _, n := range names {
-			spec.Offices = append(spec.Offices, serve.OfficeSpec{Name: n})
-		}
-		raw, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
+	writeSpec := func(raw []byte) { replaceFile(t, specPath, raw) }
+	specOf := func(names ...string) []byte { return watchSpec(t, names...) }
 	officeNames := func(st e2eFleetStatus) []string {
 		var out []string
 		for _, o := range st.Offices {
@@ -95,4 +101,42 @@ func TestServeWatchEndToEnd(t *testing.T) {
 	})
 
 	daemon.term(t, 30*time.Second)
+}
+
+// TestCoordinatorWatchEndToEnd runs the real coordinator with -watch:
+// polls of an unchanged spec keep fadewich_coord_generation at 1, and a
+// spec file that gains an office reaches the assignments within a
+// deadline, as generation 2.
+func TestCoordinatorWatchEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the daemon binary; skipped in -short")
+	}
+	const deadline = 20 * time.Second
+
+	dir := t.TempDir()
+	serveBin := buildBinary(t, dir, "fadewich-serve", "fadewich/cmd/fadewich-serve")
+	specPath := filepath.Join(dir, "fleet.json")
+	replaceFile(t, specPath, watchSpec(t, "a", "b"))
+	coord := startProc(t, "coordinator", "fadewich-serve: listening on ", serveBin,
+		"-mode", "coordinator", "-spec", specPath, "-workers", "w1,w2", "-listen", "127.0.0.1:0", "-watch", "20ms")
+	base := "http://" + coord.addr(t)
+
+	time.Sleep(300 * time.Millisecond) // about 15 polls of the unchanged spec
+	if m := scrapeMetrics(t, base); m["fadewich_coord_generation"] != 1 || m["fadewich_coord_reloads_total"] != 1 {
+		t.Fatalf("unchanged spec: generation %v, reloads %v; want 1 and 1\nstderr:\n%s",
+			m["fadewich_coord_generation"], m["fadewich_coord_reloads_total"], coord.errOutput())
+	}
+
+	replaceFile(t, specPath, watchSpec(t, "a", "b", "c"))
+	for end := time.Now().Add(deadline); ; time.Sleep(20 * time.Millisecond) {
+		m := scrapeMetrics(t, base)
+		if m["fadewich_coord_generation"] == 2 && m["fadewich_coord_offices"] == 3 {
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatalf("-watch: the added office not seen within %v; generation %v, offices %v\nstderr:\n%s",
+				deadline, m["fadewich_coord_generation"], m["fadewich_coord_offices"], coord.errOutput())
+		}
+	}
+	coord.term(t, 30*time.Second)
 }

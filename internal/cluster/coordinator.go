@@ -49,6 +49,7 @@ type Coordinator struct {
 	sources  map[string]uint8
 	nextSrc  uint8
 	spec     *serve.Spec
+	raw      []byte // the spec file content spec was parsed from
 	resolved []serve.ResolvedOffice
 	assign   map[string]assignment
 	nextGID  int
@@ -125,11 +126,16 @@ func (c *Coordinator) setWorkersLocked(workers []string) error {
 
 // reloadLocked re-reads the spec file and recomputes assignments.
 // All-or-nothing: an unreadable or invalid spec leaves the previous
-// assignment untouched.
+// assignment untouched. Content equal to the spec in force is a no-op
+// that keeps the generation, so a polling caller (-watch) bumps it only
+// when the file changed.
 func (c *Coordinator) reloadLocked() error {
 	raw, err := os.ReadFile(c.specPath)
 	if err != nil {
 		return fmt.Errorf("cluster: fleet spec: %w", err)
+	}
+	if c.spec != nil && bytes.Equal(raw, c.raw) {
+		return nil
 	}
 	spec, err := serve.ParseSpec(raw)
 	if err != nil {
@@ -147,7 +153,7 @@ func (c *Coordinator) reloadLocked() error {
 			return fmt.Errorf("cluster: office %d (%q) carries a gid; the coordinator owns gid assignment", i, ro.Name)
 		}
 	}
-	c.spec = spec
+	c.spec, c.raw = spec, raw
 	c.resolved = resolved
 	c.reloads++
 	return c.recomputeLocked()
@@ -239,7 +245,8 @@ func (c *Coordinator) SetWorkers(workers []string) error {
 	return nil
 }
 
-// Reload re-reads the spec file and re-shards.
+// Reload re-reads the spec file and re-shards; unchanged content is a
+// no-op that keeps the generation.
 func (c *Coordinator) Reload() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -183,6 +183,33 @@ func TestCoordinatorConfigChangeFreshGID(t *testing.T) {
 	}
 }
 
+// TestCoordinatorReloadUnchangedKeepsGeneration: a reload of the same
+// spec content is a no-op, so a -watch poll bumps the generation only
+// when the file changed.
+func TestCoordinatorReloadUnchangedKeepsGeneration(t *testing.T) {
+	dir := t.TempDir()
+	path := writeSpec(t, dir, 4, nil)
+	c, err := NewCoordinator(CoordinatorConfig{SpecPath: path, Workers: []string{"w1", "w2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := c.Reload(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if as := c.Assignments(); as.Generation != 1 || as.GIDsIssued != 4 {
+		t.Fatalf("after unchanged reloads: generation %d gids %d, want 1 and 4", as.Generation, as.GIDsIssued)
+	}
+	writeSpec(t, dir, 5, nil)
+	if err := c.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if as := c.Assignments(); as.Generation != 2 || len(as.Offices) != 5 {
+		t.Fatalf("after the spec gained an office: generation %d, %d offices; want 2 and 5", as.Generation, len(as.Offices))
+	}
+}
+
 // TestCoordinatorRejectsGIDInSpec: the coordinator owns gid assignment;
 // a spec arriving with gids already stamped is operator error.
 func TestCoordinatorRejectsGIDInSpec(t *testing.T) {

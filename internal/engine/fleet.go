@@ -368,13 +368,16 @@ func (f *Fleet) Run(batches []OfficeBatch, inputs []InputEvent) ([]OfficeAction,
 
 // MergeRuns merges action runs into one fresh slice in the global
 // order: action time, then office ID, then each office's emission
-// order. Each office's actions must sit in one run, in emission order,
-// which holds for the fleet's per-office buffers and for the cluster
-// router's per-worker sub-batches of one epoch. The merge is the
-// reference design: concatenate, then sort stably by (time, office).
-// Equal (time, office) pairs can only come from one run, where they
-// already sit in emission order, and the stable sort keeps them so;
-// the result is therefore the same for every order of the runs. A batch carries
+// order. Each run must hold its offices' actions in emission order.
+// One office's actions may span runs, provided the runs are given in
+// emission order: the stream ingestor merges the actions its hold
+// cycles kept with the emitting cycle's own, oldest run first. Where
+// each office sits in one run (the fleet's per-office buffers, the
+// cluster router's per-worker sub-batches of one epoch), any order of
+// the runs gives the same result. The merge is the reference design:
+// concatenate, then sort stably by (time, office). Equal (time,
+// office) pairs come from one office, and concatenation puts them in
+// its emission order, which the stable sort keeps. A batch carries
 // about a dozen actions (FADEWICH acts only around departures), so the
 // sort costs next to nothing beside the ticks that produced them.
 //

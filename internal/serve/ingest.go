@@ -34,8 +34,14 @@ const maxEmptyReads = 100
 // goroutine and take the chunks strictly in order, so the push
 // sequence, the error and the counts are those of decoding line by
 // line.
-func (s *Server) ingestJSONL(body io.Reader, res *ingestResult) error {
-	return s.ingestChunked(body, res, ingestChunkBytes, s.ing)
+//
+// advance, when non-nil, is called after every chunk but the last of a
+// body larger than the window; smaller bodies never call it. The
+// handler passes Ingestor.Advance for a request that ends in a flush:
+// the fleet runs the body as it arrives, and the queues stage about one
+// chunk of it rather than the whole body.
+func (s *Server) ingestJSONL(body io.Reader, res *ingestResult, advance func() error) error {
+	return s.ingestChunked(body, res, ingestChunkBytes, s.ing, advance)
 }
 
 // tickPusher takes the decoded lines in order: the server's Ingestor,
@@ -47,7 +53,7 @@ type tickPusher interface {
 
 // ingestChunked is ingestJSONL with the chunk size and the push target
 // as parameters, so tests can cut bodies finely and record the pushes.
-func (s *Server) ingestChunked(body io.Reader, res *ingestResult, size int, p tickPusher) error {
+func (s *Server) ingestChunked(body io.Reader, res *ingestResult, size int, p tickPusher, advance func() error) error {
 	r := chunkReader{body: body, size: size}
 	// The oldest chunk is pushed before another is read, so the newest
 	// one, whose tail the next chunk copies, stays in flight: the
@@ -62,6 +68,10 @@ func (s *Server) ingestChunked(body io.Reader, res *ingestResult, size int, p ti
 		}
 	}()
 	lineNo := 0 // lines pushed, blank ones included
+	// large is set once the window has filled: the body is larger than
+	// it, and every chunk pushed from then on but the last (the flush
+	// runs that one) is followed by advance.
+	large := false
 	pushOldest := func() error {
 		c := inFlight[0]
 		inFlight = append(inFlight[:0], inFlight[1:]...)
@@ -72,11 +82,18 @@ func (s *Server) ingestChunked(body io.Reader, res *ingestResult, size int, p ti
 		err := s.pushChunk(c, lineNo, res, p)
 		lineNo += c.lines
 		putChunk(c)
+		if err == nil && large && advance != nil && len(inFlight) > 0 {
+			// An Advance error is the pipeline's first error or
+			// ErrClosed; the pushes and the flush after it report it as
+			// a request without Advance would.
+			_ = advance()
+		}
 		return err
 	}
 	var carry []byte
 	for r.err == nil {
 		if len(inFlight) == cap(inFlight) {
+			large = true
 			if err := pushOldest(); err != nil {
 				return err
 			}

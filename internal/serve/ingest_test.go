@@ -95,17 +95,29 @@ func (r *pushRecorder) PushInput(office, workstation int) error {
 // through ingestSequential, got through the chunked pipeline, each
 // with its pushes recorded. Office "b" is online, so it emits actions.
 // Queues drop their oldest tick when full, so no push blocks.
+//
+// A flush twin stands for POST /v1/ticks?flush=1: got's pipeline calls
+// Advance, which runs a body larger than the decode window through the
+// fleet while it is decoded, and want's loop calls nothing. Its queues
+// are large enough that neither drops a tick, so the action bytes must
+// still match.
 type ingestTwin struct {
 	want, got       *Server
 	wantLog, gotLog *pushRecorder
 	wantSub, gotSub *subscriber
+	flush           bool
+	advances        int // Advance calls got's pipeline made
 }
 
-func newIngestTwin(t *testing.T) *ingestTwin {
+func newIngestTwin(t *testing.T, flush bool) *ingestTwin {
 	t.Helper()
+	queue := 64
+	if flush {
+		queue = 1 << 16
+	}
 	mk := func() (*Server, *pushRecorder, *subscriber) {
 		srv, _ := newTestServer(t, specJSON("a", "b"), func(c *Config) {
-			c.Queue = 64
+			c.Queue = queue
 			c.OnFull = stream.DropOldest
 		})
 		goOnline(t, srv, "b")
@@ -115,7 +127,7 @@ func newIngestTwin(t *testing.T) *ingestTwin {
 		}
 		return srv, &pushRecorder{ing: srv.ing}, sub
 	}
-	tw := &ingestTwin{}
+	tw := &ingestTwin{flush: flush}
 	tw.want, tw.wantLog, tw.wantSub = mk()
 	tw.got, tw.gotLog, tw.gotSub = mk()
 	return tw
@@ -127,8 +139,15 @@ func newIngestTwin(t *testing.T) *ingestTwin {
 func (tw *ingestTwin) ingest(t *testing.T, body []byte, wrap func(io.Reader) io.Reader, chunk int) {
 	t.Helper()
 	var want, got ingestResult
+	var advance func() error
+	if tw.flush {
+		advance = func() error {
+			tw.advances++
+			return tw.got.ing.Advance()
+		}
+	}
 	wantErr := tw.want.ingestSequential(wrap(bytes.NewReader(body)), &want, tw.wantLog)
-	gotErr := tw.got.ingestChunked(wrap(bytes.NewReader(body)), &got, chunk, tw.gotLog)
+	gotErr := tw.got.ingestChunked(wrap(bytes.NewReader(body)), &got, chunk, tw.gotLog, advance)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got != want {
 		t.Fatalf("body %.200q (%d bytes), chunk %d:\nchunked    %+v, error %v\nsequential %+v, error %v",
 			body, len(body), chunk, got, gotErr, want, wantErr)
@@ -159,8 +178,12 @@ func (tw *ingestTwin) finish(t *testing.T) {
 		}
 		return b
 	}
-	if want, got := drain(tw.wantSub), drain(tw.gotSub); !bytes.Equal(got, want) {
+	want, got := drain(tw.wantSub), drain(tw.gotSub)
+	if !bytes.Equal(got, want) {
 		t.Fatalf("action streams differ: chunked %d bytes, sequential %d bytes", len(got), len(want))
+	}
+	if tw.flush && (tw.advances == 0 || len(want) == 0) {
+		t.Fatalf("%d Advance calls, %d action bytes: the flush check is vacuous", tw.advances, len(want))
 	}
 }
 
@@ -286,12 +309,51 @@ var (
 
 var diffChunks = []int{1, 7, 64, 4096, ingestChunkBytes}
 
+// holdLine pads a JSONL record with spaces before its closing brace to
+// n bytes and a newline.
+func holdLine(rec string, n int) string {
+	return rec[:len(rec)-1] + strings.Repeat(" ", n-len(rec)) + "}\n"
+}
+
+// holdBody is a flush=1 body of ten chunks of the given size, and at
+// least 640 lines, all 64 bytes long: a chunk of 64 bytes or more
+// holds whole lines and starts at a line number that is a multiple of
+// 64. Every such line is an input, as is the line before it, so once
+// the window is full an input comes right before and right after each
+// Advance. Office "b" alternates still and moving stretches, so it
+// acts.
+func holdBody(chunk int) []byte {
+	const lineBytes = 64
+	n := max(640, 10*chunk/lineBytes)
+	src := rng.New(uint64(chunk))
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		office := []string{"a", "b"}[i%2]
+		switch sigma := []float64{0.5, 0.5, 6}[i/300%3]; {
+		case i%lineBytes == 0 || i%lineBytes == lineBytes-1:
+			b.WriteString(holdLine(fmt.Sprintf(`{"office":%q,"input":%d}`, office, i/lineBytes%2), lineBytes-1))
+		default:
+			b.WriteString(holdLine(fmt.Sprintf(`{"office":%q,"rssi":[%.2f,%.2f]}`, office,
+				-60+src.Normal(0, sigma), -60+src.Normal(0, sigma)), lineBytes-1))
+		}
+	}
+	return []byte(b.String())
+}
+
 // TestIngestJSONLChunkedMatchesSequential holds the chunked pipeline
 // to the line-by-line loop: for every reader, chunk size and body, the
 // same error string, counts and pushes, and in the end the same action
-// bytes.
+// bytes. The flush=1 half calls Advance as the handler does, on the
+// corpus and on holdBody, a body larger than the decode window; with
+// GOMAXPROCS at 2 the window is 4 chunks on every machine.
 func TestIngestJSONLChunkedMatchesSequential(t *testing.T) {
-	testIngestDiff(t, diffBodies(), diffReaders, diffChunks)
+	testIngestDiff(t, diffBodies(), diffReaders, diffChunks, false)
+	t.Run("flush=1", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		for _, chunk := range diffChunks {
+			testIngestDiff(t, append([][]byte{holdBody(chunk)}, diffBodies()...), diffReaders, []int{chunk}, true)
+		}
+	})
 }
 
 // TestIngestJSONLLongLines holds the pipeline to the line-by-line
@@ -306,16 +368,16 @@ func TestIngestJSONLLongLines(t *testing.T) {
 		t.Skip("decodes 8 MiB lines")
 	}
 	testIngestDiff(t, longLineBodies(), []diffReader{plainReader, eofReader, failingReader},
-		[]int{7, ingestChunkBytes})
+		[]int{7, ingestChunkBytes}, false)
 }
 
 // testIngestDiff feeds every body through a twin, one twin per reader
 // and chunk size.
-func testIngestDiff(t *testing.T, bodies [][]byte, readers []diffReader, chunks []int) {
+func testIngestDiff(t *testing.T, bodies [][]byte, readers []diffReader, chunks []int, flush bool) {
 	for _, rd := range readers {
 		for _, chunk := range chunks {
 			t.Run(fmt.Sprintf("%s/chunk=%d", rd.name, chunk), func(t *testing.T) {
-				tw := newIngestTwin(t)
+				tw := newIngestTwin(t, flush)
 				for _, body := range bodies {
 					tw.ingest(t, body, rd.wrap, chunk)
 				}
@@ -337,7 +399,7 @@ func FuzzIngestJSONL(f *testing.F) {
 	}
 	// The chunk size is chunk+1, so 0 is 1 and 65535 is ingestChunkBytes.
 	f.Fuzz(func(t *testing.T, body []byte, chunk uint16) {
-		tw := newIngestTwin(t)
+		tw := newIngestTwin(t, false)
 		tw.ingest(t, body, func(r io.Reader) io.Reader { return r }, int(chunk)+1)
 		tw.finish(t)
 	})
@@ -372,7 +434,7 @@ func TestIngestJSONLEarlyErrorNoLeak(t *testing.T) {
 			ingestResult{AcceptedTicks: len(lines) - inputs, AcceptedInputs: inputs}},
 	} {
 		var res ingestResult
-		err := srv.ingestJSONL(tc.body, &res)
+		err := srv.ingestJSONL(tc.body, &res, nil)
 		if fmt.Sprint(err) != tc.err || res != tc.res {
 			t.Fatalf("%s: error %v, result %+v; want %s, %+v", tc.name, err, res, tc.err, tc.res)
 		}
@@ -418,4 +480,64 @@ func TestTicksBodyLimit(t *testing.T) {
 	if rr.Code != http.StatusRequestEntityTooLarge || res.AcceptedTicks != lines || res.Error != want {
 		t.Fatalf("status %d result %+v; want 413, %d ticks, error %q", rr.Code, res, lines, want)
 	}
+}
+
+// TestLargeFlushStagesAChunk posts one training-shaped window, 500
+// ticks for each of 128 offices with 12 streams (about 5 MB), with
+// ?flush=1. The handler runs it through the fleet while it is decoded,
+// so afterwards the queues hold at most ⅛ of what staging the whole
+// body takes (128 × 500 × 12 samples of 8 B), and everything was
+// dispatched as one emitted batch. The same body without flush=1 stays
+// staged whole, which shows the bound is not met by accident. GOMAXPROCS
+// 2 pins the decode window at 4 chunks.
+func TestLargeFlushStagesAChunk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a 64,000-line training window")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const offices, ticks, streams = 128, 500, 12
+	names := make([]string, offices)
+	for i := range names {
+		names[i] = fmt.Sprintf("o%03d", i)
+	}
+	spec := strings.Replace(specJSON(names...), `"layout": "small", "sensors": 2`, `"layout": "paper", "sensors": 4`, 1)
+	src := rng.New(11)
+	var b strings.Builder
+	for tk := 0; tk < ticks; tk++ {
+		for _, n := range names {
+			fmt.Fprintf(&b, `{"office":%q,"rssi":[`, n)
+			for s := 0; s < streams; s++ {
+				if s > 0 {
+					b.WriteByte(',')
+				}
+				fmt.Fprintf(&b, "%d", int(-60+src.Normal(0, 2)))
+			}
+			b.WriteString("]}\n")
+		}
+	}
+	body := b.String()
+	const full = offices * ticks * streams * 8
+
+	srv, _ := newTestServer(t, spec)
+	rr := post(srv, "/v1/ticks?flush=1", body)
+	res := decodeBody[ingestResult](t, rr)
+	if rr.Code != http.StatusOK || res.AcceptedTicks != offices*ticks || !res.Flushed {
+		t.Fatalf("flush=1 POST: status %d result %+v", rr.Code, res)
+	}
+	st := srv.ing.Stats()
+	if tot := st.Totals(); tot.Dispatched != offices*ticks || tot.Depth != 0 || st.Batches != 1 {
+		t.Fatalf("after the flush: %+v, %d batches; want %d dispatched in 1 batch", tot, st.Batches, offices*ticks)
+	}
+	if st.BufferBytes > full/8 {
+		t.Fatalf("queues hold %d B after a flush=1 POST, want at most %d (⅛ of %d)", st.BufferBytes, full/8, full)
+	}
+
+	staged, _ := newTestServer(t, spec)
+	if rr := post(staged, "/v1/ticks", body); rr.Code != http.StatusOK {
+		t.Fatalf("POST without flush: status %d: %s", rr.Code, rr.Body.String())
+	}
+	if got := staged.ing.Stats().BufferBytes; got < full {
+		t.Fatalf("the body staged whole holds %d B, want at least %d", got, full)
+	}
+	t.Logf("queues hold %d B after flush=1, %d B with the body staged", st.BufferBytes, staged.ing.Stats().BufferBytes)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -179,6 +180,10 @@ func New(cfg Config) (*Server, error) {
 		Queue:  cfg.Queue,
 		OnFull: cfg.OnFull,
 		Sink:   sink,
+		// A tagged worker's output leaves only in epoch frames, so a
+		// Block-policy dispatch and /v1/train's Flush hold their actions
+		// for the next epoch.
+		Epochs: tagged,
 	})
 	if err != nil {
 		sink.Close()
@@ -216,12 +221,18 @@ func (s *Server) Segment() *stream.SegmentSink { return s.seg }
 // Forwarder exposes the TCP forward sink, nil without Config.Forward.
 func (s *Server) Forwarder() *stream.TCPSink { return s.fwd }
 
+// errShuttingDown is Reload's answer once Close has begun: a drain, not
+// a fault of the spec or the request.
+var errShuttingDown = errors.New("serve: server shutting down")
+
 // Reload re-reads Config.SpecSource (the spec file, or in worker mode
 // the coordinator's sub-spec endpoint) and reconciles the fleet against
-// it. Wired to SIGHUP, the -watch ticker and POST /v1/reload.
+// it. Wired to SIGHUP, the -watch ticker and POST /v1/reload. Once Close
+// has begun it returns errShuttingDown, or an error wrapping
+// stream.ErrClosed when the drain overtook the reconcile.
 func (s *Server) Reload() error {
 	if s.closing.Load() {
-		return errBroadcasterClosed
+		return errShuttingDown
 	}
 	raw, err := s.cfg.SpecSource()
 	if err != nil {
@@ -318,45 +329,68 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, ingestResult{Error: "server shutting down"})
 		return
 	}
-	var res ingestResult
+	flush, epoch, hasEpoch, queryErr := s.flushPlan(r.URL.Query())
 	// A training POST carries one window of every office's ticks (about
 	// 5 MB of integer-dBm lines for 128 offices × 500 ticks); the body is
-	// bounded at the wire layer's 64 MiB payload limit.
+	// bounded at the wire layer's 64 MiB payload limit. A body that will
+	// be flushed is run through the fleet while it is still being
+	// decoded: once the decode window (2×GOMAXPROCS chunks of 64 KiB) has
+	// filled, every chunk pushed but the last is followed by an Advance,
+	// which holds the actions for the flush. So the queues stage about
+	// one chunk of a large POST, not all of it, and the emitted batch is
+	// the same.
+	var advance func() error
+	if flush {
+		advance = s.ing.Advance
+	}
+	var res ingestResult
 	body := http.MaxBytesReader(w, r.Body, wire.MaxPayloadBytes)
-	err := s.ingestJSONL(body, &res)
+	err := s.ingestJSONL(body, &res, advance)
 	if err == nil {
-		q := r.URL.Query()
-		epochStr := q.Get("epoch")
-		switch {
-		case q.Get("flush") != "1":
-			if epochStr != "" {
-				err = errors.New("epoch requires flush=1")
-			}
-		case epochStr == "" && s.cfg.ForwardSource != 0:
-			err = errUntaggedFlush
-		case epochStr != "":
+		err = queryErr
+	}
+	if err == nil && flush {
+		if hasEpoch {
 			// Epoch-stamped flush: the cluster wire protocol. The producer
 			// drives every dispatch with ?flush=1&epoch=K so each worker
 			// emits exactly one tagged frame per epoch (empty included),
 			// which is what lets the stream router align and merge the
 			// worker streams.
-			var epoch uint64
-			if epoch, err = strconv.ParseUint(epochStr, 10, 64); err != nil {
-				err = fmt.Errorf("bad epoch %q: %w", epochStr, err)
-			} else if err = s.ing.FlushEpoch(epoch); err == nil {
-				res.Flushed = true
-			}
-		default:
-			if err = s.ing.Flush(); err == nil {
-				res.Flushed = true
-			}
+			err = s.ing.FlushEpoch(epoch)
+		} else {
+			err = s.ing.Flush()
 		}
+		res.Flushed = err == nil
 	}
 	status := ingestStatus(err)
 	if err != nil {
 		res.Error = err.Error()
 	}
 	writeJSON(w, status, res)
+}
+
+// flushPlan reads a POST /v1/ticks query: whether the request ends in
+// a flush, and with which epoch. A query that asks for no valid flush
+// (an epoch without flush=1, a bad epoch, or on a tagged worker a flush
+// without one) returns its error, reported once the body is ingested;
+// its ticks stay queued.
+func (s *Server) flushPlan(q url.Values) (flush bool, epoch uint64, hasEpoch bool, err error) {
+	epochStr := q.Get("epoch")
+	switch {
+	case q.Get("flush") != "1":
+		if epochStr != "" {
+			err = errors.New("epoch requires flush=1")
+		}
+		return false, 0, false, err
+	case epochStr == "" && s.cfg.ForwardSource != 0:
+		return false, 0, false, errUntaggedFlush
+	case epochStr == "":
+		return true, 0, false, nil
+	}
+	if epoch, err = strconv.ParseUint(epochStr, 10, 64); err != nil {
+		return false, 0, false, fmt.Errorf("bad epoch %q: %w", epochStr, err)
+	}
+	return true, epoch, true, nil
 }
 
 func (s *Server) handleActions(w http.ResponseWriter, r *http.Request) {
@@ -570,9 +604,16 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	rst, _ := s.rec.Status()
 	res := reloadResult{SpecGeneration: rst.SpecGeneration, LiveOffices: rst.LiveOffices}
 	status := http.StatusOK
+	switch {
+	case errors.Is(err, errShuttingDown) || errors.Is(err, stream.ErrClosed):
+		// A drain is not the request's fault: 503, as /v1/ticks and
+		// /v1/train answer.
+		status = http.StatusServiceUnavailable
+	case err != nil:
+		status = http.StatusBadRequest
+	}
 	if err != nil {
 		res.Error = err.Error()
-		status = http.StatusBadRequest
 	}
 	writeJSON(w, status, res)
 }

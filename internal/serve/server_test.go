@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -433,6 +434,19 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 }
 
+// TestReloadAfterClose: once Close has begun, POST /v1/reload is a
+// drain, not a bad request: 503, as /v1/ticks and /v1/train answer.
+func TestReloadAfterClose(t *testing.T) {
+	srv, _ := newTestServer(t, specJSON("a"))
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rr := post(srv, "/v1/reload", "")
+	if res := decodeBody[reloadResult](t, rr); rr.Code != http.StatusServiceUnavailable || res.Error != errShuttingDown.Error() {
+		t.Fatalf("reload after close: status %d result %+v, want 503 %q", rr.Code, res, errShuttingDown)
+	}
+}
+
 // taggedWorker configures a test server as cluster worker source 1,
 // forwarding to a discarding listener.
 func taggedWorker(t *testing.T) func(*Config) {
@@ -650,6 +664,141 @@ func TestWorkerRejectsUntaggedFlush(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// captureListener accepts one TCP connection and returns, on the
+// channel, everything it sent once it closed.
+func captureListener(t *testing.T) (string, <-chan []byte) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	got := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			got <- nil
+			return
+		}
+		defer conn.Close()
+		b, _ := io.ReadAll(conn)
+		got <- b
+	}()
+	return ln.Addr().String(), got
+}
+
+// TestWorkerBlockDispatchHoldsForEpoch: on a tagged worker, a queue
+// that fills under the Block policy dispatches without an epoch. That
+// dispatch holds its actions for the next epoch flush rather than hand
+// the tagged sink an untagged batch, which the sink would refuse and
+// the ingestor keep as its error for good. A worker with 4-tick queues
+// fed one epoch of 10 ticks per office must forward exactly one tagged
+// frame, then the final one, byte for byte what a worker with large
+// queues forwards.
+func TestWorkerBlockDispatchHoldsForEpoch(t *testing.T) {
+	// A 40 s tick makes the 300 s idle time-out fire within the epoch.
+	spec := `{"defaults": {"layout": "small", "sensors": 2, "dt": 40}, "offices": [{"name": "a", "gid": 7}, {"name": "b", "gid": 3}]}`
+	src := rng.New(9)
+	body := `{"office":"a","input":0}` + "\n" + `{"office":"b","input":0}` + "\n"
+	for i := 0; i < 10; i++ {
+		body += rssiLines("a", 1, 0.5, src) + rssiLines("b", 1, 0.5, src)
+	}
+	forward := func(queue int) []byte {
+		t.Helper()
+		addr, got := captureListener(t)
+		srv, _ := newTestServer(t, spec, func(c *Config) {
+			c.Queue = queue
+			c.OnFull = stream.Block
+			c.Forward = addr
+			c.ForwardSource = 1
+		})
+		goOnline(t, srv, "a")
+		goOnline(t, srv, "b")
+		if rr := post(srv, "/v1/ticks?flush=1&epoch=1", body); rr.Code != http.StatusOK {
+			t.Fatalf("queue %d: epoch POST: status %d: %s", queue, rr.Code, rr.Body.String())
+		}
+		st := srv.ing.Stats()
+		if st.Batches != 1 || st.Actions == 0 {
+			t.Fatalf("queue %d: %d batches with %d actions, want 1 batch with actions", queue, st.Batches, st.Actions)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatalf("queue %d: close: %v", queue, err)
+		}
+		select {
+		case b := <-got:
+			return b
+		case <-time.After(10 * time.Second):
+			t.Fatalf("queue %d: the forward connection did not close", queue)
+			return nil
+		}
+	}
+	small, large := forward(4), forward(4096)
+	if !bytes.Equal(small, large) {
+		t.Fatalf("4-tick queues forwarded %d bytes, 4096-tick queues %d; want the same bytes", len(small), len(large))
+	}
+	dec := wire.NewDecoder(bytes.NewReader(small))
+	var tags []wire.Tag
+	for {
+		if _, err := dec.Decode(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		tag, ok := dec.Tag()
+		if !ok {
+			t.Fatal("untagged frame on the forward")
+		}
+		tags = append(tags, tag)
+	}
+	if len(tags) != 2 || tags[0] != (wire.Tag{Source: 1, Epoch: 1}) || !tags[1].Final {
+		t.Fatalf("forwarded frames %+v, want epoch 1 then the final frame", tags)
+	}
+}
+
+// TestWorkerTrainHoldsForEpoch: POST /v1/train flushes queued ticks
+// into the fleet before training. On a tagged worker that flush holds
+// its actions for the next epoch flush, which forwards them in its
+// tagged frame; emitted untagged, they would break the forward for
+// good.
+func TestWorkerTrainHoldsForEpoch(t *testing.T) {
+	spec := `{"defaults": {"layout": "small", "sensors": 2, "dt": 40}, "offices": [{"name": "a", "gid": 7}]}`
+	addr, got := captureListener(t)
+	srv, _ := newTestServer(t, spec, func(c *Config) {
+		c.Forward = addr
+		c.ForwardSource = 1
+	})
+	goOnline(t, srv, "a")
+	if rr := post(srv, "/v1/ticks", `{"office":"a","input":0}`+"\n"+rssiLines("a", 20, 0.5, rng.New(1))); rr.Code != http.StatusOK {
+		t.Fatalf("POST ticks: status %d: %s", rr.Code, rr.Body.String())
+	}
+	if rr := post(srv, "/v1/train", ""); rr.Code != http.StatusOK {
+		t.Fatalf("train: status %d: %s", rr.Code, rr.Body.String())
+	}
+	if st := srv.ing.Stats(); st.Totals().Dispatched != 20 || st.Batches != 0 {
+		t.Fatalf("after train: %+v, %d batches; want 20 ticks run, nothing emitted", st.Totals(), st.Batches)
+	}
+	if rr := post(srv, "/v1/ticks?flush=1&epoch=1", ""); rr.Code != http.StatusOK {
+		t.Fatalf("epoch flush: status %d: %s", rr.Code, rr.Body.String())
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	var b []byte
+	select {
+	case b = <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the forward connection did not close")
+	}
+	dec := wire.NewDecoder(bytes.NewReader(b))
+	batch, err := dec.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tag, _ := dec.Tag(); tag != (wire.Tag{Source: 1, Epoch: 1}) || len(batch) == 0 {
+		t.Fatalf("first forwarded frame %+v with %d actions, want epoch 1 with the held actions", tag, len(batch))
 	}
 }
 

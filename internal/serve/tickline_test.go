@@ -124,7 +124,7 @@ func BenchmarkIngestJSONL(b *testing.B) {
 	body, lines := ingestBody(names, 32, 12, rng.New(7), false)
 
 	var res ingestResult
-	if err := srv.ingestJSONL(bytes.NewReader(body), &res); err != nil {
+	if err := srv.ingestJSONL(bytes.NewReader(body), &res, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(body)))
@@ -133,7 +133,7 @@ func BenchmarkIngestJSONL(b *testing.B) {
 	runtime.ReadMemStats(&m0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := srv.ingestJSONL(bytes.NewReader(body), &res); err != nil {
+		if err := srv.ingestJSONL(bytes.NewReader(body), &res, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func benchmarkIngestJSONLTraining(b *testing.B, intDBm bool) {
 	body, lines := ingestBody(names, 500, 12, rng.New(7), intDBm)
 
 	var res ingestResult
-	if err := srv.ingestJSONL(bytes.NewReader(body), &res); err != nil {
+	if err := srv.ingestJSONL(bytes.NewReader(body), &res, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(body)))
@@ -182,7 +182,7 @@ func benchmarkIngestJSONLTraining(b *testing.B, intDBm bool) {
 	runtime.ReadMemStats(&m0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := srv.ingestJSONL(bytes.NewReader(body), &res); err != nil {
+		if err := srv.ingestJSONL(bytes.NewReader(body), &res, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

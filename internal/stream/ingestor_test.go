@@ -677,28 +677,72 @@ func TestIngestorChurnUnderLoad(t *testing.T) {
 }
 
 // TestIngestorConcurrentProducers exercises the queues under -race: one
-// producer per office plus a concurrent flusher.
+// producer per office plus a concurrent flusher that mixes Advance and
+// Flush. However the cycles split, each office's emitted actions must
+// be those of a synchronous run of its own ticks.
 func TestIngestorConcurrentProducers(t *testing.T) {
 	const offices, perOffice = 4, 200
-	in, err := NewIngestor(testFleet(t, offices, 2), Config{Queue: 16, OnFull: Block})
+	var mu sync.Mutex
+	got := make(map[int][]engine.OfficeAction)
+	in, err := NewIngestor(testFleet(t, offices, 2), Config{Queue: 16, OnFull: Block,
+		OnBatch: func(acts []engine.OfficeAction) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, a := range acts {
+				got[a.Office] = append(got[a.Office], a)
+			}
+		}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	rows := func(o int) [][]float64 {
+		src := rng.New(uint64(o) + 9)
+		out := make([][]float64, perOffice)
+		for i := range out {
+			out[i] = []float64{-60 + src.Normal(0, 0.4), -58}
+		}
+		return out
 	}
 	var wg sync.WaitGroup
 	for o := 0; o < offices; o++ {
 		wg.Add(1)
 		go func(o int) {
 			defer wg.Done()
-			src := rng.New(uint64(o) + 9)
-			for i := 0; i < perOffice; i++ {
-				if err := in.Push(o, []float64{-60 + src.Normal(0, 0.4), -58}); err != nil {
+			if err := in.PushInput(o, 0); err != nil {
+				t.Error(err)
+				return
+			}
+			for _, row := range rows(o) {
+				if err := in.Push(o, row); err != nil {
 					t.Error(err)
 					return
 				}
 			}
 		}(o)
 	}
+	stop := make(chan struct{})
+	flusher := make(chan struct{})
+	go func() {
+		defer close(flusher)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			flush := in.Advance
+			if i%4 == 3 {
+				flush = in.Flush
+			}
+			if err := flush(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	wg.Wait()
+	close(stop)
+	<-flusher
 	if err := in.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -706,6 +750,20 @@ func TestIngestorConcurrentProducers(t *testing.T) {
 	for o, os := range st.Offices {
 		if os.Dispatched != perOffice || os.Dropped != 0 {
 			t.Fatalf("office %d: %+v", o, os)
+		}
+		want, err := testFleet(t, 1, 1).Run([]engine.OfficeBatch{{Office: 0, Ticks: rows(o)}},
+			[]engine.InputEvent{{Office: 0, Workstation: 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("office %d: the reference run has no actions; the check is vacuous", o)
+		}
+		for i := range want {
+			want[i].Office = o
+		}
+		if !reflect.DeepEqual(got[o], want) {
+			t.Fatalf("office %d emitted %v, want %v", o, got[o], want)
 		}
 	}
 }

@@ -1,10 +1,14 @@
 package stream
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
+	"fadewich/internal/control"
+	"fadewich/internal/core"
 	"fadewich/internal/engine"
 )
 
@@ -17,16 +21,22 @@ type refQueue struct {
 	base, dropped, pushed uint64
 }
 
-// FuzzIngestorQueue drives the flat-arena queues directly (no fleet, no
-// dispatcher goroutine) with random sequences of Push, PushInput,
-// wrong-width pushes and takeSnapshot+recycleBatch — with and without
-// pushes while the batch is out — under DropOldest and ErrorOnFull, for
-// offices of different widths. Every snapshot must equal the reference
-// queue's rows bit for bit, with the same input tick indices, bases,
-// drop counts and depths; the lent rows must survive pushes made while
-// the batch is out; and after every recycle an office may keep idle
-// arenas of at most 4× its last batch, plus the active arena holding
-// the next batch, each under 2 × Queue × width samples.
+// FuzzIngestorQueue drives the flat-arena queues with random sequences
+// of Push, PushInput, wrong-width pushes, takeSnapshot+recycleBatch
+// called directly — with and without pushes while the batch is out —
+// and Advance, under DropOldest and ErrorOnFull, for offices of
+// different widths. Every snapshot must equal the reference queue's
+// rows bit for bit, with the same input tick indices, bases, drop
+// counts and depths; the lent rows must survive pushes made while the
+// batch is out; and after every recycle an office may keep idle arenas
+// of at most 4× its last batch, plus the active arena holding the next
+// batch, each under 2 × Queue × width samples.
+//
+// Advance runs the queues through the fleet and must emit nothing. The
+// closing Flush must then emit one batch equal to a single Run, on a
+// second fleet, of everything the Advances and the Flush took from the
+// reference queues: the single-flush reference. (Direct snapshots take
+// their ticks past the fleet, so neither side runs them.)
 func FuzzIngestorQueue(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 2, 4, 0, 4, 8, 1, 5, 3, 0, 0, 4, 3, 2})
 	f.Add([]byte{0, 0, 1, 1, 0, 0, 0, 0, 3, 1, 0, 3, 0, 2, 3, 0})
@@ -39,6 +49,28 @@ func FuzzIngestorQueue(f *testing.F) {
 		}
 	}
 	f.Add(long)
+	// Rounds of an input and eight ticks per office, each ended by an
+	// Advance (7), then a direct snapshot with two pushes while it is out
+	// (6, 2, 0, 16), under DropOldest and under ErrorOnFull.
+	for _, policy := range []byte{1, 0} {
+		held := []byte{15, policy, 2, 0, 1, 2}
+		for r := 0; r < 6; r++ {
+			held = append(held, 4, 12)
+			for i := 0; i < 8; i++ {
+				held = append(held, 0, 16, 8)
+			}
+			held = append(held, 7)
+		}
+		f.Add(append(held, 6, 2, 0, 16, 0, 0))
+	}
+	// Office 0 acts late in the held run, office 1 early in the flush's
+	// own: the emitted batch must interleave them by time.
+	late := []byte{15, 1, 2, 0, 1, 2}
+	late = append(late, bytes.Repeat([]byte{0}, 10)...)
+	late = append(late, 4)
+	late = append(late, bytes.Repeat([]byte{0}, 10)...)
+	late = append(late, 12, 16, 16, 7)
+	f.Add(append(late, bytes.Repeat([]byte{16}, 8)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -54,18 +86,48 @@ func FuzzIngestorQueue(f *testing.F) {
 			policy = DropOldest
 		}
 		offices := 1 + int(next()%3)
-		in := &Ingestor{queue: queue, onFull: policy}
-		in.work.L = &in.mu
-		in.done.L = &in.mu
-		m := &membership{q: make(map[int]*officeQueue)}
 		refs := make([]*refQueue, offices)
+		perOffice := make(map[int]core.Config, offices)
 		for id := range refs {
 			w := 1 + int(next()%5)
-			m.ids = append(m.ids, id)
-			m.q[id] = newOfficeQueue(w)
 			refs[id] = &refQueue{width: w}
+			// A one-second time-out makes every input end in a
+			// deauthentication five ticks on, so the fleet acts.
+			perOffice[id] = core.Config{Streams: w, Workstations: 4, Params: control.Params{TimeoutSec: 1}}
 		}
-		in.members.Store(m)
+		newFleet := func() *engine.Fleet {
+			fl, err := engine.NewFleet(engine.FleetConfig{Offices: offices, PerOffice: perOffice, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fl
+		}
+		var emitted [][]engine.OfficeAction
+		in, err := NewIngestor(newFleet(), Config{Queue: queue, OnFull: policy,
+			OnBatch: func(acts []engine.OfficeAction) { emitted = append(emitted, acts) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer in.Close()
+		m := in.members.Load()
+		// sent is what the Advances and the closing Flush took from the
+		// reference queues, per office, as one batch for the reference
+		// fleet.
+		sent := make([]engine.OfficeBatch, offices)
+		var sentEvs []engine.InputEvent
+		for id := range sent {
+			sent[id].Office = id
+		}
+		send := func() {
+			wantBatch, wantEvs := snapshotRef(refs)
+			for _, ev := range wantEvs {
+				ev.Tick += len(sent[ev.Office].Ticks)
+				sentEvs = append(sentEvs, ev)
+			}
+			for _, ob := range wantBatch {
+				sent[ob.Office].Ticks = append(sent[ob.Office].Ticks, ob.Ticks...)
+			}
+		}
 
 		var stamp uint64
 		push := func(b byte) {
@@ -73,8 +135,10 @@ func FuzzIngestorQueue(f *testing.F) {
 			r := refs[id]
 			row := make([]float64, r.width)
 			for k := range row {
+				// Distinct plausible dBm values, so the fleet can run
+				// them and a mixed-up row shows.
 				stamp++
-				row[k] = math.Float64frombits(stamp*0x9e3779b97f4a7c15 ^ uint64(k))
+				row[k] = -80 + float64(stamp*7919%4001)/100
 			}
 			err := in.Push(id, row)
 			if len(r.ticks) >= queue {
@@ -128,6 +192,14 @@ func FuzzIngestorQueue(f *testing.F) {
 				if err := in.Push(id, bad); !errors.Is(err, ErrTickWidth) {
 					t.Fatalf("wrong-width push: err %v, want ErrTickWidth", err)
 				}
+			case 7:
+				send()
+				if err := in.Advance(); err != nil {
+					t.Fatal(err)
+				}
+				if len(emitted) > 0 || in.Stats().Batches > 0 {
+					t.Fatalf("Advance emitted %d batches (%d counted)", len(emitted), in.Stats().Batches)
+				}
 			default:
 				// Snapshot, optionally push while the batch is out, then
 				// recycle.
@@ -149,6 +221,35 @@ func FuzzIngestorQueue(f *testing.F) {
 				}
 			}
 			check()
+		}
+
+		send()
+		if err := in.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		check()
+		var batch []engine.OfficeBatch
+		for _, ob := range sent {
+			if len(ob.Ticks) > 0 {
+				batch = append(batch, ob)
+			}
+		}
+		want, err := newFleet().Run(batch, sentEvs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBatches := uint64(0)
+		if len(batch) > 0 || len(sentEvs) > 0 {
+			wantBatches = 1
+		}
+		if st := in.Stats(); st.Batches != wantBatches || st.Actions != uint64(len(want)) {
+			t.Fatalf("Stats counts %d batches, %d actions; want %d, %d", st.Batches, st.Actions, wantBatches, len(want))
+		}
+		switch {
+		case len(want) == 0 && len(emitted) != 0:
+			t.Fatalf("%d batches emitted, want none", len(emitted))
+		case len(want) > 0 && (len(emitted) != 1 || !reflect.DeepEqual(emitted[0], want)):
+			t.Fatalf("emitted %v\nwant one batch %v", emitted, want)
 		}
 	})
 }

@@ -19,6 +19,8 @@
 //	      ▼                                   ▼
 //	dispatcher goroutine ──► engine.Fleet.Run ──► merged, time-
 //	      │                                       ordered actions
+//	      │   hold cycle (Advance): keep the actions, emit nothing
+//	      │   emitting cycle: MergeRuns(held, own) as one batch
 //	      ├──► Config.OnBatch (synchronous tap)
 //	      ▼
 //	pump goroutine ──► Sink.WriteEncoded (TCPSink / SegmentSink /
@@ -56,19 +58,32 @@
 // final flush — then retires the queue and removes the office from the
 // fleet, folding its counters into the retired totals of Stats.
 //
-// Dispatch: the dispatcher runs a cycle for exactly four reasons — a
-// Flush or FlushEpoch request, a Block-policy pusher out of queue space,
-// RemoveOffice's drain, and Close. Nothing else (no tick count, no
-// clock) starts one, so where batches fall is decided by the producer's
-// flushes, plus the Block backpressure points when a queue fills.
+// Dispatch: the dispatcher runs a cycle for exactly five reasons — a
+// Flush or FlushEpoch request, an Advance request, a Block-policy pusher
+// out of queue space, RemoveOffice's drain, and Close. Nothing else (no
+// tick count, no clock) starts one, so where batches fall is decided by
+// the producer's flushes, plus the Block backpressure points when a
+// queue fills.
 //
-// Ordering and determinism: a dispatch cycle snapshots everything queued
-// and runs it as one fleet batch, so the sink observes the concatenation
-// of Run outputs — each batch internally ordered by (time, office),
+// Hold and emit: every cycle runs what is queued through Fleet.Run, but
+// only an emitting cycle hands actions on. An Advance cycle is a hold
+// cycle: it keeps its merged actions, so a producer can bound what the
+// queues stage for one large flush. Every other cycle emits the held
+// actions and its own as one engine.MergeRuns batch; on an Epochs
+// ingestor Flush and a Block-policy dispatch hold too, so their actions
+// leave in the next FlushEpoch's tagged batch. Holding never changes the bytes:
+// each office's System sees the same call sequence wherever the batches
+// split, and the stable (time, office) sort keeps each office's
+// emission order across the held and the new run.
+//
+// Ordering and determinism: an emitting cycle delivers everything run
+// since the previous one as one batch, so the sink observes the
+// concatenation of batches — each internally ordered by (time, office),
 // exactly the total order the synchronous API returns. A single producer
 // that pushes the same ticks and calls Flush at the same boundaries as
-// its synchronous Run calls therefore obtains a byte-identical stream
-// (this is tested against a 64-office fleet).
+// its synchronous Run calls therefore obtains a byte-identical stream,
+// with or without Advance calls in between (this is tested against a
+// 64-office fleet).
 package stream
 
 import (
@@ -167,6 +182,11 @@ type Config struct {
 	// is handed to the pump. It is the in-process tap for callers that
 	// need the actions back (Flush returns only after OnBatch does).
 	OnBatch func([]engine.OfficeAction)
+	// Epochs marks an ingestor whose output is driven by FlushEpoch (a
+	// cluster worker behind a tagged sink, which refuses a batch without
+	// an epoch): Flush and a Block-policy dispatch hold their actions
+	// for the next FlushEpoch instead of emitting them untagged.
+	Epochs bool
 }
 
 // officeQueue is one office's bounded tick queue plus its counters. Each
@@ -319,6 +339,7 @@ type Ingestor struct {
 	onFull  Policy
 	sink    Sink
 	onBatch func([]engine.OfficeAction)
+	epochs  bool
 
 	// members is the copy-on-write membership snapshot; see membership.
 	members atomic.Pointer[membership]
@@ -339,12 +360,13 @@ type Ingestor struct {
 	// retired accumulates the counters of offices removed from the
 	// fleet, so fleet-wide Stats totals survive churn.
 	retired OfficeStats
-	// flushSeq counts flush requests; doneSeq is the highest request
+	// flushSeq counts dispatch requests; doneSeq is the highest request
 	// fully served (dispatch ran over a queue snapshot taken at or after
-	// the request). Close issues a final flush request of its own.
-	flushSeq, doneSeq uint64
-	closed            bool
-	err               error
+	// the request); emitSeq is the highest request that must emit (all
+	// but Advance's). Close issues a final flush request of its own.
+	flushSeq, doneSeq, emitSeq uint64
+	closed                     bool
+	err                        error
 	// epochVal/epochSet carry a FlushEpoch caller's epoch number to the
 	// dispatch cycle that serves its ticket; the cycle consumes them
 	// under the lock and stamps its pump hand-off with the epoch.
@@ -355,6 +377,11 @@ type Ingestor struct {
 	// only the dispatcher goroutine touches them.
 	batchBuf []engine.OfficeBatch
 	evsBuf   []engine.InputEvent
+	// held is what hold cycles ran since the last emitting cycle, their
+	// actions in run order; heldRan is set when they ran any tick or
+	// input, so the emitting cycle counts as a batch. Dispatcher-only.
+	held    []engine.OfficeAction
+	heldRan bool
 
 	pumpCh         chan pumpItem
 	pumpDone       chan struct{}
@@ -381,6 +408,7 @@ func NewIngestor(fleet *engine.Fleet, cfg Config) (*Ingestor, error) {
 		onFull:         cfg.OnFull,
 		sink:           cfg.Sink,
 		onBatch:        cfg.OnBatch,
+		epochs:         cfg.Epochs,
 		dispatcherDone: make(chan struct{}),
 	}
 	m := &membership{q: make(map[int]*officeQueue)}
@@ -470,12 +498,7 @@ func (in *Ingestor) RemoveOffice(id int) (*core.System, error) {
 		return nil, fmt.Errorf("%w (office %d)", ErrUnknownOffice, id)
 	}
 	// Final flush: dispatch everything queued, this office included.
-	in.flushSeq++
-	ticket := in.flushSeq
-	in.work.Signal()
-	for in.doneSeq < ticket && !in.closed {
-		in.done.Wait()
-	}
+	in.requestLocked(true)
 	if in.closed {
 		in.mu.Unlock()
 		return nil, ErrClosed
@@ -622,22 +645,54 @@ func (in *Ingestor) PushInput(office, workstation int) error {
 }
 
 // Flush dispatches everything queued at the time of the call as one
-// fleet batch and blocks until that dispatch — including the OnBatch tap
-// — has completed and the batch has been handed to the sink pump. It
-// returns the first pipeline error (fleet dispatch or sink) seen so far.
+// fleet batch, emits its actions and those Advance held as one batch,
+// and blocks until that dispatch — including the OnBatch tap — has
+// completed and the batch has been handed to the sink pump. On an
+// Epochs ingestor it holds the actions like Advance, for the next
+// FlushEpoch. It returns the first pipeline error (fleet dispatch or
+// sink) seen so far.
 func (in *Ingestor) Flush() error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.closed {
 		return ErrClosed
 	}
+	in.requestLocked(!in.epochs)
+	return in.err
+}
+
+// Advance runs everything queued at the time of the call through the
+// fleet and holds the merged actions instead of emitting them: the next
+// emitting cycle (Flush, FlushEpoch, a Block-policy dispatch,
+// RemoveOffice's drain or Close) delivers them and its own as one
+// batch, byte-identical to one dispatch of everything. It blocks until
+// the run has completed, so the queues' arenas are back for reuse, and
+// returns the first pipeline error seen so far. A producer staging one
+// large flush calls it to bound what the queues hold; Stats' Batches
+// and the OnBatch tap count only emitted batches.
+func (in *Ingestor) Advance() error {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.closed {
+		return ErrClosed
+	}
+	in.requestLocked(false)
+	return in.err
+}
+
+// requestLocked files a dispatch request, one that must emit unless
+// emit is false, and waits until a cycle has served it or the ingestor
+// closed. Caller holds in.mu; Wait releases it meanwhile.
+func (in *Ingestor) requestLocked(emit bool) {
 	in.flushSeq++
 	ticket := in.flushSeq
+	if emit {
+		in.emitSeq = ticket
+	}
 	in.work.Signal()
 	for in.doneSeq < ticket && !in.closed {
 		in.done.Wait()
 	}
-	return in.err
 }
 
 // FlushEpoch is Flush with a caller-assigned epoch number attached:
@@ -665,12 +720,7 @@ func (in *Ingestor) FlushEpoch(epoch uint64) error {
 		return errors.New("stream: concurrent epoch flushes (drive epochs from one producer, sequentially)")
 	}
 	in.epochVal, in.epochSet = epoch, true
-	in.flushSeq++
-	ticket := in.flushSeq
-	in.work.Signal()
-	for in.doneSeq < ticket && !in.closed {
-		in.done.Wait()
-	}
+	in.requestLocked(true)
 	return in.err
 }
 
@@ -696,6 +746,7 @@ func (in *Ingestor) Close() error {
 	in.closed = true
 	in.closedFlag.Store(true)
 	in.flushSeq++ // final drain
+	in.emitSeq = in.flushSeq
 	in.work.Broadcast()
 	in.done.Broadcast()
 	in.mu.Unlock()
@@ -747,8 +798,10 @@ type Stats struct {
 	// Retired aggregates the counters of offices removed from the fleet,
 	// so fleet-wide totals survive churn (Office is -1, Depth 0).
 	Retired OfficeStats
-	// Batches counts dispatch cycles that delivered at least one tick or
-	// input event; Actions counts the merged actions they produced.
+	// Batches counts emitted batches: emitting cycles that, together
+	// with the hold cycles since the previous one, delivered at least
+	// one tick or input event. Actions counts the merged actions they
+	// emitted.
 	Batches, Actions uint64
 	// Dropped is the fleet-wide total of dropped/rejected ticks,
 	// including those of retired offices.
@@ -811,13 +864,14 @@ func (in *Ingestor) Stats() Stats {
 	return st
 }
 
-// dispatch is the dispatcher goroutine: it waits for work (a flush
-// request — Flush, FlushEpoch or RemoveOffice's drain — a Block-policy
-// pusher out of space, or Close), snapshots the queues into one fleet
-// batch, runs it, and hands the merged actions to the OnBatch tap and
-// the sink pump. Its drain check reads only atomics (queue depths,
-// pending-input counts), so it takes no queue locks while holding the
-// control mutex.
+// dispatch is the dispatcher goroutine: it waits for work (a dispatch
+// request — Flush, FlushEpoch, Advance or RemoveOffice's drain — a
+// Block-policy pusher out of space, or Close), snapshots the queues into
+// one fleet batch and runs it. A hold cycle keeps the merged actions; an
+// emitting cycle merges them with what earlier hold cycles kept and
+// hands the batch to the OnBatch tap and the sink pump. Its drain check
+// reads only atomics (queue depths, pending-input counts), so it takes
+// no queue locks while holding the control mutex.
 func (in *Ingestor) dispatch() {
 	defer close(in.dispatcherDone)
 	for {
@@ -830,32 +884,37 @@ func (in *Ingestor) dispatch() {
 			return
 		}
 		ticket := in.flushSeq
-		epoch, hasEpoch := in.epochVal, in.epochSet
-		in.epochSet = false
+		// Only an emitting cycle consumes a FlushEpoch's epoch.
+		emit := in.closed || in.emitSeq > in.doneSeq || (in.needSpace.Load() > 0 && !in.epochs)
+		var epoch uint64
+		hasEpoch := false
+		if emit {
+			epoch, hasEpoch = in.epochVal, in.epochSet
+			in.epochSet = false
+		}
 		in.mu.Unlock()
 
 		m := in.members.Load()
 		batch, evs, n := in.takeSnapshot(m)
+		ran := n > 0 || len(evs) > 0
 
 		var acts []engine.OfficeAction
 		var err error
-		if n > 0 || len(evs) > 0 {
+		if ran {
 			acts, err = in.fleet.Run(batch, evs)
 		}
-		if err == nil && len(acts) > 0 && in.onBatch != nil {
-			in.onBatch(acts)
-		}
-		// Epoch-stamped cycles reach the pump even when empty: a tagged
-		// sink must emit one frame per epoch so downstream merge
-		// watermarks keep advancing through quiet epochs.
-		if err == nil && in.pumpCh != nil && (len(acts) > 0 || hasEpoch) {
-			in.pumpCh <- pumpItem{acts: acts, epoch: epoch, hasEpoch: hasEpoch}
-		}
-
 		in.recycleBatch(m, batch)
-		if n > 0 || len(evs) > 0 {
-			in.nBatches.Add(1)
-			in.nActions.Add(uint64(len(acts)))
+		if err == nil {
+			if !emit {
+				in.held = append(in.held, acts...)
+				in.heldRan = in.heldRan || ran
+			} else {
+				if len(in.held) > 0 {
+					acts = engine.MergeRuns([][]engine.OfficeAction{in.held, acts}, 0)
+				}
+				in.emit(acts, epoch, hasEpoch, ran || in.heldRan)
+				in.held, in.heldRan = nil, false
+			}
 		}
 
 		in.mu.Lock()
@@ -867,6 +926,25 @@ func (in *Ingestor) dispatch() {
 		}
 		in.done.Broadcast()
 		in.mu.Unlock()
+	}
+}
+
+// emit delivers an emitting cycle's batch: the OnBatch tap, then the
+// sink pump, then the dispatch totals, counting a batch when ran says
+// the cycle or a hold cycle before it ran any tick or input.
+func (in *Ingestor) emit(acts []engine.OfficeAction, epoch uint64, hasEpoch, ran bool) {
+	if len(acts) > 0 && in.onBatch != nil {
+		in.onBatch(acts)
+	}
+	// Epoch-stamped cycles reach the pump even when empty: a tagged
+	// sink must emit one frame per epoch so downstream merge
+	// watermarks keep advancing through quiet epochs.
+	if in.pumpCh != nil && (len(acts) > 0 || hasEpoch) {
+		in.pumpCh <- pumpItem{acts: acts, epoch: epoch, hasEpoch: hasEpoch}
+	}
+	if ran {
+		in.nBatches.Add(1)
+		in.nActions.Add(uint64(len(acts)))
 	}
 }
 
