@@ -7,9 +7,10 @@ import (
 	"fadewich/internal/rng"
 )
 
-// TestOnlineInputsKeepNoLog pins that the per-workstation input log is
-// training-only state: training records every input, FinishTraining
-// releases the logs, and online inputs neither grow them nor allocate.
+// TestOnlineInputsKeepNoLog pins that the per-workstation input log and
+// the labelled samples are training-only state: training records every
+// input, FinishTraining releases the logs and the samples (keeping
+// their count), and online inputs neither grow the logs nor allocate.
 func TestOnlineInputsKeepNoLog(t *testing.T) {
 	const streams, workstations = 2, 3
 	s, err := NewSystem(Config{Streams: streams, Workstations: workstations, MinTrainingSamples: 4})
@@ -41,6 +42,12 @@ func TestOnlineInputsKeepNoLog(t *testing.T) {
 	}
 	if err := s.FinishTraining(); err != nil {
 		t.Fatal(err)
+	}
+	if s.samples != nil {
+		t.Errorf("online keeps %d training samples, want none", len(s.samples))
+	}
+	if n := s.TrainingSamples(); n != 8 {
+		t.Errorf("TrainingSamples() = %d online, want 8", n)
 	}
 
 	allocs := testing.AllocsPerRun(1, func() {

@@ -104,14 +104,11 @@ type System struct {
 	now  float64
 	tick int
 
-	// Ring buffer of recent samples for signature extraction, laid out
-	// columnar (tick-major): row i occupies ring[i*Streams:(i+1)*Streams],
-	// so recording a tick is one contiguous copy instead of one strided
-	// write per stream.
-	ring     []float64
-	ringCap  int
-	ringHead int
-	ringLen  int
+	// sig captures the current window's first t∆ ticks, [t1, t1+t∆],
+	// the only samples recognition reads: row i (tick winStart+i)
+	// occupies sig[i*Streams:(i+1)*Streams], and sigRows rows are held.
+	sig     []float64
+	sigRows int
 
 	// Variation-window tracking. A window closes only after gapTicks of
 	// continuous normal readings, mirroring md.Run's gap merging so the
@@ -121,6 +118,11 @@ type System struct {
 	lastAnom    int
 	tDeltaTicks int
 	gapTicks    int
+	// maxSampleTicks bounds a training window: one that closes this many
+	// ticks or more after its start (t∆ + 30 s + 4 ticks; overlapping
+	// movements, long walks) yields no sample. The bound decides which
+	// windows train the classifier, so moving it moves every output.
+	maxSampleTicks int
 
 	// inputLog keeps each workstation's input times for training-phase
 	// auto-labelling. Only training appends to it, and going online
@@ -130,9 +132,11 @@ type System struct {
 	// Training-phase sample store. pending holds windows whose features
 	// are extracted but whose label cannot be resolved yet: the
 	// auto-labeller needs to observe QuietAfterSec/ReturnSlackSec of
-	// input behaviour beyond the window end.
+	// input behaviour beyond the window end. Going online releases
+	// samples and keeps their count in trained.
 	samples []re.Sample
 	pending []pendingSample
+	trained int
 
 	actions []Action // reused buffer returned by Tick
 	// interTick collects actions emitted between ticks (input
@@ -162,26 +166,21 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	tDeltaTicks := int(cfg.Params.TDeltaSec / cfg.DT)
-	// The ring must still hold a window's first t∆ seconds when the
-	// window closes, and windows can run tens of seconds (overlapping
-	// movements, long walks); 30 s of slack costs only tens of kilobytes.
-	ringCap := tDeltaTicks + int(30/cfg.DT) + 4
-	ring := make([]float64, ringCap*cfg.Streams)
 	gapSec := cfg.MD.MergeGapSec
 	if gapSec == 0 {
 		gapSec = md.DefaultConfig().MergeGapSec
 	}
 	gapTicks := int(gapSec / cfg.DT)
 	return &System{
-		cfg:         cfg,
-		det:         det,
-		ctl:         control.NewController(cfg.Params, cfg.DT, cfg.Workstations),
-		phase:       PhaseTraining,
-		ring:        ring,
-		ringCap:     ringCap,
-		tDeltaTicks: tDeltaTicks,
-		gapTicks:    gapTicks,
-		inputLog:    make([][]float64, cfg.Workstations),
+		cfg:            cfg,
+		det:            det,
+		ctl:            control.NewController(cfg.Params, cfg.DT, cfg.Workstations),
+		phase:          PhaseTraining,
+		sig:            make([]float64, tDeltaTicks*cfg.Streams),
+		tDeltaTicks:    tDeltaTicks,
+		gapTicks:       gapTicks,
+		maxSampleTicks: tDeltaTicks + int(30/cfg.DT) + 4,
+		inputLog:       make([][]float64, cfg.Workstations),
 	}, nil
 }
 
@@ -192,7 +191,7 @@ func (s *System) Phase() Phase { return s.phase }
 func (s *System) Now() float64 { return s.now }
 
 // TrainingSamples returns how many labelled samples have been collected.
-func (s *System) TrainingSamples() int { return len(s.samples) }
+func (s *System) TrainingSamples() int { return s.trained + len(s.samples) }
 
 // NotifyInput records a keyboard/mouse event at workstation ws at the
 // current system time. It also (re-)authenticates the session, since a
@@ -223,13 +222,6 @@ func (s *System) Tick(rssi []float64) []Action {
 	s.tick++
 	s.now = float64(s.tick) * s.cfg.DT
 
-	// Record into the ring buffer: one contiguous row copy.
-	copy(s.ring[s.ringHead*s.cfg.Streams:], rssi)
-	s.ringHead = (s.ringHead + 1) % s.ringCap
-	if s.ringLen < s.ringCap {
-		s.ringLen++
-	}
-
 	state, _ := s.det.Push(rssi)
 	anomalous := state == md.StateAnomalous
 
@@ -238,10 +230,15 @@ func (s *System) Tick(rssi []float64) []Action {
 		if !s.inWindow {
 			s.inWindow = true
 			s.winStart = s.tick
+			s.sigRows = 0
 		}
 		s.lastAnom = s.tick
 	case s.inWindow && s.tick-s.lastAnom > s.gapTicks:
 		s.endWindow()
+	}
+	if s.inWindow && s.sigRows < s.tDeltaTicks {
+		copy(s.sig[s.sigRows*s.cfg.Streams:], rssi)
+		s.sigRows++
 	}
 
 	win := -1
@@ -276,23 +273,15 @@ func (s *System) classify() int {
 	return s.clf.Predict(s.extractSignature())
 }
 
-// extractSignature pulls the [t1, t1+t∆] window from the ring buffer and
-// computes the feature vector.
+// extractSignature computes the feature vector of the captured
+// [t1, t1+t∆] rows.
 func (s *System) extractSignature() []float64 {
-	n := s.tDeltaTicks
 	streams := s.cfg.Streams
 	window := make([][]float64, streams)
-	// The window starts at winStart; the ring's most recent sample is at
-	// tick s.tick. Offset of winStart from now, in ticks:
-	back := s.tick - s.winStart
-	if back >= s.ringLen {
-		back = s.ringLen - 1
-	}
-	for k := 0; k < streams; k++ {
-		w := make([]float64, 0, n)
-		for i := 0; i < n && i <= back; i++ {
-			idx := (s.ringHead - 1 - back + i + 2*s.ringCap) % s.ringCap
-			w = append(w, s.ring[idx*streams+k])
+	for k := range window {
+		w := make([]float64, s.sigRows)
+		for i := range w {
+			w[i] = s.sig[i*streams+k]
 		}
 		window[k] = w
 	}
@@ -303,9 +292,7 @@ func (s *System) extractSignature() []float64 {
 // ended and queues it for label resolution once enough post-window input
 // behaviour has been observed (see re.LabelConfig.QuietAfterSec).
 func (s *System) collectTrainingSample() {
-	// The signature must be captured now, while [t1, t1+t∆] is still in
-	// the ring buffer.
-	if s.tick-s.winStart >= s.ringLen {
+	if s.tick-s.winStart >= s.maxSampleTicks {
 		return
 	}
 	label := s.cfg.Label
@@ -318,7 +305,7 @@ func (s *System) collectTrainingSample() {
 	}
 	s.pending = append(s.pending, pendingSample{
 		window:    md.Window{StartTick: s.winStart, EndTick: s.lastAnom + 1},
-		features:  s.extractSignatureFrom(s.winStart),
+		features:  s.extractSignature(),
 		resolveAt: s.now + wait,
 	})
 }
@@ -345,16 +332,6 @@ func (s *System) resolvePending() {
 		}
 	}
 	s.pending = kept
-}
-
-// extractSignatureFrom extracts the t∆ signature starting at the given
-// absolute tick (which must be within the ring).
-func (s *System) extractSignatureFrom(startTick int) []float64 {
-	saveStart := s.winStart
-	s.winStart = startTick
-	f := s.extractSignature()
-	s.winStart = saveStart
-	return f
 }
 
 // trackerView snapshots the per-workstation input logs into a fresh
@@ -389,19 +366,14 @@ func (s *System) FinishTraining() error {
 
 // AdoptClassifier installs an externally trained classifier (e.g. from
 // supervisor-labelled data) and switches to the online phase. The input
-// logs only training reads are released.
+// logs and labelled samples only training reads are released;
+// TrainingSamples still reports the samples' count.
 func (s *System) AdoptClassifier(clf *re.Classifier) {
 	s.clf = clf
 	s.phase = PhaseOnline
 	for i := range s.inputLog {
 		s.inputLog[i] = nil
 	}
-}
-
-// Samples returns the collected training samples (for inspection or
-// external training).
-func (s *System) Samples() []re.Sample {
-	out := make([]re.Sample, len(s.samples))
-	copy(out, s.samples)
-	return out
+	s.trained += len(s.samples)
+	s.samples = nil
 }

@@ -241,13 +241,16 @@ func (d *Detector) observe(st float64) State {
 // initProfile builds the first normal profile from the warm-up samples.
 // The earliest StdWindowSec worth of values is dropped: the rolling
 // windows were not yet full and their tiny standard deviations would bias
-// the profile low.
+// the profile low. The FIFO is allocated once, at the most it ever holds:
+// a merge appends a batch before evicting down to MaxProfile.
 func (d *Detector) initProfile() {
 	skip := int(d.cfg.StdWindowSec / d.dt)
 	if skip >= len(d.warmup) {
 		skip = len(d.warmup) / 2
 	}
-	d.profile = append(d.profile, d.warmup[skip:]...)
+	initial := d.warmup[skip:]
+	d.profile = make([]float64, len(initial), max(len(initial), d.cfg.MaxProfile)+d.cfg.BatchSize)
+	copy(d.profile, initial)
 	d.sorted = append(d.sorted, d.profile...)
 	sortProfile(d.sorted)
 	d.warmup = nil

@@ -335,9 +335,10 @@ type lazyCounts struct{ below, above, inside int }
 // overwrites the refit's profile before the next refit). Each input
 // byte picks one value: small steps with many duplicates, large values
 // whose runs get batches rejected, ±Inf, NaNs of either sign and −0.
-// After every tick the sorted profile must hold the FIFO's values in
-// sort.Float64s order, and the tick's state must be s_t >= the
-// threshold stats.NewKDE over the FIFO gave at the last refit. The
+// After every tick the FIFO must keep the capacity initProfile gave it,
+// the sorted profile must hold the FIFO's values in sort.Float64s
+// order, and the tick's state must be s_t >= the threshold
+// stats.NewKDE over the FIFO gave at the last refit. The
 // threshold itself is read, and must be that one bit for bit, only on
 // the tick before each possible refit, so most ticks take the lazy
 // path.
@@ -365,6 +366,7 @@ func checkDetectorProfile(t *testing.T, data []byte) (n lazyCounts) {
 		}
 		var fifo []float64 // sort.Float64s of the FIFO
 		var want float64
+		fifoCap := -1 // cap(d.profile) once initProfile has run
 		for i := 0; i < d.warmTicks+1000; i++ {
 			warm, accepted := d.profile == nil, d.accepted
 			if !warm && len(d.queue) == d.cfg.BatchSize-1 && d.accepted == d.cfg.RefitEvery-1 {
@@ -405,6 +407,12 @@ func checkDetectorProfile(t *testing.T, data []byte) (n lazyCounts) {
 			}
 			if d.profile == nil {
 				continue
+			}
+			if fifoCap < 0 {
+				fifoCap = cap(d.profile)
+			} else if cap(d.profile) != fifoCap {
+				t.Fatalf("dt %v %+v tick %d: FIFO capacity %d, initProfile allocated %d",
+					c.dt, c.cfg, i, cap(d.profile), fifoCap)
 			}
 			// The FIFO changes only when warm-up ends or a batch
 			// completes; sorting it only then keeps the fuzzer fast.

@@ -39,21 +39,21 @@ const DefaultCompressMin = 256
 // trade for a per-dispatch operation.
 const flateLevel = flate.BestSpeed
 
-// flateWriters pools *flate.Writer at flateLevel; the compressor's
-// internal state is ~600 KiB, far too much to allocate per frame.
-var flateWriters = sync.Pool{New: func() any {
-	fw, err := flate.NewWriter(nil, flateLevel)
-	if err != nil {
-		panic(err) // flateLevel is a valid constant level
-	}
-	return fw
-}}
+// flateWriter is the process's one deflater at flateLevel, made on
+// first use. Its state is about 1.2 MB: far too much to allocate per
+// frame, or to keep one per P in a sync.Pool that every GC empties.
+// Frames are compressed on the sinks' pump goroutines, so the mutex is
+// rarely contended.
+var flateWriter struct {
+	sync.Mutex
+	fw *flate.Writer
+	cw countWriter // fw's destination; its buf is nil between calls
+}
 
 // flateReaders pools inflaters (they satisfy flate.Resetter).
 var flateReaders = sync.Pool{New: func() any { return flate.NewReader(nil) }}
 
-// countWriter adapts a byte slice to io.Writer for the pooled flate
-// writers.
+// countWriter adapts a byte slice to io.Writer for the flate writer.
 type countWriter struct {
 	buf []byte
 }
@@ -66,8 +66,18 @@ func (c *countWriter) Write(p []byte) (int, error) {
 // appendDeflate appends the deflate stream of src to dst and returns
 // the extended slice.
 func appendDeflate(dst, src []byte) []byte {
-	cw := &countWriter{buf: dst}
-	fw := flateWriters.Get().(*flate.Writer)
+	flateWriter.Lock()
+	defer flateWriter.Unlock()
+	cw := &flateWriter.cw
+	fw := flateWriter.fw
+	if fw == nil {
+		var err error
+		if fw, err = flate.NewWriter(cw, flateLevel); err != nil {
+			panic(err) // flateLevel is a valid constant level
+		}
+		flateWriter.fw = fw
+	}
+	cw.buf = dst
 	fw.Reset(cw)
 	if _, err := fw.Write(src); err != nil {
 		panic(err) // countWriter cannot fail
@@ -75,8 +85,9 @@ func appendDeflate(dst, src []byte) []byte {
 	if err := fw.Close(); err != nil {
 		panic(err) // countWriter cannot fail
 	}
-	flateWriters.Put(fw)
-	return cw.buf
+	out := cw.buf
+	cw.buf = nil // hold no frame between calls
+	return out
 }
 
 // inflate appends the inflated form of the deflate stream src to dst,
