@@ -208,14 +208,20 @@ func baseConfig(opt options) (serve.Config, error) {
 
 // readHeaderTimeout bounds how long a connection may take to send its
 // request headers, so a client that never finishes them cannot hold
-// the connection forever. Bodies are bounded in size (handleTicks caps
-// them at wire.MaxPayloadBytes, 64 MiB) but not in time: a training
-// POST carries a whole training day of ticks.
+// the connection forever. There is no server-wide ReadTimeout: a
+// training POST carries a whole training window of ticks, and
+// POST /v1/ticks sets its own body read deadline (the serve package's
+// ticksBodyTimeout, 2 min) beside its 64 MiB size cap. Nor is there a
+// WriteTimeout, since GET /v1/actions is one long-lived stream.
 const readHeaderTimeout = 10 * time.Second
+
+// idleTimeout bounds how long a keep-alive connection may wait for its
+// next request before the server closes it.
+const idleTimeout = 2 * time.Minute
 
 // newHTTPServer is the HTTP server of every mode.
 func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // runServe is the classic single-process mode.

@@ -10,16 +10,22 @@ import (
 )
 
 // TestHTTPServersBoundHeaderReads checks that both HTTP servers the
-// daemon runs bound header reads: the fleet server of the serve and
-// worker modes (serveFleet) and the coordinator's (runCoordinator)
-// each go through serveHTTP, the one caller of newHTTPServer, which
-// holds the only http.Server literal in main.go and sets
-// ReadHeaderTimeout.
+// daemon runs bound header reads and idle keep-alive connections: the
+// fleet server of the serve and worker modes (serveFleet) and the
+// coordinator's (runCoordinator) each go through serveHTTP, the one
+// caller of newHTTPServer, which holds the only http.Server literal in
+// main.go and sets ReadHeaderTimeout and IdleTimeout.
 func TestHTTPServersBoundHeaderReads(t *testing.T) {
 	h := http.NewServeMux()
 	s := newHTTPServer(h)
 	if readHeaderTimeout <= 0 || s.ReadHeaderTimeout != readHeaderTimeout || s.Handler != h {
 		t.Fatalf("newHTTPServer: ReadHeaderTimeout %v (want %v), handler %v", s.ReadHeaderTimeout, readHeaderTimeout, s.Handler)
+	}
+	if idleTimeout <= 0 || s.IdleTimeout != idleTimeout {
+		t.Fatalf("newHTTPServer: IdleTimeout %v, want %v", s.IdleTimeout, idleTimeout)
+	}
+	if s.WriteTimeout != 0 {
+		t.Fatalf("newHTTPServer sets WriteTimeout %v: GET /v1/actions is a long-lived stream", s.WriteTimeout)
 	}
 	if s.ReadTimeout != 0 {
 		t.Fatalf("newHTTPServer sets ReadTimeout %v: training POSTs need unbounded body reads", s.ReadTimeout)

@@ -53,6 +53,21 @@ func dial(t *testing.T, ln net.Listener) net.Conn {
 	return conn
 }
 
+// acceptCalls is a listener that reports each Accept call, before it
+// blocks, on calls.
+type acceptCalls struct {
+	net.Listener
+	calls chan<- struct{}
+}
+
+func (l acceptCalls) Accept() (net.Conn, error) {
+	select {
+	case l.calls <- struct{}{}:
+	default: // nobody counts calls past the ones a test waits for
+	}
+	return l.Listener.Accept()
+}
+
 // sendPlain writes one untagged frame carrying batch.
 func sendPlain(t *testing.T, conn net.Conn, batch []engine.OfficeAction) {
 	t.Helper()
@@ -200,12 +215,20 @@ func testRouteOnListener(t *testing.T, forward bool) {
 		opt.forward, opt.compress = fln.Addr().String(), true
 	}
 	doneServe := make(chan error, 1)
+	accepts := make(chan struct{}, 3)
 	go func() {
-		doneServe <- routeOnListener(ln, opt, filter{}, render)
+		doneServe <- routeOnListener(acceptCalls{ln, accepts}, opt, filter{}, render)
 	}()
 
 	w1 := dial(t, ln)
 	w2 := dial(t, ln)
+	// Only a connection the router has registered holds its watermark.
+	// It calls Accept again only after registering the connection the
+	// last call returned, so its third call means both workers count;
+	// without this wait w1's frames could be merged before w2 is known.
+	for range 3 {
+		<-accepts
+	}
 	// Epoch 1: w1 has offices 0,2; w2 has office 1. w2 runs an epoch
 	// ahead before w1 catches up — the watermark must hold epoch 2.
 	sendTagged(t, w1, 1, 1, false, []engine.OfficeAction{tact(0, 1.0), tact(2, 3.0)})

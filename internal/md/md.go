@@ -9,6 +9,7 @@ package md
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -33,8 +34,8 @@ type Config struct {
 	// Tau is the fraction of anomalous values above which a queued batch
 	// is discarded instead of merged into the profile.
 	Tau float64
-	// MaxProfile bounds the profile sample count; merging a batch evicts
-	// the oldest values beyond this bound.
+	// MaxProfile bounds the profile sample count; accepting a batch
+	// evicts the oldest values beyond this bound.
 	MaxProfile int
 	// KDEBandwidth overrides the kernel bandwidth; 0 selects Silverman's
 	// rule.
@@ -46,11 +47,11 @@ type Config struct {
 	// RefitEvery re-estimates the KDE and threshold only every so many
 	// accepted batches; the profile drifts slowly, so a slightly stale
 	// threshold is statistically irrelevant but much cheaper over
-	// multi-day traces. A refit certifies a narrow bracket around the
-	// threshold and inverts the KDE exactly only when needed (see
-	// Threshold). Above 2, a merge would overwrite the profile the last
-	// refit's KDE reads before the next refit, so the threshold is
-	// inverted then at the latest.
+	// multi-day traces. The accepted batches wait until the refit, which
+	// merges them into the profile in one pass, so between refits the
+	// profile is exactly what the last refit's KDE reads. A refit
+	// certifies a narrow bracket around the threshold and inverts the
+	// KDE exactly only when needed (see Threshold).
 	RefitEvery int
 }
 
@@ -111,19 +112,26 @@ const (
 
 // Detector is the online movement detector. Feed it one tick of stream
 // samples at a time with Push. Not safe for concurrent use.
+//
+// The normal profile is Algorithm 1's FIFO of at most MaxProfile s_t
+// values (more only while the initial profile is larger), and it
+// changes only at a refit. sorted holds its values in profileCmp order
+// and ins each value's insertion number, counted mod 2^16; between
+// refits sorted is exactly what the last refit's KDE reads. added holds
+// the values accepted since the last refit, oldest first, with the open
+// batch at its tail, and order is scratch for sorting them. initProfile
+// allocates all four once, at the most they ever hold.
 type Detector struct {
 	cfg     Config
 	dt      float64
 	rolling []*stats.RollingStd
-	profile []float64 // FIFO of s_t values forming the normal profile; nil during warm-up
-	// sorted holds the profile's values in profileCmp order, kept in
-	// step with the FIFO so a refit need not sort. spare is the buffer
-	// the next merge writes into, and evicted holds the values one
-	// accepted batch pushes out of the FIFO.
-	sorted, spare, evicted []float64
-	// kde is the last refit's profile KDE. It reads the sorted buffer of
-	// that refit, which the next merge moves to spare and the one after
-	// overwrites.
+	sorted  []float64 // nil during warm-up
+	ins     []uint16
+	added   []float64
+	order   []uint16
+	size    int    // FIFO length, counted as batches are accepted
+	next    uint16 // insertion number of added[0]
+	// kde is the last refit's profile KDE; it reads sorted.
 	kde stats.KDE
 	// lo and hi decide a tick without the threshold: s_t < lo is normal
 	// and s_t >= hi anomalous. While pending, they are the bracket the
@@ -134,15 +142,19 @@ type Detector struct {
 	pending   bool
 	// inversions counts the exact KDE inversions, for tests.
 	inversions int
-	queue      []float64 // batch queue Q of Algorithm 1
-	queueAnom  int       // anomalous values in the queue
+	batchAnom  int       // anomalous values in the open batch
 	warmup     []float64 // s_t values collected during initialisation
 	warmTicks  int
 	ticks      int
-	// accepted counts batches merged since the last refit, implementing
-	// RefitEvery.
+	// accepted counts batches accepted since the last refit,
+	// implementing RefitEvery.
 	accepted int
 }
+
+// ErrProfileWindow is returned by NewDetector for a config whose live
+// profile window, max(warm-up ticks, MaxProfile) + RefitEvery·BatchSize
+// values, does not fit the detector's 16-bit insertion numbers.
+var ErrProfileWindow = errors.New("md: profile window exceeds 65535 values")
 
 // NewDetector returns a detector over numStreams streams sampled every dt
 // seconds. It returns an error for invalid arguments.
@@ -154,6 +166,17 @@ func NewDetector(cfg Config, numStreams int, dt float64) (*Detector, error) {
 		return nil, fmt.Errorf("md: tick duration must be positive, got %v", dt)
 	}
 	cfg = cfg.withDefaults()
+	if cfg.BatchSize < 1 || cfg.MaxProfile < 1 || cfg.RefitEvery < 1 {
+		return nil, fmt.Errorf("md: BatchSize %d, MaxProfile %d and RefitEvery %d must be positive",
+			cfg.BatchSize, cfg.MaxProfile, cfg.RefitEvery)
+	}
+	// Checked in float, so a tiny dt cannot overflow the tick count, and
+	// negated, so a NaN fails.
+	warm := cfg.ProfileInitSec / dt
+	if window := max(warm, float64(cfg.MaxProfile)) + float64(cfg.RefitEvery)*float64(cfg.BatchSize); !(window < 1<<16) {
+		return nil, fmt.Errorf("%w: %.0f warm-up ticks (ProfileInitSec %v s at dt %v s), MaxProfile %d, RefitEvery %d × BatchSize %d",
+			ErrProfileWindow, warm, cfg.ProfileInitSec, dt, cfg.MaxProfile, cfg.RefitEvery, cfg.BatchSize)
+	}
 	w := int(cfg.StdWindowSec / dt)
 	if w < 2 {
 		w = 2
@@ -162,7 +185,7 @@ func NewDetector(cfg Config, numStreams int, dt float64) (*Detector, error) {
 		cfg:       cfg,
 		dt:        dt,
 		rolling:   make([]*stats.RollingStd, numStreams),
-		warmTicks: int(cfg.ProfileInitSec / dt),
+		warmTicks: int(warm),
 	}
 	for i := range d.rolling {
 		d.rolling[i] = stats.NewRollingStd(w)
@@ -194,9 +217,6 @@ func (d *Detector) Threshold() float64 {
 	return d.threshold
 }
 
-// ProfileSize returns the number of s_t values in the normal profile.
-func (d *Detector) ProfileSize() int { return len(d.profile) }
-
 // Push feeds one tick of samples (one value per stream, dBm) and returns
 // the detector state for this tick, together with the statistic s_t.
 func (d *Detector) Push(samples []float64) (State, float64) {
@@ -214,7 +234,7 @@ func (d *Detector) Push(samples []float64) (State, float64) {
 // profile update and returns the tick's state.
 func (d *Detector) observe(st float64) State {
 	d.ticks++
-	if d.profile == nil {
+	if d.sorted == nil {
 		d.warmup = append(d.warmup, st)
 		if d.ticks >= d.warmTicks {
 			d.initProfile()
@@ -241,60 +261,92 @@ func (d *Detector) observe(st float64) State {
 // initProfile builds the first normal profile from the warm-up samples.
 // The earliest StdWindowSec worth of values is dropped: the rolling
 // windows were not yet full and their tiny standard deviations would bias
-// the profile low. The FIFO is allocated once, at the most it ever holds:
-// a merge appends a batch before evicting down to MaxProfile.
+// the profile low. The profile buffers are allocated here, once: the
+// FIFO never holds more than max(initial, MaxProfile) values, nor a
+// refit more than RefitEvery batches.
 func (d *Detector) initProfile() {
 	skip := int(d.cfg.StdWindowSec / d.dt)
 	if skip >= len(d.warmup) {
 		skip = len(d.warmup) / 2
 	}
 	initial := d.warmup[skip:]
-	d.profile = make([]float64, len(initial), max(len(initial), d.cfg.MaxProfile)+d.cfg.BatchSize)
-	copy(d.profile, initial)
-	d.sorted = append(d.sorted, d.profile...)
-	sortProfile(d.sorted)
+	n, pending := len(initial), d.cfg.RefitEvery*d.cfg.BatchSize
+	d.sorted = make([]float64, n, max(n, d.cfg.MaxProfile))
+	d.ins = make([]uint16, n, cap(d.sorted))
+	d.added = make([]float64, 0, pending)
+	d.order = make([]uint16, pending)
+	order := make([]uint16, n)
+	sortOrder(order, initial)
+	for i, k := range order {
+		d.sorted[i], d.ins[i] = initial[k], k
+	}
+	d.size, d.next = n, uint16(n)
 	d.warmup = nil
 	d.refit()
 }
 
-// enqueue implements the batched profile update of Algorithm 1.
+// enqueue implements the batched profile update of Algorithm 1: a full
+// batch with too many anomalous values is dropped from added, and every
+// RefitEvery accepted batches are merged into the profile and refit.
 func (d *Detector) enqueue(st float64, anomalous bool) {
-	d.queue = append(d.queue, st)
+	d.added = append(d.added, st)
 	if anomalous {
-		d.queueAnom++
+		d.batchAnom++
 	}
-	if len(d.queue) < d.cfg.BatchSize {
+	open := len(d.added) - d.accepted*d.cfg.BatchSize
+	if open < d.cfg.BatchSize {
 		return
 	}
-	frac := float64(d.queueAnom) / float64(len(d.queue))
-	if frac < d.cfg.Tau {
-		d.profile = append(d.profile, d.queue...)
-		d.evicted = d.evicted[:0]
-		if over := len(d.profile) - d.cfg.MaxProfile; over > 0 {
-			// The evicted values may include some of this batch's
-			// (MaxProfile < BatchSize), and more than a batch's worth
-			// when the initial profile exceeds MaxProfile.
-			d.evicted = append(d.evicted, d.profile[:over]...)
-			d.profile = d.profile[:copy(d.profile, d.profile[over:])]
-		}
-		// The queue is reset below, so it is sorted in place.
-		sortProfile(d.queue)
-		sortProfile(d.evicted)
-		// One merge after a refit, spare holds the profile d.kde reads.
-		// This merge overwrites it, so unless a refit follows, the
-		// threshold is inverted first.
-		if d.accepted == 1 && d.cfg.RefitEvery > 2 {
-			d.Threshold()
-		}
-		d.sorted, d.spare = mergeProfile(d.spare[:0], d.sorted, d.queue, d.evicted), d.sorted
+	if frac := float64(d.batchAnom) / float64(open); frac < d.cfg.Tau {
+		// Accepting a batch appends it to the FIFO and evicts the oldest
+		// values beyond MaxProfile.
+		d.size = min(d.size+open, d.cfg.MaxProfile)
 		d.accepted++
 		if d.accepted >= d.cfg.RefitEvery {
 			d.accepted = 0
+			d.merge()
 			d.refit()
 		}
+	} else {
+		d.added = d.added[:len(d.added)-open]
 	}
-	d.queue = d.queue[:0]
-	d.queueAnom = 0
+	d.batchAnom = 0
+}
+
+// merge brings the profile to the FIFO's d.size newest values in one
+// in-place pass: it drops the values the accepted ones pushed out
+// (possibly some accepted ones too, when MaxProfile < BatchSize),
+// sorts the surviving accepted values by index, and merges them in from
+// the back.
+func (d *Detector) merge() {
+	end := d.next + uint16(len(d.added)) // insertion number of the next value
+	// A value is in the FIFO iff it is among the d.size newest. Ages
+	// stay below 2^16 (NewDetector's bound), so uint16 arithmetic gives
+	// them exactly.
+	size := uint16(d.size)
+	m := 0
+	for i, v := range d.sorted {
+		if end-d.ins[i] <= size {
+			d.sorted[m], d.ins[m] = v, d.ins[i]
+			m++
+		}
+	}
+	first := len(d.added) - (d.size - m) // oldest surviving accepted value
+	add, order := d.added[first:], d.order[:d.size-m]
+	sortOrder(order, add)
+	base := d.next + uint16(first)
+	d.sorted, d.ins = d.sorted[:d.size], d.ins[:d.size]
+	i, j := m-1, len(order)-1
+	for w := d.size - 1; j >= 0; w-- {
+		if v := add[order[j]]; i >= 0 && profileCmp(d.sorted[i], v) > 0 {
+			d.sorted[w], d.ins[w] = d.sorted[i], d.ins[i]
+			i--
+		} else {
+			d.sorted[w], d.ins[w] = v, base+order[j]
+			j--
+		}
+	}
+	d.added, d.next = d.added[:0], end
 }
 
 // refit re-estimates the profile KDE and certifies a bracket around the
@@ -303,7 +355,7 @@ func (d *Detector) enqueue(st float64, anomalous bool) {
 func (d *Detector) refit() {
 	kde, err := stats.NewKDESorted(d.sorted, d.cfg.KDEBandwidth)
 	if err != nil {
-		// initProfile leaves at least one value, and every update keeps
+		// initProfile leaves at least one value, and every merge keeps
 		// d.sorted in order: only a bug gets here.
 		panic("md: refit: " + err.Error())
 	}
@@ -319,8 +371,8 @@ func (d *Detector) refit() {
 // profileCmp orders s_t values as sort.Float64s does (NaNs first, then
 // ascending) and breaks that order's ties, ±0 and NaNs, by bit pattern.
 // Every order it gives is one sort.Float64s may give, and two values
-// compare equal only when they are identical, so a merge can drop an
-// evicted value by comparison alone.
+// compare equal only when they are identical, so the profile's order is
+// unique up to identical values.
 func profileCmp(a, b float64) int {
 	if c := cmp.Compare(a, b); c != 0 {
 		return c
@@ -328,47 +380,13 @@ func profileCmp(a, b float64) int {
 	return cmp.Compare(math.Float64bits(a), math.Float64bits(b))
 }
 
-// sortProfile sorts xs in profileCmp order.
-func sortProfile(xs []float64) {
-	slices.Sort(xs) // sort.Float64s order
-	// Only ±0 and NaNs tie there without being identical.
-	if _, zero := slices.BinarySearch(xs, 0); zero || len(xs) > 0 && math.IsNaN(xs[0]) {
-		slices.SortFunc(xs, profileCmp)
+// sortOrder sets order, of len(vals), to the indices of vals in
+// profileCmp order of their values.
+func sortOrder(order []uint16, vals []float64) {
+	for i := range order {
+		order[i] = uint16(i)
 	}
-}
-
-// mergeProfile appends to dst, in profileCmp order, the values of the
-// sorted profile old and the sorted batch add less the sorted values
-// evict, which must all occur in old or add. It is one linear pass.
-func mergeProfile(dst, old, add, evict []float64) []float64 {
-	i, j := 0, 0
-	for i < len(old) || j < len(add) {
-		var v float64
-		if j == len(add) || i < len(old) && profileLessEq(old[i], add[j]) {
-			v, i = old[i], i+1
-		} else {
-			v, j = add[j], j+1
-		}
-		// Equal under profileCmp means identical bits.
-		if len(evict) > 0 && math.Float64bits(v) == math.Float64bits(evict[0]) {
-			evict = evict[1:]
-			continue
-		}
-		dst = append(dst, v)
-	}
-	return dst
-}
-
-// profileLessEq is profileCmp(a, b) <= 0, without the call for two
-// distinct numbers.
-func profileLessEq(a, b float64) bool {
-	switch {
-	case a < b:
-		return true
-	case b < a:
-		return false
-	}
-	return profileCmp(a, b) <= 0
+	slices.SortFunc(order, func(a, b uint16) int { return profileCmp(vals[a], vals[b]) })
 }
 
 // Window is a variation window: a maximal anomalous interval, in ticks.

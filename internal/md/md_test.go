@@ -2,6 +2,7 @@ package md
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"slices"
 	"sort"
@@ -232,7 +233,7 @@ func TestDetectorWarmup(t *testing.T) {
 		}
 	}
 	det.Push(buf)
-	if det.ProfileSize() == 0 {
+	if det.size == 0 {
 		t.Fatal("profile not initialised after warm-up")
 	}
 	if det.Threshold() == 0 {
@@ -331,17 +332,11 @@ type lazyCounts struct{ below, above, inside int }
 
 // checkDetectorProfile runs data through the detector's batched profile
 // update under the default config, a small dt (the initial profile
-// exceeds MaxProfile), MaxProfile < BatchSize and RefitEvery 3 (a merge
-// overwrites the refit's profile before the next refit). Each input
-// byte picks one value: small steps with many duplicates, large values
-// whose runs get batches rejected, ±Inf, NaNs of either sign and −0.
-// After every tick the FIFO must keep the capacity initProfile gave it,
-// the sorted profile must hold the FIFO's values in sort.Float64s
-// order, and the tick's state must be s_t >= the threshold
-// stats.NewKDE over the FIFO gave at the last refit. The
-// threshold itself is read, and must be that one bit for bit, only on
-// the tick before each possible refit, so most ticks take the lazy
-// path.
+// exceeds MaxProfile), MaxProfile < BatchSize (a merge drops accepted
+// values), RefitEvery 3 (three batches per merge) and RefitEvery 1.
+// Each input byte picks one value: small steps with many duplicates,
+// large values whose runs get batches rejected, ±Inf, NaNs of either
+// sign and −0. See checkProfileRun for what is checked.
 func checkDetectorProfile(t *testing.T, data []byte) (n lazyCounts) {
 	t.Helper()
 	if len(data) == 0 {
@@ -355,89 +350,243 @@ func checkDetectorProfile(t *testing.T, data []byte) (n lazyCounts) {
 		{Config{}, 0.04},
 		{Config{MaxProfile: 25}, 0.2},
 		{Config{RefitEvery: 3}, 0.2},
+		{Config{RefitEvery: 1}, 0.2},
 	}
 	for _, c := range configs {
-		d, err := NewDetector(c.cfg, 1, c.dt)
+		ticks := int(DefaultConfig().ProfileInitSec/c.dt) + 1000
+		got, _ := checkProfileRun(t, c.cfg, c.dt, ticks, func(i int) float64 {
+			return profileValue(data[i%len(data)], i/len(data))
+		})
+		n.below += got.below
+		n.above += got.above
+		n.inside += got.inside
+	}
+	return n
+}
+
+// checkProfileRun feeds a detector one s_t per tick, value(0) to
+// value(ticks−1), and holds it to a FIFO model of Algorithm 1 kept
+// here: the warm-up values less the skipped ones, then every batch of
+// BatchSize values with fewer than Tau anomalous appended, evicting the
+// oldest beyond MaxProfile. On every tick the detector's FIFO length
+// must be the model's, every profile buffer must keep the capacity
+// initProfile gave it, and the tick's state must be s_t >= the
+// threshold stats.NewKDE over the model gave at the last refit. At
+// every refit (every RefitEvery accepted batches) the sorted profile
+// must be sort.Float64s of the model, by bits and in profileCmp order.
+// The threshold itself is read, and must be the model's bit for bit,
+// only on the tick before each possible refit, so most ticks take the
+// lazy path; the sorted profile must then still be the one the last
+// refit read. It returns the lazy-path counts and the number of values
+// the model inserted after warm-up.
+func checkProfileRun(t *testing.T, cfg Config, dt float64, ticks int, value func(int) float64) (n lazyCounts, inserted int) {
+	t.Helper()
+	d, err := NewDetector(cfg, 1, dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = cfg.withDefaults()
+	fail := func(tick int, format string, args ...any) {
+		t.Helper()
+		t.Fatalf("dt %v %+v tick %d: "+format, append([]any{dt, cfg, tick}, args...)...)
+	}
+	var (
+		warm      []float64 // s_t values fed during warm-up
+		fifo      []float64 // the model's profile, oldest first; nil during warm-up
+		batch     []float64
+		batchAnom int
+		accepted  int       // batches accepted since the last refit
+		read      []float64 // sorted profile at the last refit
+		want      float64   // the model's threshold at the last refit
+		caps      [4]int
+	)
+	profileCaps := func() [4]int { return [4]int{cap(d.sorted), cap(d.ins), cap(d.added), cap(d.order)} }
+	refit := func(tick int) {
+		t.Helper()
+		read = append(read[:0], fifo...)
+		sort.Float64s(read)
+		if !sameBits(d.sorted, read) {
+			fail(tick, "sorted profile holds other bit patterns than the model's FIFO")
+		}
+		if !sameOrder(d.sorted, read) || !slices.IsSortedFunc(d.sorted, profileCmp) {
+			fail(tick, "sorted profile %v, want %v in profileCmp order", d.sorted, read)
+		}
+		if len(d.ins) != len(d.sorted) {
+			fail(tick, "%d insertion numbers for %d values", len(d.ins), len(d.sorted))
+		}
+		read = append(read[:0], d.sorted...)
+		kde, err := stats.NewKDE(fifo, cfg.KDEBandwidth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.cfg.RefitEvery < 2 {
-			t.Fatal("refits are told apart by accepted falling; need RefitEvery >= 2")
-		}
-		var fifo []float64 // sort.Float64s of the FIFO
-		var want float64
-		fifoCap := -1 // cap(d.profile) once initProfile has run
-		for i := 0; i < d.warmTicks+1000; i++ {
-			warm, accepted := d.profile == nil, d.accepted
-			if !warm && len(d.queue) == d.cfg.BatchSize-1 && d.accepted == d.cfg.RefitEvery-1 {
+		want = kde.Percentile(100 - cfg.Alpha)
+	}
+	warmTicks := int(cfg.ProfileInitSec / dt)
+	for i := 0; i < ticks; i++ {
+		st := value(i)
+		if fifo == nil {
+			warm = append(warm, st)
+			if state := d.observe(st); state != StateWarmup {
+				fail(i, "state %v during warm-up", state)
+			}
+			if i+1 < warmTicks {
+				continue
+			}
+			skip := int(cfg.StdWindowSec / dt)
+			if skip >= len(warm) {
+				skip = len(warm) / 2
+			}
+			fifo = slices.Clone(warm[skip:])
+			refit(i)
+			caps = profileCaps()
+		} else {
+			if len(batch) == cfg.BatchSize-1 && accepted == cfg.RefitEvery-1 {
+				if !slices.EqualFunc(d.sorted, read, func(a, b float64) bool {
+					return math.Float64bits(a) == math.Float64bits(b)
+				}) {
+					fail(i, "sorted profile changed between refits")
+				}
 				// Which NaN a NaN threshold carries depends on the
 				// order sort.Float64s leaves NaNs in, which it does not
 				// define.
 				if got := d.Threshold(); math.Float64bits(got) != math.Float64bits(want) &&
 					!(math.IsNaN(got) && math.IsNaN(want)) {
-					t.Fatalf("dt %v %+v tick %d: threshold %v, stats.NewKDE gives %v",
-						c.dt, c.cfg, i, got, want)
+					fail(i, "threshold %v, stats.NewKDE gives %v", got, want)
 				}
 			}
-			st := profileValue(data[i%len(data)], i/len(data))
 			pending, lo, hi, inversions := d.pending, d.lo, d.hi, d.inversions
 			state := d.observe(st)
-			if !warm {
-				wantState := StateNormal
-				if st >= want {
-					wantState = StateAnomalous
+			wantState := StateNormal
+			if st >= want {
+				wantState = StateAnomalous
+			}
+			if state != wantState {
+				fail(i, "s_t %v gives state %v, threshold %v gives %v (bracket [%v, %v], pending %v)",
+					st, state, want, wantState, lo, hi, pending)
+			}
+			switch {
+			case !pending:
+			case st < lo:
+				n.below++
+			case st >= hi:
+				n.above++
+			default:
+				n.inside++
+				if d.inversions == inversions {
+					fail(i, "s_t %v inside [%v, %v] decided without inverting", st, lo, hi)
 				}
-				if state != wantState {
-					t.Fatalf("dt %v %+v tick %d: s_t %v gives state %v, threshold %v gives %v (bracket [%v, %v], pending %v)",
-						c.dt, c.cfg, i, st, state, want, wantState, lo, hi, pending)
-				}
-				switch {
-				case !pending:
-				case st < lo:
-					n.below++
-				case st >= hi:
-					n.above++
-				default:
-					n.inside++
-					if d.inversions == inversions {
-						t.Fatalf("dt %v %+v tick %d: s_t %v inside [%v, %v] decided without inverting",
-							c.dt, c.cfg, i, st, lo, hi)
+			}
+			batch = append(batch, st)
+			if state == StateAnomalous {
+				batchAnom++
+			}
+			if len(batch) == cfg.BatchSize {
+				if float64(batchAnom)/float64(len(batch)) < cfg.Tau {
+					fifo = append(fifo, batch...)
+					if over := len(fifo) - cfg.MaxProfile; over > 0 {
+						fifo = append(fifo[:0], fifo[over:]...)
+					}
+					inserted += len(batch)
+					if accepted++; accepted == cfg.RefitEvery {
+						accepted = 0
+						refit(i)
 					}
 				}
-			}
-			if d.profile == nil {
-				continue
-			}
-			if fifoCap < 0 {
-				fifoCap = cap(d.profile)
-			} else if cap(d.profile) != fifoCap {
-				t.Fatalf("dt %v %+v tick %d: FIFO capacity %d, initProfile allocated %d",
-					c.dt, c.cfg, i, cap(d.profile), fifoCap)
-			}
-			// The FIFO changes only when warm-up ends or a batch
-			// completes; sorting it only then keeps the fuzzer fast.
-			if warm || len(d.queue) == 0 {
-				fifo = append(fifo[:0], d.profile...)
-				sort.Float64s(fifo)
-				if !sameBits(d.sorted, fifo) {
-					t.Fatalf("dt %v %+v tick %d: sorted profile holds other bit patterns than the FIFO",
-						c.dt, c.cfg, i)
-				}
-			}
-			if !sameOrder(d.sorted, fifo) {
-				t.Fatalf("dt %v %+v tick %d: sorted profile %v, want %v",
-					c.dt, c.cfg, i, d.sorted, fifo)
-			}
-			if warm || d.accepted < accepted {
-				kde, err := stats.NewKDE(d.profile, d.cfg.KDEBandwidth)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = kde.Percentile(100 - d.cfg.Alpha)
+				batch, batchAnom = batch[:0], 0
 			}
 		}
+		if d.size != len(fifo) {
+			fail(i, "FIFO length %d, model holds %d", d.size, len(fifo))
+		}
+		if got := profileCaps(); got != caps {
+			fail(i, "profile buffer capacities %v, initProfile allocated %v", got, caps)
+		}
 	}
-	return n
+	return n, inserted
+}
+
+// TestDetectorInsertionNumbersWrap runs a small profile past 2·2^16
+// insertions, so its 16-bit insertion numbers wrap twice, and
+// holds it to the FIFO model. Values repeat often, so equal values with
+// different insertion numbers meet in every merge.
+func TestDetectorInsertionNumbersWrap(t *testing.T) {
+	src := rng.New(12)
+	value := func(i int) float64 {
+		if i%97 == 0 {
+			return profileValue(byte(200+src.Intn(56)), 0)
+		}
+		return float64(src.Intn(24)) / 4
+	}
+	cfg := Config{ProfileInitSec: 4, MaxProfile: 7, BatchSize: 3, RefitEvery: 2}
+	const ticks = 250_000
+	if _, inserted := checkProfileRun(t, cfg, 0.2, ticks, value); inserted < 2<<16 {
+		t.Fatalf("%d ticks inserted %d values, want at least %d", ticks, inserted, 2<<16)
+	}
+}
+
+// TestDetectorProfileWindowBound pins where NewDetector refuses a
+// config: its live window, max(warm-up ticks, MaxProfile) +
+// RefitEvery·BatchSize, must stay below 2^16.
+func TestDetectorProfileWindowBound(t *testing.T) {
+	def := DefaultConfig()
+	pending := def.RefitEvery * def.BatchSize
+	maxRefitEvery := (1<<16 - 1 - def.MaxProfile) / def.BatchSize
+	cases := []struct {
+		cfg Config
+		dt  float64
+		ok  bool
+	}{
+		{Config{MaxProfile: 1<<16 - 1 - pending}, 0.2, true},
+		{Config{MaxProfile: 1<<16 - pending}, 0.2, false},
+		{Config{RefitEvery: maxRefitEvery}, 0.2, true},
+		{Config{RefitEvery: maxRefitEvery + 1}, 0.2, false},
+		{Config{}, 30.0 / (1<<16 - 1 - float64(pending)), true},
+		{Config{}, 30.0 / (1<<16 - float64(pending)), false},
+		{Config{}, 1e-300, false},
+		{Config{}, math.NaN(), false},
+	}
+	for _, c := range cases {
+		_, err := NewDetector(c.cfg, 1, c.dt)
+		if c.ok && err != nil || !c.ok && !errors.Is(err, ErrProfileWindow) {
+			t.Errorf("NewDetector(%+v, dt %v): error %v, want ok %v", c.cfg, c.dt, err, c.ok)
+		}
+	}
+	if _, err := NewDetector(Config{BatchSize: -1}, 1, 0.2); err == nil || errors.Is(err, ErrProfileWindow) {
+		t.Errorf("negative BatchSize: error %v, want a non-positive size error", err)
+	}
+}
+
+// TestDetectorPushNoAllocs requires steady-state ticks, refits and
+// their merges included, to allocate nothing.
+func TestDetectorPushNoAllocs(t *testing.T) {
+	det, err := NewDetector(Config{}, 4, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(13)
+	buf := make([]float64, 4)
+	push := func() {
+		for k := range buf {
+			buf[k] = -60 + src.Normal(0, 0.8)
+		}
+		det.Push(buf)
+	}
+	for i := 0; i < 1000; i++ {
+		push()
+	}
+	perRun := det.cfg.RefitEvery * det.cfg.BatchSize
+	next := det.next
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < perRun; i++ {
+			push()
+		}
+	})
+	if det.next == next {
+		t.Fatal("no refit merged values during the measured ticks")
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per %d ticks, want 0", allocs, perRun)
+	}
 }
 
 // profileValue maps a fuzz byte, on the given pass over the input, to

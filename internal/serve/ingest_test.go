@@ -3,12 +3,15 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -480,6 +483,64 @@ func TestTicksBodyLimit(t *testing.T) {
 	if rr.Code != http.StatusRequestEntityTooLarge || res.AcceptedTicks != lines || res.Error != want {
 		t.Fatalf("status %d result %+v; want 413, %d ticks, error %q", rr.Code, res, lines, want)
 	}
+}
+
+// TestTicksBodyDeadline trickles a POST /v1/ticks body over a real
+// connection, one tick line every 20 ms of a declared 1 MiB, with the
+// body deadline shortened to 300 ms. Within 5 s of sending the headers
+// the client must get a 408 that keeps the lines which arrived, or a
+// closed connection.
+func TestTicksBodyDeadline(t *testing.T) {
+	defer func(d time.Duration) { ticksBodyTimeout = d }(ticksBodyTimeout)
+	ticksBodyTimeout = 300 * time.Millisecond
+	const bound = 5 * time.Second
+	srv, _ := newTestServer(t, specJSON("a"))
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := fmt.Fprintf(conn, "POST /v1/ticks HTTP/1.1\r\nHost: fadewich\r\nContent-Length: %d\r\n\r\n", 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		line := []byte(`{"office":"a","rssi":[-60,-61]}` + "\n")
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+			if _, err := conn.Write(line); err != nil {
+				return
+			}
+		}
+	}()
+	conn.SetReadDeadline(start.Add(bound))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	elapsed := time.Since(start)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("no answer and no close within %v of the headers", bound)
+	}
+	if err != nil {
+		t.Logf("connection closed after %v: %v", elapsed, err)
+		return
+	}
+	defer resp.Body.Close()
+	var res ingestResult
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestTimeout || res.AcceptedTicks == 0 || elapsed < ticksBodyTimeout {
+		t.Fatalf("after %v: status %d result %+v; want 408 with the ticks that arrived, after %v",
+			elapsed, resp.StatusCode, res, ticksBodyTimeout)
+	}
+	t.Logf("408 after %v with %d ticks accepted", elapsed, res.AcceptedTicks)
 }
 
 // TestLargeFlushStagesAChunk posts one training-shaped window, 500

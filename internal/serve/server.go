@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -305,10 +306,20 @@ type ingestResult struct {
 // sink error for good. The ticks stay queued for the next epoch flush.
 var errUntaggedFlush = errors.New("tagged forwarding: flush=1 requires epoch=K")
 
+// ticksBodyTimeout bounds how long one POST /v1/ticks may take to
+// deliver its body, so a client that trickles one cannot hold a
+// connection and its handler for as long as it likes. It is generous
+// for the largest body: the fleet runs a flushed POST while it decodes
+// it, and at the rate a 5 MB training window goes through (well under
+// a second) a 64 MiB body needs seconds, not minutes. The daemon's
+// other connection bounds, on headers and idle keep-alives, are set in
+// fadewich-serve's newHTTPServer. A var so tests can shorten it.
+var ticksBodyTimeout = 2 * time.Minute
+
 // ingestStatus maps a push error to its HTTP status. A body over the
-// limit is 413; anything but that, a closed ingestor or a full queue is
-// the request's fault, a wrong-width tick (stream.ErrTickWidth)
-// included: 400.
+// limit is 413 and one past its read deadline 408; anything but those,
+// a closed ingestor or a full queue is the request's fault, a
+// wrong-width tick (stream.ErrTickWidth) included: 400.
 func ingestStatus(err error) int {
 	switch {
 	case err == nil:
@@ -319,6 +330,8 @@ func ingestStatus(err error) int {
 		return http.StatusTooManyRequests
 	case errors.As(err, new(*http.MaxBytesError)):
 		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return http.StatusRequestTimeout
 	default:
 		return http.StatusBadRequest
 	}
@@ -344,8 +357,15 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		advance = s.ing.Advance
 	}
 	var res ingestResult
+	// The deadline covers the body only: it is cleared once the body is
+	// read, so a long flush cannot trip the server's background read.
+	// A writer with no connection under it (httptest's recorder) has no
+	// deadline to set.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(ticksBodyTimeout))
 	body := http.MaxBytesReader(w, r.Body, wire.MaxPayloadBytes)
 	err := s.ingestJSONL(body, &res, advance)
+	_ = rc.SetReadDeadline(time.Time{})
 	if err == nil {
 		err = queryErr
 	}

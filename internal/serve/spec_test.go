@@ -136,6 +136,9 @@ func TestResolveErrors(t *testing.T) {
 		{"unknown layout", Spec{Offices: []OfficeSpec{{Name: "x", Layout: "mars"}}}, "unknown layout"},
 		{"sensors too few", Spec{Offices: []OfficeSpec{{Name: "x", Sensors: 1}}}, "out of range"},
 		{"sensors too many", Spec{Offices: []OfficeSpec{{Name: "x", Layout: "small", Sensors: 99}}}, "out of range"},
+		// 75,000 warm-up ticks outgrow the md detector's 16-bit
+		// insertion numbers (md.ErrProfileWindow).
+		{"dt below the md profile bound", Spec{Offices: []OfficeSpec{{Name: "x", Layout: "small", DT: 0.0004}}}, "profile window"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
