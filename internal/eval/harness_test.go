@@ -298,23 +298,31 @@ func TestDepartureOutcomesCoverAllDepartures(t *testing.T) {
 	if len(outcomes) != deps {
 		t.Fatalf("outcomes %d, departures %d", len(outcomes), deps)
 	}
+	// Each deauthentication comes after the idle time its rule needs,
+	// counted from the last input before the departure; a case C without
+	// a time-out is a user who came back first, charged T.
 	p := h.Options().Params
 	for _, o := range outcomes {
+		idle := o.Event.Time + o.Elapsed - lastInputAt(h.Inputs()[o.Event.Day][o.Event.Label-1], o.Event.Time)
+		var need float64
 		switch o.Case {
 		case CaseA:
 			if o.Elapsed <= 0 || o.Elapsed > 12 {
 				t.Fatalf("case A elapsed %v", o.Elapsed)
 			}
+			need = p.TDeltaSec
 		case CaseB:
-			if o.Elapsed != p.TIDSec+p.TSSSec {
-				t.Fatalf("case B elapsed %v, want %v", o.Elapsed, p.TIDSec+p.TSSSec)
-			}
+			need = p.TIDSec + p.TSSSec
 		case CaseC:
-			if o.Elapsed != p.TimeoutSec {
-				t.Fatalf("case C elapsed %v, want %v", o.Elapsed, p.TimeoutSec)
+			if o.Elapsed == p.TimeoutSec {
+				continue
 			}
+			need = p.TimeoutSec
 		default:
 			t.Fatalf("unknown case %v", o.Case)
+		}
+		if idle < need {
+			t.Fatalf("case %v after %v s idle, want at least %v s", o.Case, idle, need)
 		}
 	}
 }

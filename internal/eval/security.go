@@ -1,23 +1,29 @@
 package eval
 
 // This file regenerates the security experiments: Fig 9 (the distribution
-// of deauthentication times after a departure, following the decision tree
-// of Fig 5), Fig 10 (attack opportunities for the Insider and Co-worker
-// adversaries versus the time-out baseline), and Fig 13 (the vulnerable
-// time / user cost trade-off).
+// of deauthentication times after a departure), Fig 10 (attack
+// opportunities for the Insider and Co-worker adversaries versus the
+// time-out baseline), and Fig 13 (the vulnerable time / user cost
+// trade-off). Every departure's fate is read from the actions of the
+// day's replay through control.Controller (replay.go).
 
 import (
+	"math"
+	"sort"
+	"strconv"
+
 	"fadewich/internal/baseline"
+	"fadewich/internal/control"
 	"fadewich/internal/engine"
 )
 
 // OutcomeCase identifies a leaf of the paper's decision tree (Fig 5).
 type OutcomeCase int
 
-// Decision-tree leaves: case A is a true positive correctly classified
-// (deauthentication at t1+t∆), case B a true positive misclassified
-// (deauthentication via the alert path at t+tID+tss), and case C a false
-// negative (deauthentication by the baseline time-out at t+T).
+// Decision-tree leaves: case A is a deauthentication by Rule 1 (a true
+// positive correctly classified), case B one by the alert path (Rule 2's
+// screensaver expiry), and case C one by the baseline time-out, or a
+// departure whose user came back before any deauthentication.
 const (
 	CaseA OutcomeCase = iota + 1
 	CaseB
@@ -38,74 +44,72 @@ func (c OutcomeCase) String() string {
 	}
 }
 
+// caseOf maps a deauthentication cause to its decision-tree leaf.
+var caseOf = [...]OutcomeCase{
+	control.CauseRule1:   CaseA,
+	control.CauseAlert:   CaseB,
+	control.CauseTimeout: CaseC,
+}
+
 // DepartureOutcome is one departure's fate.
 type DepartureOutcome struct {
 	Event TrueEvent
 	Case  OutcomeCase
 	// Elapsed is the deauthentication delay measured from the departure
-	// (the paper's worst-case last-input moment).
+	// (the paper's worst-case last-input moment); the time-out T when the
+	// user came back first.
 	Elapsed float64
 }
 
 // DepartureOutcomes classifies every departure event at sensor count n
-// using the paper's procedure (Section VII-C): run MD over the whole
-// period, 5-fold cross-validate RE over the TP samples, then read the
-// decision-tree timing per event.
+// (Section VII-C): run MD over the whole period, 5-fold cross-validate
+// RE over the TP samples with the given seed (tDelta 0 takes the
+// harness t∆), replay each day of the canonical input draw through
+// control.Controller, and read each departure from the actions.
 func (h *Harness) DepartureOutcomes(n int, tDelta float64, seed uint64) ([]DepartureOutcome, error) {
 	if tDelta == 0 {
 		tDelta = h.opt.Feat.TDeltaSec
 	}
-	p := h.opt.Params
-	results, err := h.RunMD(n)
+	run, err := h.replayer(n, tDelta, seed)
 	if err != nil {
 		return nil, err
 	}
-	matches, _ := h.Match(results, tDelta)
-	samples := h.Samples(n, matches, tDelta)
-	preds := h.cvPredict(samples, seed)
-
-	// predByWindow maps (day, startTick) to the CV prediction.
-	type key struct{ day, tick int }
-	predByWindow := make(map[key]int, len(samples))
-	for i, s := range samples {
-		predByWindow[key{s.Day, s.StartTick}] = preds[i]
-	}
-
 	var out []DepartureOutcome
-	for day, m := range matches {
-		trace := h.ds.Days[day]
-		evs := h.events[day]
-		for ei, ev := range evs {
-			if ev.Label < 1 {
-				continue // entries are not deauthentication subjects
-			}
-			wi := m.WindowOf[ei]
-			if wi < 0 {
-				out = append(out, DepartureOutcome{Event: ev, Case: CaseC, Elapsed: p.TimeoutSec})
-				continue
-			}
-			w := m.Windows[wi]
-			pred, ok := predByWindow[key{day, w.StartTick}]
-			if !ok {
-				pred = ev.Label // sample set too small to CV; treat as correct
-			}
-			if pred == ev.Label {
-				t1 := float64(w.StartTick) * trace.DT
-				out = append(out, DepartureOutcome{
-					Event:   ev,
-					Case:    CaseA,
-					Elapsed: t1 + p.TDeltaSec - ev.Time,
-				})
-			} else {
-				out = append(out, DepartureOutcome{
-					Event:   ev,
-					Case:    CaseB,
-					Elapsed: p.TIDSec + p.TSSSec,
-				})
-			}
-		}
+	for day := range h.ds.Days {
+		out = departureOutcomes(out, h.opt.Params.TimeoutSec, h.events[day], h.inputs[day], run(day, h.inputs[day]))
 	}
 	return out, nil
+}
+
+// departureOutcomes appends the fate of every departure in evs to out.
+// A departure's case and delay come from the first deauthentication of
+// its workstation after it, unless the user's next input (the return)
+// comes first: then the departure is case C at the time-out, and a later
+// departure's deauthentication is not credited to it.
+func departureOutcomes(out []DepartureOutcome, timeout float64, evs []TrueEvent, inputs [][]float64, acts []control.Action) []DepartureOutcome {
+	for _, ev := range evs {
+		if ev.Label < 1 {
+			continue // entries are not deauthentication subjects
+		}
+		ws := ev.Label - 1
+		in := inputs[ws]
+		back := math.Inf(1)
+		if i := sort.Search(len(in), func(i int) bool { return in[i] > ev.Time }); i < len(in) {
+			back = in[i]
+		}
+		o := DepartureOutcome{Event: ev, Case: CaseC, Elapsed: timeout}
+		for _, a := range acts {
+			if a.Type != control.ActionDeauthenticate || a.Workstation != ws || a.Time < ev.Time {
+				continue
+			}
+			if a.Time < back {
+				o.Case, o.Elapsed = caseOf[a.Cause], a.Time-ev.Time
+			}
+			break
+		}
+		out = append(out, o)
+	}
+	return out
 }
 
 // Fig9Curve is one sensor count's cumulative deauthentication curve.
@@ -127,7 +131,7 @@ func (h *Harness) Fig9(sensorCounts []int, maxSec float64) ([]Fig9Curve, error) 
 	}
 	return engine.Gather(h.pool, len(sensorCounts), func(i int) (Fig9Curve, error) {
 		n := sensorCounts[i]
-		outcomes, err := h.DepartureOutcomes(n, 0, 12345)
+		outcomes, err := h.DepartureOutcomes(n, 0, figuresCVSeed)
 		if err != nil {
 			return Fig9Curve{}, err
 		}
@@ -185,14 +189,7 @@ func (h *Harness) Fig10(adv AdversaryDelays) ([]Fig10Row, error) {
 		adv = DefaultAdversaryDelays()
 	}
 	pol := baseline.Policy{TimeoutSec: h.opt.Params.TimeoutSec}
-	departures := 0
-	for _, evs := range h.events {
-		for _, ev := range evs {
-			if ev.Label >= 1 {
-				departures++
-			}
-		}
-	}
+	departures := h.departures()
 	rows := []Fig10Row{{
 		Policy:      "timeout",
 		Departures:  departures,
@@ -201,7 +198,7 @@ func (h *Harness) Fig10(adv AdversaryDelays) ([]Fig10Row, error) {
 	}}
 	perCount, err := engine.Gather(h.pool, len(h.opt.SensorCounts), func(i int) (Fig10Row, error) {
 		n := h.opt.SensorCounts[i]
-		outcomes, err := h.DepartureOutcomes(n, 0, 12345)
+		outcomes, err := h.DepartureOutcomes(n, 0, figuresCVSeed)
 		if err != nil {
 			return Fig10Row{}, err
 		}
@@ -216,7 +213,7 @@ func (h *Harness) Fig10(adv AdversaryDelays) ([]Fig10Row, error) {
 			}
 		}
 		return Fig10Row{
-			Policy:      fmt3(n),
+			Policy:      strconv.Itoa(n),
 			Sensors:     n,
 			Departures:  len(outcomes),
 			InsiderPct:  pct(insider, len(outcomes)),
@@ -236,12 +233,15 @@ func pct(num, den int) float64 {
 	return 100 * float64(num) / float64(den)
 }
 
-func fmt3(n int) string {
-	const digits = "0123456789"
-	if n < 10 {
-		return digits[n : n+1]
+// departures counts the departure events across days.
+func (h *Harness) departures() int {
+	n := 0
+	for _, ev := range h.AllEvents() {
+		if ev.Label >= 1 {
+			n++
+		}
 	}
-	return digits[n/10:n/10+1] + digits[n%10:n%10+1]
+	return n
 }
 
 // Fig13Row is one policy's security/usability trade-off point.
@@ -261,14 +261,7 @@ func (h *Harness) Fig13(draws int) ([]Fig13Row, error) {
 		draws = 20
 	}
 	days := float64(len(h.ds.Days))
-	departures := 0
-	for _, evs := range h.events {
-		for _, ev := range evs {
-			if ev.Label >= 1 {
-				departures++
-			}
-		}
-	}
+	departures := h.departures()
 	pol := baseline.Policy{TimeoutSec: h.opt.Params.TimeoutSec}
 	rows := []Fig13Row{{
 		Policy:        "timeout",
@@ -284,7 +277,7 @@ func (h *Harness) Fig13(draws int) ([]Fig13Row, error) {
 		costPerDay[u.Sensors] = u.CostPerDay
 	}
 	for _, n := range h.opt.SensorCounts {
-		outcomes, err := h.DepartureOutcomes(n, 0, 12345)
+		outcomes, err := h.DepartureOutcomes(n, 0, figuresCVSeed)
 		if err != nil {
 			return nil, err
 		}
@@ -293,7 +286,7 @@ func (h *Harness) Fig13(draws int) ([]Fig13Row, error) {
 			vulnerable += o.Elapsed
 		}
 		rows = append(rows, Fig13Row{
-			Policy:        fmt3(n),
+			Policy:        strconv.Itoa(n),
 			Sensors:       n,
 			VulnerableMin: vulnerable / 60,
 			TotalCostMin:  costPerDay[n] * days / 60,

@@ -6,31 +6,19 @@ package eval
 // averaged over many independent draws of the simulated keyboard/mouse
 // input (the paper uses 100 draws of the Mikkelsen et al. model).
 //
-// Rather than replaying the tick-driven controller 100 times, the
-// computation here is event-driven: for every variation window and
-// workstation it derives the alert-state outcome analytically from the
-// input times around the window. A present user who sees the screensaver
-// activate reacts (jiggles the mouse) after a short reaction time, which
-// cancels the alert before the t_ss grace expires — so present users pay
-// the 3-second screensaver cost, while deauthentication errors against
-// present users come (as in the paper) from Rule 1 misfires, which shrink
-// as RE precision grows with more sensors. The tick-driven controller in
-// internal/control remains the reference implementation; a test checks the
-// two agree on the case-B timing.
+// Each draw replays every day through control.Controller (replay.go) and
+// counts the screensavers and deauthentications that hit seated users. A
+// seated user who sees the screensaver reacts ReactionSec later, which
+// cancels the alert before the t_ss grace expires, so it costs 3 s. A
+// seated user already idle t_ID + t_ss when Rule 2 fires gets the
+// screensaver and the deauthentication on the same tick; that is one
+// deauthentication (13 s), since there was no screensaver to cancel.
 
 import (
-	"math"
-
 	"fadewich/internal/agent"
-	"fadewich/internal/kma"
-	"fadewich/internal/re"
-	"fadewich/internal/sim"
+	"fadewich/internal/control"
 	"fadewich/internal/stats"
 )
-
-// ReactionSec is how quickly a present user dismisses an unexpected
-// screensaver.
-const ReactionSec = 1.5
 
 // Table4Row is one sensor count's usability figures.
 type Table4Row struct {
@@ -61,81 +49,12 @@ func (h *Harness) Table4(draws int) ([]Table4Row, error) {
 	return rows, nil
 }
 
-// predictedWindow is a variation window with its classifier output.
-type predictedWindow struct {
-	day   int
-	t1    float64 // window start
-	t2    float64 // window end
-	label int     // RE prediction
-}
-
-// windowPredictions assembles every qualifying window (duration ≥ t∆) with
-// a prediction: TP windows receive their cross-validated prediction, other
-// windows (false positives) the output of a model trained on all samples.
-func (h *Harness) windowPredictions(n int, tDelta float64) ([]predictedWindow, error) {
-	results, err := h.RunMD(n)
-	if err != nil {
-		return nil, err
-	}
-	matches, _ := h.Match(results, tDelta)
-	samples := h.Samples(n, matches, tDelta)
-	preds := h.cvPredict(samples, 9377)
-
-	type key struct{ day, tick int }
-	cvPred := make(map[key]int, len(samples))
-	for i, s := range samples {
-		cvPred[key{s.Day, s.StartTick}] = preds[i]
-	}
-
-	// Full model for windows without a CV prediction (false positives).
-	var full *re.Classifier
-	if len(samples) > 1 && hasTwoClasses(samples) {
-		if clf, err := re.Train(samples, h.svmConfig(5501)); err == nil {
-			full = clf
-		}
-	}
-
-	subset := h.streamSubset(n)
-	feat := h.opt.Feat
-	feat.TDeltaSec = tDelta
-
-	var out []predictedWindow
-	for day, m := range matches {
-		trace := h.ds.Days[day]
-		for wi, w := range m.Windows {
-			pw := predictedWindow{
-				day: day,
-				t1:  float64(w.StartTick) * trace.DT,
-				t2:  float64(w.EndTick) * trace.DT,
-			}
-			if p, ok := cvPred[key{day, w.StartTick}]; ok {
-				pw.label = p
-			} else if m.EventIdx[wi] >= 0 {
-				pw.label = h.events[day][m.EventIdx[wi]].Label
-			} else if full != nil {
-				pw.label = full.Predict(re.Extract(trace.Streams, subset, w.StartTick, trace.DT, feat))
-			} else {
-				pw.label = re.LabelEntry
-			}
-			out = append(out, pw)
-		}
-	}
-	return out, nil
-}
-
 // usabilityFor computes one Table IV row.
 func (h *Harness) usabilityFor(n, draws int) (Table4Row, error) {
-	tDelta := h.opt.Feat.TDeltaSec
-	windows, err := h.windowPredictions(n, tDelta)
+	run, err := h.replayer(n, h.opt.Feat.TDeltaSec, table4CVSeed)
 	if err != nil {
 		return Table4Row{}, err
 	}
-	// Group windows per day for the replay.
-	perDay := make([][]predictedWindow, len(h.ds.Days))
-	for _, w := range windows {
-		perDay[w.day] = append(perDay[w.day], w)
-	}
-
 	// Every draw is an independent replay (RedrawInputs seeds a fresh
 	// generator per draw), so the draws fan out over the harness pool
 	// with results slotted by draw index.
@@ -146,8 +65,7 @@ func (h *Harness) usabilityFor(n, draws int) (Table4Row, error) {
 		inputs := h.RedrawInputs(uint64(draw) + 17)
 		var ss, deauth int
 		for day, trace := range h.ds.Days {
-			tracker := kma.NewTracker(inputs[day])
-			s, d := h.replayDay(trace, perDay[day], tracker)
+			s, d := seatedErrors(trace.Seated, run(day, inputs[day]))
 			ss += s
 			deauth += d
 		}
@@ -167,103 +85,30 @@ func (h *Harness) usabilityFor(n, draws int) (Table4Row, error) {
 	return row, nil
 }
 
-// replayDay walks one day's windows chronologically and counts erroneous
-// screensavers and deauthentications (those inflicted on present users).
-func (h *Harness) replayDay(trace *sim.Trace, windows []predictedWindow, tracker *kma.Tracker) (ssCount, deauthCount int) {
-	p := h.opt.Params
-	numWS := len(trace.Seated)
-
-	for _, w := range windows {
-		tq := w.t1 + p.TDeltaSec
-		if tq > w.t2 {
-			// Window ended before t∆ (cannot happen: windows are
-			// pre-filtered at t∆); guard anyway.
-			tq = w.t2
+// seatedErrors counts the screensavers and deauthentications in a day's
+// time-ordered actions that hit seated users. A screensaver followed by
+// a deauthentication of the same workstation on the same tick counts as
+// the deauthentication only.
+func seatedErrors(seated [][]agent.Interval, acts []control.Action) (screensavers, deauths int) {
+	for i, a := range acts {
+		if a.Type != control.ActionScreensaverOn && a.Type != control.ActionDeauthenticate ||
+			!seatedAt(seated[a.Workstation], a.Time) {
+			continue
 		}
-
-		// Rule 1 at tq.
-		if w.label >= 1 && w.label <= numWS {
-			ci := w.label - 1
-			if idleAtLeast(tracker, ci, tq, p.TDeltaSec) {
-				if seatedAt(trace.Seated[ci], tq) {
-					deauthCount++
-				}
-			}
+		if a.Type == control.ActionDeauthenticate {
+			deauths++
+			continue
 		}
-
-		// Rule 2 alert chains for every workstation.
-		for ws := 0; ws < numWS; ws++ {
-			ssAt, ok := alertScreensaverTime(tracker, ws, tq, w.t2, p.TIDSec)
-			if !ok {
-				continue
+		sameTick := false
+		for _, b := range acts[i+1:] {
+			if b.Time != a.Time {
+				break
 			}
-			if seatedAt(trace.Seated[ws], ssAt) {
-				// Present user: pays the cancellation cost, reacts, and
-				// the alert chain dies before the t_ss grace expires
-				// (ReactionSec < TSSSec).
-				ssCount++
-				continue
-			}
-			// Absent user: the screensaver stays on; the session
-			// deauthenticates t_ss later (case B for the departed user).
-			// Not a usability error — nobody is present.
+			sameTick = sameTick || b.Type == control.ActionDeauthenticate && b.Workstation == a.Workstation
+		}
+		if !sameTick {
+			screensavers++
 		}
 	}
-	return ssCount, deauthCount
-}
-
-// idleAtLeast reports whether workstation ws has observed no input in
-// (t−d, t].
-func idleAtLeast(tracker *kma.Tracker, ws int, t, d float64) bool {
-	last, ok := tracker.LastInputAt(ws, t)
-	return !ok || t-last >= d
-}
-
-// alertScreensaverTime computes when (if ever) the alert chain started by
-// Rule 2 in [tq, t2] activates the screensaver for workstation ws:
-// the screensaver fires at vX + tID, where vX is the start of an idle run
-// that puts the workstation in the idle set during the Rule-2 period, as
-// long as the run survives until then and, if the screensaver has not yet
-// fired, the alert is not dismissed at the window end.
-func alertScreensaverTime(tracker *kma.Tracker, ws int, tq, t2, tID float64) (float64, bool) {
-	// Candidate run starts: the last input before tq, then every input
-	// inside (tq, t2].
-	cand, ok := tracker.LastInputAt(ws, tq)
-	if !ok {
-		cand = 0 // never touched: idle since day start
-	}
-	for {
-		// The workstation enters alert at max(cand+1, tq) provided no
-		// input arrives first.
-		nxt, hasNext := tracker.NextInputAfter(ws, cand)
-		alertAt := math.Max(cand+1, tq)
-		if !hasNext || nxt > alertAt {
-			// Alert engaged; screensaver at cand + tID if the run
-			// persists and the alert is still alive (window not yet over,
-			// unless the screensaver already fired — which is what we are
-			// computing).
-			ssAt := math.Max(cand+tID, alertAt)
-			if (!hasNext || nxt > ssAt) && ssAt <= t2 {
-				return ssAt, true
-			}
-			if !hasNext {
-				return 0, false
-			}
-		}
-		if !hasNext || nxt > t2 {
-			return 0, false
-		}
-		cand = nxt
-	}
-}
-
-// seatedAt reports whether the user owning the workstation is seated at
-// time t.
-func seatedAt(ivs []agent.Interval, t float64) bool {
-	for _, iv := range ivs {
-		if iv.Contains(t) {
-			return true
-		}
-	}
-	return false
+	return screensavers, deauths
 }

@@ -139,21 +139,6 @@ func (t *Tracker) LastInput(w int, now float64) (float64, bool) {
 	return t.inputs[w][c-1], true
 }
 
-// LastInputAt returns the time of the last input at workstation w at or
-// before t, using binary search. Unlike LastInput it does not advance the
-// replay cursor, so callers may probe arbitrary times in any order.
-func (t *Tracker) LastInputAt(w int, at float64) (float64, bool) {
-	xs := t.inputs[w]
-	i := sort.SearchFloat64s(xs, at)
-	for i < len(xs) && xs[i] <= at {
-		i++
-	}
-	if i == 0 {
-		return 0, false
-	}
-	return xs[i-1], true
-}
-
 // InputInRange reports whether workstation w received any input within
 // (from, to]. It uses binary search and does not disturb the replay
 // cursors, so labelling code can probe arbitrary ranges.

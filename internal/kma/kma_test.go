@@ -88,23 +88,6 @@ func TestTrackerLastInputMonotoneCursor(t *testing.T) {
 	}
 }
 
-func TestTrackerLastInputAtRandomAccess(t *testing.T) {
-	tr := NewTracker([][]float64{{10, 20, 30}})
-	// Probe out of order — binary search must not care.
-	if v, ok := tr.LastInputAt(0, 25); !ok || v != 20 {
-		t.Fatalf("LastInputAt(25) = %v,%v", v, ok)
-	}
-	if v, ok := tr.LastInputAt(0, 15); !ok || v != 10 {
-		t.Fatalf("LastInputAt(15) = %v,%v", v, ok)
-	}
-	if _, ok := tr.LastInputAt(0, 5); ok {
-		t.Fatal("LastInputAt before first input should report none")
-	}
-	if v, ok := tr.LastInputAt(0, 30); !ok || v != 30 {
-		t.Fatalf("LastInputAt(30) = %v,%v (inclusive)", v, ok)
-	}
-}
-
 func TestTrackerInputInRange(t *testing.T) {
 	tr := NewTracker([][]float64{{10, 20, 30}})
 	if !tr.InputInRange(0, 15, 25) {
@@ -138,7 +121,7 @@ func TestTrackerCopiesInput(t *testing.T) {
 	raw := [][]float64{{30, 10, 20}} // unsorted on purpose
 	tr := NewTracker(raw)
 	raw[0][0] = 999
-	if v, ok := tr.LastInputAt(0, 35); !ok || v != 30 {
+	if v, ok := tr.LastInput(0, 35); !ok || v != 30 {
 		t.Fatalf("tracker affected by caller mutation: %v,%v", v, ok)
 	}
 }

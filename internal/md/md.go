@@ -156,6 +156,11 @@ type Detector struct {
 // values, does not fit the detector's 16-bit insertion numbers.
 var ErrProfileWindow = errors.New("md: profile window exceeds 65535 values")
 
+// ErrStdWindow is returned by NewDetector for a config whose rolling
+// standard-deviation window, StdWindowSec / dt ticks, is not finite or
+// holds 2^16 ticks or more.
+var ErrStdWindow = errors.New("md: std window exceeds 65535 ticks")
+
 // NewDetector returns a detector over numStreams streams sampled every dt
 // seconds. It returns an error for invalid arguments.
 func NewDetector(cfg Config, numStreams int, dt float64) (*Detector, error) {
@@ -177,7 +182,13 @@ func NewDetector(cfg Config, numStreams int, dt float64) (*Detector, error) {
 		return nil, fmt.Errorf("%w: %.0f warm-up ticks (ProfileInitSec %v s at dt %v s), MaxProfile %d, RefitEvery %d × BatchSize %d",
 			ErrProfileWindow, warm, cfg.ProfileInitSec, dt, cfg.MaxProfile, cfg.RefitEvery, cfg.BatchSize)
 	}
-	w := int(cfg.StdWindowSec / dt)
+	// Checked in float like the profile window, so a huge or NaN
+	// StdWindowSec fails here rather than in makeslice.
+	stdTicks := cfg.StdWindowSec / dt
+	if !(math.Abs(stdTicks) < 1<<16) {
+		return nil, fmt.Errorf("%w: StdWindowSec %v s at dt %v s", ErrStdWindow, cfg.StdWindowSec, dt)
+	}
+	w := int(stdTicks)
 	if w < 2 {
 		w = 2
 	}
@@ -409,6 +420,11 @@ type Result struct {
 	// Windows are the raw variation windows after gap merging but before
 	// any t∆ minimum-duration filtering.
 	Windows []Window
+	// GapTicks is the merge gap in ticks: windows at most this many
+	// quiet ticks apart are merged, so a window tracked tick by tick (as
+	// core.System does) stays open this long after its last anomalous
+	// tick.
+	GapTicks int
 	// DT is the tick duration.
 	DT float64
 }
@@ -440,14 +456,14 @@ func Run(streams [][]int8, subset []int, dt float64, cfg Config) (*Result, error
 		res.SumStd[i] = st
 		res.Anomalous[i] = state == StateAnomalous
 	}
-	res.Windows = extractWindows(res.Anomalous, dt, cfg.withDefaults().MergeGapSec)
+	res.GapTicks = int(cfg.withDefaults().MergeGapSec / dt)
+	res.Windows = extractWindows(res.Anomalous, res.GapTicks)
 	return res, nil
 }
 
 // extractWindows converts the per-tick anomaly flags into maximal windows,
-// merging runs separated by gaps shorter than mergeGapSec.
-func extractWindows(anomalous []bool, dt, mergeGapSec float64) []Window {
-	gap := int(mergeGapSec / dt)
+// merging runs separated by at most gap quiet ticks.
+func extractWindows(anomalous []bool, gap int) []Window {
 	var out []Window
 	inWin := false
 	start := 0

@@ -126,7 +126,7 @@ func TestMergeGapJoinsCloseRuns(t *testing.T) {
 	for i := 22; i < 30; i++ { // 0.4s gap at dt=0.2
 		anom[i] = true
 	}
-	wins := extractWindows(anom, 0.2, 0.8)
+	wins := extractWindows(anom, 4)
 	if len(wins) != 1 {
 		t.Fatalf("gap not merged: %d windows", len(wins))
 	}
@@ -134,7 +134,7 @@ func TestMergeGapJoinsCloseRuns(t *testing.T) {
 		t.Fatalf("merged window %+v", wins[0])
 	}
 	// Without merging, two windows.
-	wins = extractWindows(anom, 0.2, 0)
+	wins = extractWindows(anom, 0)
 	if len(wins) != 2 {
 		t.Fatalf("unmerged windows %d, want 2", len(wins))
 	}
@@ -145,7 +145,7 @@ func TestExtractWindowsTrailingRun(t *testing.T) {
 	for i := 40; i < 50; i++ {
 		anom[i] = true
 	}
-	wins := extractWindows(anom, 0.2, 0.8)
+	wins := extractWindows(anom, 4)
 	if len(wins) != 1 || wins[0].EndTick != 50 {
 		t.Fatalf("trailing run windows %+v", wins)
 	}

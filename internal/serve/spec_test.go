@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -139,6 +140,10 @@ func TestResolveErrors(t *testing.T) {
 		// 75,000 warm-up ticks outgrow the md detector's 16-bit
 		// insertion numbers (md.ErrProfileWindow).
 		{"dt below the md profile bound", Spec{Offices: []OfficeSpec{{Name: "x", Layout: "small", DT: 0.0004}}}, "profile window"},
+		// A rolling window of 1e18 ticks (or NaN) would panic in
+		// makeslice (md.ErrStdWindow).
+		{"md std window 2e17", Spec{Offices: []OfficeSpec{{Name: "x", Layout: "small", MDStdWindowSec: 2e17}}}, "std window"},
+		{"md std window NaN", Spec{Offices: []OfficeSpec{{Name: "x", Layout: "small", MDStdWindowSec: math.NaN()}}}, "std window"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
