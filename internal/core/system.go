@@ -125,7 +125,8 @@ type System struct {
 	maxSampleTicks int
 
 	// inputLog keeps each workstation's input times for training-phase
-	// auto-labelling. Only training appends to it, and going online
+	// auto-labelling, only as far back as the labeller can still read
+	// (see NotifyInput). Only training appends to it, and going online
 	// releases it.
 	inputLog [][]float64
 
@@ -201,9 +202,38 @@ func (s *System) NotifyInput(ws int) {
 		return
 	}
 	if s.phase == PhaseTraining {
-		s.inputLog[ws] = append(s.inputLog[ws], s.now)
+		s.logInput(ws)
 	}
 	s.interTick = s.ctl.Input(ws, s.now, s.interTick)
+}
+
+// logInput appends the current time to workstation ws's input log and
+// drops the inputs no window still to be labelled can query.
+// re.AutoLabel, for a window starting at t1, reads the last input at
+// or before t1+IdleSlackSec and the inputs after that and after t1. No
+// such window starts before the first pending window, or else the open
+// one, or else the next tick. So the log keeps every input from that
+// start (less a negative IdleSlackSec) on, and the last one before it.
+// Each input is dropped once, so the trim costs O(1) amortised, and the
+// log stays in one array.
+func (s *System) logInput(ws int) {
+	from := s.now
+	switch {
+	case len(s.pending) > 0:
+		from = float64(s.pending[0].window.StartTick) * s.cfg.DT
+	case s.inWindow:
+		from = float64(s.winStart) * s.cfg.DT
+	}
+	from += min(0, s.cfg.Label.IdleSlackSec)
+	log := append(s.inputLog[ws], s.now)
+	k := 0
+	for k+1 < len(log) && log[k+1] < from {
+		k++
+	}
+	if k > 0 {
+		log = log[:copy(log, log[k:])]
+	}
+	s.inputLog[ws] = log
 }
 
 // Authenticated reports whether workstation ws currently has an active
@@ -334,8 +364,9 @@ func (s *System) resolvePending() {
 	s.pending = kept
 }
 
-// trackerView snapshots the per-workstation input logs into a fresh
-// kma.Tracker for the auto-labeller.
+// trackerView gives the auto-labeller a fresh kma.Tracker over the
+// per-workstation input logs, which are sorted, so it reads them in
+// place.
 func (s *System) trackerView() *kma.Tracker {
 	return kma.NewTracker(s.inputLog)
 }

@@ -8,6 +8,7 @@ package kma
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"fadewich/internal/agent"
@@ -104,13 +105,17 @@ type Tracker struct {
 	cursor []int
 }
 
-// NewTracker builds a tracker over sorted per-workstation input times.
+// NewTracker builds a tracker over per-workstation input times. It
+// reads a sorted slice in place, so the caller must not change it while
+// the tracker is in use; an unsorted one is copied and sorted.
 func NewTracker(inputs [][]float64) *Tracker {
 	cp := make([][]float64, len(inputs))
 	for i, xs := range inputs {
-		cp[i] = make([]float64, len(xs))
-		copy(cp[i], xs)
-		sort.Float64s(cp[i])
+		if !sort.Float64sAreSorted(xs) {
+			xs = slices.Clone(xs)
+			sort.Float64s(xs)
+		}
+		cp[i] = xs
 	}
 	return &Tracker{inputs: cp, cursor: make([]int, len(cp))}
 }

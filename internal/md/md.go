@@ -122,15 +122,25 @@ const (
 // batch at its tail, and order is scratch for sorting them. initProfile
 // allocates all four once, at the most they ever hold.
 type Detector struct {
-	cfg     Config
-	dt      float64
-	rolling []*stats.RollingStd
-	sorted  []float64 // nil during warm-up
-	ins     []uint16
-	added   []float64
-	order   []uint16
-	size    int    // FIFO length, counted as batches are accepted
-	next    uint16 // insertion number of added[0]
+	cfg Config
+	dt  float64
+	// ring holds every stream's rolling window, one row of len(acc)
+	// samples per tick: rows rows, head the next to write, count of
+	// them filled. acc holds each stream's running sums over its
+	// window, rebuilt exactly every rebuildEvery ticks.
+	ring         []float64
+	acc          []stdSums
+	rows         int
+	head         int
+	count        int
+	sinceRebuild int
+
+	sorted []float64 // nil during warm-up
+	ins    []uint16
+	added  []float64
+	order  []uint16
+	size   int    // FIFO length, counted as batches are accepted
+	next   uint16 // insertion number of added[0]
 	// kde is the last refit's profile KDE; it reads sorted.
 	kde stats.KDE
 	// lo and hi decide a tick without the threshold: s_t < lo is normal
@@ -192,25 +202,99 @@ func NewDetector(cfg Config, numStreams int, dt float64) (*Detector, error) {
 	if w < 2 {
 		w = 2
 	}
-	d := &Detector{
+	return &Detector{
 		cfg:       cfg,
 		dt:        dt,
-		rolling:   make([]*stats.RollingStd, numStreams),
+		ring:      make([]float64, w*numStreams),
+		acc:       make([]stdSums, numStreams),
+		rows:      w,
 		warmTicks: int(warm),
-	}
-	for i := range d.rolling {
-		d.rolling[i] = stats.NewRollingStd(w)
-	}
-	return d, nil
+	}, nil
 }
 
-// SumStd returns the current detection statistic s_t.
-func (d *Detector) SumStd() float64 {
-	var sum float64
-	for _, r := range d.rolling {
-		sum += r.Std()
+// stdSums is one stream's running sum and sum of squares over its
+// rolling window.
+type stdSums struct{ sum, sumSq float64 }
+
+// rebuildEvery is how many ticks the running sums go between exact
+// recomputations, which keep cancellation error from accumulating over
+// multi-day traces; a rebuild costs one pass over the ring.
+const rebuildEvery = 1 << 14
+
+// roll pushes one tick's samples into the rolling windows, evicting
+// the oldest row once they are full, and returns s_t: the sum over
+// streams, in stream order, of each window's population standard
+// deviation, or 0 while the windows hold fewer than two samples.
+func (d *Detector) roll(samples []float64) float64 {
+	n := len(d.acc)
+	row := d.ring[d.head*n : d.head*n+n]
+	acc := d.acc[:len(row)]
+	full := d.count == d.rows
+	if !full {
+		d.count++
 	}
-	return sum
+	count := float64(d.count)
+	var st float64
+	for i, x := range samples[:len(row)] {
+		a := &acc[i]
+		sum, sumSq := a.sum, a.sumSq
+		if full {
+			old := row[i]
+			sum -= old
+			sumSq -= old * old
+		}
+		row[i] = x
+		sum += x
+		sumSq += x * x
+		a.sum, a.sumSq = sum, sumSq
+		st += a.std(count)
+	}
+	if d.head++; d.head == d.rows {
+		d.head = 0
+	}
+	if d.sinceRebuild++; d.sinceRebuild >= rebuildEvery {
+		st = d.rebuild()
+	}
+	if d.count < 2 {
+		return 0
+	}
+	return st
+}
+
+// rebuild recomputes the running sums exactly, each stream's from its
+// newest sample to its oldest, and returns s_t from them.
+func (d *Detector) rebuild() float64 {
+	d.sinceRebuild = 0
+	clear(d.acc)
+	n := len(d.acc)
+	r := d.head
+	for i := 0; i < d.count; i++ {
+		if r == 0 {
+			r = d.rows
+		}
+		r--
+		for k, v := range d.ring[r*n : r*n+n] {
+			a := &d.acc[k]
+			a.sum += v
+			a.sumSq += v * v
+		}
+	}
+	var st float64
+	for i := range d.acc {
+		st += d.acc[i].std(float64(d.count))
+	}
+	return st
+}
+
+// std returns the population standard deviation of a window of n
+// samples.
+func (a *stdSums) std(n float64) float64 {
+	mean := a.sum / n
+	v := a.sumSq/n - mean*mean
+	if v < 0 {
+		v = 0 // guard against tiny negative values from rounding
+	}
+	return math.Sqrt(v)
 }
 
 // Threshold returns the current anomaly threshold (the (100−α)-th profile
@@ -231,13 +315,10 @@ func (d *Detector) Threshold() float64 {
 // Push feeds one tick of samples (one value per stream, dBm) and returns
 // the detector state for this tick, together with the statistic s_t.
 func (d *Detector) Push(samples []float64) (State, float64) {
-	if len(samples) != len(d.rolling) {
-		panic(fmt.Sprintf("md: Push got %d samples, want %d", len(samples), len(d.rolling)))
+	if len(samples) != len(d.acc) {
+		panic(fmt.Sprintf("md: Push got %d samples, want %d", len(samples), len(d.acc)))
 	}
-	for i, x := range samples {
-		d.rolling[i].Push(x)
-	}
-	st := d.SumStd()
+	st := d.roll(samples)
 	return d.observe(st), st
 }
 
@@ -336,20 +417,27 @@ func (d *Detector) merge() {
 	// them exactly.
 	size := uint16(d.size)
 	m := 0
+	var top uint64 // the largest bit pattern among the kept values
 	for i, v := range d.sorted {
 		if end-d.ins[i] <= size {
 			d.sorted[m], d.ins[m] = v, d.ins[i]
+			top = max(top, math.Float64bits(v))
 			m++
 		}
 	}
 	first := len(d.added) - (d.size - m) // oldest surviving accepted value
 	add, order := d.added[first:], d.order[:d.size-m]
-	sortOrder(order, add)
+	// When both sides are ordered by bit pattern, so is the merge.
+	byBits := sortOrder(order, add) && top <= posInfBits
 	base := d.next + uint16(first)
 	d.sorted, d.ins = d.sorted[:d.size], d.ins[:d.size]
 	i, j := m-1, len(order)-1
 	for w := d.size - 1; j >= 0; w-- {
-		if v := add[order[j]]; i >= 0 && profileCmp(d.sorted[i], v) > 0 {
+		v := add[order[j]]
+		// later: d.sorted[i] goes after v.
+		later := i >= 0 && (byBits && math.Float64bits(d.sorted[i]) > math.Float64bits(v) ||
+			!byBits && profileCmp(d.sorted[i], v) > 0)
+		if later {
 			d.sorted[w], d.ins[w] = d.sorted[i], d.ins[i]
 			i--
 		} else {
@@ -370,9 +458,16 @@ func (d *Detector) refit() {
 		// d.sorted in order: only a bug gets here.
 		panic("md: refit: " + err.Error())
 	}
+	// Newton starts at the last refit's threshold, or its bracket's
+	// midpoint when the threshold was never needed; the first refit
+	// starts at the empirical quantile.
+	start := math.NaN()
+	if d.kde.N() > 0 {
+		start = (d.lo + d.hi) / 2
+	}
 	d.kde = kde
 	var ok bool
-	d.lo, d.hi, ok = kde.PercentileBracket(100 - d.cfg.Alpha)
+	d.lo, d.hi, ok = kde.PercentileBracket(100-d.cfg.Alpha, start)
 	d.pending = true
 	if !ok {
 		d.Threshold()
@@ -392,13 +487,56 @@ func profileCmp(a, b float64) int {
 }
 
 // sortOrder sets order, of len(vals), to the indices of vals in
-// profileCmp order of their values.
-func sortOrder(order []uint16, vals []float64) {
-	for i := range order {
-		order[i] = uint16(i)
+// profileCmp order of their values, and reports whether every value is
+// +0, positive or +Inf. Such values, a refit's accepted s_t (a sum of
+// square roots), are ordered by bit pattern, which for them is
+// profileCmp's order exactly: larger values have larger patterns, and
+// equal patterns are identical values. Up to maxInsertionSort of them
+// take a binary insertion sort, indices of equal values in ascending
+// order; any other input takes the comparator sort.
+func sortOrder(order []uint16, vals []float64) (byBits bool) {
+	byBits = bitOrdered(vals)
+	if len(vals) > maxInsertionSort || !byBits {
+		for i := range order {
+			order[i] = uint16(i)
+		}
+		slices.SortFunc(order, func(a, b uint16) int { return profileCmp(vals[a], vals[b]) })
+		return byBits
 	}
-	slices.SortFunc(order, func(a, b uint16) int { return profileCmp(vals[a], vals[b]) })
+	for i, v := range vals {
+		k := math.Float64bits(v)
+		lo, hi := 0, i
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if math.Float64bits(vals[order[m]]) <= k {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		copy(order[lo+1:i+1], order[lo:i])
+		order[lo] = uint16(i)
+	}
+	return true
 }
+
+// maxInsertionSort bounds the values sortOrder inserts one by one,
+// which moves O(n²) indices.
+const maxInsertionSort = 256
+
+// bitOrdered reports whether every value is +0, positive or +Inf: a
+// bit pattern no greater than +Inf's.
+func bitOrdered(vals []float64) bool {
+	for _, v := range vals {
+		if math.Float64bits(v) > posInfBits {
+			return false
+		}
+	}
+	return true
+}
+
+// posInfBits is the bit pattern of +Inf.
+const posInfBits = 0x7ff0_0000_0000_0000
 
 // Window is a variation window: a maximal anomalous interval, in ticks.
 type Window struct {

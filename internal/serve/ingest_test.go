@@ -191,7 +191,9 @@ func (tw *ingestTwin) finish(t *testing.T) {
 }
 
 // diffLines renders n tick lines for offices "a" and "b" (2 streams
-// each) with 17-digit samples, and an input line ahead of every 8th.
+// each), and an input line ahead of every 8th. Every third tick line
+// carries integer dBm, which scanTick decodes, and the others 17-digit
+// samples, which go through tickDecoder.
 func diffLines(n int, src *rng.Source) []string {
 	var lines []string
 	for i := 0; len(lines) < n; i++ {
@@ -199,8 +201,12 @@ func diffLines(n int, src *rng.Source) []string {
 		if i%8 == 0 {
 			lines = append(lines, fmt.Sprintf(`{"office":%q,"input":%d}`, office, i/8%2))
 		}
-		lines = append(lines, fmt.Sprintf(`{"office":%q,"rssi":[%v,%v]}`, office,
-			float64(float32(-60+src.Normal(0, 3))), float64(float32(-60+src.Normal(0, 3)))))
+		x, y := -60+src.Normal(0, 3), -60+src.Normal(0, 3)
+		if i%3 == 0 {
+			lines = append(lines, fmt.Sprintf(`{"office":%q,"rssi":[%d,%d]}`, office, int(math.Round(x)), int(math.Round(y))))
+			continue
+		}
+		lines = append(lines, fmt.Sprintf(`{"office":%q,"rssi":[%v,%v]}`, office, float64(float32(x)), float64(float32(y))))
 	}
 	return lines[:n]
 }
@@ -240,6 +246,15 @@ func diffBodies() [][]byte {
 		for p := 0; p < len(lines); p += 3 {
 			ls := append([]string(nil), lines...)
 			ls[p] = f
+			bodies = append(bodies, joinLines(ls, "\n"))
+		}
+	}
+	// The shapes scanTick must take, reject or hand over, office "a"
+	// or "b" alike: first, in the middle and last.
+	for _, shape := range tickLineShapes {
+		for _, p := range []int{0, len(lines) / 2, len(lines) - 1} {
+			ls := append([]string(nil), lines...)
+			ls[p] = strings.Replace(shape, `"office":"a"`, fmt.Sprintf(`"office":%q`, []string{"a", "b"}[p%2]), 1)
 			bodies = append(bodies, joinLines(ls, "\n"))
 		}
 	}
@@ -392,13 +407,21 @@ func testIngestDiff(t *testing.T, bodies [][]byte, readers []diffReader, chunks 
 
 // FuzzIngestJSONL holds the chunked pipeline to the line-by-line loop
 // on any body and chunk size, with the same checks as
-// TestIngestJSONLChunkedMatchesSequential.
+// TestIngestJSONLChunkedMatchesSequential. Beside the differential
+// corpus it is seeded with each of the shapes scanTick must take,
+// reject or hand over, alone and with a canonical line split across
+// two chunks ahead of it.
 func FuzzIngestJSONL(f *testing.F) {
 	for i, body := range diffBodies() {
 		if len(body) > 4096 {
 			continue // large seeds slow mutation down more than they add
 		}
 		f.Add(body, uint16(diffChunks[i%len(diffChunks)]-1))
+	}
+	split := `{"office":"b","rssi":[-61,-7]}` + "\n"
+	for _, shape := range tickLineShapes {
+		f.Add([]byte(shape+"\n"), uint16(ingestChunkBytes-1))
+		f.Add([]byte(split+shape+"\n"+split), uint16(len(split)/2-1))
 	}
 	// The chunk size is chunk+1, so 0 is 1 and 65535 is ingestChunkBytes.
 	f.Fuzz(func(t *testing.T, body []byte, chunk uint16) {

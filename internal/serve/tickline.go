@@ -90,27 +90,37 @@ func (d *tickDecoder) scan(line []byte, rec *tickLine) bool {
 
 // sample converts a literal that number returned to float64. Producers
 // send integer dBm, so an integer of at most 15 digits, which float64
-// holds exactly, is converted directly; "-0" gives −0, as from
-// strconv.ParseFloat. Every other literal goes through
+// holds exactly, is converted directly (scanInt); "-0" gives −0, as
+// from strconv.ParseFloat. Every other literal goes through
 // strconv.ParseFloat.
 func sample(num []byte) (float64, error) {
-	neg := len(num) > 0 && num[0] == '-'
-	ds := num
+	if v, n := scanInt(num); n > 0 && n == len(num) {
+		return v, nil
+	}
+	return strconv.ParseFloat(string(num), 64)
+}
+
+// scanInt returns the integer sample b starts with, an optional minus
+// and 1 to 15 digits without a leading zero, and its length in bytes,
+// or a length of 0 when b starts with none.
+func scanInt(b []byte) (v float64, n int) {
+	neg := len(b) > 0 && b[0] == '-'
 	if neg {
-		ds = num[1:]
+		n++
 	}
-	if len(ds) == 0 || len(ds) > 15 || digits(ds, 0) < len(ds) {
-		return strconv.ParseFloat(string(num), 64)
+	start := n
+	var x int64
+	for ; n < len(b) && b[n]-'0' < 10; n++ {
+		x = x*10 + int64(b[n]-'0')
 	}
-	var n int64
-	for _, c := range ds {
-		n = n*10 + int64(c-'0')
+	if digits := n - start; digits == 0 || digits > 15 || digits > 1 && b[start] == '0' {
+		return 0, 0
 	}
-	v := float64(n)
+	v = float64(x)
 	if neg {
 		v = -v
 	}
-	return v, nil
+	return v, n
 }
 
 // tickScanner walks a line byte by byte. Every method skips the JSON

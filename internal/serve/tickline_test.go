@@ -53,14 +53,49 @@ func ingestBody(names []string, steps, streams int, src *rng.Source, intDBm bool
 	return body, lines
 }
 
-// FuzzTickJSONL checks the direct scanner against encoding/json: any
-// line, canonical or not, must decode to the same error, and without
-// an error to an equal record (see sameRecord). Each line is decoded
-// after a canonical one, so a record that keeps stale scratch storage
-// shows up too.
+// tickLineShapes are the line shapes the one-pass scan (scanTick)
+// must take, reject, or hand to tickDecoder: −0, integers of 15 and 16
+// digits, a leading zero, an exponent, a bare minus, no samples,
+// whitespace inside a canonical line, and escaped, quoted or non-ASCII
+// names.
+var tickLineShapes = []string{
+	`{"office":"a","rssi":[-0,0,-60]}`,
+	`{"office":"a","rssi":[999999999999999,-999999999999999]}`,
+	`{"office":"a","rssi":[1000000000000000,-60]}`,
+	`{"office":"a","rssi":[01,-60]}`,
+	`{"office":"a","rssi":[-01]}`,
+	`{"office":"a","rssi":[1e2,-60]}`,
+	`{"office":"a","rssi":[-60,1E2]}`,
+	`{"office":"a","rssi":[-,-60]}`,
+	`{"office":"a","rssi":[-60,-]}`,
+	`{"office":"a","rssi":[]}`,
+	`{"office":"a","rssi":[-60,]}`,
+	`{"office":"a","rssi":[-60 ,-61]}`,
+	`{"office":"a", "rssi":[-60,-61]}`,
+	`{"office" :"a","rssi":[-60,-61]}`,
+	`{"office":"a","rssi":[-60,-61] }`,
+	`{"office":"a","rssi":[-60,-61]}}`,
+	`{"office":"a","rssi":[-60,-61]`,
+	`{"office":"\u0061","rssi":[-60,-61]}`,
+	`{"office":"a\"b","rssi":[-60,-61]}`,
+	`{"office":"é","rssi":[-60,-61]}`,
+	`{"office":"","rssi":[-60]}`,
+	`{"office":"a","rssi":[-6,-600,-60.5]}`,
+}
+
+// FuzzTickJSONL checks both line decoders against encoding/json: any
+// line, canonical or not, must decode through tickDecoder to the same
+// error, and without an error to an equal record (see sameRecord); a
+// line the one-pass scanTick takes must be one encoding/json decodes
+// to an equal record, and a line it does not take must leave its chunk
+// as it was. Each line is decoded after a canonical one, so a record
+// that keeps stale scratch storage shows up too.
 func FuzzTickJSONL(f *testing.F) {
 	for _, tc := range tickParseCases {
 		f.Add([]byte(tc.line))
+	}
+	for _, line := range tickLineShapes {
+		f.Add([]byte(line))
 	}
 	for _, intDBm := range []bool{false, true} {
 		body, _ := ingestBody([]string{"office-000"}, 1, 12, rng.New(7), intDBm)
@@ -86,6 +121,26 @@ func FuzzTickJSONL(f *testing.F) {
 		}
 		if err == nil && !sameRecord(got, want) {
 			t.Fatalf("%q: decoded %#v, encoding/json %#v", line, got, want)
+		}
+
+		var c tickChunk
+		if !c.scanTick([]byte(`{"office":"warm-up","rssi":[-1,2,3]}`)) {
+			t.Fatal("scanTick rejects a canonical line")
+		}
+		arena := len(c.arena)
+		if !c.scanTick(bytes.TrimSpace(line)) {
+			if len(c.recs) != 1 || len(c.arena) != arena {
+				t.Fatalf("%q: scanTick declined it but left %d records and %d samples", line, len(c.recs), len(c.arena))
+			}
+			return
+		}
+		if wantErr != nil {
+			t.Fatalf("scanTick accepted %q, encoding/json rejects it: %v", line, wantErr)
+		}
+		rec := c.recs[1]
+		scanned := tickLine{Office: rec.officeName(), RSSI: c.arena[rec.lo:rec.hi]}
+		if rec.kind != recordRSSI || rec.lo != arena || !sameRecord(scanned, want) {
+			t.Fatalf("%q: scanTick decoded %#v (%+v), encoding/json %#v", line, scanned, rec, want)
 		}
 	})
 }
@@ -148,7 +203,11 @@ func BenchmarkIngestJSONL(b *testing.B) {
 // shaped like one training POST: 128 offices × 500 steps of 12 RSSI
 // streams, so the body is decoded in many chunks at once. Sub-benchmark
 // float32 writes float32-valued samples (about 17 MB); int-dbm writes
-// the integer dBm producers send (about 4 MB).
+// the integer dBm producers send (about 4 MB). Their queues drop ticks,
+// so neither runs the fleet. int-dbm-fleet posts the int-dbm body as
+// POST /v1/ticks?flush=1 does, Advance and the closing Flush included,
+// into a fresh 128-office fleet each time: the set-up path, fleet time
+// and all.
 func BenchmarkIngestJSONLTraining(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
@@ -156,16 +215,50 @@ func BenchmarkIngestJSONLTraining(b *testing.B) {
 	}{{"float32", false}, {"int-dbm", true}} {
 		b.Run(bc.name, func(b *testing.B) { benchmarkIngestJSONLTraining(b, bc.intDBm) })
 	}
+	b.Run("int-dbm-fleet", benchmarkIngestJSONLTrainingFleet)
 }
 
-func benchmarkIngestJSONLTraining(b *testing.B, intDBm bool) {
-	names := make([]string, 128)
+// trainingSpec is a spec of 128 offices of 4 sensors, and their names.
+func trainingSpec() (spec string, names []string) {
+	names = make([]string, 128)
 	specNames := make([]string, len(names))
 	for i := range names {
 		names[i] = fmt.Sprintf("office-%03d", i)
 		specNames[i] = fmt.Sprintf(`{"name": %q}`, names[i])
 	}
-	spec := `{"defaults": {"sensors": 4}, "offices": [` + strings.Join(specNames, ", ") + `]}`
+	return `{"defaults": {"sensors": 4}, "offices": [` + strings.Join(specNames, ", ") + `]}`, names
+}
+
+func benchmarkIngestJSONLTrainingFleet(b *testing.B) {
+	spec, names := trainingSpec()
+	body, lines := ingestBody(names, 500, 12, rng.New(7), true)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		srv, _ := newTestServer(b, spec)
+		b.StartTimer()
+		var res ingestResult
+		if err := srv.ingestJSONL(bytes.NewReader(body), &res, srv.ing.Advance); err != nil {
+			b.Fatal(err)
+		}
+		if err := srv.ing.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if res.AcceptedTicks+res.AcceptedInputs != lines {
+			b.Fatalf("accepted %+v of %d lines", res, lines)
+		}
+		srv.Close()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(lines)), "ns/line")
+}
+
+func benchmarkIngestJSONLTraining(b *testing.B, intDBm bool) {
+	spec, names := trainingSpec()
 	srv, _ := newTestServer(b, spec, func(c *Config) {
 		c.Queue = 64
 		c.OnFull = stream.DropOldest

@@ -362,10 +362,13 @@ func (k *KDE) phiTableSum(x float64) (cdf, density float64) {
 }
 
 // PercentileBracket's Newton takes at most bracketSteps steps of at
-// most a bandwidth each, stops once a step is under bracketTol
-// bandwidths, and brackets its last iterate by ±bracketHalf bandwidths.
+// most a bandwidth each and brackets an iterate by ±bracketHalf
+// bandwidths. It tries the bracket after every step under bracketTry
+// bandwidths, which mostly leaves the iterate within bracketHalf of
+// the root, and stops once a step is under bracketTol bandwidths.
 const (
 	bracketSteps = 16
+	bracketTry   = 0.1
 	bracketTol   = 0.0025
 	bracketHalf  = 0.01
 )
@@ -376,15 +379,22 @@ const (
 // the percentile can decide every value outside [lo, hi) without
 // Percentile.
 //
-// Newton's method from the empirical quantile runs on phiTable's sums,
-// and the points a, b = x ∓ bracketHalf·h around its last iterate x are
-// certified by Percentile's argument with the margin 2E widened by
-// phiTableErr: the table sum t(x) is within E + phiTableErr of R(x)
-// (the n terms err by at most phiTableErr each, the division by n
-// scales that back, and the rounding of the sum is the same as CDF's),
-// so t(a) < target−2E−phiTableErr gives R(a) < target−E and CDF(x) <
-// target for every x ≤ a, and t(b) ≥ target+2E+phiTableErr gives
-// CDF(x) ≥ target for every x ≥ b.
+// Newton's method starts at start, or at the empirical quantile when
+// start is not strictly inside the bisection's start interval (NaN
+// included). A caller refitting a slowly changing sample passes the
+// previous fit's percentile, or its bracket's midpoint, and saves
+// steps. The start moves only where Newton goes, never what a
+// certified bracket guarantees.
+//
+// Newton runs on phiTable's sums. The points a, b = x ∓ bracketHalf·h
+// around an iterate x that a short step reached are certified by
+// Percentile's argument with the margin 2E widened by phiTableErr: the
+// table sum t(x) is within E + phiTableErr of R(x) (the n terms err by
+// at most phiTableErr each, the division by n scales that back, and
+// the rounding of the sum is the same as CDF's), so t(a) <
+// target−2E−phiTableErr gives R(a) < target−E and CDF(x) < target for
+// every x ≤ a, and t(b) ≥ target+2E+phiTableErr gives CDF(x) ≥ target
+// for every x ≥ b. Newton stops at the first x that certifies.
 //
 // Percentile's bisection therefore only ever moves hi to midpoints
 // above a and lo to midpoints below b, and returns a midpoint of its
@@ -394,10 +404,9 @@ const (
 // ok is false when p is not in (0, 100), the bandwidth is not finite
 // and positive, the bisection's start interval is not finite, the table
 // density is zero, or too low for any bracket to certify at an iterate
-// whose table sum is within the margin of the target, Newton does not
-// converge, a or b falls outside the start interval, or a side fails to
-// certify.
-func (k *KDE) PercentileBracket(p float64) (lo, hi float64, ok bool) {
+// whose table sum is within the margin of the target, or Newton
+// converges, or runs out of steps, with no iterate certified.
+func (k *KDE) PercentileBracket(p, start float64) (lo, hi float64, ok bool) {
 	target := p / 100
 	h := k.h
 	if !(target > 0 && target < 1) || !(h > 0) || math.IsInf(h, 0) {
@@ -426,9 +435,23 @@ func (k *KDE) PercentileBracket(p float64) (lo, hi float64, ok bool) {
 	// flattens out, and Newton would creep on at falling density for
 	// all its steps.
 	minDensity := margin / (2 * bracketHalf * h)
-	x := percentileSorted(k.samples, p)
-	converged := false
-	for i := 0; i < bracketSteps && !converged; i++ {
+	x := start
+	if !(lo0 < x && x < hi0) {
+		x = percentileSorted(k.samples, p)
+	}
+	// certified reports whether a, b = x ∓ bracketHalf·h certify.
+	certified := func(x float64) bool {
+		a, b := x-bracketHalf*h, x+bracketHalf*h
+		if !(lo0 < a && b < hi0) {
+			return false
+		}
+		if c, _ := k.phiTableSum(a); !(c < target-margin) {
+			return false
+		}
+		c, _ := k.phiTableSum(b)
+		return c >= target+margin
+	}
+	for i := 0; i < bracketSteps; i++ {
 		c, density := k.phiTableSum(x)
 		if !(density > 0) || math.Abs(c-target) < margin && density < minDensity {
 			return 0, 0, false
@@ -436,20 +459,18 @@ func (k *KDE) PercentileBracket(p float64) (lo, hi float64, ok bool) {
 		// A sparse tail's density overshoots: move at most a bandwidth.
 		step := math.Min(math.Max((c-target)/density, -h), h)
 		x = math.Min(math.Max(x-step, lo0), hi0)
-		converged = math.Abs(step) <= bracketTol*h
+		if math.Abs(step) > bracketTry*h {
+			continue
+		}
+		if certified(x) {
+			w := bisectWidth(lo0, hi0)
+			return x - bracketHalf*h - w, x + bracketHalf*h + w, true
+		}
+		if math.Abs(step) <= bracketTol*h {
+			return 0, 0, false
+		}
 	}
-	a, b := x-bracketHalf*h, x+bracketHalf*h
-	if !converged || !(lo0 < a && b < hi0) {
-		return 0, 0, false
-	}
-	if c, _ := k.phiTableSum(a); !(c < target-margin) {
-		return 0, 0, false
-	}
-	if c, _ := k.phiTableSum(b); !(c >= target+margin) {
-		return 0, 0, false
-	}
-	w := bisectWidth(lo0, hi0)
-	return a - w, b + w, true
+	return 0, 0, false
 }
 
 // bisectWidth bounds, with room for the rounding of a−w and b+w, the

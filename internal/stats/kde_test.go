@@ -3,6 +3,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -305,20 +306,25 @@ func TestKDEPercentileMDShapedPins(t *testing.T) {
 
 // FuzzKDEPercentile checks Percentile against the plain bisection bit
 // for bit on generated samples: any seed, size (1 to 3000), sample kind,
-// bandwidth and p, non-finite ones included. It is seeded with the pin
-// table and a slice of the bisection grid.
+// bandwidth and p, non-finite ones included, and that PercentileBracket
+// started anywhere, when it certifies, holds the result. It is seeded
+// with the pin table, started cold, near the pinned percentile and far
+// off it, and with a slice of the bisection grid.
 func FuzzKDEPercentile(f *testing.F) {
 	for _, tc := range mdShapedPins {
-		f.Add(tc.seed, uint16(599), uint8(len(percentileKinds)-1), 0.0, tc.p)
+		want := math.Float64frombits(tc.want)
+		for _, start := range []float64{math.NaN(), want, want - 0.3, want + 2, 0, math.Inf(1)} {
+			f.Add(tc.seed, uint16(599), uint8(len(percentileKinds)-1), 0.0, tc.p, start)
+		}
 	}
 	for kind := range percentileKinds {
 		for i, n := range percentileSizes {
 			bw := percentileBandwidths[(kind+i)%len(percentileBandwidths)]
 			p := percentilePs[(3*kind+i)%len(percentilePs)]
-			f.Add(uint64(1000*kind+n), uint16(n-1), uint8(kind), bw, p)
+			f.Add(uint64(1000*kind+n), uint16(n-1), uint8(kind), bw, p, math.NaN())
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, n uint16, kind uint8, bw, p float64) {
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, kind uint8, bw, p, start float64) {
 		size := int(n)%3000 + 1
 		k := int(kind) % len(percentileKinds)
 		kde, err := NewKDE(percentileSample(seed, size, k), bw)
@@ -330,11 +336,66 @@ func FuzzKDEPercentile(f *testing.F) {
 			t.Fatalf("%s n=%d h=%v p=%v: Percentile %v (%#x), bisection %v (%#x)",
 				percentileKinds[k].name, size, kde.Bandwidth(), p, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
-		if lo, hi, ok := kde.PercentileBracket(p); ok && !(lo < want && want < hi) {
-			t.Fatalf("%s n=%d h=%v p=%v: bracket [%v, %v] misses Percentile %v",
-				percentileKinds[k].name, size, kde.Bandwidth(), p, lo, hi, want)
+		if lo, hi, ok := kde.PercentileBracket(p, start); ok && !(lo < want && want < hi) {
+			t.Fatalf("%s n=%d h=%v p=%v start %v: bracket [%v, %v] misses Percentile %v",
+				percentileKinds[k].name, size, kde.Bandwidth(), p, start, lo, hi, want)
 		}
 	})
+}
+
+// TestKDEBracketWarmStart replays md's refits on a stream of md-shaped
+// values: a 600-value profile that drops its 80 oldest values and takes
+// 80 new ones per refit, each bracket started where md starts it, at the
+// last bracket's midpoint (or the last percentile). Every warm-started
+// bracket must certify where the cold one does and hold Percentile, and
+// so must brackets started a few bandwidths off either side.
+func TestKDEBracketWarmStart(t *testing.T) {
+	src := rng.New(21)
+	stream := make([]float64, 600+80*60)
+	for i := range stream {
+		stream[i] = mdShapedValue(src)
+	}
+	sorted := make([]float64, 600)
+	start := math.NaN()
+	cold, warm := 0, 0
+	for at := 0; at+600 <= len(stream); at += 80 {
+		copy(sorted, stream[at:at+600])
+		slices.Sort(sorted)
+		kde, err := NewKDESorted(sorted, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := kde.Percentile(99)
+		_, _, coldOK := kde.PercentileBracket(99, math.NaN())
+		lo, hi, ok := kde.PercentileBracket(99, start)
+		if coldOK {
+			cold++
+		}
+		if ok {
+			warm++
+			if !(lo < want && want < hi) {
+				t.Fatalf("refit at %d, started at %v: bracket [%v, %v] misses Percentile %v", at, start, lo, hi, want)
+			}
+		} else if coldOK {
+			t.Errorf("refit at %d: started at %v the bracket fails to certify, cold it certifies", at, start)
+		}
+		for _, off := range []float64{-3, -1, 1, 3} {
+			x := want + off*kde.Bandwidth()
+			if lo, hi, ok := kde.PercentileBracket(99, x); ok && !(lo < want && want < hi) {
+				t.Fatalf("refit at %d, started at %v: bracket [%v, %v] misses Percentile %v", at, x, lo, hi, want)
+			} else if !ok && coldOK {
+				t.Errorf("refit at %d: started %v bandwidths off the bracket fails to certify, cold it certifies", at, off)
+			}
+		}
+		if ok {
+			start = (lo + hi) / 2
+		} else {
+			start = want
+		}
+	}
+	if warm < cold || cold < 50 {
+		t.Fatalf("warm-started brackets certified %d of the refits, cold ones %d", warm, cold)
+	}
 }
 
 // TestKDEBracketContainsPercentile checks, over the bisection grid, that
@@ -360,7 +421,7 @@ func TestKDEBracketContainsPercentile(t *testing.T) {
 							pk.name, n, bw, p, hi-lo, bisectWidth(lo0, hi0))
 					}
 					cases++
-					lo, hi, ok := kde.PercentileBracket(p)
+					lo, hi, ok := kde.PercentileBracket(p, math.NaN())
 					if !ok {
 						continue
 					}
@@ -385,7 +446,7 @@ func TestKDEBracketContainsPercentile(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := math.Float64frombits(tc.want)
-		if lo, hi, ok := kde.PercentileBracket(tc.p); !ok || !(lo < want && want < hi) {
+		if lo, hi, ok := kde.PercentileBracket(tc.p, math.NaN()); !ok || !(lo < want && want < hi) {
 			t.Errorf("seed %d p=%v: bracket [%v, %v] ok %v, Percentile %v", tc.seed, tc.p, lo, hi, ok, want)
 		}
 	}
@@ -483,7 +544,7 @@ func BenchmarkKDEBracket(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, ok := kde.PercentileBracket(99); ok != tc.ok {
+				if _, _, ok := kde.PercentileBracket(99, math.NaN()); ok != tc.ok {
 					b.Fatalf("bracket certified %v, want %v", ok, tc.ok)
 				}
 			}
