@@ -124,16 +124,8 @@ const (
 type Detector struct {
 	cfg Config
 	dt  float64
-	// ring holds every stream's rolling window, one row of len(acc)
-	// samples per tick: rows rows, head the next to write, count of
-	// them filled. acc holds each stream's running sums over its
-	// window, rebuilt exactly every rebuildEvery ticks.
-	ring         []float64
-	acc          []stdSums
-	rows         int
-	head         int
-	count        int
-	sinceRebuild int
+	// std holds every stream's rolling window; Push returns s_t.
+	std *stats.RollingStd
 
 	sorted []float64 // nil during warm-up
 	ins    []uint16
@@ -205,96 +197,9 @@ func NewDetector(cfg Config, numStreams int, dt float64) (*Detector, error) {
 	return &Detector{
 		cfg:       cfg,
 		dt:        dt,
-		ring:      make([]float64, w*numStreams),
-		acc:       make([]stdSums, numStreams),
-		rows:      w,
+		std:       stats.NewRollingStd(w, numStreams),
 		warmTicks: int(warm),
 	}, nil
-}
-
-// stdSums is one stream's running sum and sum of squares over its
-// rolling window.
-type stdSums struct{ sum, sumSq float64 }
-
-// rebuildEvery is how many ticks the running sums go between exact
-// recomputations, which keep cancellation error from accumulating over
-// multi-day traces; a rebuild costs one pass over the ring.
-const rebuildEvery = 1 << 14
-
-// roll pushes one tick's samples into the rolling windows, evicting
-// the oldest row once they are full, and returns s_t: the sum over
-// streams, in stream order, of each window's population standard
-// deviation, or 0 while the windows hold fewer than two samples.
-func (d *Detector) roll(samples []float64) float64 {
-	n := len(d.acc)
-	row := d.ring[d.head*n : d.head*n+n]
-	acc := d.acc[:len(row)]
-	full := d.count == d.rows
-	if !full {
-		d.count++
-	}
-	count := float64(d.count)
-	var st float64
-	for i, x := range samples[:len(row)] {
-		a := &acc[i]
-		sum, sumSq := a.sum, a.sumSq
-		if full {
-			old := row[i]
-			sum -= old
-			sumSq -= old * old
-		}
-		row[i] = x
-		sum += x
-		sumSq += x * x
-		a.sum, a.sumSq = sum, sumSq
-		st += a.std(count)
-	}
-	if d.head++; d.head == d.rows {
-		d.head = 0
-	}
-	if d.sinceRebuild++; d.sinceRebuild >= rebuildEvery {
-		st = d.rebuild()
-	}
-	if d.count < 2 {
-		return 0
-	}
-	return st
-}
-
-// rebuild recomputes the running sums exactly, each stream's from its
-// newest sample to its oldest, and returns s_t from them.
-func (d *Detector) rebuild() float64 {
-	d.sinceRebuild = 0
-	clear(d.acc)
-	n := len(d.acc)
-	r := d.head
-	for i := 0; i < d.count; i++ {
-		if r == 0 {
-			r = d.rows
-		}
-		r--
-		for k, v := range d.ring[r*n : r*n+n] {
-			a := &d.acc[k]
-			a.sum += v
-			a.sumSq += v * v
-		}
-	}
-	var st float64
-	for i := range d.acc {
-		st += d.acc[i].std(float64(d.count))
-	}
-	return st
-}
-
-// std returns the population standard deviation of a window of n
-// samples.
-func (a *stdSums) std(n float64) float64 {
-	mean := a.sum / n
-	v := a.sumSq/n - mean*mean
-	if v < 0 {
-		v = 0 // guard against tiny negative values from rounding
-	}
-	return math.Sqrt(v)
 }
 
 // Threshold returns the current anomaly threshold (the (100−α)-th profile
@@ -315,10 +220,10 @@ func (d *Detector) Threshold() float64 {
 // Push feeds one tick of samples (one value per stream, dBm) and returns
 // the detector state for this tick, together with the statistic s_t.
 func (d *Detector) Push(samples []float64) (State, float64) {
-	if len(samples) != len(d.acc) {
-		panic(fmt.Sprintf("md: Push got %d samples, want %d", len(samples), len(d.acc)))
+	if len(samples) != d.std.Streams() {
+		panic(fmt.Sprintf("md: Push got %d samples, want %d", len(samples), d.std.Streams()))
 	}
-	st := d.roll(samples)
+	st := d.std.Push(samples)
 	return d.observe(st), st
 }
 

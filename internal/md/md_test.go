@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"fadewich/internal/rng"
 	"fadewich/internal/stats"
@@ -638,179 +637,6 @@ func sameBits(a, b []float64) bool {
 		return out
 	}
 	return slices.Equal(bits(a), bits(b))
-}
-
-// perStreamStd is one stream's rolling standard deviation computed the
-// way the detector's ring must compute it: running sums updated in
-// place, rebuilt exactly from the newest sample back every
-// rebuildEvery updates.
-type perStreamStd struct {
-	buf             []float64
-	head, count     int
-	sum, sumSq      float64
-	sinceRebuild    int
-	rebuilds, wraps int
-}
-
-func (r *perStreamStd) push(x float64) {
-	if r.count == len(r.buf) {
-		old := r.buf[r.head]
-		r.sum -= old
-		r.sumSq -= old * old
-	} else {
-		r.count++
-	}
-	r.buf[r.head] = x
-	r.sum += x
-	r.sumSq += x * x
-	if r.head = (r.head + 1) % len(r.buf); r.head == 0 {
-		r.wraps++
-	}
-	if r.sinceRebuild++; r.sinceRebuild >= rebuildEvery {
-		r.sinceRebuild = 0
-		r.rebuilds++
-		r.sum, r.sumSq = 0, 0
-		for i := 0; i < r.count; i++ {
-			v := r.buf[(r.head-1-i+2*len(r.buf))%len(r.buf)]
-			r.sum += v
-			r.sumSq += v * v
-		}
-	}
-}
-
-func (r *perStreamStd) std() float64 {
-	if r.count < 2 {
-		return 0
-	}
-	n := float64(r.count)
-	mean := r.sum / n
-	v := r.sumSq/n - mean*mean
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// TestDetectorRingMatchesPerStream holds the detector's one ring of
-// rolling windows to a separate window per stream, bit for bit: every
-// tick's s_t must be the per-stream deviations summed in stream order,
-// through the first fill, many wraps and several exact rebuilds. The
-// samples mix integer dBm with fractional values and rare large
-// outliers, so the running sums round and cancel.
-func TestDetectorRingMatchesPerStream(t *testing.T) {
-	for _, c := range []struct {
-		streams int
-		stdSec  float64
-	}{{1, 0.2}, {3, 2.4}, {12, 2.4}, {5, 7.9}} {
-		d, err := NewDetector(Config{StdWindowSec: c.stdSec}, c.streams, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := make([]perStreamStd, c.streams)
-		for k := range ref {
-			ref[k].buf = make([]float64, d.rows)
-		}
-		src := rng.New(uint64(14 + c.streams))
-		row := make([]float64, c.streams)
-		const ticks = 3*rebuildEvery + 1000
-		for i := 0; i < ticks; i++ {
-			for k := range row {
-				switch x := src.Normal(-60, 3); {
-				case i%5 == 0:
-					row[k] = x
-				case src.Intn(500) == 0:
-					row[k] = 1e6 * x
-				default:
-					row[k] = math.Round(x)
-				}
-				ref[k].push(row[k])
-			}
-			_, st := d.Push(row)
-			var want float64
-			for k := range ref {
-				want += ref[k].std()
-			}
-			if math.Float64bits(st) != math.Float64bits(want) {
-				t.Fatalf("%d streams, %d-row window, tick %d: s_t %v, per-stream windows sum to %v",
-					c.streams, d.rows, i, st, want)
-			}
-		}
-		if ref[0].rebuilds < 3 || ref[0].wraps < 10 {
-			t.Fatalf("%d-row window: %d rebuilds and %d wraps, want at least 3 and 10", d.rows, ref[0].rebuilds, ref[0].wraps)
-		}
-	}
-}
-
-// TestDetectorRollingStdMatchesNaive holds s_t to its definition, the
-// sum over streams of each window's population standard deviation
-// computed directly (stats.StdDev): within 1e-6 on dBm-like samples
-// from the first tick on, through the fill (0 below two samples) and
-// the wrap; within 5e-3 per stream after twice rebuildEvery ticks of
-// samples offset by 1e6, where running sums without the exact rebuild
-// would drift by orders of magnitude more; and never negative, whatever
-// the samples.
-func TestDetectorRollingStdMatchesNaive(t *testing.T) {
-	naive := func(history [][]float64, w int) float64 {
-		var sum float64
-		for _, h := range history {
-			if len(h) < 2 {
-				continue
-			}
-			sum += stats.StdDev(h[max(0, len(h)-w):])
-		}
-		return sum
-	}
-	src := rng.New(55)
-	for _, stdSec := range []float64{0.2, 1, 2.4, 6} {
-		d, err := NewDetector(Config{StdWindowSec: stdSec}, 3, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		history := make([][]float64, 3)
-		row := make([]float64, 3)
-		for i := 0; i < 500; i++ {
-			for k := range row {
-				row[k] = src.Normal(-60, 3)
-				history[k] = append(history[k], row[k])
-			}
-			if got, want := d.roll(row), naive(history, d.rows); math.Abs(got-want) > 1e-6 {
-				t.Fatalf("%d-row window, tick %d: s_t %v, naive %v", d.rows, i, got, want)
-			}
-		}
-	}
-
-	d, err := NewDetector(Config{StdWindowSec: 3.2}, 2, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	history := make([][]float64, 2)
-	row := make([]float64, 2)
-	var st float64
-	for i := 0; i < 2*rebuildEvery+100; i++ {
-		for k := range row {
-			row[k] = 1e6 + src.NormFloat64()
-			history[k] = append(history[k], row[k])
-		}
-		st = d.roll(row)
-	}
-	if want := naive(history, d.rows); math.Abs(st-want) > 2*5e-3 {
-		t.Fatalf("after %d ticks offset by 1e6: s_t %v, naive %v", 2*rebuildEvery+100, st, want)
-	}
-
-	d, err = NewDetector(Config{StdWindowSec: 1.6}, 1, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := quick.Check(func(x float64) bool {
-		if x != x {
-			x = 0
-		}
-		// dBm-like magnitudes: squaring near-max floats overflows any
-		// formula.
-		return d.roll([]float64{math.Mod(x, 1e3)}) >= 0
-	}, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestSortOrderMatchesProfileCmp holds sortOrder to profileCmp on value

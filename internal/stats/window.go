@@ -2,112 +2,127 @@ package stats
 
 import "math"
 
-// RollingStd maintains the standard deviation of the last w observations of
-// a stream in O(1) per update, using running sums with periodic exact
-// recomputation to bound floating-point drift. The MD module keeps one of
-// these per RSSI stream: its statistic s_t is the sum of the RollingStd
-// values across all streams (Section IV-C2).
+// RollingStd maintains the population standard deviation of the last w
+// samples of each of several streams, in O(1) per sample, using running
+// sums with periodic exact recomputation to bound floating-point drift.
+// All streams' windows share one ring with one row of samples per
+// update. The MD module keeps one per detector: its statistic s_t is
+// the sum over streams of the windows' standard deviations (Section
+// IV-C2), which Push returns.
 type RollingStd struct {
-	buf   []float64
+	// ring holds rows rows of len(acc) samples, head the next to
+	// write, count of them filled. acc holds each stream's running sums
+	// over its window.
+	ring  []float64
+	acc   []stdSums
+	rows  int
 	head  int
 	count int
-	sum   float64
-	sumSq float64
-	// updatesSinceRebuild triggers an exact recomputation of the running
-	// sums every rebuildEvery updates so that cancellation error cannot
+	// sinceRebuild triggers an exact recomputation of the running sums
+	// every rebuildEvery updates so that cancellation error cannot
 	// accumulate over multi-day traces.
-	updatesSinceRebuild int
+	sinceRebuild int
 }
 
-// rebuildEvery bounds floating-point drift; the exact rebuild is O(w) and
-// amortises to a negligible constant.
+// stdSums is one stream's running sum and sum of squares over its
+// rolling window.
+type stdSums struct{ sum, sumSq float64 }
+
+// rebuildEvery bounds floating-point drift; the exact rebuild is one
+// pass over the ring and amortises to a negligible constant.
 const rebuildEvery = 1 << 14
 
-// NewRollingStd returns a rolling standard deviation over windows of w
-// observations. It panics for w < 1, which is a configuration error.
-func NewRollingStd(w int) *RollingStd {
-	if w < 1 {
-		panic("stats: RollingStd window must be >= 1")
+// NewRollingStd returns rolling standard deviations over windows of w
+// rows of streams samples each. It panics for w < 1 or streams < 1,
+// which are configuration errors.
+func NewRollingStd(w, streams int) *RollingStd {
+	if w < 1 || streams < 1 {
+		panic("stats: RollingStd window and stream count must be >= 1")
 	}
-	return &RollingStd{buf: make([]float64, w)}
+	return &RollingStd{
+		ring: make([]float64, w*streams),
+		acc:  make([]stdSums, streams),
+		rows: w,
+	}
 }
 
-// Push adds an observation, evicting the oldest when the window is full.
-func (r *RollingStd) Push(x float64) {
-	if r.count == len(r.buf) {
-		old := r.buf[r.head]
-		r.sum -= old
-		r.sumSq -= old * old
-	} else {
+// Streams returns the number of samples Push takes.
+func (r *RollingStd) Streams() int { return len(r.acc) }
+
+// Push adds one row of samples, one per stream, evicting the oldest row
+// once the windows are full, and returns the sum over streams, in
+// stream order, of each window's population standard deviation, or 0
+// while the windows hold fewer than two rows. Push reads
+// row[:Streams()].
+func (r *RollingStd) Push(row []float64) float64 {
+	n := len(r.acc)
+	slot := r.ring[r.head*n : r.head*n+n]
+	acc := r.acc[:len(slot)]
+	full := r.count == r.rows
+	if !full {
 		r.count++
 	}
-	r.buf[r.head] = x
-	r.sum += x
-	r.sumSq += x * x
-	r.head = (r.head + 1) % len(r.buf)
-
-	r.updatesSinceRebuild++
-	if r.updatesSinceRebuild >= rebuildEvery {
-		r.rebuild()
+	count := float64(r.count)
+	var st float64
+	for i, x := range row[:len(slot)] {
+		a := &acc[i]
+		sum, sumSq := a.sum, a.sumSq
+		if full {
+			old := slot[i]
+			sum -= old
+			sumSq -= old * old
+		}
+		slot[i] = x
+		sum += x
+		sumSq += x * x
+		a.sum, a.sumSq = sum, sumSq
+		st += a.std(count)
 	}
-}
-
-func (r *RollingStd) rebuild() {
-	r.updatesSinceRebuild = 0
-	var sum, sumSq float64
-	n := r.count
-	for i := 0; i < n; i++ {
-		idx := (r.head - 1 - i + len(r.buf)*2) % len(r.buf)
-		v := r.buf[idx]
-		sum += v
-		sumSq += v * v
+	if r.head++; r.head == r.rows {
+		r.head = 0
 	}
-	r.sum, r.sumSq = sum, sumSq
-}
-
-// Full reports whether the window has received at least w observations.
-func (r *RollingStd) Full() bool { return r.count == len(r.buf) }
-
-// N returns the number of observations currently in the window.
-func (r *RollingStd) N() int { return r.count }
-
-// Std returns the population standard deviation of the current window
-// contents, or 0 when fewer than two observations are present.
-func (r *RollingStd) Std() float64 {
+	if r.sinceRebuild++; r.sinceRebuild >= rebuildEvery {
+		st = r.rebuild()
+	}
 	if r.count < 2 {
 		return 0
 	}
-	n := float64(r.count)
-	mean := r.sum / n
-	v := r.sumSq/n - mean*mean
+	return st
+}
+
+// rebuild recomputes the running sums exactly, each stream's from its
+// newest sample to its oldest, and returns their standard deviations'
+// sum.
+func (r *RollingStd) rebuild() float64 {
+	r.sinceRebuild = 0
+	clear(r.acc)
+	n := len(r.acc)
+	row := r.head
+	for i := 0; i < r.count; i++ {
+		if row == 0 {
+			row = r.rows
+		}
+		row--
+		for k, v := range r.ring[row*n : row*n+n] {
+			a := &r.acc[k]
+			a.sum += v
+			a.sumSq += v * v
+		}
+	}
+	var st float64
+	for i := range r.acc {
+		st += r.acc[i].std(float64(r.count))
+	}
+	return st
+}
+
+// std returns the population standard deviation of a window of n
+// samples.
+func (a *stdSums) std(n float64) float64 {
+	mean := a.sum / n
+	v := a.sumSq/n - mean*mean
 	if v < 0 {
 		v = 0 // guard against tiny negative values from rounding
 	}
 	return math.Sqrt(v)
-}
-
-// Mean returns the mean of the current window contents, or 0 when empty.
-func (r *RollingStd) Mean() float64 {
-	if r.count == 0 {
-		return 0
-	}
-	return r.sum / float64(r.count)
-}
-
-// Reset empties the window.
-func (r *RollingStd) Reset() {
-	r.head, r.count = 0, 0
-	r.sum, r.sumSq = 0, 0
-	r.updatesSinceRebuild = 0
-}
-
-// Window returns the current window contents oldest-first. It allocates;
-// intended for tests and feature extraction, not the per-tick hot path.
-func (r *RollingStd) Window() []float64 {
-	out := make([]float64, r.count)
-	for i := 0; i < r.count; i++ {
-		idx := (r.head - r.count + i + 2*len(r.buf)) % len(r.buf)
-		out[i] = r.buf[idx]
-	}
-	return out
 }
