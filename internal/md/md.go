@@ -322,27 +322,20 @@ func (d *Detector) merge() {
 	// them exactly.
 	size := uint16(d.size)
 	m := 0
-	var top uint64 // the largest bit pattern among the kept values
 	for i, v := range d.sorted {
 		if end-d.ins[i] <= size {
 			d.sorted[m], d.ins[m] = v, d.ins[i]
-			top = max(top, math.Float64bits(v))
 			m++
 		}
 	}
 	first := len(d.added) - (d.size - m) // oldest surviving accepted value
 	add, order := d.added[first:], d.order[:d.size-m]
-	// When both sides are ordered by bit pattern, so is the merge.
-	byBits := sortOrder(order, add) && top <= posInfBits
+	sortOrder(order, add)
 	base := d.next + uint16(first)
 	d.sorted, d.ins = d.sorted[:d.size], d.ins[:d.size]
 	i, j := m-1, len(order)-1
 	for w := d.size - 1; j >= 0; w-- {
-		v := add[order[j]]
-		// later: d.sorted[i] goes after v.
-		later := i >= 0 && (byBits && math.Float64bits(d.sorted[i]) > math.Float64bits(v) ||
-			!byBits && profileCmp(d.sorted[i], v) > 0)
-		if later {
+		if v := add[order[j]]; i >= 0 && profileCmp(d.sorted[i], v) > 0 {
 			d.sorted[w], d.ins[w] = d.sorted[i], d.ins[i]
 			i--
 		} else {
@@ -392,56 +385,13 @@ func profileCmp(a, b float64) int {
 }
 
 // sortOrder sets order, of len(vals), to the indices of vals in
-// profileCmp order of their values, and reports whether every value is
-// +0, positive or +Inf. Such values, a refit's accepted s_t (a sum of
-// square roots), are ordered by bit pattern, which for them is
-// profileCmp's order exactly: larger values have larger patterns, and
-// equal patterns are identical values. Up to maxInsertionSort of them
-// take a binary insertion sort, indices of equal values in ascending
-// order; any other input takes the comparator sort.
-func sortOrder(order []uint16, vals []float64) (byBits bool) {
-	byBits = bitOrdered(vals)
-	if len(vals) > maxInsertionSort || !byBits {
-		for i := range order {
-			order[i] = uint16(i)
-		}
-		slices.SortFunc(order, func(a, b uint16) int { return profileCmp(vals[a], vals[b]) })
-		return byBits
+// profileCmp order of their values.
+func sortOrder(order []uint16, vals []float64) {
+	for i := range order {
+		order[i] = uint16(i)
 	}
-	for i, v := range vals {
-		k := math.Float64bits(v)
-		lo, hi := 0, i
-		for lo < hi {
-			m := int(uint(lo+hi) >> 1)
-			if math.Float64bits(vals[order[m]]) <= k {
-				lo = m + 1
-			} else {
-				hi = m
-			}
-		}
-		copy(order[lo+1:i+1], order[lo:i])
-		order[lo] = uint16(i)
-	}
-	return true
+	slices.SortFunc(order, func(a, b uint16) int { return profileCmp(vals[a], vals[b]) })
 }
-
-// maxInsertionSort bounds the values sortOrder inserts one by one,
-// which moves O(n²) indices.
-const maxInsertionSort = 256
-
-// bitOrdered reports whether every value is +0, positive or +Inf: a
-// bit pattern no greater than +Inf's.
-func bitOrdered(vals []float64) bool {
-	for _, v := range vals {
-		if math.Float64bits(v) > posInfBits {
-			return false
-		}
-	}
-	return true
-}
-
-// posInfBits is the bit pattern of +Inf.
-const posInfBits = 0x7ff0_0000_0000_0000
 
 // Window is a variation window: a maximal anomalous interval, in ticks.
 type Window struct {

@@ -290,9 +290,9 @@ func TestSubsetRestrictsAnalysis(t *testing.T) {
 // detectorProfileSeeds seed FuzzDetectorProfile. The sixth puts 2 %
 // of a full profile at one value far above the rest, so the KDE's 99th
 // percentile lands on that value and s_t inside the certified bracket
-// takes the exact inversion. The last two run non-negative profiles,
-// which merge by bit pattern, until a NaN or a negative value arrives
-// after warm-up and sends the refits back to the comparator.
+// takes the exact inversion. The last two run profiles of non-negative
+// values, s_t's range, until a NaN or a negative value arrives after
+// warm-up.
 var detectorProfileSeeds = [][]byte{
 	{1, 2, 3, 5, 8, 13, 21, 34, 55},
 	{7, 7, 7, 9, 9, 0, 0, 252, 7, 7, 7, 7},
@@ -637,66 +637,4 @@ func sameBits(a, b []float64) bool {
 		return out
 	}
 	return slices.Equal(bits(a), bits(b))
-}
-
-// TestSortOrderMatchesProfileCmp holds sortOrder to profileCmp on value
-// sets that take the bit-pattern sort (non-negative, with ties, +0 and
-// +Inf) and on sets that must fall back to the comparator: −0, NaNs of
-// either sign, negative values and more values than the insertion sort
-// takes. The order must be a permutation in profileCmp order, equal
-// values by ascending index on the bit-pattern path, and sortOrder must
-// report exactly whether every value is ordered by its bits.
-func TestSortOrderMatchesProfileCmp(t *testing.T) {
-	src := rng.New(15)
-	gen := func(n int, extra ...float64) []float64 {
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = float64(src.Intn(40)) / 8 // many ties
-		}
-		for _, x := range extra {
-			vals[src.Intn(n)] = x
-		}
-		return vals
-	}
-	negNaN := math.Copysign(math.NaN(), -1)
-	cases := []struct {
-		name   string
-		vals   []float64
-		byBits bool
-	}{
-		{"ties", gen(80), true},
-		{"+0 and +Inf", gen(80, 0, math.Inf(1), math.Inf(1), 0), true},
-		{"one value", []float64{3}, true},
-		{"largest insertion sort", gen(maxInsertionSort), true},
-		{"−0", gen(80, math.Copysign(0, -1)), false},
-		{"NaN", gen(80, math.NaN()), false},
-		{"negative NaN", gen(80, negNaN), false},
-		{"negative", gen(80, -1.5), false},
-		{"−Inf", gen(80, math.Inf(-1)), false},
-		{"too many to insert", gen(maxInsertionSort + 1), true},
-		{"everything", gen(300, 0, math.Copysign(0, -1), math.NaN(), negNaN, -2, math.Inf(-1), math.Inf(1)), false},
-	}
-	for _, c := range cases {
-		order := make([]uint16, len(c.vals))
-		byBits := sortOrder(order, c.vals)
-		if byBits != c.byBits {
-			t.Errorf("%s: sortOrder reports bit order %v, want %v", c.name, byBits, c.byBits)
-		}
-		seen := make([]bool, len(order))
-		for _, k := range order {
-			if seen[k] {
-				t.Fatalf("%s: index %d twice in %v", c.name, k, order)
-			}
-			seen[k] = true
-		}
-		for i := 1; i < len(order); i++ {
-			a, b := c.vals[order[i-1]], c.vals[order[i]]
-			switch cmp := profileCmp(a, b); {
-			case cmp > 0:
-				t.Fatalf("%s: %v (index %d) before %v (index %d)", c.name, a, order[i-1], b, order[i])
-			case cmp == 0 && len(c.vals) <= maxInsertionSort && byBits && order[i-1] > order[i]:
-				t.Fatalf("%s: equal values at indices %d before %d", c.name, order[i-1], order[i])
-			}
-		}
-	}
 }

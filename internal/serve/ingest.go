@@ -136,15 +136,10 @@ func (s *Server) pushChunk(c *tickChunk, lineNo int, res *ingestResult, p tickPu
 	for i := range c.recs {
 		rec := &c.recs[i]
 		line := lineNo + rec.line
-		var id int
-		var ok bool
-		if rec.name != nil {
-			id, ok = s.rec.idOf(rec.name)
-		} else {
-			id, ok = s.rec.IDOf(rec.office)
-		}
+		// A short name converts on the stack: IDOf keeps no reference.
+		id, ok := s.rec.IDOf(string(rec.name))
 		if !ok {
-			return fmt.Errorf("line %d: unknown office %q", line, rec.officeName())
+			return fmt.Errorf("line %d: unknown office %q", line, rec.name)
 		}
 		switch rec.kind {
 		case recordInput:
@@ -153,7 +148,7 @@ func (s *Server) pushChunk(c *tickChunk, lineNo int, res *ingestResult, p tickPu
 			}
 			res.AcceptedInputs++
 		case recordRSSI:
-			if err := p.Push(id, c.arena[rec.lo:rec.hi]); err != nil {
+			if err := p.Push(id, c.dec.arena[rec.lo:rec.hi]); err != nil {
 				return fmt.Errorf("line %d: %w", line, err)
 			}
 			res.AcceptedTicks++
@@ -181,33 +176,20 @@ const (
 
 // tickRecord is one decoded non-blank line of a chunk.
 type tickRecord struct {
-	// name is the office name of a line scanTick decoded, within the
-	// chunk's data, and nil for a line tickDecoder decoded, whose name
-	// is office.
-	name   []byte
-	office string
-	line   int // within the chunk, from 1
+	name   []byte // the office name, within the chunk's data when scanned directly
+	line   int    // within the chunk, from 1
 	kind   tickRecordKind
 	input  int
-	lo, hi int // the samples of an RSSI line: the chunk's arena[lo:hi]
-}
-
-// officeName returns the record's office name.
-func (r *tickRecord) officeName() string {
-	if r.name != nil {
-		return string(r.name)
-	}
-	return r.office
+	lo, hi int // the samples of an RSSI line: the decoder's arena[lo:hi]
 }
 
 // tickChunk is a run of whole body lines and what decoding them gave.
 // Chunks are pooled.
 type tickChunk struct {
-	buf   []byte // data, then the start of the line the next chunk completes
-	data  []byte // the lines to decode
-	dec   tickDecoder
+	buf   []byte      // data, then the start of the line the next chunk completes
+	data  []byte      // the lines to decode
+	dec   tickDecoder // and the samples of its RSSI records
 	recs  []tickRecord
-	arena []float64
 	lines int   // lines decoded, blank ones included; on error, through the failing one
 	err   error // the decode error of line `lines`
 	// inline marks a chunk the calling goroutine decodes itself; wg
@@ -239,11 +221,9 @@ func putChunk(c *tickChunk) {
 }
 
 // decode decodes the chunk's lines into records, stopping at the first
-// line that fails. A line scanTick does not take goes through
-// tickDecoder.
+// line that fails.
 func (c *tickChunk) decode() {
-	c.recs, c.arena, c.lines, c.err = c.recs[:0], c.arena[:0], 0, nil
-	var rec tickLine
+	c.recs, c.dec.arena, c.lines, c.err = c.recs[:0], c.dec.arena[:0], 0, nil
 	for data := c.data; len(data) > 0; {
 		line := data
 		if i := bytes.IndexByte(data, '\n'); i >= 0 {
@@ -253,80 +233,17 @@ func (c *tickChunk) decode() {
 		}
 		c.lines++
 		line = bytes.TrimSpace(line)
-		if len(line) == 0 || c.scanTick(line) {
+		if len(line) == 0 {
 			continue
 		}
-		if err := c.dec.decode(line, &rec); err != nil {
-			c.err = err
+		c.recs = append(c.recs, tickRecord{})
+		rec := &c.recs[len(c.recs)-1]
+		if err := c.dec.decode(line, rec); err != nil {
+			c.recs, c.err = c.recs[:len(c.recs)-1], err
 			return
 		}
-		r := tickRecord{office: rec.Office, line: c.lines}
-		switch {
-		case rec.Input != nil:
-			r.kind, r.input = recordInput, *rec.Input
-		case rec.RSSI != nil:
-			r.kind, r.lo = recordRSSI, len(c.arena)
-			c.arena = append(c.arena, rec.RSSI...)
-			r.hi = len(c.arena)
-		}
-		c.recs = append(c.recs, r)
+		rec.line = c.lines
 	}
-}
-
-// scanTick decodes line in one pass when it is exactly
-//
-//	{"office":"<name>","rssi":[n,…]}
-//
-// with no whitespace, a name of printable ASCII other than the
-// backslash, and at least one sample, each an integer of at most 15
-// digits without leading zeros: the line every producer sends. It
-// appends the samples to the arena and a record naming the office by
-// its bytes in the line, and reports whether the line was one. The
-// samples are exactly tickDecoder's: float64 holds such an integer
-// exactly, and "-0" gives −0. On false it leaves the chunk as it was.
-func (c *tickChunk) scanTick(line []byte) bool {
-	const head, mid = `{"office":"`, `","rssi":[`
-	if !bytes.HasPrefix(line, []byte(head)) {
-		return false
-	}
-	i := len(head)
-	for ; i < len(line) && line[i] != '"'; i++ {
-		if b := line[i]; b < 0x20 || b == '\\' || b >= 0x80 {
-			return false
-		}
-	}
-	name := line[len(head):i]
-	if !bytes.HasPrefix(line[i:], []byte(mid)) {
-		return false
-	}
-	rest := line[i+len(mid):]
-	lo := len(c.arena)
-	for {
-		var v float64
-		var n int
-		// Most samples are a negative two-digit dBm.
-		if len(rest) >= 4 && rest[0] == '-' && rest[1]-'1' < 9 && rest[2]-'0' < 10 && rest[3]-'0' >= 10 {
-			v, n = -float64(int64(rest[1]-'0')*10+int64(rest[2]-'0')), 3
-		} else {
-			v, n = scanInt(rest)
-		}
-		if n == 0 || n == len(rest) || rest[n] != ',' && rest[n] != ']' {
-			c.arena = c.arena[:lo]
-			return false
-		}
-		c.arena = append(c.arena, v)
-		sep := rest[n]
-		rest = rest[n+1:]
-		if sep == ']' {
-			break
-		}
-	}
-	if len(rest) != 1 || rest[0] != '}' {
-		c.arena = c.arena[:lo]
-		return false
-	}
-	c.recs = append(c.recs, tickRecord{name: name, line: c.lines, kind: recordRSSI, lo: lo, hi: len(c.arena)})
-	return true
 }
 
 // chunkReader cuts a body into newline-aligned chunks, delivering the

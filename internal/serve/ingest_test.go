@@ -26,12 +26,11 @@ import (
 
 // ingestSequential is the line-by-line ingest loop the chunked
 // pipeline replaced, kept as its oracle: one bufio.Scanner, each line
-// decoded, looked up and pushed to p before the next is read.
+// decoded by encoding/json, looked up and pushed to p before the next is
+// read.
 func (s *Server) ingestSequential(body io.Reader, res *ingestResult, p tickPusher) error {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
-	var dec tickDecoder
-	var rec tickLine
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -39,7 +38,8 @@ func (s *Server) ingestSequential(body io.Reader, res *ingestResult, p tickPushe
 		if len(line) == 0 {
 			continue
 		}
-		if err := dec.decode(line, &rec); err != nil {
+		var rec tickLine
+		if err := json.Unmarshal(line, &rec); err != nil {
 			return fmt.Errorf("line %d: %w", lineNo, err)
 		}
 		id, ok := s.rec.IDOf(rec.Office)
@@ -192,8 +192,8 @@ func (tw *ingestTwin) finish(t *testing.T) {
 
 // diffLines renders n tick lines for offices "a" and "b" (2 streams
 // each), and an input line ahead of every 8th. Every third tick line
-// carries integer dBm, which scanTick decodes, and the others 17-digit
-// samples, which go through tickDecoder.
+// carries integer dBm, which tickScanner.sample converts directly, and
+// the others 17-digit samples, which go through strconv.ParseFloat.
 func diffLines(n int, src *rng.Source) []string {
 	var lines []string
 	for i := 0; len(lines) < n; i++ {
@@ -249,8 +249,8 @@ func diffBodies() [][]byte {
 			bodies = append(bodies, joinLines(ls, "\n"))
 		}
 	}
-	// The shapes scanTick must take, reject or hand over, office "a"
-	// or "b" alike: first, in the middle and last.
+	// The shapes the direct scan must take, reject or hand over, office
+	// "a" or "b" alike: first, in the middle and last.
 	for _, shape := range tickLineShapes {
 		for _, p := range []int{0, len(lines) / 2, len(lines) - 1} {
 			ls := append([]string(nil), lines...)
@@ -408,9 +408,9 @@ func testIngestDiff(t *testing.T, bodies [][]byte, readers []diffReader, chunks 
 // FuzzIngestJSONL holds the chunked pipeline to the line-by-line loop
 // on any body and chunk size, with the same checks as
 // TestIngestJSONLChunkedMatchesSequential. Beside the differential
-// corpus it is seeded with each of the shapes scanTick must take,
-// reject or hand over, alone and with a canonical line split across
-// two chunks ahead of it.
+// corpus it is seeded with each of the shapes the direct scan must
+// take, reject or hand over, alone and with a canonical line split
+// across two chunks ahead of it.
 func FuzzIngestJSONL(f *testing.F) {
 	for i, body := range diffBodies() {
 		if len(body) > 4096 {

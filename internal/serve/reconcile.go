@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fadewich/internal/core"
@@ -110,15 +109,6 @@ type Reconciler struct {
 	hash    uint64
 	live    map[string]*liveEntry
 	desired int
-	// ids maps every live office's name to its fleet ID, so ingest
-	// resolves names without the lock. An apply never changes a
-	// published map: it bumps idsGen to odd before it starts, publishes
-	// a new map once it is done and bumps idsGen back to even. A lookup
-	// that sees the same even idsGen before and after reading the map
-	// read the current membership; any other takes the lock, which
-	// waits out the apply, as every lookup once did.
-	ids    atomic.Pointer[map[string]int]
-	idsGen atomic.Uint64
 	// byLocal maps local fleet ID → gid, append-only: fleet IDs are
 	// assigned by a monotonic counter and never reused, so a reader may
 	// consult this map for an office that was just removed (the sink
@@ -142,15 +132,13 @@ func specHash(raw []byte) uint64 {
 
 // newReconciler tracks an empty fleet; start brings in the first spec.
 func newReconciler(ing *stream.Ingestor, tagged bool) *Reconciler {
-	r := &Reconciler{
+	return &Reconciler{
 		tagged:  tagged,
 		ing:     ing,
 		now:     time.Now,
 		live:    make(map[string]*liveEntry),
 		byLocal: make(map[int]int),
 	}
-	r.ids.Store(new(map[string]int))
-	return r
 }
 
 // start applies the startup spec, already validated by resolveSpec, as
@@ -192,28 +180,13 @@ func (r *Reconciler) liveLocked() []LiveOffice {
 
 // IDOf resolves an office name to its current fleet ID.
 func (r *Reconciler) IDOf(name string) (int, bool) {
-	if gen := r.idsGen.Load(); gen%2 == 0 {
-		id, ok := (*r.ids.Load())[name]
-		if r.idsGen.Load() == gen {
-			return id, ok
-		}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	id, ok := (*r.ids.Load())[name]
-	return id, ok
-}
-
-// idOf is IDOf for a name's bytes, which it converts to a string only
-// when an apply is under way.
-func (r *Reconciler) idOf(name []byte) (int, bool) {
-	if gen := r.idsGen.Load(); gen%2 == 0 {
-		id, ok := (*r.ids.Load())[string(name)]
-		if r.idsGen.Load() == gen {
-			return id, ok
-		}
+	e, ok := r.live[name]
+	if !ok {
+		return 0, false
 	}
-	return r.IDOf(string(name))
+	return e.ID, true
 }
 
 // Reconcile drives one loop iteration from raw spec content: bump the
@@ -250,10 +223,6 @@ func (r *Reconciler) Reconcile(raw []byte) error {
 // plan through the ingestor in the documented order, then marks every
 // live office as observing the current generation.
 func (r *Reconciler) applyLocked(resolved []ResolvedOffice) error {
-	r.idsGen.Add(1)
-	// A failed step leaves the offices applied so far live; they are
-	// published too.
-	defer r.publishIDs()
 	diff := ComputeDiff(resolved, r.liveLocked())
 	for _, rm := range diff.Removes {
 		if _, err := r.ing.RemoveOffice(rm.ID); err != nil {
@@ -280,17 +249,6 @@ func (r *Reconciler) applyLocked(resolved []ResolvedOffice) error {
 	}
 	r.desired = len(resolved)
 	return nil
-}
-
-// publishIDs publishes the live offices' name → ID map at the end of
-// an apply and marks the apply done (see Reconciler.ids). r.mu is held.
-func (r *Reconciler) publishIDs() {
-	ids := make(map[string]int, len(r.live))
-	for name, e := range r.live {
-		ids[name] = e.ID
-	}
-	r.ids.Store(&ids)
-	r.idsGen.Add(1)
 }
 
 // addLocked joins one office through the ingestor and records it live.

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"fadewich/internal/core"
 )
@@ -277,58 +276,5 @@ func TestReconcilerNoOp(t *testing.T) {
 	st, _ = rec.Status()
 	if st.Reconciles != 1 || st.LastError != "" {
 		t.Fatalf("post-retry status wrong: %+v", st)
-	}
-}
-
-// TestReconcilerIDLookupDuringApply pins what a name lookup sees while
-// a reconcile is applying: ingest resolves names from the published
-// map without the lock, but a lookup that meets an apply in progress
-// waits for it and answers from the membership it leaves, as a locked
-// lookup does, by string or by bytes. Outside an apply both agree with
-// the live offices.
-func TestReconcilerIDLookupDuringApply(t *testing.T) {
-	srv, _ := newTestServer(t, specJSON("a", "b"))
-	rec := srv.rec
-	for name, want := range map[string]int{"a": 0, "b": 1} {
-		if id, ok := rec.idOf([]byte(name)); !ok || id != want {
-			t.Fatalf("idOf(%q) = %d, %v; want %d", name, id, ok, want)
-		}
-	}
-	if _, ok := rec.idOf([]byte("zzz")); ok {
-		t.Fatal("idOf resolves an office that is not live")
-	}
-
-	// An apply under way: the lock held and idsGen odd, as applyLocked
-	// leaves them until it publishes.
-	rec.mu.Lock()
-	rec.idsGen.Add(1)
-	type lookup struct {
-		id int
-		ok bool
-	}
-	byBytes, byString := make(chan lookup), make(chan lookup)
-	go func() {
-		id, ok := rec.idOf([]byte("a"))
-		byBytes <- lookup{id, ok}
-	}()
-	go func() {
-		id, ok := rec.IDOf("c")
-		byString <- lookup{id, ok}
-	}()
-	select {
-	case l := <-byBytes:
-		t.Fatalf("a lookup during an apply answered %+v without waiting for it", l)
-	case l := <-byString:
-		t.Fatalf("a lookup during an apply answered %+v without waiting for it", l)
-	case <-time.After(50 * time.Millisecond):
-	}
-	rec.ids.Store(&map[string]int{"a": 7, "c": 8})
-	rec.idsGen.Add(1)
-	rec.mu.Unlock()
-	if l := <-byBytes; l != (lookup{7, true}) {
-		t.Errorf("idOf(a) across the apply = %+v, want the applied ID 7", l)
-	}
-	if l := <-byString; l != (lookup{8, true}) {
-		t.Errorf("IDOf(c) across the apply = %+v, want the applied ID 8", l)
 	}
 }

@@ -53,9 +53,9 @@ func ingestBody(names []string, steps, streams int, src *rng.Source, intDBm bool
 	return body, lines
 }
 
-// tickLineShapes are the line shapes the one-pass scan (scanTick)
-// must take, reject, or hand to tickDecoder: −0, integers of 15 and 16
-// digits, a leading zero, an exponent, a bare minus, no samples,
+// tickLineShapes are the line shapes the direct scan (tickDecoder.scan)
+// must take, reject, or hand to encoding/json: −0, integers of 15 and
+// 16 digits, a leading zero, an exponent, a bare minus, no samples,
 // whitespace inside a canonical line, and escaped, quoted or non-ASCII
 // names.
 var tickLineShapes = []string{
@@ -83,13 +83,13 @@ var tickLineShapes = []string{
 	`{"office":"a","rssi":[-6,-600,-60.5]}`,
 }
 
-// FuzzTickJSONL checks both line decoders against encoding/json: any
-// line, canonical or not, must decode through tickDecoder to the same
-// error, and without an error to an equal record (see sameRecord); a
-// line the one-pass scanTick takes must be one encoding/json decodes
-// to an equal record, and a line it does not take must leave its chunk
-// as it was. Each line is decoded after a canonical one, so a record
-// that keeps stale scratch storage shows up too.
+// FuzzTickJSONL holds tickDecoder to encoding/json: any line must
+// decode to the same error, and without an error to an equal record
+// (see lineOf and sameRecord), its samples appended to the arena; a
+// line that fails must leave the arena as it was, and a line the direct
+// scan takes must be one encoding/json decodes to an equal record. Each
+// line is decoded after a canonical one, so a record that reads stale
+// samples shows up too.
 func FuzzTickJSONL(f *testing.F) {
 	for _, tc := range tickParseCases {
 		f.Add([]byte(tc.line))
@@ -104,45 +104,50 @@ func FuzzTickJSONL(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
-		var d tickDecoder
-		var got tickLine
-		if err := d.decode([]byte(`{"office":"warm-up","rssi":[-1.5,2,3]}`), &got); err != nil {
-			t.Fatal(err)
-		}
-		canonical := d.scan(line, &got)
-		err := d.decode(line, &got)
 		var want tickLine
 		wantErr := json.Unmarshal(line, &want)
-		if canonical && wantErr != nil {
-			t.Fatalf("scanner accepted %q, encoding/json rejects it: %v", line, wantErr)
+		if want.Input != nil {
+			want.RSSI = nil // an input line's samples are ignored
 		}
+
+		var d tickDecoder
+		var rec tickRecord
+		if err := d.decode([]byte(`{"office":"warm-up","rssi":[-1.5,2,3]}`), &rec); err != nil {
+			t.Fatal(err)
+		}
+		arena := len(d.arena)
+		err := d.decode(line, &rec)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("%q: error %v, encoding/json %v", line, err, wantErr)
 		}
-		if err == nil && !sameRecord(got, want) {
-			t.Fatalf("%q: decoded %#v, encoding/json %#v", line, got, want)
-		}
-
-		var c tickChunk
-		if !c.scanTick([]byte(`{"office":"warm-up","rssi":[-1,2,3]}`)) {
-			t.Fatal("scanTick rejects a canonical line")
-		}
-		arena := len(c.arena)
-		if !c.scanTick(bytes.TrimSpace(line)) {
-			if len(c.recs) != 1 || len(c.arena) != arena {
-				t.Fatalf("%q: scanTick declined it but left %d records and %d samples", line, len(c.recs), len(c.arena))
+		if err != nil {
+			if len(d.arena) != arena {
+				t.Fatalf("%q: failed but left %d samples of %d", line, len(d.arena), arena)
 			}
 			return
 		}
-		if wantErr != nil {
-			t.Fatalf("scanTick accepted %q, encoding/json rejects it: %v", line, wantErr)
+		if got := lineOf(&rec, d.arena); !sameRecord(got, want) || rec.kind == recordRSSI && rec.lo != arena {
+			t.Fatalf("%q: decoded %#v (%+v), encoding/json %#v", line, got, rec, want)
 		}
-		rec := c.recs[1]
-		scanned := tickLine{Office: rec.officeName(), RSSI: c.arena[rec.lo:rec.hi]}
-		if rec.kind != recordRSSI || rec.lo != arena || !sameRecord(scanned, want) {
-			t.Fatalf("%q: scanTick decoded %#v (%+v), encoding/json %#v", line, scanned, rec, want)
+
+		var s tickDecoder
+		if s.scan(line, &rec) && (wantErr != nil || !sameRecord(lineOf(&rec, s.arena), want)) {
+			t.Fatalf("%q: scanned %#v (%+v), encoding/json %#v, %v", line, lineOf(&rec, s.arena), rec, want, wantErr)
 		}
 	})
+}
+
+// lineOf renders a record and its samples in arena as the tickLine
+// encoding/json decodes from the same line.
+func lineOf(rec *tickRecord, arena []float64) tickLine {
+	l := tickLine{Office: string(rec.name)}
+	switch rec.kind {
+	case recordRSSI:
+		l.RSSI = append([]float64{}, arena[rec.lo:rec.hi]...)
+	case recordInput:
+		l.Input = &rec.input
+	}
+	return l
 }
 
 // sameRecord reports whether a and b are deep-equal, nil RSSI and Input
