@@ -496,7 +496,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		cfgByName[ro.Name] = ro.Config
 	}
 	for _, name := range moved {
-		id, err := ref.ing.AddOffice(cfgByName[name])
+		id, err := ref.add(cfgByName[name])
 		if err != nil {
 			t.Fatalf("reference re-add %s: %v", name, err)
 		}
@@ -593,7 +593,14 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	// On-disk proof for the segment legs: the directories really are
 	// small, and still replay — the three logs together must hold every
-	// dispatched action the reference produced.
+	// dispatched action the reference produced, each under a gid the
+	// coordinator assigned to the worker whose log holds it.
+	gidWorker := make(map[int]string)
+	for _, as := range []clusterAssignments{asV1, asV2} {
+		for _, o := range as.Offices {
+			gidWorker[o.GID] = o.Worker
+		}
+	}
 	var diskBytes int64
 	replayed := 0
 	for _, w := range []string{"w1", "w2", "w3"} {
@@ -623,6 +630,11 @@ func TestClusterEndToEnd(t *testing.T) {
 			}
 			if err != nil {
 				t.Fatalf("replay %s segment dir: %v", w, err)
+			}
+			for _, a := range batch {
+				if owner, ok := gidWorker[a.Office]; !ok || owner != w {
+					t.Fatalf("%s segment log holds office %d, which the assignments give to %q", w, a.Office, owner)
+				}
 			}
 			replayed += len(batch)
 		}

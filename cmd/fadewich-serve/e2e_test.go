@@ -92,6 +92,9 @@ type e2eFleetStatus struct {
 type reference struct {
 	fleet *engine.Fleet
 	ing   *stream.Ingestor
+	// nextID is the ID add gives the next office, counted as a
+	// single-process daemon's reconciler counts them.
+	nextID int
 
 	mu      sync.Mutex
 	batches [][]engine.OfficeAction
@@ -120,7 +123,7 @@ func newReference(t *testing.T, raw []byte) (*reference, []serve.ResolvedOffice)
 	if err != nil {
 		t.Fatalf("reference fleet: %v", err)
 	}
-	ref := &reference{fleet: fleet}
+	ref := &reference{fleet: fleet, nextID: len(resolved)}
 	ref.ing, err = stream.NewIngestor(fleet, stream.Config{
 		Queue: e2eQueue,
 		OnBatch: func(batch []engine.OfficeAction) {
@@ -135,6 +138,16 @@ func newReference(t *testing.T, raw []byte) (*reference, []serve.ResolvedOffice)
 		t.Fatalf("reference ingestor: %v", err)
 	}
 	return ref, resolved
+}
+
+// add joins an office under the next ID and returns it.
+func (r *reference) add(cfg core.Config) (int, error) {
+	id := r.nextID
+	if err := r.ing.AddOffice(id, cfg); err != nil {
+		return 0, err
+	}
+	r.nextID++
+	return id, nil
 }
 
 func (r *reference) batchCount() int {
@@ -538,7 +551,7 @@ func TestServeEndToEnd(t *testing.T) {
 		if _, err := ref.ing.RemoveOffice(u.Old.ID); err != nil {
 			t.Fatalf("reference update-remove %s: %v", u.Old.Name, err)
 		}
-		id, err := ref.ing.AddOffice(u.New.Config)
+		id, err := ref.add(u.New.Config)
 		if err != nil {
 			t.Fatalf("reference update-add %s: %v", u.New.Name, err)
 		}
@@ -552,7 +565,7 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 	}
 	for _, a := range diff.Adds {
-		id, err := ref.ing.AddOffice(a.Config)
+		id, err := ref.add(a.Config)
 		if err != nil {
 			t.Fatalf("reference add %s: %v", a.Name, err)
 		}

@@ -19,9 +19,10 @@
 //     independent office Systems across a worker pool with batched tick
 //     delivery and a merged, time-ordered action stream. The fleet is an
 //     elastic multi-tenant registry: offices carry per-tenant
-//     configurations (FleetConfig.PerOffice) and stable IDs, and
-//     AddOffice/RemoveOffice change the membership at batch boundaries
-//     while ticks flow. The same pool parallelises dataset generation
+//     configurations (FleetConfig.PerOffice) and stable,
+//     caller-named IDs (a cluster worker runs each office under its
+//     cluster-wide gid), and AddOffice/RemoveOffice change the membership
+//     at batch boundaries while ticks flow. The same pool parallelises dataset generation
 //     and the harness's experiment sweeps, deterministically in the seed.
 //   - Streaming (internal/stream) — the asynchronous pipeline on top of
 //     the Fleet: an Ingestor with bounded per-office tick queues
@@ -102,8 +103,8 @@ func NewSystem(cfg SystemConfig) (*System, error) { return core.NewSystem(cfg) }
 // Fleet shards many independent office Systems across a worker pool with
 // batched tick delivery and a merged time-ordered action stream.
 // Membership is elastic: Fleet.AddOffice and Fleet.RemoveOffice join and
-// retire tenants (by stable office ID) while batches are flowing, with
-// changes landing at batch boundaries.
+// retire tenants (by stable office ID, which AddOffice's caller names)
+// while batches are flowing, with changes landing at batch boundaries.
 type Fleet = engine.Fleet
 
 // FleetConfig parameterises a Fleet: the initial office count, the shared

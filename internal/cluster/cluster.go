@@ -20,12 +20,12 @@
 //     offices that hash to the changed arcs — every other office stays
 //     where it is, keeping its learned state.
 //
-//   - One global ID space. Local fleet IDs are per-worker and collide
-//     across workers, so the coordinator stamps every office with a
+//   - One global ID space. The coordinator stamps every office with a
 //     cluster-wide gid, assigned by a monotonic counter in spec order
-//     and never reused; an office that moves workers (or changes
-//     config) gets a fresh gid, exactly mirroring the remove+add a
-//     single-process reconciler would apply. That makes the merged
+//     and never reused, and each worker runs the office under that gid;
+//     an office that moves workers (or changes config) gets a fresh
+//     gid, exactly mirroring the remove+add a single-process
+//     reconciler would apply. That makes the merged
 //     stream byte-identical to a single reference fleet running the
 //     same spec — the property the cluster e2e test enforces.
 //

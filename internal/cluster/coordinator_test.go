@@ -149,8 +149,8 @@ func TestCoordinatorJoinFreshGIDs(t *testing.T) {
 }
 
 // TestCoordinatorConfigChangeFreshGID: a config rollout (not a move)
-// also draws a fresh gid — the worker restarts the office under a new
-// local ID, and the reference fleet does the same.
+// also draws a fresh gid — the worker restarts the office under that
+// gid, as the reference fleet restarts it under a new ID.
 func TestCoordinatorConfigChangeFreshGID(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSpec(t, dir, 6, nil)

@@ -10,9 +10,12 @@
 // office's stable ID (MergeRuns: concatenate, then sort stably).
 //
 // Membership is elastic: AddOffice and RemoveOffice are safe to call
-// while batches are flowing from another goroutine. A batch in flight
-// holds the membership lock for its whole duration, so a membership
-// change never lands mid-batch — joining offices start clean (training
+// while batches are flowing from another goroutine. The caller names
+// each joining office's ID (a single-process daemon counts them, a
+// cluster worker uses the office's cluster-wide gid), so an office
+// carries one ID through the fleet and every stream downstream of it.
+// A batch in flight holds the membership lock for its whole duration,
+// so a membership change never lands mid-batch — joining offices start clean (training
 // phase, zero clock) at the next batch boundary, and a removed office's
 // in-flight batch completes before the removal applies.
 
@@ -20,6 +23,7 @@ package engine
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -45,6 +49,10 @@ type FleetConfig struct {
 	// sequential delivery). Output is identical for every value.
 	Workers int
 }
+
+// ErrOfficeID is returned by AddOffice for an ID the fleet cannot take:
+// a negative one, or one a live member already holds.
+var ErrOfficeID = errors.New("engine: office ID is negative or held by a live member")
 
 // OfficeAction is one action emitted by one office of the fleet.
 type OfficeAction struct {
@@ -93,11 +101,10 @@ type Fleet struct {
 	def  core.Config // shared default office configuration
 
 	mu sync.Mutex
-	// active holds the member offices in ascending ID order (IDs are
-	// allocated monotonically and never reused, so append keeps order).
+	// active holds the member offices in ascending ID order (AddOffice
+	// inserts in place).
 	active []*officeState
 	byID   map[int]*officeState
-	nextID int
 
 	// Batch-delivery scratch, reused across Run calls and guarded by mu:
 	// the work structs, the routing map and the run headers MergeRuns
@@ -134,48 +141,56 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		if c, ok := cfg.PerOffice[i]; ok {
 			oc = c
 		}
-		if _, err := f.addLocked(oc); err != nil {
+		if err := f.addLocked(i, oc); err != nil {
 			return nil, err
 		}
 	}
 	return f, nil
 }
 
-// addLocked creates one office System and registers it under the next ID.
-func (f *Fleet) addLocked(cfg core.Config) (int, error) {
+// addLocked creates one office System and registers it under id, keeping
+// active in ID order.
+func (f *Fleet) addLocked(id int, cfg core.Config) error {
+	if id < 0 {
+		return fmt.Errorf("%w (office %d is negative)", ErrOfficeID, id)
+	}
+	if f.byID[id] != nil {
+		return fmt.Errorf("%w (office %d is already a member)", ErrOfficeID, id)
+	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
-		return 0, fmt.Errorf("engine: office %d: %w", f.nextID, err)
+		return fmt.Errorf("engine: office %d: %w", id, err)
 	}
-	st := &officeState{id: f.nextID, cfg: cfg, sys: sys}
-	f.nextID++
-	f.active = append(f.active, st)
-	f.byID[st.id] = st
-	return st.id, nil
+	st := &officeState{id: id, cfg: cfg, sys: sys}
+	i, _ := slices.BinarySearchFunc(f.active, id, func(o *officeState, id int) int { return cmp.Compare(o.id, id) })
+	f.active = slices.Insert(f.active, i, st)
+	f.byID[id] = st
+	return nil
 }
 
-// AddOffice joins a new tenant to the fleet and returns its stable ID.
-// The office starts clean — a fresh System in the training phase with a
-// zero clock — and participates from the next batch on. A completely
-// zero-valued cfg inherits the fleet's shared default configuration;
-// a partial cfg is used as given and rejected loudly if invalid (it is
-// never silently merged with the default). Safe to call concurrently
-// with batch delivery: the join lands at the next batch boundary.
-func (f *Fleet) AddOffice(cfg core.Config) (int, error) {
+// AddOffice joins a new tenant to the fleet under the caller's stable
+// ID. A negative ID, or one a live member holds, is ErrOfficeID; the ID
+// of a removed office may be taken again. The office starts clean — a
+// fresh System in the training phase with a zero clock — and
+// participates from the next batch on. A completely zero-valued cfg
+// inherits the fleet's shared default configuration; a partial cfg is
+// used as given and rejected loudly if invalid (it is never silently
+// merged with the default). Safe to call concurrently with batch
+// delivery: the join lands at the next batch boundary.
+func (f *Fleet) AddOffice(id int, cfg core.Config) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if cfg == (core.Config{}) {
 		cfg = f.def
 	}
-	return f.addLocked(cfg)
+	return f.addLocked(id, cfg)
 }
 
 // RemoveOffice retires a tenant from the fleet and returns its System for
 // final inspection (training samples, authentication state). Any batch in
 // flight completes first — the removed office's actions from that batch
-// still appear in the merged stream — and the ID is never reused. Layers
-// that queue ticks (stream.Ingestor) drain the office's queue before
-// calling this.
+// still appear in the merged stream. Layers that queue ticks
+// (stream.Ingestor) drain the office's queue before calling this.
 func (f *Fleet) RemoveOffice(id int) (*core.System, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

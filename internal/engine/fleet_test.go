@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -380,8 +381,8 @@ func TestFleetPerOfficeConfigsHeterogeneous(t *testing.T) {
 }
 
 // TestFleetMembershipLifecycle checks the sequential add/remove contract:
-// monotonic never-reused IDs, joiners starting clean, removal returning
-// the final System, and batch delivery across non-contiguous IDs.
+// caller-named IDs, joiners starting clean, removal returning the final
+// System, and batch delivery across non-contiguous IDs.
 func TestFleetMembershipLifecycle(t *testing.T) {
 	f, err := NewFleet(fleetCfg(2, 2))
 	if err != nil {
@@ -393,12 +394,9 @@ func TestFleetMembershipLifecycle(t *testing.T) {
 	}
 
 	// Join with the default config (zero Streams inherits).
-	id, err := f.AddOffice(core.Config{})
-	if err != nil {
+	const id = 2
+	if err := f.AddOffice(id, core.Config{}); err != nil {
 		t.Fatal(err)
-	}
-	if id != 2 {
-		t.Fatalf("joiner ID %d, want 2", id)
 	}
 	if sys := f.System(id); sys == nil || sys.Phase() != core.PhaseTraining || sys.Now() != 0 {
 		t.Fatal("joiner did not start clean in the training phase")
@@ -436,13 +434,55 @@ func TestFleetMembershipLifecycle(t *testing.T) {
 		t.Fatalf("joiner clock %.1f after one batch, want 0.2", got)
 	}
 
-	// A later join must not reuse the retired ID.
-	id2, err := f.AddOffice(core.Config{})
-	if err != nil {
+	// A retired ID may be taken again: the joiner is a fresh System.
+	if err := f.AddOffice(1, core.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if id2 != 3 {
-		t.Fatalf("second joiner ID %d, want 3 (ID 1 must never be reused)", id2)
+	if sys := f.System(1); sys == nil || sys.Now() != 0 {
+		t.Fatal("re-added office 1 did not start clean")
+	}
+	if got := f.IDs(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Fatalf("IDs after re-adding 1: %v, want [0 1 2]", got)
+	}
+}
+
+// TestFleetAddOfficeIDs is the ID contract of AddOffice: a negative ID
+// or a live member's is ErrOfficeID and changes nothing; any other ID
+// joins, below the existing ones included, and IDs() stays ascending.
+func TestFleetAddOfficeIDs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		id   int
+		err  error
+		want []int
+	}{
+		{"negative", -1, ErrOfficeID, []int{5, 9}},
+		{"live member", 9, ErrOfficeID, []int{5, 9}},
+		{"below the members", 0, nil, []int{0, 5, 9}},
+		{"between the members", 7, nil, []int{5, 7, 9}},
+		{"above the members", 48, nil, []int{5, 9, 48}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := NewFleet(FleetConfig{System: fleetCfg(1, 1).System})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []int{9, 5} {
+				if err := f.AddOffice(id, core.Config{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live := f.System(9)
+			if err := f.AddOffice(tc.id, core.Config{}); !errors.Is(err, tc.err) {
+				t.Fatalf("AddOffice(%d) = %v, want %v", tc.id, err, tc.err)
+			}
+			if got := f.IDs(); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("IDs() = %v, want %v", got, tc.want)
+			}
+			if f.System(9) != live {
+				t.Fatal("office 9's System was replaced")
+			}
+		})
 	}
 }
 
@@ -499,6 +539,7 @@ func TestFleetChurnUnderLoad(t *testing.T) {
 	go func() {
 		joinCfg := core.Config{Streams: 3, Workstations: 2, Params: control.Params{TimeoutSec: 15}}
 		var joined []int
+		next := offices
 		for ev := 0; ev < 16; ev++ {
 			for i := 0; i < churnEach; i++ {
 				if _, ok := <-batchDone; !ok {
@@ -507,12 +548,12 @@ func TestFleetChurnUnderLoad(t *testing.T) {
 				}
 			}
 			if ev%2 == 0 {
-				id, err := f.AddOffice(joinCfg)
-				if err != nil {
+				if err := f.AddOffice(next, joinCfg); err != nil {
 					churnDone <- err
 					return
 				}
-				joined = append(joined, id)
+				joined = append(joined, next)
+				next++
 			} else {
 				id := joined[0]
 				joined = joined[1:]
@@ -616,12 +657,8 @@ func TestEmptyFleet(t *testing.T) {
 	if err != nil || len(acts) != 0 {
 		t.Fatalf("empty Run = (%v, %v), want no actions", acts, err)
 	}
-	id, err := f.AddOffice(fleetCfg(1, 1).System)
-	if err != nil {
+	if err := f.AddOffice(0, fleetCfg(1, 1).System); err != nil {
 		t.Fatalf("AddOffice on empty fleet: %v", err)
-	}
-	if id != 0 {
-		t.Fatalf("first office ID %d, want 0", id)
 	}
 	if got := f.Offices(); got != 1 {
 		t.Fatalf("offices = %d after add, want 1", got)

@@ -19,22 +19,24 @@ type LiveOffice struct {
 	ID     int
 	Config core.Config
 	// GID is the office's cluster-wide global ID from the spec (-1 in a
-	// single-process fleet). A gid change alone forces an update: the
+	// single-process fleet). A tagged worker runs the office under it,
+	// so ID == GID there. A gid change alone forces an update: the
 	// coordinator assigns a fresh gid whenever an office moves workers,
-	// and the replaced instance is what keeps the forwarded ID space
-	// consistent with the reference fleet.
+	// and the replaced instance restarts under the new ID, as the
+	// reference fleet's office does.
 	GID int
 }
 
 // Diff is the reconcile plan between a desired spec and live
-// membership. Apply order is fixed and documented, because office IDs
-// are assigned by a monotonic counter and operators (and the e2e
-// reference harness) must be able to predict them: first Removes in
-// ascending live-ID order, then Updates in spec order (each a
-// RemoveOffice of the old instance followed immediately by an
-// AddOffice of the new configuration — a config rollout restarts the
-// office's System under a fresh ID, back in the training phase), then
-// Adds in spec order.
+// membership. Apply order is fixed and documented, because a
+// single-process daemon assigns office IDs from a counter and
+// operators (and the e2e reference harness) must be able to predict
+// them: first Removes in ascending live-ID order, then Updates in spec
+// order (each a RemoveOffice of the old instance followed immediately
+// by an AddOffice of the new configuration — a config rollout restarts
+// the office's System under a fresh ID, back in the training phase),
+// then Adds in spec order. A tagged worker adds each office under its
+// gid instead, so there a removed gid is free before any add reuses it.
 type Diff struct {
 	// Adds are desired offices with no live counterpart, in spec order.
 	Adds []ResolvedOffice
@@ -101,7 +103,7 @@ type liveEntry struct {
 type Reconciler struct {
 	mu sync.Mutex
 	// tagged is set on a cluster worker (Config.ForwardSource != 0):
-	// see resolveSpec.
+	// it runs each office under the spec's gid (see resolveSpec).
 	tagged  bool
 	ing     *stream.Ingestor
 	now     func() time.Time
@@ -109,12 +111,10 @@ type Reconciler struct {
 	hash    uint64
 	live    map[string]*liveEntry
 	desired int
-	// byLocal maps local fleet ID → gid, append-only: fleet IDs are
-	// assigned by a monotonic counter and never reused, so a reader may
-	// consult this map for an office that was just removed (the sink
-	// pump races reconciles) and still get the right answer. Only
-	// populated for offices whose spec carries a gid.
-	byLocal map[int]int
+	// nextID is the ID an untagged daemon gives its next office: a
+	// counter bumped on every successful add, so its IDs are never
+	// reused.
+	nextID int
 
 	reconciles uint64
 	errorCount uint64
@@ -133,11 +133,10 @@ func specHash(raw []byte) uint64 {
 // newReconciler tracks an empty fleet; start brings in the first spec.
 func newReconciler(ing *stream.Ingestor, tagged bool) *Reconciler {
 	return &Reconciler{
-		tagged:  tagged,
-		ing:     ing,
-		now:     time.Now,
-		live:    make(map[string]*liveEntry),
-		byLocal: make(map[int]int),
+		tagged: tagged,
+		ing:    ing,
+		now:    time.Now,
+		live:   make(map[string]*liveEntry),
 	}
 }
 
@@ -149,17 +148,6 @@ func (r *Reconciler) start(raw []byte, resolved []ResolvedOffice) error {
 	defer r.mu.Unlock()
 	r.gen, r.hash = 1, specHash(raw)
 	return r.applyLocked(resolved)
-}
-
-// GlobalID resolves a local fleet ID to the cluster-wide gid its office
-// was specced with. The mapping is append-only (fleet IDs are never
-// reused), so it stays correct even when the lookup races a reconcile
-// that has already removed the office.
-func (r *Reconciler) GlobalID(local int) (int, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	gid, ok := r.byLocal[local]
-	return gid, ok
 }
 
 // Live returns the live offices, ascending by ID.
@@ -251,19 +239,22 @@ func (r *Reconciler) applyLocked(resolved []ResolvedOffice) error {
 	return nil
 }
 
-// addLocked joins one office through the ingestor and records it live.
+// addLocked joins one office through the ingestor, under its gid on a
+// tagged worker and the next counter value elsewhere, and records it
+// live.
 func (r *Reconciler) addLocked(ro ResolvedOffice, transition string) error {
-	id, err := r.ing.AddOffice(ro.Config)
-	if err != nil {
+	id := r.nextID
+	if r.tagged {
+		id = ro.GID
+	}
+	if err := r.ing.AddOffice(id, ro.Config); err != nil {
 		return err
 	}
+	r.nextID++
 	r.live[ro.Name] = &liveEntry{
 		LiveOffice: LiveOffice{Name: ro.Name, ID: id, Config: ro.Config, GID: ro.GID},
 		transition: transition,
 		since:      r.now(),
-	}
-	if ro.GID >= 0 {
-		r.byLocal[id] = ro.GID
 	}
 	return nil
 }

@@ -54,15 +54,17 @@ type Config struct {
 	// address as wire frames, the fan-in feed for a downstream
 	// fadewich-tail or router tier.
 	Forward string
-	// ForwardSource, when non-zero, switches the forward stream to the
-	// cluster wire protocol: frames are tagged with this worker source
-	// ID and the producer-driven epoch (?flush=1&epoch=K), actions are
-	// remapped from local fleet IDs to the gids the spec carries, and
-	// shutdown sends a final frame. Requires Forward and a spec whose
-	// offices all carry gids. The tagged sink refuses untagged batches,
-	// so POST /v1/ticks rejects ?flush=1 without an epoch. A tagged
-	// worker may run an empty spec: the hash may owe it nothing right
-	// now, and it must still emit its per-epoch watermark frames.
+	// ForwardSource, when non-zero, makes this a cluster worker: it runs
+	// each office under the gid its spec carries (so the forward, the
+	// segment log, /v1/actions and /v1/offices all name offices by gid),
+	// and the forward speaks the cluster wire protocol: frames are
+	// tagged with this worker source ID and the producer-driven epoch
+	// (?flush=1&epoch=K), and shutdown sends a final frame. Requires
+	// Forward and a spec whose offices all carry gids. The tagged sink
+	// refuses untagged batches, so POST /v1/ticks rejects ?flush=1
+	// without an epoch. A tagged worker may run an empty spec: the hash
+	// may owe it nothing right now, and it must still emit its
+	// per-epoch watermark frames.
 	ForwardSource uint8
 }
 
@@ -107,8 +109,9 @@ func retentionEvery(ttl time.Duration) time.Duration {
 // New validates the spec, opens the sinks and starts the ingestor over
 // an empty fleet; the spec then reaches the fleet through the same
 // apply step every reload uses, so offices join in spec order under
-// IDs 0..n−1. A spec that fails validation opens no sink: no segment
-// directory is created and no forward address is dialled.
+// IDs 0..n−1 (on a tagged worker, under their gids). A spec that fails
+// validation opens no sink: no segment directory is created and no
+// forward address is dialled.
 func New(cfg Config) (*Server, error) {
 	if cfg.SpecSource == nil {
 		return nil, errors.New("serve: no fleet-spec source")
@@ -158,23 +161,14 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 		fwd.Compress = cfg.Compress
+		fwd.Source = cfg.ForwardSource
 		s.fwd = fwd
-		if cfg.ForwardSource != 0 {
-			fwd.Source = cfg.ForwardSource
-			// Remap local fleet IDs to cluster-wide gids on the way out.
-			// The closure reads s.rec, assigned below before any tick can
-			// be pushed (and therefore before any batch can be pumped).
-			sinks = append(sinks, stream.NewRemapSink(fwd, func(local int) (int, bool) {
-				return s.rec.GlobalID(local)
-			}))
-		} else {
-			sinks = append(sinks, fwd)
-		}
+		sinks = append(sinks, fwd)
 	}
 	// Encode-once fan-out: any frame variant (plain or compressed) a
 	// member wants — the segment log, a broadcaster subscriber, an
 	// untagged forward — is encoded exactly once per dispatch and shared
-	// read-only.
+	// read-only; a tagged forward encodes its own tagged frame.
 	sink := stream.NewEncodeOnceSink(sinks...)
 
 	s.ing, err = stream.NewIngestor(fleet, stream.Config{

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"fadewich/internal/engine"
 	"fadewich/internal/re"
 	"fadewich/internal/rng"
 	"fadewich/internal/stream"
@@ -556,7 +557,7 @@ func TestNewRejectsBadSpecBeforeSinks(t *testing.T) {
 // rule on reload as at startup. A revision adding an office without a
 // gid is refused with a 400 naming it, membership stays as it was, and
 // the generation lag shows the refused revision. The forward stream
-// stays healthy: later epoch flushes remap every action and answer 200.
+// stays healthy: later epoch flushes answer 200.
 func TestTaggedReloadRequiresGIDs(t *testing.T) {
 	spec := `{"defaults": {"layout": "small", "sensors": 2}, "offices": [{"name": "a", "gid": 7}]}`
 	srv, path := newTestServer(t, spec, taggedWorker(t))
@@ -579,8 +580,8 @@ func TestTaggedReloadRequiresGIDs(t *testing.T) {
 		t.Fatalf("status after a refused spec: %+v", st)
 	}
 
-	// Had b joined, these ticks would raise its first action, an alert
-	// with no gid to remap it to, and every later epoch flush would fail.
+	// Had b joined with no gid, it would have no ID in the cluster's ID
+	// space; its ticks are refused as an unknown office's.
 	src := rng.New(7)
 	alertRecipe := func(office string) string {
 		return rssiLines(office, 400, 0.5, src) + fmt.Sprintf(`{"office":%q,"input":0}`, office) + "\n" +
@@ -600,6 +601,31 @@ func TestTaggedReloadRequiresGIDs(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestTaggedWorkerRunsOfficesUnderGIDs: a tagged worker runs every
+// office under its gid, so /v1/offices reports id == gid, and a reload
+// that would add an office under the gid of another live office fails
+// with engine.ErrOfficeID.
+func TestTaggedWorkerRunsOfficesUnderGIDs(t *testing.T) {
+	spec := `{"defaults": {"layout": "small", "sensors": 2}, "offices": [{"name": "a", "gid": 7}, {"name": "b", "gid": 3}]}`
+	srv, path := newTestServer(t, spec, taggedWorker(t))
+	st := decodeBody[fleetStatus](t, get(srv, "/v1/offices"))
+	if len(st.Offices) != 2 {
+		t.Fatalf("%d offices live, want 2", len(st.Offices))
+	}
+	for _, o := range st.Offices {
+		if o.GID == nil || o.ID != *o.GID {
+			t.Fatalf("office %q runs under id %d, gid %v", o.Name, o.ID, o.GID)
+		}
+	}
+	// Updates apply in spec order, so b moves onto gid 7 while a still
+	// holds it.
+	os.WriteFile(path, []byte(`{"defaults": {"layout": "small", "sensors": 2},
+		"offices": [{"name": "b", "gid": 7}, {"name": "a", "gid": 5}]}`), 0o644)
+	if err := srv.Reload(); !errors.Is(err, engine.ErrOfficeID) {
+		t.Fatalf("reload reusing a live gid: %v, want engine.ErrOfficeID", err)
 	}
 }
 
@@ -799,6 +825,77 @@ func TestWorkerTrainHoldsForEpoch(t *testing.T) {
 	}
 	if tag, _ := dec.Tag(); tag != (wire.Tag{Source: 1, Epoch: 1}) || len(batch) == 0 {
 		t.Fatalf("first forwarded frame %+v with %d actions, want epoch 1 with the held actions", tag, len(batch))
+	}
+}
+
+// TestWorkerReloadHoldsDrainForEpoch: a reload that removes an office
+// from a tagged worker drains the office's queued ticks into the fleet.
+// That drain holds its actions for the next epoch flush, which forwards
+// them in its tagged frame under the removed office's gid; emitted
+// untagged, they would break the forward for good.
+func TestWorkerReloadHoldsDrainForEpoch(t *testing.T) {
+	// A 40 s tick makes the 300 s idle time-out fire within the ticks.
+	spec := `{"defaults": {"layout": "small", "sensors": 2, "dt": 40}, "offices": [{"name": "a", "gid": 7}, {"name": "b", "gid": 3}]}`
+	addr, got := captureListener(t)
+	srv, path := newTestServer(t, spec, func(c *Config) {
+		c.Forward = addr
+		c.ForwardSource = 1
+	})
+	goOnline(t, srv, "a")
+	goOnline(t, srv, "b")
+	src := rng.New(9)
+	body := `{"office":"a","input":0}` + "\n" + `{"office":"b","input":0}` + "\n"
+	for i := 0; i < 10; i++ {
+		body += rssiLines("a", 1, 0.5, src) + rssiLines("b", 1, 0.5, src)
+	}
+	if rr := post(srv, "/v1/ticks", body); rr.Code != http.StatusOK {
+		t.Fatalf("POST ticks: status %d: %s", rr.Code, rr.Body.String())
+	}
+	os.WriteFile(path, []byte(`{"defaults": {"layout": "small", "sensors": 2, "dt": 40}, "offices": [{"name": "a", "gid": 7}]}`), 0o644)
+	if rr := post(srv, "/v1/reload", ""); rr.Code != http.StatusOK {
+		t.Fatalf("reload without b: status %d: %s", rr.Code, rr.Body.String())
+	}
+	if rr := post(srv, "/v1/ticks?flush=1&epoch=1", ""); rr.Code != http.StatusOK {
+		t.Fatalf("epoch flush: status %d: %s", rr.Code, rr.Body.String())
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	var b []byte
+	select {
+	case b = <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the forward connection did not close")
+	}
+	dec := wire.NewDecoder(bytes.NewReader(b))
+	batch, err := dec.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tag, _ := dec.Tag(); tag != (wire.Tag{Source: 1, Epoch: 1}) {
+		t.Fatalf("first forwarded frame %+v, want epoch 1", tag)
+	}
+	removed := 0
+	for _, a := range batch {
+		switch a.Office {
+		case 3:
+			removed++
+		case 7:
+		default:
+			t.Fatalf("epoch 1 carries office %d, not a gid of the spec", a.Office)
+		}
+	}
+	if removed == 0 {
+		t.Fatalf("epoch 1 holds %d actions, none of them the removed office's (gid 3)", len(batch))
+	}
+	if _, err := dec.Decode(); err != nil {
+		t.Fatal(err)
+	}
+	if tag, _ := dec.Tag(); !tag.Final {
+		t.Fatalf("second forwarded frame %+v, want the final frame", tag)
+	}
+	if _, err := dec.Decode(); err != io.EOF {
+		t.Fatalf("after the final frame: %v, want EOF", err)
 	}
 }
 

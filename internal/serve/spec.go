@@ -202,9 +202,9 @@ func (s *Spec) Resolve() ([]ResolvedOffice, error) {
 // resolveSpec is the one validation every spec passes, at startup and
 // on every reload: parse, resolve, then the daemon's membership policy.
 // A tagged worker (Config.ForwardSource != 0) may run an empty shard,
-// but every office it runs needs a gid: its actions leave remapped to
-// the cluster-wide ID space, and an office without one would break the
-// forward stream at its first action. Anywhere else an empty spec is
+// but every office it runs needs a gid: the worker runs the office
+// under it, and an office without one has no ID in the cluster's ID
+// space. Anywhere else an empty spec is
 // rejected: a single-process operator emptying the fleet is almost
 // always a spec-file accident.
 func resolveSpec(raw []byte, tagged bool) ([]ResolvedOffice, error) {

@@ -177,9 +177,9 @@ type taggedFrame struct {
 
 // TestEncodeOnceEpochProtocol pins the epoch rule where it lives, in
 // each sink: an Ingestor's epoch flushes reach every fan-out member as
-// one EncodedBatch; the tagged forward (behind a RemapSink) writes one
-// tagged frame per epoch, the empty one included, with remapped IDs,
-// while the segment log and the ring take only the non-empty batch.
+// one EncodedBatch; the tagged forward writes one tagged frame per
+// epoch, the empty one included, while the segment log and the ring
+// take only the non-empty batch.
 func TestEncodeOnceEpochProtocol(t *testing.T) {
 	const offices, ticks = 4, 200
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -212,14 +212,13 @@ func TestEncodeOnceEpochProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	fwd.Source = 2
-	remapped := NewRemapSink(fwd, func(id int) (int, bool) { return id + 100, true })
 	segDir := t.TempDir()
 	seg, err := NewSegmentSink(segment.Config{Dir: segDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ring := NewRingSink(0)
-	in, err := NewIngestor(testFleet(t, offices, 2), Config{Queue: ticks, Sink: NewEncodeOnceSink(remapped, seg, ring)})
+	in, err := NewIngestor(testFleet(t, offices, 2), Config{Queue: ticks, Sink: NewEncodeOnceSink(fwd, seg, ring)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +275,8 @@ func TestEncodeOnceEpochProtocol(t *testing.T) {
 	if len(frames[0].acts) != 0 || len(frames[2].acts) != 0 {
 		t.Fatal("the empty epoch or the final frame carried actions")
 	}
-	wantRemapped := make([]engine.OfficeAction, len(want))
-	for i, a := range want {
-		a.Office += 100
-		wantRemapped[i] = a
-	}
-	if !reflect.DeepEqual(frames[1].acts, wantRemapped) {
-		t.Fatal("epoch 2's tagged frame is not the remapped batch")
+	if !reflect.DeepEqual(frames[1].acts, want) {
+		t.Fatal("epoch 2's tagged frame is not the ring's batch")
 	}
 }
 

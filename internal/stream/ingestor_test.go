@@ -420,16 +420,13 @@ func TestIngestorAddOfficeJoinsClean(t *testing.T) {
 	}
 	defer in.Close()
 
-	id, err := in.AddOffice(core.Config{
+	const id = 1
+	if err := in.AddOffice(id, core.Config{
 		Streams:      3,
 		Workstations: 1,
 		Params:       control.Params{TimeoutSec: 30},
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
-	}
-	if id != 1 {
-		t.Fatalf("joiner ID %d, want 1", id)
 	}
 	if sys := f.System(id); sys == nil || sys.Now() != 0 || sys.Phase() != core.PhaseTraining {
 		t.Fatal("joiner did not start clean")
@@ -451,6 +448,29 @@ func TestIngestorAddOfficeJoinsClean(t *testing.T) {
 	st := in.Stats()
 	if len(st.Offices) != 2 || st.Offices[1].Office != id || st.Offices[1].Dispatched != 10 {
 		t.Fatalf("joiner missing from stats: %+v", st.Offices)
+	}
+}
+
+// TestIngestorAddOfficeRefusesID: an ID the fleet refuses (negative, or
+// a live member's) comes back as engine.ErrOfficeID and leaves the
+// membership, and the live member's queue, as they were.
+func TestIngestorAddOfficeRefusesID(t *testing.T) {
+	in, err := NewIngestor(testFleet(t, 1, 1), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	before := in.members.Load()
+	for _, id := range []int{-1, 0} {
+		if err := in.AddOffice(id, core.Config{}); !errors.Is(err, engine.ErrOfficeID) {
+			t.Fatalf("AddOffice(%d) = %v, want engine.ErrOfficeID", id, err)
+		}
+		if in.members.Load() != before {
+			t.Fatalf("AddOffice(%d) published a new membership", id)
+		}
+	}
+	if err := in.Push(-1, []float64{-60, -58}); !errors.Is(err, ErrUnknownOffice) {
+		t.Fatalf("Push to the refused office = %v, want ErrUnknownOffice", err)
 	}
 }
 
@@ -544,8 +564,8 @@ func TestPushRejectsWrongWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer in.Close()
-	joiner, err := in.AddOffice(core.Config{}) // inherits the 2-stream default
-	if err != nil {
+	const joiner = 1
+	if err := in.AddOffice(joiner, core.Config{}); err != nil { // inherits the 2-stream default
 		t.Fatal(err)
 	}
 	for _, office := range []int{0, joiner} {
@@ -636,8 +656,8 @@ func TestIngestorChurnUnderLoad(t *testing.T) {
 		defer wg.Done()
 		joinCfg := core.Config{Streams: 3, Workstations: 2, Params: control.Params{TimeoutSec: 15}}
 		for ev := 0; ev < events/2; ev++ {
-			id, err := in.AddOffice(joinCfg)
-			if err != nil {
+			id := offices + ev
+			if err := in.AddOffice(id, joinCfg); err != nil {
 				t.Error(err)
 				return
 			}

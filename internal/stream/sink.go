@@ -375,50 +375,3 @@ func (s *RingSink) Overwritten() uint64 {
 	defer s.mu.Unlock()
 	return s.overwritten
 }
-
-// RemapSink rewrites each action's office ID through a lookup before
-// handing the cycle to an inner sink, leaving the caller's batch
-// untouched (a cycle is shared across a fan-out, so the rewrite works
-// on a reused scratch copy, passed on with the same epoch). A cluster
-// worker wraps its tagged TCP forward in one: the fleet's worker-local
-// office IDs become the coordinator-assigned global IDs, which is what
-// makes the routed cross-worker stream byte-identical to a
-// single-process fleet's. The lookup returning false for an ID is an
-// error — an unmapped office must break the stream loudly, not ship a
-// wrong ID.
-type RemapSink struct {
-	inner Sink
-	remap func(int) (int, bool)
-
-	mu      sync.Mutex
-	scratch []engine.OfficeAction
-	eb      EncodedBatch
-}
-
-// NewRemapSink wraps inner with the office-ID remapping.
-func NewRemapSink(inner Sink, remap func(int) (int, bool)) *RemapSink {
-	return &RemapSink{inner: inner, remap: remap}
-}
-
-// WriteEncoded remaps the cycle's batch and forwards it, with the
-// cycle's epoch, to the inner sink.
-func (s *RemapSink) WriteEncoded(e *EncodedBatch) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.scratch[:0]
-	for _, a := range e.Batch() {
-		id, ok := s.remap(a.Office)
-		if !ok {
-			return fmt.Errorf("stream: remap sink: no mapping for office %d", a.Office)
-		}
-		a.Office = id
-		out = append(out, a)
-	}
-	s.scratch = out
-	epoch, hasEpoch := e.Epoch()
-	s.eb.reset(out, epoch, hasEpoch)
-	return s.inner.WriteEncoded(&s.eb)
-}
-
-// Close closes the inner sink.
-func (s *RemapSink) Close() error { return s.inner.Close() }

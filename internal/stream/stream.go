@@ -24,7 +24,7 @@
 //	      ├──► Config.OnBatch (synchronous tap)
 //	      ▼
 //	pump goroutine ──► Sink.WriteEncoded (TCPSink / SegmentSink /
-//	                                      RingSink / RemapSink /
+//	                                      RingSink /
 //	                                      NewEncodeOnceSink fan-out)
 //
 // Backpressure: every office has its own queue, so one slow or bursty
@@ -50,13 +50,14 @@
 // state through the atomics and takes queue locks only outside its
 // control sections.
 //
-// Elastic membership: offices are addressed by the fleet's stable IDs.
-// AddOffice registers the office with the fleet and creates its queue in
-// one step, so the tenant starts clean at the next dispatch. RemoveOffice
-// first forces a full flush — the office's already-queued ticks are
-// dispatched and their actions emitted through the sink as the office's
-// final flush — then retires the queue and removes the office from the
-// fleet, folding its counters into the retired totals of Stats.
+// Elastic membership: offices are addressed by the fleet's stable IDs,
+// which the caller names. AddOffice registers the office with the fleet
+// and creates its queue in one step, so the tenant starts clean at the
+// next dispatch. RemoveOffice first forces a full flush — the office's
+// already-queued ticks are dispatched and their actions emitted through
+// the sink as the office's final flush — then retires the queue and
+// removes the office from the fleet, folding its counters into the
+// retired totals of Stats.
 //
 // Dispatch: the dispatcher runs a cycle for exactly five reasons — a
 // Flush or FlushEpoch request, an Advance request, a Block-policy pusher
@@ -70,11 +71,12 @@
 // cycle: it keeps its merged actions, so a producer can bound what the
 // queues stage for one large flush. Every other cycle emits the held
 // actions and its own as one engine.MergeRuns batch; on an Epochs
-// ingestor Flush and a Block-policy dispatch hold too, so their actions
-// leave in the next FlushEpoch's tagged batch. Holding never changes the bytes:
-// each office's System sees the same call sequence wherever the batches
-// split, and the stable (time, office) sort keeps each office's
-// emission order across the held and the new run.
+// ingestor Flush, a Block-policy dispatch and RemoveOffice's drain hold
+// too, so their actions leave in the next FlushEpoch's tagged batch.
+// Holding never changes the bytes: each office's System sees the same
+// call sequence wherever the batches split, and the stable (time,
+// office) sort keeps each office's emission order across the held and
+// the new run.
 //
 // Ordering and determinism: an emitting cycle delivers everything run
 // since the previous one as one batch, so the sink observes the
@@ -184,8 +186,9 @@ type Config struct {
 	OnBatch func([]engine.OfficeAction)
 	// Epochs marks an ingestor whose output is driven by FlushEpoch (a
 	// cluster worker behind a tagged sink, which refuses a batch without
-	// an epoch): Flush and a Block-policy dispatch hold their actions
-	// for the next FlushEpoch instead of emitting them untagged.
+	// an epoch): Flush, a Block-policy dispatch and RemoveOffice's drain
+	// hold their actions for the next FlushEpoch instead of emitting
+	// them untagged.
 	Epochs bool
 }
 
@@ -460,33 +463,34 @@ func (in *Ingestor) dropMember(id int) {
 	in.members.Store(nm)
 }
 
-// AddOffice joins a new tenant: it registers the office with the fleet
-// (a zero-valued cfg inherits the fleet's default configuration, see
-// engine.Fleet.AddOffice) and creates its empty tick queue in one step,
-// returning the office's stable ID. The office participates from the
-// next dispatch on. Safe to call while ticks are flowing.
-func (in *Ingestor) AddOffice(cfg core.Config) (int, error) {
+// AddOffice joins a new tenant under the caller's stable ID: it
+// registers the office with the fleet (a zero-valued cfg inherits the
+// fleet's default configuration; an ID the fleet refuses is
+// engine.ErrOfficeID, see engine.Fleet.AddOffice) and creates its empty
+// tick queue in one step. The office participates from the next
+// dispatch on. Safe to call while ticks are flowing.
+func (in *Ingestor) AddOffice(id int, cfg core.Config) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.closed {
-		return 0, ErrClosed
+		return ErrClosed
 	}
-	id, err := in.fleet.AddOffice(cfg)
-	if err != nil {
-		return 0, err
+	if err := in.fleet.AddOffice(id, cfg); err != nil {
+		return err
 	}
 	resolved, _ := in.fleet.Config(id) // a zero cfg resolved to the default
 	in.addMember(id, newOfficeQueue(resolved.Streams))
-	return id, nil
+	return nil
 }
 
 // RemoveOffice retires a tenant: it drains the office's already-queued
 // ticks — forcing a dispatch cycle whose merged actions (the office's
 // final flush) flow through the OnBatch tap and the sink like any other
-// batch — then retires the queue, removes the office from the fleet, and
-// folds its counters into Stats' retired totals. Ticks pushed
-// concurrently with the removal may be discarded and counted as dropped.
-// It returns the office's final System for inspection.
+// batch, or on an Epochs ingestor are held for the next FlushEpoch —
+// then retires the queue, removes the office from the fleet, and folds
+// its counters into Stats' retired totals. Ticks pushed concurrently
+// with the removal may be discarded and counted as dropped. It returns
+// the office's final System for inspection.
 func (in *Ingestor) RemoveOffice(id int) (*core.System, error) {
 	in.mu.Lock()
 	if in.closed {
@@ -498,7 +502,7 @@ func (in *Ingestor) RemoveOffice(id int) (*core.System, error) {
 		return nil, fmt.Errorf("%w (office %d)", ErrUnknownOffice, id)
 	}
 	// Final flush: dispatch everything queued, this office included.
-	in.requestLocked(true)
+	in.requestLocked(!in.epochs)
 	if in.closed {
 		in.mu.Unlock()
 		return nil, ErrClosed
