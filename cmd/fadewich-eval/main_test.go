@@ -1,16 +1,39 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
+// outputs caches runOutput by experiment and worker count, so the
+// tests that read one run share it.
+var outputs struct {
+	sync.Mutex
+	m map[string]string
+}
+
+// setupTime matches the one wall-clock figure run prints, the dataset's
+// generation time.
+var setupTime = regexp.MustCompile(`dataset ready in [0-9.]+s`)
+
 // runOutput runs one experiment on a 1-day dataset with 3 input draws
-// and returns what it printed.
-func runOutput(t *testing.T, exp string) string {
+// and parallel workers, and returns what it printed with the set-up
+// time masked.
+func runOutput(t *testing.T, exp string, parallel int) string {
 	t.Helper()
+	key := fmt.Sprintf("%s/%d", exp, parallel)
+	outputs.Lock()
+	defer outputs.Unlock()
+	if out, ok := outputs.m[key]; ok {
+		return out
+	}
 	path := filepath.Join(t.TempDir(), "stdout")
 	f, err := os.Create(path)
 	if err != nil {
@@ -18,7 +41,7 @@ func runOutput(t *testing.T, exp string) string {
 	}
 	stdout := os.Stdout
 	os.Stdout = f
-	err = run(exp, 1, 42, 3, 2, false)
+	err = run(exp, 1, 42, 3, parallel, false)
 	os.Stdout = stdout
 	if cerr := f.Close(); cerr != nil {
 		t.Fatal(cerr)
@@ -30,11 +53,45 @@ func runOutput(t *testing.T, exp string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(out)
+	if outputs.m == nil {
+		outputs.m = make(map[string]string)
+	}
+	outputs.m[key] = setupTime.ReplaceAllString(string(out), "dataset ready in _s")
+	return outputs.m[key]
+}
+
+// paperExps are the experiments whose output TestPaperOutputsGolden
+// pins: the deauthentication-time and usability figures and tables.
+var paperExps = []string{"fig9", "table3", "table4", "fig10", "fig13"}
+
+// goldenPaperOutputs is the SHA-256 of paperExps' outputs, each after
+// a "== exp ==" line, on the 1-day, 3-draw run of runOutput. A change
+// that moves a paper figure re-pins it, and its failure message holds
+// the tables to paste into the change's notes.
+const goldenPaperOutputs = "37b513706adeb653b19dbbccdcfd51df663b400bce4a5ffc503f8c609d00788c"
+
+// TestPaperOutputsGolden pins the paper's outputs, and checks that
+// they do not depend on the worker count.
+func TestPaperOutputsGolden(t *testing.T) {
+	all := func(parallel int) string {
+		var b strings.Builder
+		for _, exp := range paperExps {
+			fmt.Fprintf(&b, "== %s ==\n%s", exp, runOutput(t, exp, parallel))
+		}
+		return b.String()
+	}
+	one, two := all(1), all(2)
+	if one != two {
+		t.Fatalf("outputs at -parallel 1:\n%s\ndiffer from -parallel 2:\n%s", one, two)
+	}
+	sum := sha256.Sum256([]byte(two))
+	if got := hex.EncodeToString(sum[:]); got != goldenPaperOutputs {
+		t.Fatalf("paper outputs moved: sha256 %s, pinned %s; the tables now read:\n%s", got, goldenPaperOutputs, two)
+	}
 }
 
 func TestRunFig9(t *testing.T) {
-	out := runOutput(t, "fig9")
+	out := runOutput(t, "fig9", 2)
 	for _, col := range []string{"% ≤ 4s", "% ≤ 6s", "% ≤ 8.2s", "% ≤ 10s"} {
 		if !strings.Contains(out, col) {
 			t.Fatalf("fig9 output lacks the %q column:\n%s", col, out)
@@ -43,7 +100,7 @@ func TestRunFig9(t *testing.T) {
 }
 
 func TestRunTable4(t *testing.T) {
-	out := runOutput(t, "table4")
+	out := runOutput(t, "table4", 2)
 	if !strings.Contains(out, "over 3 input draws") || !strings.Contains(out, "cost s/day") {
 		t.Fatalf("table4 output:\n%s", out)
 	}

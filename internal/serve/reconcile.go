@@ -31,12 +31,13 @@ type LiveOffice struct {
 // membership. Apply order is fixed and documented, because a
 // single-process daemon assigns office IDs from a counter and
 // operators (and the e2e reference harness) must be able to predict
-// them: first Removes in ascending live-ID order, then Updates in spec
-// order (each a RemoveOffice of the old instance followed immediately
-// by an AddOffice of the new configuration — a config rollout restarts
-// the office's System under a fresh ID, back in the training phase),
-// then Adds in spec order. A tagged worker adds each office under its
-// gid instead, so there a removed gid is free before any add reuses it.
+// them. Every removal runs before any add: first Removes in ascending
+// live-ID order, then the RemoveOffice of each Update's old instance in
+// spec order; then each Update's AddOffice of the new configuration in
+// spec order (a config rollout restarts the office's System under a
+// fresh ID, back in the training phase), then Adds in spec order. A
+// tagged worker adds each office under its gid instead, so there every
+// gid the spec frees is free before any add reuses it.
 type Diff struct {
 	// Adds are desired offices with no live counterpart, in spec order.
 	Adds []ResolvedOffice
@@ -208,8 +209,15 @@ func (r *Reconciler) Reconcile(raw []byte) error {
 }
 
 // applyLocked diffs resolved against live membership and applies the
-// plan through the ingestor in the documented order, then marks every
-// live office as observing the current generation.
+// plan through the ingestor in two phases, then marks every live office
+// as observing the current generation. The first phase runs every
+// remove, each update's old half included; the second runs every add,
+// updates' new halves first, then plain adds, so IDs are drawn in the
+// same order as ever. resolveSpec refuses duplicate gids, so no add can
+// then collide with an ID still held: a gid swap between two offices
+// applies. A step that still fails (the ingestor closed under it) ends
+// the apply with its error; the steps before it stay applied, and
+// r.live — what /v1/offices lists — holds exactly those.
 func (r *Reconciler) applyLocked(resolved []ResolvedOffice) error {
 	diff := ComputeDiff(resolved, r.liveLocked())
 	for _, rm := range diff.Removes {
@@ -223,6 +231,8 @@ func (r *Reconciler) applyLocked(resolved []ResolvedOffice) error {
 			return fmt.Errorf("update office %q: remove id %d: %w", up.Old.Name, up.Old.ID, err)
 		}
 		delete(r.live, up.Old.Name)
+	}
+	for _, up := range diff.Updates {
 		if err := r.addLocked(up.New, "updated"); err != nil {
 			return fmt.Errorf("update office %q: add: %w", up.New.Name, err)
 		}

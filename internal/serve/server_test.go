@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"fadewich/internal/engine"
 	"fadewich/internal/re"
 	"fadewich/internal/rng"
 	"fadewich/internal/stream"
@@ -606,26 +605,32 @@ func TestTaggedReloadRequiresGIDs(t *testing.T) {
 
 // TestTaggedWorkerRunsOfficesUnderGIDs: a tagged worker runs every
 // office under its gid, so /v1/offices reports id == gid, and a reload
-// that would add an office under the gid of another live office fails
-// with engine.ErrOfficeID.
+// that swaps two live offices' gids applies in full, because every
+// update's old half is removed before any new half is added.
 func TestTaggedWorkerRunsOfficesUnderGIDs(t *testing.T) {
 	spec := `{"defaults": {"layout": "small", "sensors": 2}, "offices": [{"name": "a", "gid": 7}, {"name": "b", "gid": 3}]}`
 	srv, path := newTestServer(t, spec, taggedWorker(t))
-	st := decodeBody[fleetStatus](t, get(srv, "/v1/offices"))
-	if len(st.Offices) != 2 {
-		t.Fatalf("%d offices live, want 2", len(st.Offices))
-	}
-	for _, o := range st.Offices {
-		if o.GID == nil || o.ID != *o.GID {
-			t.Fatalf("office %q runs under id %d, gid %v", o.Name, o.ID, o.GID)
+	members := func() map[string]int {
+		st := decodeBody[fleetStatus](t, get(srv, "/v1/offices"))
+		got := map[string]int{}
+		for _, o := range st.Offices {
+			if o.GID == nil || o.ID != *o.GID {
+				t.Fatalf("office %q runs under id %d, gid %v", o.Name, o.ID, o.GID)
+			}
+			got[o.Name] = o.ID
 		}
+		return got
 	}
-	// Updates apply in spec order, so b moves onto gid 7 while a still
-	// holds it.
+	if got := members(); !reflect.DeepEqual(got, map[string]int{"a": 7, "b": 3}) {
+		t.Fatalf("live offices %v, want a:7 b:3", got)
+	}
 	os.WriteFile(path, []byte(`{"defaults": {"layout": "small", "sensors": 2},
-		"offices": [{"name": "b", "gid": 7}, {"name": "a", "gid": 5}]}`), 0o644)
-	if err := srv.Reload(); !errors.Is(err, engine.ErrOfficeID) {
-		t.Fatalf("reload reusing a live gid: %v, want engine.ErrOfficeID", err)
+		"offices": [{"name": "b", "gid": 7}, {"name": "a", "gid": 3}]}`), 0o644)
+	if err := srv.Reload(); err != nil {
+		t.Fatalf("reload swapping two gids: %v", err)
+	}
+	if got := members(); !reflect.DeepEqual(got, map[string]int{"a": 3, "b": 7}) {
+		t.Fatalf("live offices %v after the swap, want a:3 b:7", got)
 	}
 }
 

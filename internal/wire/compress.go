@@ -1,14 +1,18 @@
 // Compressed frames: the FlagCompressed (0x04) half of the wire
 // format. A compressed frame is an ordinary frame whose payload bytes
-// were run through DEFLATE (RFC 1951, compress/flate) before sealing;
-// the tag of a tagged frame stays uncompressed in front of the deflate
-// stream so the router can read provenance without inflating, and the
-// CRC trailer covers the on-wire (compressed) bytes. Decode inflates
-// transparently — callers see exactly the payload the producer encoded,
-// which is what keeps the determinism contract: compressed and
-// uncompressed transport of the same batch decode to byte-identical
-// payloads, even though the deflate bytes themselves may differ across
-// Go toolchains.
+// were run through raw DEFLATE (RFC 1951) before sealing; the tag of a
+// tagged frame stays uncompressed in front of the deflate stream so the
+// router can read provenance without inflating, and the CRC trailer
+// covers the on-wire (compressed) bytes. Decode inflates transparently
+// through compress/flate's reader — callers see exactly the payload the
+// producer encoded, which is what keeps the determinism contract:
+// compressed and uncompressed transport of the same batch decode to
+// byte-identical payloads.
+//
+// The deflate bytes come from this file's own encoder (appendDeflate:
+// greedy LZ77 into one fixed-Huffman block, 16 KB of state on the
+// stack), so they are fixed by the repository, not by the Go toolchain,
+// and a golden can pin them. Any RFC 1951 inflater reads them.
 //
 // Compression is advisory at encode time: the AppendXxxCompressed
 // functions fall back to a plain frame when the payload is below the
@@ -20,8 +24,10 @@ package wire
 
 import (
 	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 
 	"fadewich/internal/engine"
@@ -33,61 +39,142 @@ import (
 // own framing; compressing them costs CPU to save nothing.
 const DefaultCompressMin = 256
 
-// flateLevel is the deflate effort of every compressed frame.
-// BestSpeed captures most of the JSONL redundancy (repeated keys, enum
-// spellings) at a fraction of the default level's CPU — the right
-// trade for a per-dispatch operation.
-const flateLevel = flate.BestSpeed
-
-// flateWriter is the process's one deflater at flateLevel, made on
-// first use. Its state is about 1.2 MB: far too much to allocate per
-// frame, or to keep one per P in a sync.Pool that every GC empties.
-// Frames are compressed on the sinks' pump goroutines, so the mutex is
-// rarely contended.
-var flateWriter struct {
-	sync.Mutex
-	fw *flate.Writer
-	cw countWriter // fw's destination; its buf is nil between calls
-}
-
 // flateReaders pools inflaters (they satisfy flate.Resetter).
 var flateReaders = sync.Pool{New: func() any { return flate.NewReader(nil) }}
 
-// countWriter adapts a byte slice to io.Writer for the flate writer.
-type countWriter struct {
-	buf []byte
+// The encoder's parameters. The hash table is hashSize int32 entries,
+// 16 KB, and lives on appendDeflate's stack, so compressing holds no
+// state between frames and needs no lock.
+const (
+	hashBits   = 12
+	hashSize   = 1 << hashBits
+	minMatch   = 4       // bytes hashed and matched; deflate allows 3
+	maxMatch   = 258     // the longest length deflate encodes
+	maxDist    = 1 << 15 // deflate's window
+	endOfBlock = 256     // the literal/length symbol that closes a block
+)
+
+// huffCode is one code of the fixed Huffman table, bit-reversed so that
+// it can be written LSB first like every other deflate field.
+type huffCode struct {
+	code uint16
+	len  uint8
 }
 
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.buf = append(c.buf, p...)
-	return len(p), nil
-}
-
-// appendDeflate appends the deflate stream of src to dst and returns
-// the extended slice.
-func appendDeflate(dst, src []byte) []byte {
-	flateWriter.Lock()
-	defer flateWriter.Unlock()
-	cw := &flateWriter.cw
-	fw := flateWriter.fw
-	if fw == nil {
-		var err error
-		if fw, err = flate.NewWriter(cw, flateLevel); err != nil {
-			panic(err) // flateLevel is a valid constant level
+// fixedLit is RFC 1951 §3.2.6's fixed literal/length code.
+var fixedLit = func() (t [288]huffCode) {
+	for v := range t {
+		var base, n, first int
+		switch {
+		case v < 144:
+			base, n, first = 0x30, 8, 0
+		case v < 256:
+			base, n, first = 0x190, 9, 144
+		case v < 280:
+			base, n, first = 0, 7, 256
+		default:
+			base, n, first = 0xc0, 8, 280
 		}
-		flateWriter.fw = fw
+		code := uint16(base + v - first)
+		t[v] = huffCode{bits.Reverse16(code) >> (16 - n), uint8(n)}
 	}
-	cw.buf = dst
-	fw.Reset(cw)
-	if _, err := fw.Write(src); err != nil {
-		panic(err) // countWriter cannot fail
+	return t
+}()
+
+// bitWriter packs deflate fields LSB first into dst.
+type bitWriter struct {
+	dst  []byte
+	acc  uint64
+	nacc uint
+}
+
+// write appends the low n bits of b, n <= 32.
+func (w *bitWriter) write(b uint32, n uint) {
+	w.acc |= uint64(b) << w.nacc
+	w.nacc += n
+	if w.nacc >= 32 {
+		w.dst = binary.LittleEndian.AppendUint32(w.dst, uint32(w.acc))
+		w.acc >>= 32
+		w.nacc -= 32
 	}
-	if err := fw.Close(); err != nil {
-		panic(err) // countWriter cannot fail
+}
+
+func (w *bitWriter) lit(v int) {
+	c := fixedLit[v]
+	w.write(uint32(c.code), uint(c.len))
+}
+
+// match writes a length/distance pair: length in [minMatch, maxMatch],
+// dist in [1, maxDist].
+func (w *bitWriter) match(length, dist int) {
+	if length == maxMatch {
+		w.lit(285)
+	} else if m := uint32(length - 3); m < 8 {
+		w.lit(257 + int(m))
+	} else {
+		nb := uint(bits.Len32(m) - 1) // m's top bit; 3..7
+		w.lit(257 + int(4*(nb-1)+uint(m>>(nb-2))&3))
+		w.write(m&(1<<(nb-2)-1), nb-2)
 	}
-	out := cw.buf
-	cw.buf = nil // hold no frame between calls
-	return out
+	// A fixed distance code is its symbol in 5 bits, written reversed.
+	if d := uint32(dist - 1); d < 4 {
+		w.write(bits.Reverse32(d)>>27, 5)
+	} else {
+		nb := uint(bits.Len32(d) - 1) // d's top bit; 2..14
+		code := uint32(2*nb) + (d>>(nb-1))&1
+		w.write(bits.Reverse32(code)>>27, 5)
+		w.write(d&(1<<(nb-1)-1), nb-1)
+	}
+}
+
+// flush appends the bits still held, padding the last byte with zeros.
+func (w *bitWriter) flush() []byte {
+	for ; w.nacc > 0; w.nacc -= min(w.nacc, 8) {
+		w.dst = append(w.dst, byte(w.acc))
+		w.acc >>= 8
+	}
+	return w.dst
+}
+
+func load32(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[i:]) }
+
+func hash4(u uint32) uint32 { return (u * 0x1e35a7bd) >> (32 - hashBits) }
+
+// appendDeflate appends a raw DEFLATE stream (RFC 1951) of src to dst
+// and returns the extended slice. The stream is one final block under
+// the fixed Huffman code, its matches found by greedy LZ77 over a
+// 4-byte hash with one candidate per bucket. It never exceeds
+// ⌈(9·len(src) + 10)/8⌉ bytes: a literal costs at most 9 bits, and a
+// match at most 31 bits for at least minMatch bytes.
+func appendDeflate(dst, src []byte) []byte {
+	var table [hashSize]int32
+	w := bitWriter{dst: dst}
+	w.write(1|1<<1, 3) // BFINAL, BTYPE=01 (fixed Huffman)
+	lit := 0           // start of the literals not yet written
+	for i := 0; i+minMatch <= len(src); {
+		cur := load32(src, i)
+		h := hash4(cur)
+		cand := int(table[h])
+		table[h] = int32(i)
+		if cand >= i || i-cand > maxDist || load32(src, cand) != cur {
+			i++
+			continue
+		}
+		n := minMatch
+		for limit := min(len(src)-i, maxMatch); n < limit && src[cand+n] == src[i+n]; n++ {
+		}
+		for ; lit < i; lit++ {
+			w.lit(int(src[lit]))
+		}
+		w.match(n, i-cand)
+		i += n
+		lit = i
+	}
+	for ; lit < len(src); lit++ {
+		w.lit(int(src[lit]))
+	}
+	w.lit(endOfBlock)
+	return w.flush()
 }
 
 // inflate appends the inflated form of the deflate stream src to dst,
@@ -153,12 +240,14 @@ func maybeCompress(dst []byte, payloadStart, min int) ([]byte, bool) {
 	}
 	// Deflate into the tail of dst past the payload, then slide the
 	// result down over it — one buffer, no pooled scratch to manage.
+	// Keep comp's array: when the append grew it, the caller's next
+	// frame then fits without growing again.
 	comp := appendDeflate(dst, payload)
 	if len(comp)-len(dst) >= len(payload) {
-		return dst, false
+		return comp[:len(dst)], false
 	}
-	n := copy(dst[payloadStart:cap(dst)], comp[len(dst):])
-	return dst[:payloadStart+n], true
+	n := copy(comp[payloadStart:], comp[len(dst):])
+	return comp[:payloadStart+n], true
 }
 
 // AppendFrameCompressed appends one complete frame like AppendFrame,

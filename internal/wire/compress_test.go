@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"os"
+	"os/exec"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"fadewich/internal/engine"
@@ -137,11 +140,10 @@ func TestCompressedTaggedCompose(t *testing.T) {
 }
 
 // Golden fixtures: FlagCompressed frames whose deflate stream is a
-// single stored block — a form every RFC 1951 inflater accepts and no
-// toolchain's compressor output can drift away from. They pin the
-// on-wire layout (flag bit 0x04, CRC over the compressed body, tag
-// ahead of the deflate stream) independently of compress/flate's
-// encoder. The logical payload is the two JSONL lines already pinned
+// single stored block — a form every RFC 1951 inflater accepts and
+// this repository's encoder never makes. They pin the on-wire layout
+// (flag bit 0x04, CRC over the compressed body, tag ahead of the
+// deflate stream) independently of the encoder. The logical payload is the two JSONL lines already pinned
 // by TestAppendJSONLByteCompat.
 const (
 	goldenCompressedV1       = "46570104000000a601a1005eff7b226f6666696365223a332c2274696d65223a312e322c2274797065223a22616c6572742d656e746572222c22776f726b73746174696f6e223a312c226c6162656c223a307d0a7b226f6666696365223a302c2274696d65223a312e342c2274797065223a22646561757468656e746963617465222c22776f726b73746174696f6e223a322c226361757365223a2272756c6531222c226c6162656c223a327d0a3c1bc0e8"
@@ -184,6 +186,53 @@ func TestCompressedFrameGolden(t *testing.T) {
 	}
 	if tag, tagged := d.Tag(); !tagged || tag != (Tag{Source: 3, Epoch: 41}) {
 		t.Fatalf("golden tag %+v (tagged=%v)", tag, tagged)
+	}
+}
+
+// goldenCompressedBigBatch is AppendFrameCompressed(nil, V1JSONL,
+// bigBatch(), 0): the bytes the repository's own deflate encoder makes
+// of a 5,408-byte payload. Unlike the stored-block goldens above it
+// pins the encoder itself — its match search and its fixed-Huffman
+// output — so any change to the compressed bytes shows here.
+const goldenCompressedBigBatch = "4657010400000119ab56ca4f4bcb4c4e55b232d6512ac9cc4d55b232d433d2512aa92c4855b2524acc492d2ad14dcd2b492d52d2512acf2fca2e2e492cc9cccf53b232d451ca494c4acd51b232a8e54218638030c6046e4c4a6a626949466a5e49667262492aba49463a4ac989a5c520fb8a4a73520d95e0261b219b6c660833da40cfd8001520ac2a4e2e4a4dcd2b4e2c4b2dd2cdcf43b7ca006e348aa3cd61269b1a1ae99912e96c0384b34101975f5a8270382ed341818c12b21599205d28018b70a321b2f7415a47e367347e46f30f72c9349a7f70941db84aa0d1f26db4fe01d5b4d09a7d34ff8ce61f94a262b4fd86d1a4456a1d821a61a3edb7d1f6f568ff47c96ab4ff6335da3f4574fc4145e368ff74b47f3ada3f1ded9f0e9ff13700933aaf18"
+
+func TestCompressedEncoderGolden(t *testing.T) {
+	frame, _, err := AppendFrameCompressed(nil, V1JSONL, bigBatch(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(frame); got != goldenCompressedBigBatch {
+		t.Fatalf("compressed bigBatch frame changed (%d bytes):\n%s", len(frame), got)
+	}
+}
+
+// TestCompressedFirstFrameAllocs: the first compressed frame of a
+// process allocates its frame buffer and little else — the encoder's
+// state is a 16 KB table on the stack, not a lazily built writer. The
+// test re-runs itself in a fresh process, so the frame it measures is
+// that process's first.
+func TestCompressedFirstFrameAllocs(t *testing.T) {
+	if os.Getenv("WIRE_FIRST_FRAME_CHILD") != "1" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCompressedFirstFrameAllocs$", "-test.count=1")
+		cmd.Env = append(os.Environ(), "WIRE_FIRST_FRAME_CHILD=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("child process: %v\n%s", err, out)
+		}
+		return
+	}
+	batch := bigBatch()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	frame, _, err := AppendFrameCompressed(nil, V1JSONL, batch, 0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame[3]&FlagCompressed == 0 {
+		t.Fatal("bigBatch frame not compressed")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
+		t.Fatalf("the first compressed frame allocated %d bytes, want under 64 KB", d)
 	}
 }
 
@@ -280,7 +329,7 @@ func TestCompressedZipBombBounded(t *testing.T) {
 
 // TestCompressedAppendNoSteadyStateAllocs pins the hot path's reuse:
 // once the destination buffer is sized, compressing a batch must not
-// allocate (every frame reuses the process's one flate writer).
+// allocate (the encoder's hash table lives on the stack).
 func TestCompressedAppendNoSteadyStateAllocs(t *testing.T) {
 	batch := bigBatch()
 	buf, _, err := AppendFrameCompressed(nil, V1JSONL, batch, 0)
@@ -299,8 +348,9 @@ func TestCompressedAppendNoSteadyStateAllocs(t *testing.T) {
 }
 
 // TestCompressedConcurrentWriters compresses distinct batches from
-// several goroutines at once through the shared flate writer; each
-// frame must decode to its own batch (run it under -race).
+// several goroutines at once; the encoder shares no state between
+// calls, and each frame must decode to its own batch (run it under
+// -race).
 func TestCompressedConcurrentWriters(t *testing.T) {
 	const goroutines, frames = 4, 50
 	errs := make(chan error, goroutines)

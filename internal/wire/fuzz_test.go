@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -131,6 +132,44 @@ func FuzzDecode(f *testing.F) {
 			if !equalActs(a, b) {
 				t.Fatalf("round trip changed the batch: %+v vs %+v", acts, again)
 			}
+		}
+	})
+}
+
+// FuzzDeflate holds the encoder to RFC 1951 through compress/flate's
+// reader: for any prefix and src, appendDeflate(prefix, src) leaves the
+// prefix as it was, its stream inflates to src, and the stream is no
+// longer than the fixed-Huffman worst case, ⌈(9·len(src) + 10)/8⌉
+// bytes (every byte a 9-bit literal, plus the 3-bit header and the
+// 7-bit end of block).
+func FuzzDeflate(f *testing.F) {
+	f.Add([]byte(nil), []byte(nil))
+	f.Add([]byte("FW\x01\x00"), AppendJSONL(nil, bigBatch()))
+	f.Add([]byte{0xff}, bytes.Repeat([]byte{0}, 3*maxMatch+5))
+	f.Add([]byte(nil), bytes.Repeat([]byte("abcdefgh"), maxDist/4))
+	high := make([]byte, 600)
+	for i := range high {
+		high[i] = byte(144 + i%112) // 9-bit literals only
+	}
+	f.Add([]byte("x"), high)
+	f.Fuzz(func(t *testing.T, prefix, src []byte) {
+		// Spare capacity past the prefix: appendDeflate must write only
+		// beyond len(dst).
+		dst := append(make([]byte, 0, len(prefix)+64), prefix...)
+		out := appendDeflate(dst, src)
+		if !bytes.Equal(out[:len(prefix)], prefix) {
+			t.Fatal("appendDeflate changed the prefix")
+		}
+		comp := out[len(prefix):]
+		if bound := (9*len(src) + 10 + 7) / 8; len(comp) > bound {
+			t.Fatalf("%d-byte stream for %d bytes, over the %d-byte worst case", len(comp), len(src), bound)
+		}
+		got, err := io.ReadAll(flate.NewReader(bytes.NewReader(comp)))
+		if err != nil {
+			t.Fatalf("inflate: %v", err)
+		}
+		if !bytes.Equal(got, src) {
+			t.Fatalf("inflated %d bytes, want the %d source bytes", len(got), len(src))
 		}
 	})
 }
