@@ -55,13 +55,27 @@ func main() {
 	}
 }
 
+// run generates the dataset, then runs the experiment on it.
 func run(exp string, days int, seed uint64, draws, parallel int, csv bool) error {
 	start := time.Now()
-	fmt.Printf("generating dataset: %d day(s), seed %d ...\n", days, seed)
-	ds, err := sim.Generate(sim.Config{Days: days, Seed: seed, Workers: parallel})
+	ds, err := generate(days, seed, parallel)
 	if err != nil {
 		return err
 	}
+	return runOn(ds, start, exp, seed, draws, parallel, csv)
+}
+
+// generate announces and builds the simulated dataset.
+func generate(days int, seed uint64, parallel int) (*sim.Dataset, error) {
+	fmt.Printf("generating dataset: %d day(s), seed %d ...\n", days, seed)
+	return sim.Generate(sim.Config{Days: days, Seed: seed, Workers: parallel})
+}
+
+// runOn runs one experiment (or all) on a generated dataset, through a
+// fresh harness: the harness draws from its own root rng.Source, so
+// one dataset serves any number of runs. start is when generation
+// began, for the set-up time it reports.
+func runOn(ds *sim.Dataset, start time.Time, exp string, seed uint64, draws, parallel int, csv bool) error {
 	h, err := eval.NewHarness(ds, eval.Options{Seed: seed, Workers: parallel})
 	if err != nil {
 		return err

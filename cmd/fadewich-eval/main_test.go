@@ -10,22 +10,56 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"fadewich/internal/sim"
 )
 
-// outputs caches runOutput by experiment and worker count, so the
-// tests that read one run share it.
+// outputs caches runOutput by experiment and worker count, and
+// datasets the 1-day dataset by worker count with the line generating
+// it printed, so the tests that read one run share it and every run at
+// one worker count shares one dataset.
 var outputs struct {
 	sync.Mutex
-	m map[string]string
+	m        map[string]string
+	datasets map[int]dataset
+}
+
+type dataset struct {
+	ds     *sim.Dataset
+	header string
 }
 
 // setupTime matches the one wall-clock figure run prints, the dataset's
 // generation time.
 var setupTime = regexp.MustCompile(`dataset ready in [0-9.]+s`)
 
-// runOutput runs one experiment on a 1-day dataset with 3 input draws
-// and parallel workers, and returns what it printed with the set-up
-// time masked.
+// capture returns what f prints to stdout, and f's error.
+func capture(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stdout")
+	file, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = file
+	err = f()
+	os.Stdout = stdout
+	if cerr := file.Close(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	out, rerr := os.ReadFile(path)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	return string(out), err
+}
+
+// runOutput returns what run prints for one experiment on a 1-day
+// dataset with 3 input draws and parallel workers, with the set-up time
+// masked. It runs the experiment through a fresh harness on the cached
+// dataset, behind the line generating that dataset printed.
 func runOutput(t *testing.T, exp string, parallel int) string {
 	t.Helper()
 	key := fmt.Sprintf("%s/%d", exp, parallel)
@@ -34,29 +68,29 @@ func runOutput(t *testing.T, exp string, parallel int) string {
 	if out, ok := outputs.m[key]; ok {
 		return out
 	}
-	path := filepath.Join(t.TempDir(), "stdout")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	d, ok := outputs.datasets[parallel]
+	if !ok {
+		var err error
+		d.header, err = capture(t, func() (err error) {
+			d.ds, err = generate(1, 42, parallel)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("generate: %v", err)
+		}
+		if outputs.datasets == nil {
+			outputs.datasets = make(map[int]dataset)
+		}
+		outputs.datasets[parallel] = d
 	}
-	stdout := os.Stdout
-	os.Stdout = f
-	err = run(exp, 1, 42, 3, parallel, false)
-	os.Stdout = stdout
-	if cerr := f.Close(); cerr != nil {
-		t.Fatal(cerr)
-	}
+	out, err := capture(t, func() error { return runOn(d.ds, time.Now(), exp, 42, 3, parallel, false) })
 	if err != nil {
 		t.Fatalf("-exp %s: %v", exp, err)
-	}
-	out, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if outputs.m == nil {
 		outputs.m = make(map[string]string)
 	}
-	outputs.m[key] = setupTime.ReplaceAllString(string(out), "dataset ready in _s")
+	outputs.m[key] = setupTime.ReplaceAllString(d.header+out, "dataset ready in _s")
 	return outputs.m[key]
 }
 

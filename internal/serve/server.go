@@ -60,11 +60,11 @@ type Config struct {
 	// and the forward speaks the cluster wire protocol: frames are
 	// tagged with this worker source ID and the producer-driven epoch
 	// (?flush=1&epoch=K), and shutdown sends a final frame. Requires
-	// Forward and a spec whose offices all carry gids. The tagged sink
-	// refuses untagged batches, so POST /v1/ticks rejects ?flush=1
-	// without an epoch. A tagged worker may run an empty spec: the hash
-	// may owe it nothing right now, and it must still emit its
-	// per-epoch watermark frames.
+	// Forward and a spec whose offices all carry gids. Only an epoch
+	// flush emits on a worker (see stream.Config.Epochs), so POST
+	// /v1/ticks rejects ?flush=1 without an epoch. A tagged worker may
+	// run an empty spec: the hash may owe it nothing right now, and it
+	// must still emit its per-epoch watermark frames.
 	ForwardSource uint8
 }
 
@@ -175,9 +175,7 @@ func New(cfg Config) (*Server, error) {
 		Queue:  cfg.Queue,
 		OnFull: cfg.OnFull,
 		Sink:   sink,
-		// A tagged worker's output leaves only in epoch frames, so a
-		// Block-policy dispatch and /v1/train's Flush hold their actions
-		// for the next epoch.
+		// A tagged worker's output leaves only in epoch frames.
 		Epochs: tagged,
 	})
 	if err != nil {
@@ -295,9 +293,9 @@ type ingestResult struct {
 }
 
 // errUntaggedFlush answers POST /v1/ticks?flush=1 without an epoch on
-// a tagged-forwarding worker: the dispatch would hand the tagged sink
-// an untagged batch, which it refuses, and the ingestor would keep that
-// sink error for good. The ticks stay queued for the next epoch flush.
+// a tagged-forwarding worker: there only an epoch flush emits (see
+// stream.Config.Epochs), so a bare flush could not do what it asks.
+// The ticks stay queued for the next epoch flush.
 var errUntaggedFlush = errors.New("tagged forwarding: flush=1 requires epoch=K")
 
 // ticksBodyTimeout bounds how long one POST /v1/ticks may take to

@@ -659,11 +659,10 @@ func discardListener(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// TestWorkerRejectsUntaggedFlush: on a tagged-forwarding worker a
-// ?flush=1 without an epoch would hand the tagged sink an untagged
-// batch, which it refuses — and the ingestor would keep that sink error
-// for every later epoch flush. The stray flush is a 400 instead, and
-// its ticks stay queued for the next epoch flush.
+// TestWorkerRejectsUntaggedFlush: on a tagged-forwarding worker only
+// an epoch flush emits, so a ?flush=1 without an epoch could not do
+// what it asks. The stray flush is a 400, and its ticks stay queued
+// for the next epoch flush.
 func TestWorkerRejectsUntaggedFlush(t *testing.T) {
 	forward := discardListener(t)
 	spec := `{"defaults": {"layout": "small", "sensors": 2}, "offices": [{"name": "a", "gid": 7}]}`
@@ -898,6 +897,54 @@ func TestWorkerReloadHoldsDrainForEpoch(t *testing.T) {
 	}
 	if tag, _ := dec.Tag(); !tag.Final {
 		t.Fatalf("second forwarded frame %+v, want the final frame", tag)
+	}
+	if _, err := dec.Decode(); err != io.EOF {
+		t.Fatalf("after the final frame: %v, want EOF", err)
+	}
+}
+
+// TestWorkerCloseBetweenEpochsIsNamed: a tagged worker shut down with
+// ticks posted after its last epoch flush runs them in its final drain,
+// which holds like every dispatch without an epoch. Close then names
+// the held actions with stream.ErrUnflushedEpoch rather than hand the
+// tagged sink an untagged batch, and the forward still ends in its
+// final frame.
+func TestWorkerCloseBetweenEpochsIsNamed(t *testing.T) {
+	// A 40 s tick makes the 300 s idle time-out fire within the ticks.
+	spec := `{"defaults": {"layout": "small", "sensors": 2, "dt": 40}, "offices": [{"name": "a", "gid": 7}, {"name": "b", "gid": 3}]}`
+	addr, got := captureListener(t)
+	srv, _ := newTestServer(t, spec, func(c *Config) {
+		c.Forward = addr
+		c.ForwardSource = 1
+	})
+	goOnline(t, srv, "a")
+	goOnline(t, srv, "b")
+	src := rng.New(9)
+	body := `{"office":"a","input":0}` + "\n" + `{"office":"b","input":0}` + "\n"
+	for i := 0; i < 10; i++ {
+		body += rssiLines("a", 1, 0.5, src) + rssiLines("b", 1, 0.5, src)
+	}
+	if rr := post(srv, "/v1/ticks", body); rr.Code != http.StatusOK {
+		t.Fatalf("POST ticks: status %d: %s", rr.Code, rr.Body.String())
+	}
+	if err := srv.Close(); !errors.Is(err, stream.ErrUnflushedEpoch) {
+		t.Fatalf("close: %v, want stream.ErrUnflushedEpoch", err)
+	}
+	if st := srv.ing.Stats(); st.Totals().Dispatched != 20 || st.Batches != 0 {
+		t.Fatalf("after close: %+v, %d batches; want 20 ticks run, nothing emitted", st.Totals(), st.Batches)
+	}
+	var b []byte
+	select {
+	case b = <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the forward connection did not close")
+	}
+	dec := wire.NewDecoder(bytes.NewReader(b))
+	if _, err := dec.Decode(); err != nil {
+		t.Fatal(err)
+	}
+	if tag, _ := dec.Tag(); !tag.Final {
+		t.Fatalf("forwarded frame %+v, want the final frame", tag)
 	}
 	if _, err := dec.Decode(); err != io.EOF {
 		t.Fatalf("after the final frame: %v, want EOF", err)

@@ -67,16 +67,15 @@
 // queue fills.
 //
 // Hold and emit: every cycle runs what is queued through Fleet.Run, but
-// only an emitting cycle hands actions on. An Advance cycle is a hold
-// cycle: it keeps its merged actions, so a producer can bound what the
-// queues stage for one large flush. Every other cycle emits the held
-// actions and its own as one engine.MergeRuns batch; on an Epochs
-// ingestor Flush, a Block-policy dispatch and RemoveOffice's drain hold
-// too, so their actions leave in the next FlushEpoch's tagged batch.
-// Holding never changes the bytes: each office's System sees the same
-// call sequence wherever the batches split, and the stable (time,
-// office) sort keeps each office's emission order across the held and
-// the new run.
+// only an emitting cycle hands actions on. A hold cycle keeps its merged
+// actions; the next emitting cycle delivers them and its own as one
+// engine.MergeRuns batch. Which cycles emit is one rule, stated on
+// Config.Epochs: an Advance cycle holds, so a producer can bound what
+// the queues stage for one large flush, and on an Epochs ingestor every
+// cycle without a FlushEpoch's epoch holds. Holding never changes the
+// bytes: each office's System sees the same call sequence wherever the
+// batches split, and the stable (time, office) sort keeps each office's
+// emission order across the held and the new run.
 //
 // Ordering and determinism: an emitting cycle delivers everything run
 // since the previous one as one batch, so the sink observes the
@@ -165,6 +164,10 @@ var (
 	// ErrTickWidth is returned by Push when a tick's sample count differs
 	// from the office's configured stream count.
 	ErrTickWidth = errors.New("stream: tick width does not match the office's stream count")
+	// ErrUnflushedEpoch is returned by Close on an Epochs ingestor that
+	// still holds actions no FlushEpoch carried out; the error counts
+	// them.
+	ErrUnflushedEpoch = errors.New("stream: closed with actions held for an epoch flush")
 )
 
 // Config parameterises an Ingestor.
@@ -184,11 +187,19 @@ type Config struct {
 	// is handed to the pump. It is the in-process tap for callers that
 	// need the actions back (Flush returns only after OnBatch does).
 	OnBatch func([]engine.OfficeAction)
-	// Epochs marks an ingestor whose output is driven by FlushEpoch (a
+	// Epochs marks an ingestor whose output is driven by FlushEpoch: a
 	// cluster worker behind a tagged sink, which refuses a batch without
-	// an epoch): Flush, a Block-policy dispatch and RemoveOffice's drain
-	// hold their actions for the next FlushEpoch instead of emitting
-	// them untagged.
+	// an epoch. It selects the ingestor's emit rule, the one place that
+	// decides whether a dispatch cycle hands its actions on or holds
+	// them for a later cycle:
+	//
+	//   - on an Epochs ingestor, a cycle emits only when it carries a
+	//     FlushEpoch's epoch. Flush, Advance, a Block-policy dispatch,
+	//     RemoveOffice's drain and Close's final drain all hold, so their
+	//     actions leave in the next FlushEpoch's tagged batch; actions
+	//     still held at Close make it return ErrUnflushedEpoch;
+	//   - otherwise every cycle emits except one that serves Advance
+	//     requests only.
 	Epochs bool
 }
 
@@ -365,7 +376,7 @@ type Ingestor struct {
 	retired OfficeStats
 	// flushSeq counts dispatch requests; doneSeq is the highest request
 	// fully served (dispatch ran over a queue snapshot taken at or after
-	// the request); emitSeq is the highest request that must emit (all
+	// the request); emitSeq is the highest request that asks to emit (all
 	// but Advance's). Close issues a final flush request of its own.
 	flushSeq, doneSeq, emitSeq uint64
 	closed                     bool
@@ -485,9 +496,8 @@ func (in *Ingestor) AddOffice(id int, cfg core.Config) error {
 
 // RemoveOffice retires a tenant: it drains the office's already-queued
 // ticks — forcing a dispatch cycle whose merged actions (the office's
-// final flush) flow through the OnBatch tap and the sink like any other
-// batch, or on an Epochs ingestor are held for the next FlushEpoch —
-// then retires the queue, removes the office from the fleet, and folds
+// final flush) are emitted or held by the emit rule (see Config.Epochs)
+// — then retires the queue, removes the office from the fleet, and folds
 // its counters into Stats' retired totals. Ticks pushed concurrently
 // with the removal may be discarded and counted as dropped. It returns
 // the office's final System for inspection.
@@ -502,7 +512,7 @@ func (in *Ingestor) RemoveOffice(id int) (*core.System, error) {
 		return nil, fmt.Errorf("%w (office %d)", ErrUnknownOffice, id)
 	}
 	// Final flush: dispatch everything queued, this office included.
-	in.requestLocked(!in.epochs)
+	in.requestLocked(true)
 	if in.closed {
 		in.mu.Unlock()
 		return nil, ErrClosed
@@ -649,11 +659,11 @@ func (in *Ingestor) PushInput(office, workstation int) error {
 }
 
 // Flush dispatches everything queued at the time of the call as one
-// fleet batch, emits its actions and those Advance held as one batch,
-// and blocks until that dispatch — including the OnBatch tap — has
-// completed and the batch has been handed to the sink pump. On an
-// Epochs ingestor it holds the actions like Advance, for the next
-// FlushEpoch. It returns the first pipeline error (fleet dispatch or
+// fleet batch and blocks until that dispatch — including the OnBatch
+// tap — has completed and any batch it emits has been handed to the
+// sink pump. Whether the cycle emits its actions and those held before
+// it as one batch, or holds them too, is the emit rule (see
+// Config.Epochs). It returns the first pipeline error (fleet dispatch or
 // sink) seen so far.
 func (in *Ingestor) Flush() error {
 	in.mu.Lock()
@@ -661,14 +671,13 @@ func (in *Ingestor) Flush() error {
 	if in.closed {
 		return ErrClosed
 	}
-	in.requestLocked(!in.epochs)
+	in.requestLocked(true)
 	return in.err
 }
 
 // Advance runs everything queued at the time of the call through the
 // fleet and holds the merged actions instead of emitting them: the next
-// emitting cycle (Flush, FlushEpoch, a Block-policy dispatch,
-// RemoveOffice's drain or Close) delivers them and its own as one
+// emitting cycle (see Config.Epochs) delivers them and its own as one
 // batch, byte-identical to one dispatch of everything. It blocks until
 // the run has completed, so the queues' arenas are back for reuse, and
 // returns the first pipeline error seen so far. A producer staging one
@@ -684,9 +693,10 @@ func (in *Ingestor) Advance() error {
 	return in.err
 }
 
-// requestLocked files a dispatch request, one that must emit unless
-// emit is false, and waits until a cycle has served it or the ingestor
-// closed. Caller holds in.mu; Wait releases it meanwhile.
+// requestLocked files a dispatch request, one that asks to emit unless
+// emit is false (the emit rule in dispatch decides), and waits until a
+// cycle has served it or the ingestor closed. Caller holds in.mu; Wait
+// releases it meanwhile.
 func (in *Ingestor) requestLocked(emit bool) {
 	in.flushSeq++
 	ticket := in.flushSeq
@@ -737,7 +747,10 @@ func (in *Ingestor) Err() error {
 }
 
 // Close dispatches any remaining queued ticks, stops the dispatcher,
-// drains the pump, and flushes and closes the sink. It returns the first
+// drains the pump, and flushes and closes the sink. Its final drain
+// follows the emit rule (see Config.Epochs): on an Epochs ingestor it
+// holds, and when held actions remain, Close returns ErrUnflushedEpoch
+// counting them (the sink is closed all the same). It returns the first
 // pipeline error, unblocks any Block-policy pushers with ErrClosed, and
 // is idempotent.
 func (in *Ingestor) Close() error {
@@ -774,6 +787,9 @@ func (in *Ingestor) Close() error {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	if n := len(in.held); n > 0 && in.err == nil {
+		in.err = fmt.Errorf("%w (%d actions)", ErrUnflushedEpoch, n)
+	}
 	if sinkErr != nil && in.err == nil {
 		in.err = fmt.Errorf("stream: sink close: %w", sinkErr)
 	}
@@ -871,11 +887,12 @@ func (in *Ingestor) Stats() Stats {
 // dispatch is the dispatcher goroutine: it waits for work (a dispatch
 // request — Flush, FlushEpoch, Advance or RemoveOffice's drain — a
 // Block-policy pusher out of space, or Close), snapshots the queues into
-// one fleet batch and runs it. A hold cycle keeps the merged actions; an
-// emitting cycle merges them with what earlier hold cycles kept and
-// hands the batch to the OnBatch tap and the sink pump. Its drain check
-// reads only atomics (queue depths, pending-input counts), so it takes
-// no queue locks while holding the control mutex.
+// one fleet batch and runs it. The emit rule decides whether the cycle
+// holds or emits. A hold cycle keeps the merged actions; an emitting
+// cycle merges them with what earlier hold cycles kept and hands the
+// batch to the OnBatch tap and the sink pump. Its drain check reads only
+// atomics (queue depths, pending-input counts), so it takes no queue
+// locks while holding the control mutex.
 func (in *Ingestor) dispatch() {
 	defer close(in.dispatcherDone)
 	for {
@@ -888,14 +905,10 @@ func (in *Ingestor) dispatch() {
 			return
 		}
 		ticket := in.flushSeq
-		// Only an emitting cycle consumes a FlushEpoch's epoch.
-		emit := in.closed || in.emitSeq > in.doneSeq || (in.needSpace.Load() > 0 && !in.epochs)
-		var epoch uint64
-		hasEpoch := false
-		if emit {
-			epoch, hasEpoch = in.epochVal, in.epochSet
-			in.epochSet = false
-		}
+		epoch, hasEpoch := in.epochVal, in.epochSet
+		in.epochSet = false
+		// The emit rule (see Config.Epochs).
+		emit := hasEpoch || (!in.epochs && (in.closed || in.emitSeq > in.doneSeq || in.needSpace.Load() > 0))
 		in.mu.Unlock()
 
 		m := in.members.Load()
